@@ -304,6 +304,15 @@ def words(
 ) -> LanguageWords:
     """Fold the first digits of src through base and render each value.
 
+    Renderings are carried forward rather than recomputed: the word of
+    w_{n+1} = base * w_n + u_{n+1} is the word of w_n with u_{n+1}
+    appended, after carries are pushed leftward with divmod.  A digit may
+    exceed the base by any amount (explicit and Thue-Morse sources allow
+    that), so a carry can exceed 1, and a carry out of the leading digit
+    is rendered as several new leading digits.  Each step therefore costs the carry run plus one
+    tuple copy instead of a full radix conversion of a value that keeps
+    growing.
+
     The very first digit normally must be nonzero, else w_0 and later
     values silently shed a leading position; passing allow_zero_start
     accepts that reading (the language is defined by values, and a zero
@@ -320,11 +329,27 @@ def words(
             "stream starts with digit 0; pass allow_zero_start=True to "
             "read it by value anyway"
         )
-    values = [lead]
-    for n in range(1, top + 1):
-        values.append(values[-1] * base + src.digit(n))
-    rendered = tuple(to_word(v, base) for v in values)
-    return LanguageWords(base, tuple(values), rendered, top, src.label())
+    values = []
+    rendered = []
+    value = 0
+    digits: list[int] = []  # canonical rendering of value; [] while it is 0
+    for n in range(top + 1):
+        u = lead if n == 0 else src.digit(n)
+        value = value * base + u
+        digits.append(u)
+        i = len(digits) - 1
+        carry, digits[i] = divmod(u, base)
+        while carry:
+            i -= 1
+            if i < 0:
+                digits[:0] = to_word(carry, base)
+                break
+            carry, digits[i] = divmod(digits[i] + carry, base)
+        if not value:
+            digits.clear()  # a zero start appends zero digits to nothing
+        values.append(value)
+        rendered.append(tuple(digits) or (0,))
+    return LanguageWords(base, tuple(values), tuple(rendered), top, src.label())
 
 
 @dataclass(frozen=True)
@@ -436,23 +461,14 @@ def _family_consistent(
     lw: LanguageWords, n0: int, p: int, v0: Word, v1: Word, v2: Word
 ) -> bool:
     # every family member inside the window must render as V0 V1^m V2;
-    # segments are compared in place rather than building the long words
-    m = 0
-    n = n0
-    while n <= lw.n_top:
-        w = lw.words[n]
-        if len(w) != len(v0) + m * p + len(v2):
+    # the expected word grows by one V1 after V0 per member, so each
+    # member costs a single tuple comparison
+    expected = v0 + v2
+    head = v0 + v1
+    for n in range(n0, lw.n_top + 1, p):
+        if lw.words[n] != expected:
             return False
-        if w[: len(v0)] != v0:
-            return False
-        for j in range(m):
-            lo = len(v0) + j * p
-            if w[lo : lo + p] != v1:
-                return False
-        if v2 and w[-len(v2) :] != v2:
-            return False
-        m += 1
-        n += p
+        expected = head + expected[len(v0) :]
     return True
 
 
@@ -462,7 +478,9 @@ def find_pattern(
     """Earliest split V0 V1^m V2 consistent with the whole window.
 
     Scans anchors n0 = residue, residue+p, ... (never below min_anchor)
-    and, at each, split positions from the left.  A candidate must match
+    and, at each, the leftmost split: every split that fits an anchor
+    renders one and the same family (see the rotation argument in the
+    body), so each anchor tests one family.  A candidate must match
     every word of its index class inside the window: w_{n0+mp} must
     equal V0 V1^m V2 exactly for all m with n0 + mp <= n_top.  Returns
     None when no split survives, which is the expected outcome for a
@@ -479,23 +497,22 @@ def find_pattern(
     while n0 + 2 * p <= lw.n_top:
         w0, w1, w2 = lw.words[n0], lw.words[n0 + p], lw.words[n0 + 2 * p]
         if w0 and len(w1) == len(w0) + p and len(w2) == len(w0) + 2 * p:
-            # splits only make sense inside the common prefix of w0 and
-            # w1, and V2 must be a common suffix; this prunes the scan
-            # from quadratic to near-linear on mismatched words
-            cp = 0
-            while cp < len(w0) and w0[cp] == w1[cp]:
-                cp += 1
+            # split i renders w1 as V0 V1 V2 exactly when w0[:i] is a
+            # prefix of w1 and w0[i:] a suffix of it, i.e. for i from
+            # lo = len(w0) - (common suffix length) up to the common
+            # prefix length.  Inside that range w1[i] == w0[i] == w1[i+p],
+            # so split i+1 only rotates V1 and renders the same family:
+            #   w0[:i+1] rot(V1)^m w0[i+1:] == w0[:i] V1^m w0[i:].
+            # The earliest split therefore stands for the whole range; if
+            # it is not a common prefix the range is empty, and the family
+            # check rejects it at its second member, w1.
             cs = 0
             while cs < len(w0) and w0[-1 - cs] == w1[-1 - cs]:
                 cs += 1
-            lo = max(1, len(w0) - cs)
-            for i in range(lo, cp + 1):
-                v0, v2 = w0[:i], w0[i:]
-                v1 = w1[i : i + p]
-                if w1 != v0 + v1 + v2 or w2 != v0 + v1 + v1 + v2:
-                    continue
-                if _family_consistent(lw, n0, p, v0, v1, v2):
-                    return PatternCandidate(lw.base, v0, v1, v2, p, residue, n0)
+            i = max(1, len(w0) - cs)
+            v0, v1, v2 = w0[:i], w1[i : i + p], w0[i:]
+            if _family_consistent(lw, n0, p, v0, v1, v2):
+                return PatternCandidate(lw.base, v0, v1, v2, p, residue, n0)
         n0 += p
     return None
 
@@ -557,7 +574,9 @@ def certify_pattern(
     Four clauses, checked in order:
 
       (i)   base case: rendering of w_anchor equals V0 V2, where the
-            value is recomputed from the source digits alone;
+            value is recomputed from the source digits alone and
+            rendered by to_word, independently of the carry rendering
+            in words() that the candidate was found on;
       (ii)  structural recurrence: the source is certified ultimately
             periodic, its period divides the pattern period, and the
             anchor's digit block sits entirely past the preperiod;
@@ -714,22 +733,26 @@ def decide_regularity(
 ) -> RegularityVerdict:
     """Decide whether the rendered-value language of src is regular.
 
-    Certified ultimately periodic stream: every residue class modulo the
-    stream period gets a certified word family, the words before the
-    family anchors become explicit exceptions, and the assembled minimal
-    DFA is returned in a Regular verdict.  Certified aperiodic stream:
-    NonRegular, carrying the certificate.  Anything weaker (finite
-    words, unproved structure, too small a window): Inconclusive, with
-    the empirical pattern scan and length-claim report as evidence.
+    The stream's periodicity verdict comes first.  Certified aperiodic
+    stream: NonRegular, carrying the certificate, with no word rendered.
+    Otherwise the window's words are rendered.  Certified ultimately
+    periodic stream: every residue class modulo the stream period gets a
+    certified word family, the words before the family anchors become
+    explicit exceptions, and the assembled minimal DFA is returned in a
+    Regular verdict.  Anything weaker (finite words, unproved structure,
+    too small a window): Inconclusive, with the empirical pattern scan
+    and length-claim report as evidence.
     """
     if window < 8:
         raise ValueError("window must allow at least a handful of words")
-    lw = words(src, base, window, allow_zero_start=True)
-    length_report = verify_length_claim(lw)
+    if base < 2:
+        raise ValueError("base must be at least 2")
     verdict = src.periodicity(window)
-
     if verdict.kind == "AperiodicByTheorem" and verdict.certified:
         return RegularityVerdict.non_regular(verdict)
+
+    lw = words(src, base, window, allow_zero_start=True)
+    length_report = verify_length_claim(lw)
 
     if verdict.kind == "Periodic" and verdict.certified:
         if lw.values[-1] == 0:

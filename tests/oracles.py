@@ -235,3 +235,53 @@ def enumerate_words(values: Iterable[int], base: int) -> list[tuple[int, ...]]:
             digits.append(r)
         out.append(tuple(reversed(digits)))
     return out
+
+
+def _family_by_segments(words, n0: int, p: int, v0, v1, v2) -> bool:
+    # each member n0 + m*p must be V0 V1^m V2, checked segment by segment
+    m = 0
+    for n in range(n0, len(words), p):
+        w = words[n]
+        if len(w) != len(v0) + m * p + len(v2):
+            return False
+        if w[: len(v0)] != v0:
+            return False
+        for j in range(m):
+            lo = len(v0) + j * p
+            if w[lo : lo + p] != v1:
+                return False
+        if v2 and w[-len(v2) :] != v2:
+            return False
+        m += 1
+    return True
+
+
+def find_pattern_unpruned(words, p: int, residue: int, min_anchor: int = 0):
+    """Earliest (v0, v1, v2, anchor) split of a word window, or None.
+
+    The reference scan for language.find_pattern: every anchor of the
+    class at or past min_anchor and, at each, every split inside the
+    common prefix of w_n0 and w_(n0+p) whose tail is a common suffix,
+    each tested in full against the whole class.
+    """
+    n0 = residue
+    if n0 < min_anchor:
+        n0 += ((min_anchor - n0 + p - 1) // p) * p
+    while n0 + 2 * p < len(words):
+        w0, w1, w2 = words[n0], words[n0 + p], words[n0 + 2 * p]
+        if w0 and len(w1) == len(w0) + p and len(w2) == len(w0) + 2 * p:
+            cp = 0
+            while cp < len(w0) and w0[cp] == w1[cp]:
+                cp += 1
+            cs = 0
+            while cs < len(w0) and w0[-1 - cs] == w1[-1 - cs]:
+                cs += 1
+            for i in range(max(1, len(w0) - cs), cp + 1):
+                v0, v2 = w0[:i], w0[i:]
+                v1 = w1[i : i + p]
+                if w1 != v0 + v1 + v2 or w2 != v0 + v1 + v1 + v2:
+                    continue
+                if _family_by_segments(words, n0, p, v0, v1, v2):
+                    return v0, v1, v2, n0
+        n0 += p
+    return None

@@ -8,10 +8,14 @@ from the even-indexed class, whose digit blocks straddle two Thue-Morse
 blocks and vary forever.  The tests below freeze both facts.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floorlog import language
 from floorlog.automata import trie_dfa, equivalent, equivalent_to_length
+from floorlog.battery import by_name
 from floorlog.exact import ExactReal
 from floorlog.language import (
     CertifiedPattern,
@@ -31,6 +35,8 @@ from floorlog.language import (
 )
 from floorlog.numeration import from_word, word_str
 from floorlog.sequences import FloorLogInstance, normalize
+
+from oracles import enumerate_words, find_pattern_unpruned
 
 
 def norm_of(alpha, beta, base):
@@ -253,6 +259,36 @@ def test_find_pattern_tm_odd_periods_absent(tm_window, p):
         assert find_pattern(tm_window, p, residue) is None
 
 
+def _pattern_windows():
+    yield words(ThueMorseBlockSource("10", "02"), 2, 300)
+    yield words(rk_source("3/2", 0, 2), 2, 120)
+    rng = random.Random(2718)
+    for base in (2, 2, 3, 3, 10, 10):
+        pre = [rng.randrange(2 * base - 1) for _ in range(rng.randint(0, 5))]
+        per = [rng.randrange(2 * base - 1) for _ in range(rng.randint(1, 6))]
+        src = PeriodicDigitSource(pre, per)
+        yield words(src, base, 120, allow_zero_start=True)
+    # finite words: a period broken once, and a slowly drifting digit
+    yield words(ExplicitDigitSource("1" + "01" * 40 + "2" + "01" * 40), 2, 200)
+    yield words(ExplicitDigitSource([1 + (i // 17) % 3 for i in range(150)]), 3, 200)
+
+
+def test_find_pattern_matches_unpruned_reference_scan():
+    # testing only the leftmost split and comparing whole words must
+    # leave every hit, and every miss, exactly as the plain scan finds them
+    for lw in _pattern_windows():
+        for p in range(1, 9):
+            for residue in range(p):
+                for min_anchor in (0, 11):
+                    ref = find_pattern_unpruned(lw.words, p, residue, min_anchor)
+                    want = None
+                    if ref is not None:
+                        v0, v1, v2, anchor = ref
+                        want = PatternCandidate(lw.base, v0, v1, v2, p, residue, anchor)
+                    got = find_pattern(lw, p, residue, min_anchor)
+                    assert got == want, (lw.source_label, p, residue, min_anchor)
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
@@ -376,6 +412,40 @@ def test_decide_tm_blocks_nonregular():
     verdict = decide_regularity(ThueMorseBlockSource("10", "02"), 2, window=200)
     assert verdict.kind == "NonRegular"
     assert "Thue-Morse" in verdict.certificate.reason
+
+
+class _CountingThueMorse(ThueMorseBlockSource):
+    def __init__(self, block_a, block_b):
+        super().__init__(block_a, block_b)
+        self.digit_calls = 0
+
+    def digit(self, i):
+        self.digit_calls += 1
+        return super().digit(i)
+
+
+def test_decide_renders_no_words_for_certified_aperiodic_sources(monkeypatch):
+    tm = _CountingThueMorse("10", "02")
+    assert decide_regularity(tm, 2).kind == "NonRegular"
+    assert tm.digit_calls == 0
+
+    def no_words(*args, **kwargs):
+        raise AssertionError("words rendered for a certified aperiodic stream")
+
+    monkeypatch.setattr(language, "words", no_words)
+    summary = decide_regularity(rk_source("sqrt(2)", 0, 2), 2).summary()
+    assert summary == {
+        "kind": "NonRegular",
+        "reason": (
+            "alpha is an irrational quadratic surd; the jump-digit sequence "
+            "has an ultimately periodic tail exactly when alpha is rational"
+        ),
+    }
+
+
+def test_decide_rejects_base_below_two_before_periodicity():
+    with pytest.raises(ValueError, match="base"):
+        decide_regularity(ThueMorseBlockSource("10", "02"), 1)
 
 
 def test_decide_explicit_inconclusive_with_evidence():
@@ -503,3 +573,62 @@ def test_certified_patterns_replay_for_random_sources(case):
             m, extra = divmod(i - pat.anchor, pat.period)
             if i >= pat.anchor and extra == 0:
                 assert pat.value_for(m) == value
+
+
+def assert_renders_like_oracle(src, base, n_max):
+    lw = words(src, base, n_max, allow_zero_start=True)
+    values = [src.digit(0)]
+    for n in range(1, lw.n_top + 1):
+        values.append(values[-1] * base + src.digit(n))
+    assert lw.values == tuple(values)
+    assert list(lw.words) == enumerate_words(values, base), src.label()
+
+
+@given(st_periodic_source())
+@settings(max_examples=30, deadline=None)
+def test_carry_rendering_matches_oracle_on_periodic_streams(case):
+    base, src = case
+    assert_renders_like_oracle(src, base, 150)
+
+
+@pytest.mark.parametrize(
+    "block_a, block_b",
+    [("10", "02"), ("1", "02"), ("21", "12"), ("4", "0"), ("0", "9")],
+    ids=["10/02", "1/02", "21/12", "4/0", "0/9"],
+)
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_carry_rendering_matches_oracle_on_thue_morse_blocks(block_a, block_b, base):
+    assert_renders_like_oracle(ThueMorseBlockSource(block_a, block_b), base, 150)
+
+
+@pytest.mark.parametrize(
+    "base, word",
+    [
+        (2, (4, 0, 1, 10, 0, 3, 1, 1)),  # lead b^2, digits up to 5b
+        (3, (0, 0, 15, 0, 9, 2, 14)),  # zero start, digits 5b and b^2
+        (10, (123, 50, 0, 49, 7, 9, 9, 9)),  # lead beyond b^2
+        (10, (0, 0, 0, 0)),  # the value stays 0 throughout
+        (2, (1,) * 31 + (10,)),  # a long carry run into new digits
+    ],
+)
+def test_carry_rendering_matches_oracle_on_explicit_words(base, word):
+    assert_renders_like_oracle(ExplicitDigitSource(word), base, 100)
+
+
+@given(
+    st_base.flatmap(
+        lambda b: st.tuples(
+            st.just(b), st.lists(st.integers(0, 5 * b), min_size=1, max_size=60)
+        )
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_carry_rendering_matches_oracle_on_random_explicit_words(case):
+    base, word = case
+    assert_renders_like_oracle(ExplicitDigitSource(word), base, 100)
+
+
+@pytest.mark.parametrize("name", ["i05", "i12", "i14"])
+def test_carry_rendering_matches_oracle_on_battery_streams(name):
+    inst = by_name(name)
+    assert_renders_like_oracle(RkDigitSource(inst.normalized()), inst.base, 300)
