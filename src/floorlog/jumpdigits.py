@@ -451,6 +451,18 @@ def find_cycle(values: list[int]) -> tuple[int, int] | None:
     return None
 
 
+def residue_orbit(base: int, modulus: int) -> tuple[int, int]:
+    """(preperiod, period) of base^k mod modulus, k counted from 1."""
+    seen: dict[int, int] = {}
+    residue = base % modulus
+    k = 1
+    while residue not in seen:
+        seen[residue] = k
+        residue = residue * base % modulus
+        k += 1
+    return seen[residue] - 1, k - seen[residue]
+
+
 def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
     """Decide ultimate periodicity of r with a certificate when possible.
 
@@ -471,16 +483,7 @@ def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
         )
 
     p = norm.alpha.as_fraction().numerator
-    # orbit of base^k mod p, k starting at 1
-    seen: dict[int, int] = {}
-    residue = norm.base % p
-    k = 1
-    while residue not in seen:
-        seen[residue] = k
-        residue = residue * norm.base % p
-        k += 1
-    orbit_preperiod = seen[residue] - 1
-    orbit_period = k - seen[residue]
+    orbit_preperiod, orbit_period = residue_orbit(norm.base, p)
 
     span = max(orbit_preperiod + 2 * orbit_period, window)
     stream = r_stream(norm, span)

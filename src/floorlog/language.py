@@ -472,6 +472,28 @@ def _family_consistent(
     return True
 
 
+def _common_suffix(short: Word, long: Word) -> int:
+    """Length of the longest common suffix of two words, len(short) at most.
+
+    A matching suffix of length m implies that every shorter one matches,
+    so doubling m (capped at len(short)) until a slice comparison fails and
+    then bisecting finds the longest with O(log m) tuple comparisons
+    instead of m interpreted digit steps.  A whole-word match, the costly
+    case, ends the doubling with one comparison of the full length.
+    """
+    n = len(short)
+    lo, hi = 0, 1  # a suffix of length lo matches; hi is the next one tried
+    while lo < n and short[-hi:] == long[-hi:]:
+        lo, hi = hi, min(2 * hi, n)
+    while hi - lo > 1:  # here the suffix of length hi does not match
+        mid = (lo + hi) // 2
+        if short[-mid:] == long[-mid:]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def find_pattern(
     lw: LanguageWords, p: int, residue: int, min_anchor: int = 0
 ) -> PatternCandidate | None:
@@ -506,9 +528,7 @@ def find_pattern(
             # The earliest split therefore stands for the whole range; if
             # it is not a common prefix the range is empty, and the family
             # check rejects it at its second member, w1.
-            cs = 0
-            while cs < len(w0) and w0[-1 - cs] == w1[-1 - cs]:
-                cs += 1
+            cs = _common_suffix(w0, w1)
             i = max(1, len(w0) - cs)
             v0, v1, v2 = w0[:i], w1[i : i + p], w0[i:]
             if _family_consistent(lw, n0, p, v0, v1, v2):

@@ -3,25 +3,37 @@
 f_k counts how many indices n sit at level k, i.e. have u_n = k.  Each
 level occupies the half-open index interval [(base^k - beta)/alpha,
 (base^(k+1) - beta)/alpha), so the count is a difference of exact ceilings
-and never needs enumeration; enumeration is still run over a small prefix
-as an independent audit.  The derived sequence d_k = f_{k+1} - base*f_k
-mirrors the jump-digit differences on an aligned tail, and its ultimate
-periodicity is decided with the same modular-orbit machinery, extended to
-cover instances where crossings land on integers forever.
+and never needs enumeration.  Both routes that produce f run on integers
+alone, from one common-denominator form each:
+
+  * the primary route writes (base^k - beta)/alpha as (A + B*sqrt(d))/C
+    and takes every level start's ceiling with one isqrt;
+  * the audit enumerates a prefix of indices and walks the level up as
+    alpha*n + beta passes each power of the base, so it evaluates u_n
+    from its definition, in a different form from the primary route.
+
+f is deliberately not read off jump_positions: align_m0 compares f_k with
+the jump differences c_{k+m0+1} - c_{k+m0}, and that comparison is only a
+check while f comes from somewhere else.  The derived sequence
+d_k = f_{k+1} - base*f_k mirrors the jump-digit differences on an aligned
+tail, and its ultimate periodicity is decided with the same modular-orbit
+machinery, extended to cover instances where crossings land on integers
+forever.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import isqrt
 
-from .exact import ExactReal
+from .exact import _sign_quadratic, over_common_denominator
 from .jumpdigits import (
     ModCycleCertificate,
     PeriodicityVerdict,
     detect_period,
     minimize_cycle,
     r_stream,
+    residue_orbit,
 )
 from .sequences import (
     ConsistencyError,
@@ -33,10 +45,43 @@ from .sequences import (
 )
 
 
-def _level_start(norm: NormalizedInstance, k: int) -> int:
-    """First index n (>= n_min) whose argument has reached base^k."""
-    power = ExactReal(Fraction(norm.base) ** k)
-    return max(((power - norm.beta) / norm.alpha).ceil(), norm.n_min)
+def _level_starts(norm: NormalizedInstance, k_lo: int, k_hi: int) -> list[int]:
+    """First index n (>= n_min) whose argument has reached base^k, k_lo..k_hi.
+
+    With 1/alpha = (p + q*sqrt(d))/den, beta/alpha = (e + f*sqrt(d))/den and
+    base^k = num/bden (bden > 1 only for negative k),
+
+        (base^k - beta)/alpha = (A + B*sqrt(d))/C,
+        A = num*p - bden*e,  B = num*q - bden*f,  C = bden*den.
+
+    For B != 0 the quotient is irrational, so its ceiling is its floor plus
+    one, and the floor is (A + isqrt(B^2 d)) // C or
+    (A - isqrt(B^2 d) - 1) // C by the sign of B; for B == 0 it is the
+    rational ceiling -(-A // C).
+    """
+    b = norm.base
+    den, d, ((p, q), (e, f)) = over_common_denominator(
+        1 / norm.alpha, norm.beta / norm.alpha
+    )
+    num, bden = (b**k_lo, 1) if k_lo >= 0 else (1, b**-k_lo)
+    n_min = norm.n_min
+    starts = []
+    for _ in range(k_lo, k_hi + 1):
+        a = num * p - bden * e
+        rad = num * q - bden * f
+        c = bden * den
+        if rad > 0:
+            ceil = (a + isqrt(rad * rad * d)) // c + 1
+        elif rad < 0:
+            ceil = (a - isqrt(rad * rad * d) - 1) // c + 1
+        else:
+            ceil = -(-a // c)
+        starts.append(max(ceil, n_min))
+        if bden > 1:
+            bden //= b
+        else:
+            num *= b
+    return starts
 
 
 @dataclass
@@ -66,30 +111,42 @@ class LevelCounts:
 def f_counts(norm: NormalizedInstance, k_max: int, enum_cap: int = 2000) -> LevelCounts:
     """Count every level up to k_max two ways and reconcile them.
 
-    The primary route is the ceiling-difference formula, exact at any
-    depth.  The audit route enumerates n up to enum_cap, recomputes u_n
-    term by term, and compares tallies on every level that lies fully
-    inside the enumerated range; disagreement raises ConsistencyError.
+    The primary route takes the level starts L_k from _level_starts once,
+    for k_min..k_max+1, and sets f_k = L_{k+1} - L_k; it is exact at any
+    depth.  The audit enumerates n from n_min up to enum_cap (or the end
+    of level k_max, if sooner) and tallies u_n, which it walks upward from
+    u_{n_min}: with alpha*n + beta = (a1*n + a2 + (b1*n + b2)*sqrt(d))/C,
+    the level rises while that argument is at least base^(level+1), each
+    step one exact integer sign test.  Tallies are compared on every level
+    lying fully inside the enumerated range; disagreement raises
+    ConsistencyError.  The two routes share only over_common_denominator.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    k_min = u_term(norm.alpha, norm.beta, norm.base, norm.n_min)
-    f: dict[int, int] = {}
-    first = _level_start(norm, k_min)
-    for k in range(k_min, k_max + 1):
-        nxt = _level_start(norm, k + 1)
-        f[k] = nxt - first
-        first = nxt
+    b = norm.base
+    k_min = u_term(norm.alpha, norm.beta, b, norm.n_min)
+    starts = _level_starts(norm, k_min, k_max + 1)
+    f = {k: starts[i + 1] - starts[i] for i, k in enumerate(range(k_min, k_max + 1))}
 
     # brute audit over the enumerable prefix
-    top = min(enum_cap, _level_start(norm, k_max + 1) - 1)
+    top = min(enum_cap, starts[-1] - 1)
+    c, d, ((a1, b1), (a2, b2)) = over_common_denominator(norm.alpha, norm.beta)
+    lvl = k_min
+    num, den = (b ** (lvl + 1), 1) if lvl + 1 >= 0 else (1, b ** -(lvl + 1))
     tally: dict[int, int] = {}
     for n in range(norm.n_min, top + 1):
-        lvl = u_term(norm.alpha, norm.beta, norm.base, n)
+        ra, rb = a1 * n + a2, b1 * n + b2
+        # alpha*n + beta >= num/den  <=>  den*(ra + rb*sqrt(d)) - num*c >= 0
+        while _sign_quadratic(den * ra - num * c, den * rb, d) >= 0:
+            lvl += 1
+            if den > 1:
+                den //= b
+            else:
+                num *= b
         tally[lvl] = tally.get(lvl, 0) + 1
     verified = None
-    for k in range(k_min, k_max + 1):
-        if _level_start(norm, k + 1) - 1 > top:
+    for i, k in enumerate(range(k_min, k_max + 1)):
+        if starts[i + 1] - 1 > top:
             break
         if tally.get(k, 0) != f[k]:
             raise ConsistencyError(
@@ -132,14 +189,17 @@ def align_m0(lc: LevelCounts, jd: JumpData) -> AlignmentResult:
     than assumed.  Negative and zero levels never take part.  The result is
     also recorded on lc.
     """
+    # gaps[j] = c_{j+2} - c_{j+1}, so f_k pairs with gaps[k + m0 - 1]
+    gaps = [y - x for x, y in zip(jd.c, jd.c[1:])]
+    counts = [lc.f[k] for k in range(1, min(lc.k_max, jd.k_max - 1) + 1)]
     found: list[tuple[int, int, tuple[int, ...]]] = []
     for m0 in range(0, max(0, min(8, jd.k_max - 3)) + 1):
         k_top = min(lc.k_max, jd.k_max - m0 - 1)
         if k_top < 6:
             continue
         bad = tuple(
-            k for k in range(1, k_top + 1)
-            if lc.f[k] != jd.at(k + m0 + 1) - jd.at(k + m0)
+            k for k, (x, y) in enumerate(zip(counts, gaps[m0 : m0 + k_top]), 1)
+            if x != y
         )
         if not bad or bad[-1] <= k_top // 2:
             found.append((m0, k_top, bad))
@@ -188,18 +248,6 @@ def d_seq(lc: LevelCounts) -> SeqSlice:
     return slice_
 
 
-def _residue_orbit(base: int, modulus: int) -> tuple[int, int]:
-    """(preperiod, period) of base^k mod modulus, k counted from 1."""
-    seen: dict[int, int] = {}
-    residue = base % modulus
-    k = 1
-    while residue not in seen:
-        seen[residue] = k
-        residue = residue * base % modulus
-        k += 1
-    return seen[residue] - 1, k - seen[residue]
-
-
 def decide_d_periodicity(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
     """Decide whether d is ultimately periodic, with a certificate.
 
@@ -222,7 +270,7 @@ def decide_d_periodicity(norm: NormalizedInstance, window: int) -> PeriodicityVe
         )
 
     modulus = norm.alpha.as_fraction().numerator
-    orbit_pre, orbit_per = _residue_orbit(norm.base, modulus)
+    orbit_pre, orbit_per = residue_orbit(norm.base, modulus)
     span = max(orbit_pre + 2 * orbit_per, window)
 
     lc = f_counts(norm, span + 1)

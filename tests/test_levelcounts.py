@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from floorlog import levelcounts
 from floorlog.exact import ExactReal
 from floorlog.levelcounts import (
     align_m0,
@@ -20,7 +21,7 @@ from floorlog.sequences import (
     normalize,
     u_term,
 )
-from oracles import oracle_f, oracle_r
+from oracles import oracle_f, oracle_r, oracle_u
 
 
 def norm_of(alpha, beta, base):
@@ -117,6 +118,19 @@ def test_align_degenerate_recurring_hits():
     assert 5 in jump_positions(n, 6).integrality_hits
 
 
+def test_align_hit_on_the_top_level_blocks_alignment():
+    # (128 - beta)/alpha = 90 exactly, so the only integer crossing is at
+    # level 7: with levels up to 6 the single mismatch sits on the top
+    # compared level, outside any clean tail; with more levels it moves
+    # into the prefix and the threshold steps past it
+    n = norm_of("sqrt(2)", "128-90*sqrt(2)", 2)
+    assert jump_positions(n, 12).integrality_hits == (7,)
+    res = align_m0(f_counts(n, 6), jump_positions(n, 12))
+    assert res.m0 is None and res.checked_to == 6
+    res = align_m0(f_counts(n, 14), jump_positions(n, 20))
+    assert (res.m0, res.threshold, res.mismatches) == (0, 8, (6, 7))
+
+
 def test_d_frozen_sqrt2():
     lc = f_counts(N_SQRT2, 10)
     align_m0(lc, jump_positions(N_SQRT2, 15))
@@ -189,14 +203,77 @@ st_beta = st.fractions(min_value=-3, max_value=6, max_denominator=9).map(ExactRe
 st_base = st.sampled_from([2, 3, 10])
 
 
+@st.composite
+def st_level_instance(draw):
+    """(alpha, beta, base, enum_cap) over the shapes both count routes branch on.
+
+    Slopes: rational, surd, 3 + sqrt(d) (whose reciprocal has a negative
+    radical part) and 1 (every crossing lands on an integer).  Offsets:
+    rational, surd, and tiny ones that put n = 0 several levels below 0.
+    """
+    base = draw(st_base)
+    root = ExactReal.sqrt(draw(st.sampled_from([2, 3, 5])))
+    alpha = draw(st.one_of(
+        st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=12).map(ExactReal),
+        st.tuples(
+            st.fractions(min_value=0, max_value=3, max_denominator=6),
+            st.fractions(min_value=Fraction(1, 6), max_value=2, max_denominator=6),
+        ).map(lambda t: ExactReal(t[0]) + ExactReal(t[1]) * root),
+        st.just(ExactReal(3) + root),
+        st.just(ExactReal(1)),
+    ))
+    beta = draw(st.one_of(
+        st_beta,
+        st.tuples(
+            st.fractions(min_value=-2, max_value=2, max_denominator=5),
+            st.sampled_from([Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4)]),
+        ).map(lambda t: ExactReal(t[0]) + ExactReal(t[1]) * root),
+        st.tuples(st.integers(min_value=4, max_value=9), st.sampled_from([1, 2])).map(
+            lambda t: ExactReal(Fraction(1, base ** t[0])) * (root if t[1] == 2 else 1)
+        ),
+    ))
+    cap = draw(st.sampled_from([1, 37, 2000]))
+    return alpha, beta, base, cap
+
+
 @settings(max_examples=50, deadline=None)
-@given(alpha=st_alpha, beta=st_beta, base=st_base)
-def test_counts_match_enumeration_oracle(alpha, beta, base):
+@given(case=st_level_instance())
+@example(case=(ExactReal.parse("3+sqrt(2)"), ExactReal(0), 2, 37))
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal(Fraction(1, 2**9)), 2, 2000))
+@example(case=(ExactReal(1), ExactReal(Fraction(1, 10**6)), 10, 1))
+@example(case=(ExactReal(1), ExactReal(0), 3, 2000))
+@example(case=(ExactReal.parse("5/3"), ExactReal.parse("1/3*sqrt(2)"), 2, 37))
+def test_counts_match_enumeration_oracle(case):
+    alpha, beta, base, cap = case
     n = normalize(FloorLogInstance(alpha, beta, base))
     k_top = _ORACLE_KTOP[base]
-    lc = f_counts(n, k_top)
+    lc = f_counts(n, k_top, enum_cap=cap)
+    assert lc.k_min == oracle_u(n.alpha, n.beta, base, n.n_min)
     for k in range(lc.k_min, k_top + 1):
         assert lc.at(k) == oracle_f(n.alpha, n.beta, base, k, n.n_min)
+
+
+@pytest.mark.parametrize("alpha,beta,base", [
+    ("sqrt(2)", 0, 2),               # B != 0, B > 0
+    ("3+sqrt(2)", "1/5", 2),         # B != 0, B < 0
+    ("3/2", "1/3", 2),               # B == 0, rational ceiling
+    ("1", "1/64", 2),                # B == 0 at negative levels
+])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_audit_catches_level_start_off_by_one(monkeypatch, alpha, beta, base, shift):
+    n = norm_of(alpha, beta, base)
+    lc = f_counts(n, 8)
+    assert lc.enum_verified_to == 8
+    real = levelcounts._level_starts
+
+    def off_by_one(norm, k_lo, k_hi):
+        starts = real(norm, k_lo, k_hi)
+        starts[3 - k_lo] += shift  # level 3 starts one index late or early
+        return starts
+
+    monkeypatch.setattr(levelcounts, "_level_starts", off_by_one)
+    with pytest.raises(ConsistencyError):
+        f_counts(n, 8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,6 +290,48 @@ def test_aligned_tail_matches_digit_differences(alpha, beta, base):
                 n.alpha, n.beta, base, k + m0
             )
             assert d.at(k) == want
+
+
+def _align_by_lookup(lc, jd):
+    """align_m0's acceptance rule, one jd.at lookup pair per level."""
+    found = []
+    for m0 in range(0, max(0, min(8, jd.k_max - 3)) + 1):
+        k_top = min(lc.k_max, jd.k_max - m0 - 1)
+        if k_top < 6:
+            continue
+        bad = tuple(
+            k for k in range(1, k_top + 1)
+            if lc.at(k) != jd.at(k + m0 + 1) - jd.at(k + m0)
+        )
+        if not bad or bad[-1] <= k_top // 2:
+            found.append((m0, k_top, bad))
+    if not found:
+        return None, None, max(min(lc.k_max, jd.k_max - 1), 0), (), ()
+    m0, k_top, bad = found[0]
+    return m0, (bad[-1] + 1) if bad else 1, k_top, tuple(m for m, _, _ in found[1:]), bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st_alpha, st_beta, st_base),
+        st.tuples(
+            st.sampled_from(["1", "5/3", "7/5", "sqrt(2)"]).map(ExactReal.parse),
+            st.sampled_from(["0", "1/3", "128-90*sqrt(2)", "2-sqrt(2)"]).map(ExactReal.parse),
+            st.just(2),
+        ),
+    ),
+    k_max=st.integers(min_value=1, max_value=20),
+    extra=st.integers(min_value=0, max_value=12),
+)
+def test_align_matches_per_level_lookup(case, k_max, extra):
+    alpha, beta, base = case
+    n = normalize(FloorLogInstance(alpha, beta, base))
+    lc = f_counts(n, k_max)
+    jd = jump_positions(n, max(1, k_max + extra - 6))
+    res = align_m0(lc, jd)
+    assert (res.m0, res.threshold, res.checked_to, res.also_valid,
+            res.mismatches) == _align_by_lookup(lc, jd)
 
 
 @settings(max_examples=40, deadline=None)
