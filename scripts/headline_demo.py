@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import detect_period, r_stream
 from floorlog.language import RkDigitSource, decide_regularity, words
-from floorlog.numeration import digit_stream, word_str
+from floorlog.numeration import digit_stream
 from floorlog.sequences import FloorLogInstance, normalize, u_seq
 
 

@@ -16,21 +16,14 @@ honest refusal to stabilize.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from .numeration import to_word, word_str
+from .numeration import as_digits, word_str
 from .sequences import ConsistencyError
 
 Word = tuple[int, ...]
-
-
-def _as_word(w) -> Word:
-    if isinstance(w, str):
-        return tuple(int(ch) for ch in w)
-    return tuple(int(d) for d in w)
 
 
 @dataclass(frozen=True)
@@ -62,9 +55,9 @@ class Dfa:
     def num_states(self) -> int:
         return len(self.transitions)
 
-    def walk(self, word, start: int | None = None) -> int:
-        q = self.start if start is None else start
-        for d in _as_word(word):
+    def walk(self, word) -> int:
+        q = self.start
+        for d in as_digits(word):
             if not 0 <= d < self.base:
                 raise ValueError(f"digit {d} outside alphabet of base {self.base}")
             q = self.transitions[q][d]
@@ -116,50 +109,6 @@ class Dfa:
         out = Dfa(m.base, tuple(tuple(r) for r in rows), cls[m.start], frozenset(acc))
         return out.canonical()
 
-    def complement(self) -> "Dfa":
-        everything = frozenset(range(self.num_states))
-        return Dfa(self.base, self.transitions, self.start, everything - self.accepting)
-
-    def accepted_words(self, max_len: int) -> Iterable[Word]:
-        """All accepted words of length <= max_len, shortest first.
-
-        Runs in time proportional to the answer: branches that cannot
-        reach an accepting state within the remaining budget are pruned
-        via a reverse-BFS distance table.
-        """
-        n = self.num_states
-        dist = [None] * n
-        frontier = [q for q in range(n) if q in self.accepting]
-        for q in frontier:
-            dist[q] = 0
-        back: list[list[int]] = [[] for _ in range(n)]
-        for q in range(n):
-            for d in range(self.base):
-                back[self.transitions[q][d]].append(q)
-        step = 0
-        while frontier:
-            step += 1
-            nxt = []
-            for t in frontier:
-                for q in back[t]:
-                    if dist[q] is None:
-                        dist[q] = step
-                        nxt.append(q)
-            frontier = nxt
-        for length in range(max_len + 1):
-            yield from self._words_of_length(self.start, length, dist)
-
-    def _words_of_length(self, q: int, budget: int, dist) -> Iterable[Word]:
-        if budget == 0:
-            if q in self.accepting:
-                yield ()
-            return
-        for d in range(self.base):
-            t = self.transitions[q][d]
-            if dist[t] is not None and dist[t] <= budget - 1:
-                for rest in self._words_of_length(t, budget - 1, dist):
-                    yield (d,) + rest
-
     def to_dot(self, name: str = "dfa") -> str:
         lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, style=invis];']
         for q in range(self.num_states):
@@ -184,18 +133,6 @@ class Dfa:
             "transitions": [list(row) for row in self.transitions],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_table(), sort_keys=True, **kwargs)
-
-    @classmethod
-    def from_table(cls, table: dict) -> "Dfa":
-        return cls(
-            table["base"],
-            tuple(tuple(row) for row in table["transitions"]),
-            table["start"],
-            frozenset(table["accepting"]),
-        )
-
 
 def trie_dfa(words: Iterable, base: int) -> Dfa:
     """Exact-finite-language machine: one trie node per proper prefix.
@@ -206,7 +143,7 @@ def trie_dfa(words: Iterable, base: int) -> Dfa:
     toc: dict[Word, int] = {(): 0}
     accepted: set[int] = set()
     for raw in words:
-        w = _as_word(raw)
+        w = as_digits(raw)
         for d in w:
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} outside alphabet of base {base}")
@@ -294,10 +231,10 @@ def from_patterns(patterns: Iterable, exceptions: Iterable = (), base: int = 2) 
     start = nfa.fresh()
     final = nfa.fresh()
     for raw in exceptions:
-        end = nfa.word_path(start, _as_word(raw))
+        end = nfa.word_path(start, as_digits(raw))
         nfa.eps[end].add(final)
     for pat in patterns:
-        v0, v1, v2 = (_as_word(part) for part in _unpack_pattern(pat))
+        v0, v1, v2 = (as_digits(part) for part in _unpack_pattern(pat))
         hub = nfa.word_path(start, v0)
         if v1:
             loop_end = nfa.word_path(hub, v1)
@@ -351,75 +288,6 @@ def _product_search(a: Dfa, b: Dfa, max_len: int | None) -> tuple[bool, Word | N
 
 
 @dataclass(frozen=True)
-class Dfao:
-    """Automaton with per-state output; value(n) reads (n)_base MSD first.
-
-    Leading zeros are harmless by construction: the start state is
-    entered only at the beginning and its 0-edge loops.
-    """
-
-    base: int
-    transitions: tuple[tuple[int, ...], ...]
-    start: int
-    output: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.output) != len(self.transitions):
-            raise ValueError("one output per state, no more, no less")
-
-    def value(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("inputs are natural numbers")
-        q = self.start
-        for d in to_word(n, self.base):
-            q = self.transitions[q][d]
-        return self.output[q]
-
-    def value_of_word(self, word) -> int:
-        q = self.start
-        for d in _as_word(word):
-            q = self.transitions[q][d]
-        return self.output[q]
-
-    def to_dot(self, name: str = "dfao") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, style=invis];']
-        for q in range(len(self.transitions)):
-            lines.append(f"  q{q} [shape=circle, label=\"{q}/{self.output[q]}\"];")
-        lines.append(f"  hidden -> q{self.start};")
-        for q, row in enumerate(self.transitions):
-            grouped: dict[int, list[int]] = {}
-            for d, t in enumerate(row):
-                grouped.setdefault(t, []).append(d)
-            for t, digits in sorted(grouped.items()):
-                label = ",".join(str(d) for d in digits)
-                lines.append(f"  q{q} -> q{t} [label=\"{label}\"];")
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def dfao_from_dfa(m: Dfa) -> Dfao:
-    """Indicator automaton for the set whose canonical expansions m accepts.
-
-    The start state is cloned if anything points back at it, so looping
-    its 0-edge cannot disturb the rest of the machine.
-    """
-    m = m.canonical()
-    rows = [list(row) for row in m.transitions]
-    acc = set(m.accepting)
-    start = m.start
-    reentered = any(t == start for row in rows for t in row)
-    if reentered:
-        clone = len(rows)
-        rows.append(list(rows[start]))
-        if start in acc:
-            acc.add(clone)
-        start = clone
-    rows[start][0] = start
-    out = tuple(1 if q in acc else 0 for q in range(len(rows)))
-    return Dfao(m.base, tuple(tuple(r) for r in rows), start, out)
-
-
-@dataclass(frozen=True)
 class KernelReport:
     """What the subsequence walk saw, depth by depth.
 
@@ -435,7 +303,6 @@ class KernelReport:
     prefix_len: int
     distinct_by_depth: tuple[int, ...]
     closure: bool
-    representatives: tuple[tuple[int, int], ...] = field(repr=False, default=())
 
     @property
     def distinct(self) -> int:
@@ -459,10 +326,7 @@ def kernel_explore(
         step = base**i
         return tuple(seq_source(step * n + j) for n in range(prefix_len))
 
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}
-    root = fingerprint(0, 0)
-    seen[root] = (0, 0)
-    reps = [(0, 0)]
+    seen = {fingerprint(0, 0)}
     counts = [1]
     frontier = [(0, 0)]
     drained = False
@@ -474,8 +338,7 @@ def kernel_explore(
                 child = (i + 1, t * step + j)
                 fp = fingerprint(*child)
                 if fp not in seen:
-                    seen[fp] = child
-                    reps.append(child)
+                    seen.add(fp)
                     nxt.append(child)
         counts.append(len(seen))
         frontier = nxt
@@ -501,5 +364,4 @@ def kernel_explore(
         prefix_len=prefix_len,
         distinct_by_depth=tuple(counts),
         closure=closed,
-        representatives=tuple(reps),
     )

@@ -76,11 +76,3 @@ def by_name(name: str) -> BatteryInstance:
     except KeyError:
         known = ", ".join(sorted(_BY_NAME))
         raise KeyError(f"unknown battery instance {name!r}; known: {known}")
-
-
-def rational_instances() -> tuple[BatteryInstance, ...]:
-    return tuple(inst for inst in BATTERY if inst.alpha_is_rational)
-
-
-def surd_instances() -> tuple[BatteryInstance, ...]:
-    return tuple(inst for inst in BATTERY if not inst.alpha_is_rational)

@@ -53,9 +53,8 @@ from .sequences import (
     v_indicator,
 )
 
-SCHEMA = "floorlog-report/1"
+SCHEMA = "floorlog-report/2"
 DEFAULT_KMAX = 200
-DEFAULT_NMAX = 10**5
 DEFAULT_WINDOW = 10**3
 _KERNEL_SCOPE_CAP = 1 << 24
 
@@ -488,7 +487,6 @@ def run_analyze(scenario: dict) -> dict:
     if base < 2:
         raise UsageError("base must be at least 2")
     kmax = _positive_int(scenario.get("kmax", DEFAULT_KMAX), "kmax")
-    nmax = _positive_int(scenario.get("nmax", DEFAULT_NMAX), "nmax")
     window = _positive_int(scenario.get("window", DEFAULT_WINDOW), "window")
     kernel_depth = _positive_int(scenario.get("kernel_depth", 4), "kernel_depth")
     kernel_prefix = _positive_int(
@@ -540,7 +538,6 @@ def run_analyze(scenario: dict) -> dict:
             "beta": beta_text,
             "base": base,
             "kmax": kmax,
-            "nmax": nmax,
             "window": window,
             "kernel_depth": kernel_depth,
             "kernel_prefix": kernel_prefix,
@@ -601,7 +598,6 @@ def _cmd_analyze(args) -> int:
         "beta",
         "base",
         "kmax",
-        "nmax",
         "window",
         "kernel_depth",
         "kernel_prefix",
@@ -625,6 +621,19 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--scenario", help="JSON file with default field values; flags win"
     )
+
+
+def _add_source_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--source",
+        choices=["rk", "periodic", "explicit", "tm-blocks"],
+        help="digit stream kind, default rk",
+    )
+    sub.add_argument("--preperiod", help="digits before the cycle (periodic)")
+    sub.add_argument("--period", help="cycle digits (periodic)")
+    sub.add_argument("--word", help="digits (explicit)")
+    sub.add_argument("--block-a", dest="block_a", help="block A (tm-blocks)")
+    sub.add_argument("--block-b", dest="block_b", help="block B (tm-blocks)")
 
 
 def build_parser() -> _Parser:
@@ -655,31 +664,13 @@ def build_parser() -> _Parser:
 
     language = subs.add_parser("language", help="words of a digit stream")
     _add_instance_flags(language)
-    language.add_argument(
-        "--source",
-        choices=["rk", "periodic", "explicit", "tm-blocks"],
-        help="digit stream kind, default rk",
-    )
-    language.add_argument("--preperiod", help="digits before the cycle (periodic)")
-    language.add_argument("--period", help="cycle digits (periodic)")
-    language.add_argument("--word", help="digits (explicit)")
-    language.add_argument("--block-a", dest="block_a", help="block A (tm-blocks)")
-    language.add_argument("--block-b", dest="block_b", help="block B (tm-blocks)")
+    _add_source_flags(language)
     language.add_argument("--nmax", type=int, help="last word index, default 30")
     language.set_defaults(handler=_cmd_language)
 
     decide = subs.add_parser("decide", help="regularity verdict for a stream")
     _add_instance_flags(decide)
-    decide.add_argument(
-        "--source",
-        choices=["rk", "periodic", "explicit", "tm-blocks"],
-        help="digit stream kind, default rk",
-    )
-    decide.add_argument("--preperiod", help="digits before the cycle (periodic)")
-    decide.add_argument("--period", help="cycle digits (periodic)")
-    decide.add_argument("--word", help="digits (explicit)")
-    decide.add_argument("--block-a", dest="block_a", help="block A (tm-blocks)")
-    decide.add_argument("--block-b", dest="block_b", help="block B (tm-blocks)")
+    _add_source_flags(decide)
     decide.add_argument(
         "--window", type=int, help=f"word window, default {DEFAULT_WINDOW}"
     )
@@ -707,7 +698,6 @@ def build_parser() -> _Parser:
     analyze = subs.add_parser("analyze", help="full pipeline report as JSON")
     _add_instance_flags(analyze)
     analyze.add_argument("--kmax", type=int, help=f"default {DEFAULT_KMAX}")
-    analyze.add_argument("--nmax", type=int, help=f"default {DEFAULT_NMAX}")
     analyze.add_argument("--window", type=int, help=f"default {DEFAULT_WINDOW}")
     analyze.add_argument("--kernel-depth", dest="kernel_depth", type=int)
     analyze.add_argument("--kernel-prefix", dest="kernel_prefix", type=int)
@@ -715,11 +705,6 @@ def build_parser() -> _Parser:
     analyze.set_defaults(handler=_cmd_analyze)
 
     return parser
-
-
-def run_subcommand(name: str, flags: list[str]) -> int:
-    """Dispatch one subcommand exactly as the shell entry point would."""
-    return main([name, *flags])
 
 
 def main(argv=None) -> int:

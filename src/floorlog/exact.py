@@ -17,14 +17,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Union
-
-try:
-    from gmpy2 import gcd as _gcd, isqrt as _isqrt, mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from math import gcd as _gcd, isqrt as _isqrt
-
-    _mpz = int
 
 Rationalish = Union[int, Fraction, "ExactReal"]
 
@@ -93,6 +87,10 @@ _SURD_RE = re.compile(
 )
 _RAT_RE = re.compile(rf"^\s*(?P<rat>{_RAT})\s*$")
 
+# squarefree_decompose divides by trial, which takes about sqrt(n) steps on
+# a prime radicand; past this cap parse refuses rather than hang
+_RADICAND_CAP = 10**12
+
 
 class ExactReal:
     """A rational number or real quadratic surd, compared and floored exactly.
@@ -106,13 +104,10 @@ class ExactReal:
     def __init__(self, value: Rationalish = 0):
         if isinstance(value, ExactReal):
             self._a, self._b, self._c, self._d = value._a, value._b, value._c, value._d
-        elif isinstance(value, int) or isinstance(value, type(_mpz(0))):
-            self._a, self._b, self._c, self._d = _mpz(value), _mpz(0), _mpz(1), _mpz(1)
+        elif isinstance(value, int):
+            self._a, self._b, self._c, self._d = value, 0, 1, 1
         elif isinstance(value, Fraction):
-            self._a = _mpz(value.numerator)
-            self._b = _mpz(0)
-            self._c = _mpz(value.denominator)
-            self._d = _mpz(1)
+            self._a, self._b, self._c, self._d = value.numerator, 0, value.denominator, 1
         else:
             raise TypeError(f"cannot build ExactReal from {type(value).__name__}")
 
@@ -123,25 +118,20 @@ class ExactReal:
         """Normalize and wrap an (a + b*sqrt(d))/c quadruple of integers."""
         if c == 0:
             raise ZeroDivisionError("zero denominator")
-        a, b, c, d = _mpz(a), _mpz(b), _mpz(c), _mpz(d)
         if d < 1:
             raise ValueError("radicand must be positive")
         if b == 0:
-            d = _mpz(1)
+            d = 1
         elif d == 1:
-            a, b = a + b, _mpz(0)
+            a, b = a + b, 0
         if c < 0:
             a, b, c = -a, -b, -c
-        g = _gcd(_gcd(a, b), c)
+        g = gcd(a, b, c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
         out = object.__new__(cls)
         out._a, out._b, out._c, out._d = a, b, c, d
         return out
-
-    @classmethod
-    def from_fraction(cls, num: int, den: int = 1) -> "ExactReal":
-        return cls._raw(num, 0, den, 1)
 
     @classmethod
     def sqrt(cls, n: int) -> "ExactReal":
@@ -154,16 +144,12 @@ class ExactReal:
         return cls._raw(0, s, 1, d) if d > 1 else cls(s)
 
     @classmethod
-    def surd(cls, a: Rationalish, coef: Rationalish, radicand: int) -> "ExactReal":
-        """a + coef*sqrt(radicand) with the radicand made squarefree."""
-        return cls(a) + cls(coef) * cls.sqrt(radicand)
-
-    @classmethod
     def parse(cls, text: str) -> "ExactReal":
         """Parse "7", "-1/3", "sqrt(8)", "1/2+1/2*sqrt(5)", "1+2*sqrt(4)".
 
         The radicand is normalized squarefree and a vanishing surd part
-        collapses to a rational (1+2*sqrt(4) parses as 5).
+        collapses to a rational (1+2*sqrt(4) parses as 5).  Radicands above
+        10**12 are refused.
         """
         if not isinstance(text, str):
             raise ParseError(f"expected a string, got {type(text).__name__}")
@@ -181,6 +167,10 @@ class ExactReal:
             rad = int(m.group("rad"))
             if rad <= 0:
                 raise ParseError(f"radicand must be positive in {text!r}")
+            if rad > _RADICAND_CAP:
+                raise ParseError(
+                    f"radicand {rad} exceeds the cap {_RADICAND_CAP} in {text!r}"
+                )
             return cls(rat) + cls(coef) * cls.sqrt(rad)
         raise ParseError(f"cannot parse {text!r} as a rational or quadratic surd")
 
@@ -191,32 +181,22 @@ class ExactReal:
         return self._b == 0
 
     @property
-    def is_integer(self) -> bool:
-        return self._b == 0 and self._a % self._c == 0
-
-    @property
     def radicand(self) -> int:
         """The squarefree d in a + c*sqrt(d); 1 for rationals."""
-        return int(self._d)
+        return self._d
 
     @property
     def rational_part(self) -> Fraction:
-        return Fraction(int(self._a), int(self._c))
+        return Fraction(self._a, self._c)
 
     @property
     def radical_coeff(self) -> Fraction:
-        return Fraction(int(self._b), int(self._c))
+        return Fraction(self._b, self._c)
 
     def as_fraction(self) -> Fraction:
         if self._b != 0:
             raise ValueError(f"{self} is irrational")
-        return Fraction(int(self._a), int(self._c))
-
-    def as_integer(self) -> int:
-        f = self.as_fraction()
-        if f.denominator != 1:
-            raise ValueError(f"{self} is not an integer")
-        return f.numerator
+        return Fraction(self._a, self._c)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -224,7 +204,7 @@ class ExactReal:
     def _coerce(value) -> "ExactReal | None":
         if isinstance(value, ExactReal):
             return value
-        if isinstance(value, (int, Fraction)) or isinstance(value, type(_mpz(0))):
+        if isinstance(value, (int, Fraction)):
             return ExactReal(value)
         return None
 
@@ -373,8 +353,8 @@ class ExactReal:
 
     def __hash__(self):
         if self._b == 0:
-            return hash(Fraction(int(self._a), int(self._c)))
-        return hash((int(self._a), int(self._b), int(self._c), int(self._d)))
+            return hash(Fraction(self._a, self._c))
+        return hash((self._a, self._b, self._c, self._d))
 
     # -- floor and friends --------------------------------------------------
 
@@ -387,11 +367,11 @@ class ExactReal:
         The B < 0 case mirrors it one unit down.
         """
         if self._b == 0:
-            return int(self._a // self._c)
-        s = _isqrt(self._b * self._b * self._d)
+            return self._a // self._c
+        s = isqrt(self._b * self._b * self._d)
         if self._b > 0:
-            return int((self._a + s) // self._c)
-        return int((self._a - s - 1) // self._c)
+            return (self._a + s) // self._c
+        return (self._a - s - 1) // self._c
 
     def __ceil__(self) -> int:
         return -((-self).__floor__())
@@ -407,15 +387,6 @@ class ExactReal:
         return self - self.__floor__()
 
     # -- presentation --------------------------------------------------------
-
-    def decimal(self, places: int = 12) -> str:
-        """Exact-to-truncation decimal string (no float involved)."""
-        neg = self.sign() < 0
-        x = -self if neg else self
-        scaled = (x * 10**places).__floor__()
-        whole, frac_digits = divmod(scaled, 10**places)
-        body = f"{whole}.{frac_digits:0{places}d}".rstrip("0").rstrip(".")
-        return f"-{body}" if neg and body != "0" else body
 
     def __str__(self) -> str:
         if self._b == 0:
@@ -448,11 +419,9 @@ def over_common_denominator(
                 raise IncompatibleRadicandsError(
                     f"cannot combine sqrt({d}) with sqrt({x._d}) over one denominator"
                 )
-            d = int(x._d)
-        c = c * int(x._c) // int(_gcd(c, x._c))
-    return c, d, tuple(
-        (int(x._a) * (c // int(x._c)), int(x._b) * (c // int(x._c))) for x in values
-    )
+            d = x._d
+        c = c * x._c // gcd(c, x._c)
+    return c, d, tuple((x._a * (c // x._c), x._b * (c // x._c)) for x in values)
 
 
 def _parse_rat(token: str) -> Fraction:
@@ -464,6 +433,3 @@ def _parse_rat(token: str) -> Fraction:
         return Fraction(int(num), int(den))
     return Fraction(int(token))
 
-
-ZERO = ExactReal(0)
-ONE = ExactReal(1)

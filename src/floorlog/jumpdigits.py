@@ -432,25 +432,6 @@ def minimize_cycle(values, cover_preperiod: int, cover_period: int) -> tuple[int
     return preperiod, period
 
 
-def find_cycle(values: list[int]) -> tuple[int, int] | None:
-    """Smallest (preperiod, period) visible in a finite list.
-
-    A claim is made only when the periodic tail covers at least two full
-    periods inside the window; otherwise None.  Purely empirical, no
-    certificate attached.
-    """
-    n = len(values)
-    for period in range(1, n // 2 + 1):
-        preperiod = 0
-        for i in range(n - period - 1, -1, -1):
-            if values[i] != values[i + period]:
-                preperiod = i + 1
-                break
-        if preperiod + 2 * period <= n:
-            return (preperiod, period)
-    return None
-
-
 def residue_orbit(base: int, modulus: int) -> tuple[int, int]:
     """(preperiod, period) of base^k mod modulus, k counted from 1."""
     seen: dict[int, int] = {}

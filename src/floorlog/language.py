@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .automata import Dfa, from_patterns
 from .jumpdigits import PeriodicityVerdict, detect_period, minimize_cycle, r_stream
-from .numeration import from_word, to_word, word_str
+from .numeration import as_digits, from_word, to_word, word_str
 from .sequences import ConsistencyError, NormalizedInstance, jump_positions
 
 Word = tuple[int, ...]
@@ -34,12 +34,6 @@ Word = tuple[int, ...]
 def _value(word: Word, base: int) -> int:
     # from_word insists on nonempty input; an empty word is worth 0 here
     return from_word(word, base) if word else 0
-
-
-def _as_digits(w) -> Word:
-    if isinstance(w, str):
-        return tuple(int(ch) for ch in w)
-    return tuple(int(d) for d in w)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +76,9 @@ class RkDigitSource(DigitSource):
     Position 0 carries the first jump count c_1; position i >= 1 carries
     the digit r_i.  Folding these through the base reproduces the jump
     counts themselves: w_k = c_{k+1}.  Digits stay below 2*base - 1.
+
+    Each periodicity verdict is kept per window, so the certificate
+    behind it is replayed once however often it is asked for.
     """
 
     def __init__(self, norm: NormalizedInstance):
@@ -94,6 +91,7 @@ class RkDigitSource(DigitSource):
                 f"{2 * norm.base - 2}"
             )
         self._digits: list[int] = [lead]
+        self._verdicts: dict[int, PeriodicityVerdict] = {}
 
     def _ensure(self, count: int) -> None:
         if len(self._digits) >= count:
@@ -108,6 +106,11 @@ class RkDigitSource(DigitSource):
         return self._digits[i]
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
+        if window not in self._verdicts:
+            self._verdicts[window] = self._periodicity(window)
+        return self._verdicts[window]
+
+    def _periodicity(self, window: int) -> PeriodicityVerdict:
         inner = detect_period(self.norm, window)
         if inner.kind != "Periodic":
             return inner
@@ -131,8 +134,8 @@ class PeriodicDigitSource(DigitSource):
     """An ultimately periodic stream given by its preperiod and period blocks."""
 
     def __init__(self, preperiod, period):
-        self.preperiod = _as_digits(preperiod)
-        self.period = _as_digits(period)
+        self.preperiod = as_digits(preperiod)
+        self.period = as_digits(period)
         if not self.period:
             raise ValueError("period block must be nonempty")
         if any(d < 0 for d in self.preperiod + self.period):
@@ -163,7 +166,7 @@ class ExplicitDigitSource(DigitSource):
     """A finite digit word, treated as a prefix of an unknown stream."""
 
     def __init__(self, word):
-        self.word = _as_digits(word)
+        self.word = as_digits(word)
         if not self.word:
             raise ValueError("explicit word must be nonempty")
         if any(d < 0 for d in self.word):
@@ -199,8 +202,8 @@ class ThueMorseBlockSource(DigitSource):
     """
 
     def __init__(self, block_a, block_b):
-        self.block_a = _as_digits(block_a)
-        self.block_b = _as_digits(block_b)
+        self.block_a = as_digits(block_a)
+        self.block_b = as_digits(block_b)
         if not self.block_a or not self.block_b:
             raise ValueError("both blocks must be nonempty")
         if any(d < 0 for d in self.block_a + self.block_b):
@@ -240,45 +243,6 @@ class ThueMorseBlockSource(DigitSource):
         )
 
 
-class PrependedSource(DigitSource):
-    """A fixed digit word glued in front of another source."""
-
-    def __init__(self, prefix_word, inner: DigitSource):
-        self.head = _as_digits(prefix_word)
-        self.inner = inner
-        if any(d < 0 for d in self.head):
-            raise ValueError("digits must be nonnegative")
-        bounds = [d + 1 for d in self.head]
-        if inner.alphabet_bound is not None:
-            bounds.append(inner.alphabet_bound)
-        self.alphabet_bound = max(bounds) if bounds else inner.alphabet_bound
-
-    def digit(self, i: int) -> int:
-        if i < 0:
-            raise IndexError("digit index must be nonnegative")
-        if i < len(self.head):
-            return self.head[i]
-        return self.inner.digit(i - len(self.head))
-
-    def limit(self) -> int | None:
-        inner = self.inner.limit()
-        return None if inner is None else len(self.head) + inner
-
-    def periodicity(self, window: int) -> PeriodicityVerdict:
-        inner = self.inner.periodicity(window)
-        if inner.kind != "Periodic":
-            return inner
-        lam = inner.preperiod + len(self.head)
-        sample = self.prefix(lam + 3 * inner.period)
-        lam_min, q_min = minimize_cycle(sample, lam, inner.period)
-        return PeriodicityVerdict.periodic(
-            lam_min, q_min, inner.certificate, inner.certified
-        )
-
-    def label(self) -> str:
-        return f"{word_str(self.head)} + {self.inner.label()}"
-
-
 # ---------------------------------------------------------------------------
 # words and their lengths
 # ---------------------------------------------------------------------------
@@ -293,7 +257,6 @@ class LanguageWords:
     words: tuple[Word, ...]
     n_top: int
     source_label: str = ""
-    length_stabilization_N: int | None = None
 
     def word_strs(self) -> list[str]:
         return [word_str(w) for w in self.words]
@@ -361,9 +324,6 @@ class LengthClaimReport:
     checked_to: int
     violation: bool = False
 
-    def holds_from(self, n: int) -> bool:
-        return n >= self.stable_from
-
 
 def _report_from_lengths(lengths: list[int]) -> LengthClaimReport:
     n_top = len(lengths) - 1
@@ -397,9 +357,7 @@ def verify_length_claim(lw: LanguageWords) -> LengthClaimReport:
     run is flagged as a violation: under the intended digit bounds that
     should never happen once lengths have settled.
     """
-    report = _report_from_lengths([len(w) for w in lw.words])
-    lw.length_stabilization_N = report.stable_from
-    return report
+    return _report_from_lengths([len(w) for w in lw.words])
 
 
 def length_claim_for_source(

@@ -1,4 +1,4 @@
-"""Base-b words, greedy digit expansions and characteristic words.
+"""Base-b words and greedy digit expansions.
 
 Words are tuples of nonnegative ints, most significant digit first.  A word
 produced by ``to_word`` is canonical (digits < b, no leading zero, and 0 is
@@ -27,7 +27,7 @@ def to_word(n: int, base: int) -> Word:
     digits = []
     while n:
         n, r = divmod(n, base)
-        digits.append(int(r))
+        digits.append(r)
     return tuple(reversed(digits))
 
 
@@ -50,6 +50,13 @@ def from_word(digits: Iterable[int], base: int) -> int:
     if not seen:
         raise ValueError("empty digit word has no value")
     return value
+
+
+def as_digits(w) -> Word:
+    """A digit word as a tuple of ints; a string like "102" is read digit by digit."""
+    if isinstance(w, str):
+        return tuple(int(ch) for ch in w)
+    return tuple(int(d) for d in w)
 
 
 def word_str(word: Sequence[int]) -> str:
@@ -120,12 +127,3 @@ class DigitStream:
 def digit_stream(x: ExactReal, base: int, count: int) -> list[int]:
     """First ``count`` greedy base-b digits of x in [0, 1)."""
     return DigitStream(x, base).prefix(count)
-
-
-def characteristic_word(members: Iterable[int], n_max: int) -> list[int]:
-    """0/1 word w with w[n] = 1 iff n is in ``members``, for n in 0..n_max."""
-    w = [0] * (n_max + 1)
-    for n in members:
-        if 0 <= n <= n_max:
-            w[n] = 1
-    return w

@@ -48,9 +48,6 @@ class FloorLogInstance:
         # n > -beta/alpha, so the least usable index is floor(-beta/alpha)+1
         return max(0, (-self.beta / self.alpha).floor() + 1)
 
-    def argument(self, n: int) -> ExactReal:
-        return self.alpha * n + self.beta
-
     def describe(self) -> dict:
         return {
             "alpha": str(self.alpha),
@@ -96,9 +93,6 @@ class NormalizedInstance:
 
     def instance(self) -> FloorLogInstance:
         return FloorLogInstance(self.alpha, self.beta, self.base)
-
-    def argument(self, n: int) -> ExactReal:
-        return self.alpha * n + self.beta
 
     def describe(self) -> dict:
         d = self.instance().describe()
@@ -232,10 +226,6 @@ class JumpData:
         if not 1 <= k <= self.k_max:
             raise IndexError(f"jump index {k} outside 1..{self.k_max}")
         return self.c[k - 1]
-
-    @property
-    def first_integrality_hit(self) -> int | None:
-        return self.integrality_hits[0] if self.integrality_hits else None
 
 
 def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:

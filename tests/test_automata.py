@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from floorlog.automata import (
     Dfa,
-    Dfao,
-    dfao_from_dfa,
     equivalent,
     equivalent_to_length,
     from_patterns,
@@ -19,6 +17,16 @@ from floorlog.automata import (
 )
 from floorlog.exact import ExactReal
 from floorlog.sequences import FloorLogInstance, jump_positions, normalize
+
+
+def all_words(base, max_len):
+    def rec(prefix, budget):
+        yield prefix
+        if budget:
+            for d in range(base):
+                yield from rec(prefix + (d,), budget - 1)
+
+    yield from rec((), max_len)
 
 
 def pattern_dfa_10star():
@@ -36,7 +44,9 @@ def test_single_pattern_10star():
 def test_alternating_pair_of_patterns():
     m = from_patterns([("1", "01", ""), ("10", "10", "")], base=2)
     assert m.num_states == 4  # three live states and the sink
-    got = [list(w) for w in m.accepted_words(6)]
+    got = sorted(
+        (list(w) for w in all_words(2, 6) if m.accepts(w)), key=lambda w: (len(w), w)
+    )
     assert got == [
         [1],
         [1, 0],
@@ -68,7 +78,7 @@ def test_pattern_digit_outside_alphabet():
 
 def test_empty_language():
     m = from_patterns([], base=2)
-    assert not any(True for _ in m.accepted_words(5))
+    assert not any(m.accepts(w) for w in all_words(2, 5))
 
 
 def test_minimize_idempotent_and_smaller():
@@ -109,18 +119,10 @@ def test_equivalence_up_to_length_cap():
 
 def test_trie_matches_pattern_machine():
     m = from_patterns([("1", "01", "")], base=2)
-    words = list(m.accepted_words(12))
+    words = [w for w in all_words(2, 12) if m.accepts(w)]
     oracle = trie_dfa(words, base=2)
     ok, _ = equivalent_to_length(m, oracle, 12)
     assert ok
-
-
-def test_complement_roundtrip():
-    m = pattern_dfa_10star().minimize()
-    c = m.complement()
-    for w in ("", "1", "10", "11", "0"):
-        assert m.accepts(w) != c.accepts(w)
-    assert c.complement() == m
 
 
 def test_canonical_is_stable():
@@ -130,9 +132,14 @@ def test_canonical_is_stable():
 
 def test_table_roundtrip():
     m = from_patterns([("1", "01", "")], base=2)
-    again = Dfa.from_table(m.to_table())
+    table = m.to_table()
+    again = Dfa(
+        table["base"],
+        tuple(tuple(row) for row in table["transitions"]),
+        table["start"],
+        frozenset(table["accepting"]),
+    )
     assert again == m
-    assert "transitions" in m.to_json()
 
 
 def test_dot_smoke():
@@ -151,30 +158,6 @@ def test_dfa_validation():
         Dfa(2, ((0, 0),), 0, frozenset({7}))  # bad accepting
     with pytest.raises(ValueError):
         pattern_dfa_10star().walk("13")  # digit outside alphabet
-
-
-def test_dfao_powers_of_two():
-    ind = dfao_from_dfa(pattern_dfa_10star())
-    powers = {1 << k for k in range(11)}
-    for n in range(1025):
-        assert ind.value(n) == (1 if n in powers else 0)
-    assert ind.value_of_word("0010") == ind.value_of_word("10") == 1
-
-
-def test_dfao_empty_language_is_constant_zero():
-    ind = dfao_from_dfa(from_patterns([], base=2))
-    assert all(ind.value(n) == 0 for n in range(50))
-
-
-def test_dfao_clones_reentered_start():
-    # repunits: start is its own 1-successor, so the 0-loop trick must
-    # not be applied to the original start state
-    m = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({0}))
-    ind = dfao_from_dfa(m)
-    assert ind.value(0) == 1  # empty word was accepted
-    assert [ind.value(n) for n in (1, 2, 3, 4, 5, 6, 7)] == [1, 0, 1, 0, 0, 0, 1]
-    assert ind.value_of_word("0011") == 1
-    assert ind.value_of_word("10") == 0
 
 
 def v_bitmap(norm, size):
@@ -250,16 +233,6 @@ def dfas(draw):
     return random_dfa(draw, draw(st.sampled_from([2, 3])))
 
 
-def all_words(base, max_len):
-    def rec(prefix, budget):
-        yield prefix
-        if budget:
-            for d in range(base):
-                yield from rec(prefix + (d,), budget - 1)
-
-    yield from rec((), max_len)
-
-
 @settings(max_examples=60, deadline=None)
 @given(m=dfas())
 def test_minimize_preserves_language(m):
@@ -297,7 +270,7 @@ def test_witness_is_shortest(a, b):
 def test_trie_accepts_exactly(words, base):
     m = trie_dfa(words, base)
     wanted = set(words)
-    got = set(m.accepted_words(5))
+    got = {w for w in all_words(base, 5) if m.accepts(w)}
     assert got == wanted
     for w in all_words(base, 4):
         assert m.accepts(w) == (w in wanted)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from floorlog.battery import BATTERY, by_name, rational_instances, surd_instances
+from floorlog.battery import BATTERY, by_name
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import r_stream
 
@@ -11,8 +11,8 @@ def test_battery_shape():
     assert len(BATTERY) == 20
     assert len({inst.name for inst in BATTERY}) == 20
     assert len({(i.alpha_text, i.beta_text, i.base) for i in BATTERY}) == 20
-    assert len(rational_instances()) == 13
-    assert len(surd_instances()) == 7
+    assert sum(inst.alpha_is_rational for inst in BATTERY) == 13
+    assert sum(not inst.alpha_is_rational for inst in BATTERY) == 7
     assert {inst.base for inst in BATTERY} == {2, 3, 10}
 
 

@@ -1,11 +1,12 @@
 """Command-line behaviour: exit codes, payload shapes, determinism."""
 
 import json
+import time
 
 import pytest
 
 from floorlog import cli
-from floorlog.cli import main, run_analyze, run_subcommand
+from floorlog.cli import main, run_analyze
 from floorlog.jumpdigits import PeriodicityVerdict
 
 
@@ -49,6 +50,38 @@ def test_backwards_range_is_usage_error(capsys):
     code, _, _ = run(capsys, "seq", "--alpha", "1", "--base", "2",
                      "--from", "5", "--to", "2")
     assert code == 1
+
+
+def test_oversized_radicand_is_usage_error(capsys):
+    # trial division on a 21-digit prime radicand would run for hours
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "seq", "--alpha", "sqrt(100000000000000000039)",
+                       "--base", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "radicand" in err and "Traceback" not in err
+
+
+_SOURCE_FLAGS = {
+    "rk": ["--alpha", "3/2", "--beta", "0", "--base", "2"],
+    "periodic": ["--preperiod", "21", "--period", "102", "--base", "3"],
+    "explicit": ["--word", "1012", "--base", "2"],
+    "tm-blocks": ["--block-a", "10", "--block-b", "02", "--base", "2"],
+}
+
+
+@pytest.mark.parametrize("source", sorted(_SOURCE_FLAGS))
+@pytest.mark.parametrize("command", ["language", "decide"])
+def test_stream_commands_share_source_flags(capsys, command, source):
+    code, out, _ = run(capsys, command, "--source", source, *_SOURCE_FLAGS[source])
+    assert code == 0
+    assert json.loads(out)
+
+
+def test_analyze_has_no_nmax_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--alpha", "3/2", "--base", "2", "--nmax", "5"])
+    assert exc.value.code == 1
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -333,8 +366,3 @@ def test_batch_file_must_be_a_list(tmp_path, capsys):
     assert code == 1
     assert "array" in err
 
-
-def test_run_subcommand_is_main(capsys):
-    assert run_subcommand("seq", ["--alpha", "1", "--base", "2",
-                                  "--from", "1", "--to", "4"]) == 0
-    assert capsys.readouterr().out.strip() == "0,1,1,2"

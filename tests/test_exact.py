@@ -50,6 +50,15 @@ def test_parse_rejects(bad):
         ExactReal.parse(bad)
 
 
+def test_parse_caps_the_radicand():
+    # the largest prime below the 10**12 cap still decomposes quickly
+    assert ExactReal.parse("sqrt(999999999989)").radicand == 999999999989
+    assert ExactReal.parse("sqrt(1000000000000)") == 10**6
+    for text in ["sqrt(1000000000001)", "1+sqrt(2000000000000)"]:
+        with pytest.raises(ParseError, match="radicand"):
+            ExactReal.parse(text)
+
+
 def test_parse_str_roundtrip_examples():
     for text in ["0", "22/7", "-5", "sqrt(2)", "-sqrt(7)", "1/2+1/2*sqrt(5)", "2-3/4*sqrt(10)"]:
         v = ExactReal.parse(text)
@@ -117,12 +126,6 @@ def test_zero_division():
         1 / ExactReal(0)
     with pytest.raises(ZeroDivisionError):
         ExactReal.sqrt(2) / 0
-
-
-def test_decimal_rendering():
-    assert (1 / ExactReal.sqrt(2)).decimal(8) == "0.70710678"
-    assert ExactReal(5).decimal() == "5"
-    assert ExactReal.parse("-3/2").decimal(3) == "-1.5"
 
 
 @settings(max_examples=200)

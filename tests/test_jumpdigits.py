@@ -16,7 +16,6 @@ from floorlog.jumpdigits import (
     detect_period,
     eval_Pk,
     expansion_forms,
-    find_cycle,
     inverse_slope_digits,
     r_direct,
     r_from_jumps,
@@ -203,14 +202,6 @@ def test_detect_period_five_thirds():
     assert (v.preperiod, v.period) == (0, 4)
     assert v.certificate.modulus == 5
     assert v.certificate.cycle == (1, 2, 1, 0)
-
-
-def test_find_cycle_shapes():
-    assert find_cycle([5, 5, 5] + [1, 2, 3] * 4) == (3, 3)
-    assert find_cycle([7] * 6) == (0, 1)
-    assert find_cycle([1, 2, 3, 4, 5, 6]) is None
-    assert find_cycle([1, 1, 1, 0, 1, 0]) == (2, 2)
-    assert find_cycle([0, 1, 0]) is None  # tail too short to claim anything
 
 
 st_alpha = st.one_of(

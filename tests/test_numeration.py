@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from floorlog.exact import ExactReal
 from floorlog.numeration import (
     DigitStream,
-    characteristic_word,
     digit_stream,
     from_word,
     parse_word,
@@ -82,12 +81,6 @@ def test_stream_prefix_stability():
     assert s.prefix(30)[:5] == first
     assert s.digit(1) == 1
     assert s.digit(8) == 1
-
-
-def test_characteristic_word():
-    assert characteristic_word([2, 4, 8], 9) == [0, 0, 1, 0, 1, 0, 0, 0, 1, 0]
-    assert characteristic_word([], 2) == [0, 0, 0]
-    assert characteristic_word([50], 3) == [0, 0, 0, 0]
 
 
 @settings(max_examples=200)

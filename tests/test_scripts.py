@@ -1,0 +1,33 @@
+"""Smoke runs of the scripts under scripts/, each in its own interpreter."""
+
+import pathlib
+import subprocess
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_run_battery_prints_one_line_per_instance():
+    lines = run_script("run_battery.py").splitlines()
+    assert len(lines) == 20
+    assert [line.split()[0] for line in lines] == [f"i{i:02d}" for i in range(1, 21)]
+
+
+def test_headline_demo_shows_both_sides_of_the_dichotomy():
+    verdicts = [
+        line.split()[1]
+        for line in run_script("headline_demo.py").splitlines()
+        if line.startswith("language ")
+    ]
+    assert verdicts == ["Regular:", "NonRegular:"]

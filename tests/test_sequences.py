@@ -69,7 +69,7 @@ def test_c_integrality_alpha_one():
     n = norm_of(1, 0, 2)
     jd = jump_positions(n, 4)
     assert list(jd.c) == [2, 4, 8, 16]
-    assert jd.first_integrality_hit == 1
+    assert jd.integrality_hits[0] == 1
     assert len(jd.integrality_hits) >= 2  # a rationality witness by itself
 
 
@@ -230,4 +230,4 @@ def test_v_is_eventually_binary(alpha, beta, base):
     if n0 is not None:
         # violations live in a finite prefix; with normalized data they are
         # confined to the very start where the argument is still below 1
-        assert n.argument(n0) < 1
+        assert n.alpha * n0 + n.beta < 1
