@@ -29,6 +29,7 @@ from .jumpdigits import (
     PeriodicityVerdict,
     classify_range,
     detect_period,
+    inverse_slope_digits,
     r_stream,
 )
 from .language import (
@@ -42,7 +43,7 @@ from .language import (
     words,
 )
 from .levelcounts import align_m0, d_seq, decide_d_periodicity, f_counts
-from .numeration import digit_stream, parse_word, word_str
+from .numeration import parse_word, word_str
 from .sequences import (
     ConsistencyError,
     FloorLogInstance,
@@ -353,14 +354,12 @@ def _cmd_rk(args) -> int:
 def _cmd_digits(args) -> int:
     norm = _normalized(args)
     count = _positive_int(_merged(args, "count", 32), "--count")
-    inverse = ExactReal(1) / norm.alpha
-    frac = inverse - inverse.__floor__()
     _print(
         {
             "alpha": str(norm.alpha),
             "base": norm.base,
             "value": "frac(1/alpha)",
-            "digits": digit_stream(frac, norm.base, count),
+            "digits": inverse_slope_digits(norm).prefix(count),
         }
     )
     return 0
@@ -411,7 +410,9 @@ def _cmd_fk(args) -> int:
         "k_max": lc.k_max,
         "f": [[k, lc.at(k)] for k in range(lc.k_min, lc.k_max + 1)],
         "alignment": _alignment_payload(alignment),
-        "d_verdict": _periodicity_payload(decide_d_periodicity(norm, kmax)),
+        "d_verdict": _periodicity_payload(
+            decide_d_periodicity(norm, kmax, detect_period(norm, kmax))
+        ),
     }
     if alignment.ok:
         slice_ = d_seq(lc)
@@ -512,7 +513,7 @@ def run_analyze(scenario: dict) -> dict:
 
     t0 = clock()
     language_verdict = decide_regularity(
-        RkDigitSource(norm), base, window=window
+        RkDigitSource(norm, r_verdict), base, window=window
     )
     timings["language"] = clock() - t0
 
@@ -524,7 +525,7 @@ def run_analyze(scenario: dict) -> dict:
     fk_top = min(kmax, 60)
     lc = f_counts(norm, fk_top)
     alignment = align_m0(lc, jump_positions(norm, fk_top + 12))
-    d_verdict = decide_d_periodicity(norm, min(kmax, 400))
+    d_verdict = decide_d_periodicity(norm, min(kmax, 400), r_verdict)
     timings["level_counts"] = clock() - t0
 
     rational = bool(norm.alpha.is_rational)

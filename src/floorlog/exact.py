@@ -164,7 +164,7 @@ class ExactReal:
                 coef = -coef
             if m.group("neg"):
                 coef = -coef
-            rad = int(m.group("rad"))
+            rad = _parse_int(m.group("rad"))
             if rad <= 0:
                 raise ParseError(f"radicand must be positive in {text!r}")
             if rad > _RADICAND_CAP:
@@ -424,12 +424,19 @@ def over_common_denominator(
     return c, d, tuple((x._a * (c // x._c), x._b * (c // x._c)) for x in values)
 
 
+def _parse_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:  # past the interpreter's int-conversion digit limit
+        raise ParseError(f"{len(token)}-digit integer literal is too long") from None
+
+
 def _parse_rat(token: str) -> Fraction:
     token = token.strip()
     if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
+        num, den = (_parse_int(part) for part in token.split("/"))
+        if den == 0:
             raise ParseError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        return Fraction(num, den)
+    return Fraction(_parse_int(token))
 

@@ -444,16 +444,37 @@ def residue_orbit(base: int, modulus: int) -> tuple[int, int]:
     return seen[residue] - 1, k - seen[residue]
 
 
+def certify_cycle(
+    values, modulus: int, orbit: tuple[int, int], hits=()
+) -> PeriodicityVerdict:
+    """Certify values (index k at values[k-1]) under the proven cover orbit.
+
+    orbit is the (preperiod, period) of base^k mod modulus.  The cover is
+    minimized against values, and every value is replayed against the
+    resulting certificate; a mismatch raises ConsistencyError.
+    """
+    preperiod, period = minimize_cycle(values, *orbit)
+    cert = ModCycleCertificate(
+        modulus, *orbit, preperiod, period, tuple(values[:preperiod]),
+        tuple(values[preperiod : preperiod + period]), tuple(hits),
+    )
+    for k, value in enumerate(values, 1):
+        if cert.predict(k) != value:
+            raise ConsistencyError(f"certificate replay fails at k={k}")
+    return PeriodicityVerdict.periodic(preperiod, period, cert, certified=True)
+
+
 def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
     """Decide ultimate periodicity of r with a certificate when possible.
 
     Rational alpha = p/q: the residue orbit of base^k mod p bounds the
-    shape; the certified answer is minimized against a replayed stream and
+    shape; certify_cycle minimizes and replays it on a stream that is
     cross-checked against the jump-table route.  Irrational alpha (a surd
     by construction): no tail of r ever repeats, because an ultimately
     periodic r would resum to a rational value for alpha; answered without
     search.  The window argument extends the replayed verification range
-    beyond the orbit-derived minimum.
+    beyond the orbit-derived minimum.  RkDigitSource and
+    decide_d_periodicity take this verdict rather than derive it again.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -464,27 +485,10 @@ def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
         )
 
     p = norm.alpha.as_fraction().numerator
-    orbit_preperiod, orbit_period = residue_orbit(norm.base, p)
-
-    span = max(orbit_preperiod + 2 * orbit_period, window)
+    orbit = residue_orbit(norm.base, p)
+    span = max(orbit[0] + 2 * orbit[1], window)
     stream = r_stream(norm, span)
     jumps = jump_positions(norm, span + 1)
     if r_from_jumps(jumps, norm.base) != stream:
         raise ConsistencyError("stream and jump-table routes disagree on r")
-    preperiod, period = minimize_cycle(stream, orbit_preperiod, orbit_period)
-
-    cert = ModCycleCertificate(
-        modulus=p,
-        orbit_preperiod=orbit_preperiod,
-        orbit_period=orbit_period,
-        preperiod=preperiod,
-        period=period,
-        head=tuple(stream[:preperiod]),
-        cycle=tuple(stream[preperiod : preperiod + period]),
-        integrality_hits=jumps.integrality_hits,
-    )
-    # replay: every computed term must match the certificate's prediction
-    for i, r in enumerate(stream):
-        if cert.predict(i + 1) != r:
-            raise ConsistencyError(f"certificate replay fails at k={i + 1}")
-    return PeriodicityVerdict.periodic(preperiod, period, cert, certified=True)
+    return certify_cycle(stream, p, orbit, jumps.integrality_hits)

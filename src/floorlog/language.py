@@ -66,6 +66,11 @@ class DigitSource:
     def periodicity(self, window: int) -> PeriodicityVerdict:
         raise NotImplementedError
 
+    def _minimized_cover(self, preperiod, period, certificate=None):
+        """Certified verdict for a proven cover, minimized on this stream."""
+        lam, q = minimize_cycle(self.prefix(preperiod + 3 * period), preperiod, period)
+        return PeriodicityVerdict.periodic(lam, q, certificate, True)
+
     def label(self) -> str:
         return type(self).__name__
 
@@ -77,12 +82,15 @@ class RkDigitSource(DigitSource):
     the digit r_i.  Folding these through the base reproduces the jump
     counts themselves: w_k = c_{k+1}.  Digits stay below 2*base - 1.
 
-    Each periodicity verdict is kept per window, so the certificate
-    behind it is replayed once however often it is asked for.
+    periodicity() shifts the instance's r verdict onto the stream and keeps
+    the result per window.  That r verdict is the handed r_verdict
+    (detect_period's, which settles every window), else one detect_period
+    run per window asked for.
     """
 
-    def __init__(self, norm: NormalizedInstance):
+    def __init__(self, norm: NormalizedInstance, r_verdict=None):
         self.norm = norm
+        self._r_verdict = r_verdict
         self.alphabet_bound = 2 * norm.base - 1
         lead = jump_positions(norm, 1).at(1)
         if lead > 2 * norm.base - 2:
@@ -111,18 +119,15 @@ class RkDigitSource(DigitSource):
         return self._verdicts[window]
 
     def _periodicity(self, window: int) -> PeriodicityVerdict:
-        inner = detect_period(self.norm, window)
-        if inner.kind != "Periodic":
+        inner = self._r_verdict or detect_period(self.norm, window)
+        if inner.kind != "Periodic" or not inner.certified:
             return inner
         # the stream prepends one extra digit (the leading jump count)
         # ahead of the r digits, shifting the preperiod up by one; the
         # shifted cover is then re-minimized against actual stream digits
         # (the lead digit often happens to extend the cycle leftward)
-        lam, q = inner.preperiod + 1, inner.period
-        sample = self.prefix(lam + 3 * q)
-        lam_min, q_min = minimize_cycle(sample, lam, q)
-        return PeriodicityVerdict.periodic(
-            lam_min, q_min, inner.certificate, inner.certified
+        return self._minimized_cover(
+            inner.preperiod + 1, inner.period, inner.certificate
         )
 
     def label(self) -> str:
@@ -150,10 +155,7 @@ class PeriodicDigitSource(DigitSource):
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
-        lam, q = len(self.preperiod), len(self.period)
-        sample = self.prefix(lam + 3 * q)
-        lam_min, q_min = minimize_cycle(sample, lam, q)
-        return PeriodicityVerdict.periodic(lam_min, q_min, None, True)
+        return self._minimized_cover(len(self.preperiod), len(self.period))
 
     def label(self) -> str:
         return (
@@ -223,9 +225,7 @@ class ThueMorseBlockSource(DigitSource):
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
         if self.block_a == self.block_b:
-            q = len(self.block_a)
-            lam_min, q_min = minimize_cycle(self.prefix(3 * q), 0, q)
-            return PeriodicityVerdict.periodic(lam_min, q_min, None, True)
+            return self._minimized_cover(0, len(self.block_a))
         if len(self.block_a) == len(self.block_b):
             return PeriodicityVerdict.aperiodic_by_theorem(
                 "uniform image of the Thue-Morse word under distinct "

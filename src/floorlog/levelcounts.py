@@ -18,7 +18,7 @@ check while f comes from somewhere else.  The derived sequence
 d_k = f_{k+1} - base*f_k mirrors the jump-digit differences on an aligned
 tail, and its ultimate periodicity is decided with the same modular-orbit
 machinery, extended to cover instances where crossings land on integers
-forever.
+forever; the cover and the tail check come from the r certificate.
 """
 
 from __future__ import annotations
@@ -27,14 +27,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .exact import _sign_quadratic, over_common_denominator
-from .jumpdigits import (
-    ModCycleCertificate,
-    PeriodicityVerdict,
-    detect_period,
-    minimize_cycle,
-    r_stream,
-    residue_orbit,
-)
+from .jumpdigits import PeriodicityVerdict, certify_cycle, r_stream
 from .sequences import (
     ConsistencyError,
     JumpData,
@@ -248,18 +241,19 @@ def d_seq(lc: LevelCounts) -> SeqSlice:
     return slice_
 
 
-def decide_d_periodicity(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
+def decide_d_periodicity(
+    norm: NormalizedInstance, window: int, r_verdict: PeriodicityVerdict
+) -> PeriodicityVerdict:
     """Decide whether d is ultimately periodic, with a certificate.
 
     Rational alpha = p/q: d_k is a function of base^k mod p, because both
     the jump-digit differences and the pattern of exact integer crossings
-    are; the orbit of that residue is the proven cover, and the minimized
-    cycle is certified the same way as for r.
-    When the count/jump alignment exists, the certificate's difference-map
-    lineage is exercised directly: the r certificate must predict the
-    aligned tail of d, and partial sums of d must rebuild r.  Irrational
-    alpha: aperiodic, no search needed, since d ultimately periodic would
-    force r, and then alpha, to be rational.
+    are; the orbit on r_verdict's certificate (detect_period's, required:
+    anything else raises ValueError) is the proven cover, and certify_cycle
+    certifies d the same way as r.  When the count/jump alignment exists,
+    the r certificate must also predict the aligned tail of d, which d_seq
+    checks against r_stream.  Irrational alpha: aperiodic, no search needed,
+    since d ultimately periodic would force r, and then alpha, to be rational.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -269,9 +263,12 @@ def decide_d_periodicity(norm: NormalizedInstance, window: int) -> PeriodicityVe
             "sequence is ultimately periodic exactly when alpha is rational"
         )
 
-    modulus = norm.alpha.as_fraction().numerator
-    orbit_pre, orbit_per = residue_orbit(norm.base, modulus)
-    span = max(orbit_pre + 2 * orbit_per, window)
+    cert_r = r_verdict.certificate
+    if (r_verdict.kind != "Periodic" or not r_verdict.certified or cert_r is None
+            or cert_r.modulus != norm.alpha.as_fraction().numerator):
+        raise ValueError("a rational slope needs its certified Periodic r verdict")
+    orbit = (cert_r.orbit_preperiod, cert_r.orbit_period)
+    span = max(orbit[0] + 2 * orbit[1], window)
 
     lc = f_counts(norm, span + 1)
     jd = jump_positions(norm, span + 2)
@@ -279,36 +276,12 @@ def decide_d_periodicity(norm: NormalizedInstance, window: int) -> PeriodicityVe
     d_slice = d_seq(lc)  # runs the aligned-tail cross-check internally
     d_list = [d_slice.at(k) for k in range(1, span + 1)]
 
-    preperiod, period = minimize_cycle(d_list, orbit_pre, orbit_per)
-
     if lc.m0 is not None:
-        # difference-map lineage: the r certificate predicts the d tail,
-        # and summing d walks r forward again
-        rv = detect_period(norm, window)
-        cert_r = rv.certificate
-        m0, t = lc.m0, lc.alignment.threshold
-        r_vals = r_stream(norm, span + m0 + 2)
-        acc = r_vals[t + m0 - 1]
-        for k in range(t, span + 1):
+        m0 = lc.m0
+        for k in range(lc.alignment.threshold, span + 1):
             if cert_r.predict(k + m0 + 1) - cert_r.predict(k + m0) != d_list[k - 1]:
                 raise ConsistencyError(
                     f"r certificate fails to predict d_{k} through the "
                     f"difference map"
                 )
-            acc += d_list[k - 1]
-            if acc != r_vals[k + m0]:
-                raise ConsistencyError(
-                    f"partial sums of d lose track of r at k={k}"
-                )
-
-    cert = ModCycleCertificate(
-        modulus=modulus,
-        orbit_preperiod=orbit_pre,
-        orbit_period=orbit_per,
-        preperiod=preperiod,
-        period=period,
-        head=tuple(d_list[:preperiod]),
-        cycle=tuple(d_list[preperiod : preperiod + period]),
-        integrality_hits=jd.integrality_hits,
-    )
-    return PeriodicityVerdict.periodic(preperiod, period, cert, certified=True)
+    return certify_cycle(d_list, cert_r.modulus, orbit, jd.integrality_hits)

@@ -43,6 +43,7 @@ from floorlog.jumpdigits import (
     check_expansion_forms,
     check_transitions,
     classify_range,
+    detect_period,
     r_direct,
     r_from_jumps,
     r_recur,
@@ -286,7 +287,7 @@ def test_criterion_6_level_counts_and_differences(record_property):
                 assert diffs.at(k) == lc.at(k + 1) - norm.base * lc.at(k)
                 assert diffs.at(k) == rs[k + m0] - rs[k + m0 - 1], (inst.name, k)
 
-        verdict = decide_d_periodicity(norm, k_top)
+        verdict = decide_d_periodicity(norm, k_top, detect_period(norm, k_top))
         assert verdict.certified, inst.name
         if inst.alpha_is_rational:
             assert verdict.kind == "Periodic", inst.name

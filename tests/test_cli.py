@@ -1,13 +1,20 @@
 """Command-line behaviour: exit codes, payload shapes, determinism."""
 
+import hashlib
 import json
+import sys
 import time
 
 import pytest
 
-from floorlog import cli
+from floorlog import cli, jumpdigits
+from floorlog.battery import BATTERY
 from floorlog.cli import main, run_analyze
-from floorlog.jumpdigits import PeriodicityVerdict
+from floorlog.exact import ExactReal
+from floorlog.jumpdigits import PeriodicityVerdict, detect_period
+from floorlog.language import RkDigitSource, decide_regularity
+from floorlog.levelcounts import decide_d_periodicity
+from floorlog.sequences import FloorLogInstance, normalize
 
 
 def run(capsys, *argv):
@@ -60,6 +67,16 @@ def test_oversized_radicand_is_usage_error(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert "radicand" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("template", ["{}", "3/{}", "sqrt({})"])
+def test_overlong_integer_literal_is_usage_error(capsys, template):
+    # past Python's int-conversion digit limit int() raises its own ValueError
+    code, out, err = run(capsys, "seq", "--alpha", template.format("1" * 5000),
+                         "--base", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("floorlog: error:")
+    assert "too long" in err and "Traceback" not in err
 
 
 _SOURCE_FLAGS = {
@@ -294,6 +311,58 @@ def test_analyze_is_deterministic_modulo_timings():
     b = run_analyze(dict(scenario))
     assert scrub(a) == scrub(b)
     assert set(a["timings"]) == set(b["timings"])
+
+
+# sha256 over the 20 battery reports at CLI defaults, in battery order, each
+# report in canonical JSON without its timings block
+BATTERY_REPORTS_SHA256 = (
+    "676c180e9751574dce21a73ec14c66d71f1cd31fc801ed38f6e969e933d737e3"
+)
+
+
+def test_battery_reports_are_pinned():
+    digest = hashlib.sha256()
+    for inst in BATTERY:
+        report = run_analyze(
+            {"alpha": inst.alpha_text, "beta": inst.beta_text, "base": inst.base}
+        )
+        digest.update(cli._canonical(scrub(report)).encode())
+    assert digest.hexdigest() == BATTERY_REPORTS_SHA256
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of jumpdigits.<name> through every module that holds it."""
+    real = getattr(jumpdigits, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("floorlog") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_proves_r_periodicity_once(monkeypatch):
+    detect = _count_calls(monkeypatch, "detect_period")
+    orbit = _count_calls(monkeypatch, "residue_orbit")
+    report = run_analyze({"alpha": "7/5", "base": 10})
+    assert report["verdicts"]["language_regularity"]["kind"] == "Regular"
+    assert report["verdicts"]["d_periodicity"]["certified"]
+    assert (len(detect), len(orbit)) == (1, 1)
+
+
+def test_downstream_stages_reuse_the_r_verdict(monkeypatch):
+    norm = normalize(FloorLogInstance(ExactReal.parse("7/5"), ExactReal(0), 10))
+    r_verdict = detect_period(norm, 1000)
+    detect = _count_calls(monkeypatch, "detect_period")
+    orbit = _count_calls(monkeypatch, "residue_orbit")
+    d_verdict = decide_d_periodicity(norm, 400, r_verdict)
+    language_verdict = decide_regularity(RkDigitSource(norm, r_verdict), 10)
+    assert d_verdict.certified and language_verdict.kind == "Regular"
+    assert detect == [] and orbit == []
 
 
 def test_analyze_report_has_scenario_echo_and_normalization():

@@ -59,6 +59,17 @@ def test_parse_caps_the_radicand():
             ExactReal.parse(text)
 
 
+@pytest.mark.parametrize(
+    "template", ["{}", "-{}", "3/{}", "{}/3", "sqrt({})", "1+{}*sqrt(2)"]
+)
+def test_parse_refuses_overlong_integer_literals(template):
+    # int() has its own digit limit (4300 by default); hitting it is a
+    # parse failure, not a bare ValueError
+    with pytest.raises(ParseError, match="too long"):
+        ExactReal.parse(template.format("1" * 5000))
+    assert ExactReal.parse(template.format("7"))
+
+
 def test_parse_str_roundtrip_examples():
     for text in ["0", "22/7", "-5", "sqrt(2)", "-sqrt(7)", "1/2+1/2*sqrt(5)", "2-3/4*sqrt(10)"]:
         v = ExactReal.parse(text)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import (
     RkRecord,
+    certify_cycle,
     check_expansion_forms,
     check_transitions,
     classify,
@@ -202,6 +203,18 @@ def test_detect_period_five_thirds():
     assert (v.preperiod, v.period) == (0, 4)
     assert v.certificate.modulus == 5
     assert v.certificate.cycle == (1, 2, 1, 0)
+
+
+def test_certify_cycle_replays_every_value():
+    values = [5, 1, 2, 1, 2, 1, 2, 1, 2]
+    v = certify_cycle(values, 7, (1, 2), (3,))
+    assert (v.preperiod, v.period) == (1, 2) and v.certified
+    assert v.certificate.head == (5,) and v.certificate.cycle == (1, 2)
+    assert v.certificate.integrality_hits == (3,)
+    # index 9 lies past the cover that minimize_cycle re-verifies, so
+    # only the replay can catch it
+    with pytest.raises(ConsistencyError, match="replay fails at k=9"):
+        certify_cycle(values[:-1] + [7], 7, (1, 2))
 
 
 st_alpha = st.one_of(

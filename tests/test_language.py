@@ -151,6 +151,18 @@ def test_rk_source_proves_periodicity_once(monkeypatch):
     assert calls == [1000]
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, base",
+    [("3/2", 0, 2), ("5/3", "1/3", 2), ("7/5", "1/3", 10), (1, 0, 2), ("sqrt(2)", 0, 2)],
+)
+def test_rk_source_shifts_a_handed_r_verdict(monkeypatch, alpha, beta, base):
+    norm = norm_of(alpha, beta, base)
+    r_verdict = language.detect_period(norm, 1000)
+    derived = RkDigitSource(norm).periodicity(1000)
+    monkeypatch.setattr(language, "detect_period", None)  # must not be called
+    assert RkDigitSource(norm, r_verdict).periodicity(1000) == derived
+
+
 def test_tm_source_periodicity_variants():
     aper = ThueMorseBlockSource("10", "02").periodicity(100)
     assert aper.kind == "AperiodicByTheorem" and aper.certified

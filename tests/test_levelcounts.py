@@ -1,5 +1,6 @@
 """Level-count module: exact counts, jump alignment, difference periodicity."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from floorlog import levelcounts
 from floorlog.exact import ExactReal
+from floorlog.jumpdigits import PeriodicityVerdict, detect_period
 from floorlog.levelcounts import (
     align_m0,
     d_seq,
@@ -145,7 +147,8 @@ def test_d_alpha_one_vanishes():
 
 
 def test_decide_d_three_halves():
-    v = decide_d_periodicity(norm_of("3/2", 0, 2), 12)
+    n = norm_of("3/2", 0, 2)
+    v = decide_d_periodicity(n, 12, detect_period(n, 12))
     assert v.kind == "Periodic" and v.certified
     assert (v.preperiod, v.period) == (0, 2)
     assert v.certificate.cycle == (1, -1)
@@ -153,20 +156,45 @@ def test_decide_d_three_halves():
 
 
 def test_decide_d_sqrt2():
-    v = decide_d_periodicity(N_SQRT2, 12)
+    v = decide_d_periodicity(N_SQRT2, 12, detect_period(N_SQRT2, 12))
     assert v.kind == "AperiodicByTheorem" and v.certified
 
 
 def test_decide_d_alpha_one():
-    v = decide_d_periodicity(norm_of(1, 0, 2), 8)
+    n = norm_of(1, 0, 2)
+    v = decide_d_periodicity(n, 8, detect_period(n, 8))
     assert (v.preperiod, v.period) == (0, 1)
     assert v.certificate.cycle == (0,)
+
+
+def test_decide_d_checks_the_handed_r_certificate():
+    n = norm_of("3/2", 0, 2)
+    rv = detect_period(n, 12)
+    cert = rv.certificate
+    bent = replace(cert, cycle=(cert.cycle[0], cert.cycle[1] + 1))
+    with pytest.raises(ConsistencyError, match="d_1 "):
+        decide_d_periodicity(n, 12, replace(rv, certificate=bent))
+
+
+def test_decide_d_rational_needs_certified_periodic_r_verdict():
+    n = norm_of("3/2", 0, 2)
+    rv = detect_period(n, 12)
+    for bad in [
+        PeriodicityVerdict.inconclusive(12),
+        PeriodicityVerdict.aperiodic_by_theorem("wrong side"),
+        replace(rv, certified=False),
+        replace(rv, certificate=None),
+        detect_period(norm_of("5/3", 0, 2), 12),  # another slope's verdict
+    ]:
+        with pytest.raises(ValueError, match="certified Periodic r verdict"):
+            decide_d_periodicity(n, 12, bad)
 
 
 def test_decide_d_survives_degenerate_alignment():
     # alignment fails for this instance, yet the modular cover still
     # certifies the difference sequence; frozen cycle from first principles
-    v = decide_d_periodicity(norm_of("5/3", "1/3", 2), 16)
+    n = norm_of("5/3", "1/3", 2)
+    v = decide_d_periodicity(n, 16, detect_period(n, 16))
     assert v.kind == "Periodic" and v.certified
     assert (v.preperiod, v.period) == (0, 4)
     assert v.certificate.cycle == (-2, 1, -1, 2)
@@ -344,7 +372,7 @@ def test_align_matches_per_level_lookup(case, k_max, extra):
 )
 def test_rational_differences_certified(alpha, beta, base):
     n = normalize(FloorLogInstance(alpha, beta, base))
-    v = decide_d_periodicity(n, 8)
+    v = decide_d_periodicity(n, 8, detect_period(n, 8))
     assert v.kind == "Periodic" and v.certified
     for k in range(1, _ORACLE_KTOP[base]):
         want = oracle_f(n.alpha, n.beta, base, k + 1, n.n_min) - base * oracle_f(
@@ -363,5 +391,5 @@ def test_rational_differences_certified(alpha, beta, base):
 def test_surd_differences_refused(rational, coeff, d, base):
     alpha = ExactReal(rational) + ExactReal(coeff) * ExactReal.sqrt(d)
     n = normalize(FloorLogInstance(alpha, ExactReal(0), base))
-    v = decide_d_periodicity(n, 8)
+    v = decide_d_periodicity(n, 8, detect_period(n, 8))
     assert v.kind == "AperiodicByTheorem"
