@@ -234,7 +234,7 @@ def from_patterns(patterns: Iterable, exceptions: Iterable = (), base: int = 2) 
         end = nfa.word_path(start, as_digits(raw))
         nfa.eps[end].add(final)
     for pat in patterns:
-        v0, v1, v2 = (as_digits(part) for part in _unpack_pattern(pat))
+        v0, v1, v2 = (as_digits(part) for part in pat)
         hub = nfa.word_path(start, v0)
         if v1:
             loop_end = nfa.word_path(hub, v1)
@@ -249,13 +249,6 @@ def from_patterns(patterns: Iterable, exceptions: Iterable = (), base: int = 2) 
             f"minimization changed the language, witness {word_str(witness)!r}"
         )
     return out
-
-
-def _unpack_pattern(pat):
-    if hasattr(pat, "v0"):
-        return pat.v0, pat.v1, pat.v2
-    v0, v1, v2 = pat
-    return v0, v1, v2
 
 
 def equivalent(a: Dfa, b: Dfa) -> tuple[bool, Word | None]:

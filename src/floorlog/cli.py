@@ -9,8 +9,10 @@ scopes), 2 means an internal consistency check tripped, which is a bug
 and should be reported.
 
 Scenario files (--scenario file.json) provide the same fields as flags;
-an explicitly passed flag wins over the file.  `analyze --batch list.json`
-runs a JSON array of scenarios back to back.  All JSON output is
+an explicitly passed flag wins over the file, and a JSON null counts as
+unset.  `analyze --batch list.json` runs a JSON array of scenarios back
+to back; each entry takes the scenario file's place, so the file fills
+what an entry leaves unset and flags still win.  All JSON output is
 canonical (sorted keys, two-space indent), so identical inputs produce
 byte-identical reports apart from the timings block.
 """
@@ -33,6 +35,7 @@ from .jumpdigits import (
     r_stream,
 )
 from .language import (
+    MIN_WINDOW,
     DigitSource,
     ExplicitDigitSource,
     PeriodicDigitSource,
@@ -81,118 +84,118 @@ def _print(payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scenario plumbing
+# scenario fields: main merges the layers once, handlers read them here
 # ---------------------------------------------------------------------------
 
 
-def _load_scenario_file(path: str) -> dict:
+def _load_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read scenario file: {exc}")
+        raise UsageError(f"cannot read {what}: {exc}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"scenario file is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise UsageError("scenario file must hold a JSON object")
-    return data
+        raise UsageError(f"{what} is not valid JSON: {exc}")
 
 
-def _merged(args, key, fallback=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    scenario = getattr(args, "scenario_data", None) or {}
-    if key in scenario and scenario[key] is not None:
-        return scenario[key]
-    return fallback
+def _merge(*layers: dict) -> dict:
+    """One field dict from layers of rising priority; null means unset."""
+    fields = {}
+    for layer in layers:
+        fields.update((k, v) for k, v in layer.items() if v is not None)
+    return fields
 
 
-def _parse_exact(text: str, what: str) -> ExactReal:
-    try:
-        return ExactReal.parse(str(text))
-    except ParseError as exc:
-        raise UsageError(f"cannot parse {what}: {exc}")
+def _flag(key: str) -> str:
+    return {"start": "--from", "stop": "--to"}.get(key, "--" + key.replace("_", "-"))
 
 
-def _positive_int(value, what: str) -> int:
+def _field(fields: dict, key: str, default=None):
+    value = fields.get(key)
+    if value is None:
+        value = default
+    if value is None:
+        raise UsageError(f"{_flag(key)} is required (flag or scenario file)")
+    return value
+
+
+def _positive_int(fields: dict, key: str, default=None) -> int:
+    value = _field(fields, key, default)
     try:
         out = int(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
+        raise UsageError(f"{_flag(key)} must be an integer, got {value!r}")
     if out < 1:
-        raise UsageError(f"{what} must be positive, got {out}")
+        raise UsageError(f"{_flag(key)} must be positive, got {out}")
     return out
 
 
-def _resolve_triple(args) -> tuple[str, str, int]:
-    alpha = _merged(args, "alpha")
-    if alpha is None:
-        raise UsageError("--alpha is required (flag or scenario file)")
-    beta = _merged(args, "beta", "0")
-    base = _merged(args, "base")
-    if base is None:
-        raise UsageError("--base is required (flag or scenario file)")
-    base = _positive_int(base, "--base")
+def _base(fields: dict) -> int:
+    base = _positive_int(fields, "base")
     if base < 2:
         raise UsageError("--base must be at least 2")
-    return str(alpha), str(beta), base
+    return base
 
 
-def _normalized(args) -> NormalizedInstance:
-    alpha_text, beta_text, base = _resolve_triple(args)
-    alpha = _parse_exact(alpha_text, "--alpha")
-    beta = _parse_exact(beta_text, "--beta")
+def _window(fields: dict) -> int:
+    window = _positive_int(fields, "window", DEFAULT_WINDOW)
+    if window < MIN_WINDOW:
+        raise UsageError(f"--window must be at least {MIN_WINDOW}")
+    return window
+
+
+def _exact(fields: dict, key: str, default=None) -> ExactReal:
     try:
-        return normalize(FloorLogInstance(alpha, beta, base))
+        return ExactReal.parse(str(_field(fields, key, default)))
+    except ParseError as exc:
+        raise UsageError(f"cannot parse {_flag(key)}: {exc}")
+
+
+def _triple(fields: dict) -> tuple[ExactReal, ExactReal, int]:
+    """alpha, beta (default 0) and base, unnormalized."""
+    return _exact(fields, "alpha"), _exact(fields, "beta", "0"), _base(fields)
+
+
+def _normalized(fields: dict) -> NormalizedInstance:
+    try:
+        return normalize(FloorLogInstance(*_triple(fields)))
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _digit_word(value, what: str) -> tuple[int, ...]:
-    text = str(value)
+def _digit_word(fields: dict, key: str, default=None) -> tuple[int, ...]:
+    text = str(_field(fields, key, default))
     if text == "":
         return ()
     try:
         return parse_word(text)
     except ValueError as exc:
-        raise UsageError(f"cannot parse {what}: {exc}")
+        raise UsageError(f"cannot parse {_flag(key)}: {exc}")
 
 
-def _digit_source(args) -> tuple[DigitSource, int]:
-    kind = _merged(args, "source", "rk")
-    base = _merged(args, "base")
-    if base is None:
-        raise UsageError("--base is required (flag or scenario file)")
-    base = _positive_int(base, "--base")
-    if base < 2:
-        raise UsageError("--base must be at least 2")
+def _digit_source(fields: dict) -> tuple[DigitSource, int]:
+    base = _base(fields)
+    kind = _field(fields, "source", "rk")
     try:
         if kind == "rk":
-            return RkDigitSource(_normalized(args)), base
+            return RkDigitSource(_normalized(fields)), base
         if kind == "periodic":
-            period = _merged(args, "period")
-            if period is None:
+            if fields.get("period") is None:
                 raise UsageError("--period is required for --source periodic")
-            pre = _digit_word(_merged(args, "preperiod", ""), "--preperiod")
-            per = _digit_word(period, "--period")
-            return PeriodicDigitSource(pre, per), base
+            pre = _digit_word(fields, "preperiod", "")
+            return PeriodicDigitSource(pre, _digit_word(fields, "period")), base
         if kind == "explicit":
-            word = _merged(args, "word")
-            if word is None:
+            if fields.get("word") is None:
                 raise UsageError("--word is required for --source explicit")
-            return ExplicitDigitSource(_digit_word(word, "--word")), base
+            return ExplicitDigitSource(_digit_word(fields, "word")), base
         if kind == "tm-blocks":
-            block_a = _merged(args, "block_a")
-            block_b = _merged(args, "block_b")
-            if block_a is None or block_b is None:
+            if fields.get("block_a") is None or fields.get("block_b") is None:
                 raise UsageError(
                     "--block-a and --block-b are required for --source tm-blocks"
                 )
             return (
                 ThueMorseBlockSource(
-                    _digit_word(block_a, "--block-a"),
-                    _digit_word(block_b, "--block-b"),
+                    _digit_word(fields, "block_a"), _digit_word(fields, "block_b")
                 ),
                 base,
             )
@@ -209,7 +212,7 @@ def _digit_source(args) -> tuple[DigitSource, int]:
 def _periodicity_payload(verdict: PeriodicityVerdict | None):
     if verdict is None:
         return None
-    out = {"kind": verdict.kind, "certified": bool(verdict.certified)}
+    out = {"kind": verdict.kind, "certified": verdict.certified}
     if verdict.kind == "Periodic":
         out["preperiod"] = verdict.preperiod
         out["period"] = verdict.period
@@ -315,12 +318,10 @@ def _kernel_report(norm: NormalizedInstance, depth: int, prefix_len: int):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_seq(args) -> int:
-    alpha_text, beta_text, base = _resolve_triple(args)
-    alpha = _parse_exact(alpha_text, "--alpha")
-    beta = _parse_exact(beta_text, "--beta")
-    start = _positive_int(_merged(args, "start", 1), "--from")
-    stop = _positive_int(_merged(args, "stop", 10), "--to")
+def _cmd_seq(fields) -> int:
+    alpha, beta, base = _triple(fields)
+    start = _positive_int(fields, "start", 1)
+    stop = _positive_int(fields, "stop", 10)
     if stop < start:
         raise UsageError("--to must not be below --from")
     try:
@@ -331,9 +332,9 @@ def _cmd_seq(args) -> int:
     return 0
 
 
-def _cmd_rk(args) -> int:
-    norm = _normalized(args)
-    kmax = _positive_int(_merged(args, "kmax", DEFAULT_KMAX), "--kmax")
+def _cmd_rk(fields) -> int:
+    norm = _normalized(fields)
+    kmax = _positive_int(fields, "kmax", DEFAULT_KMAX)
     records = classify_range(norm, kmax)
     _print(
         [
@@ -351,9 +352,9 @@ def _cmd_rk(args) -> int:
     return 0
 
 
-def _cmd_digits(args) -> int:
-    norm = _normalized(args)
-    count = _positive_int(_merged(args, "count", 32), "--count")
+def _cmd_digits(fields) -> int:
+    norm = _normalized(fields)
+    count = _positive_int(fields, "count", 32)
     _print(
         {
             "alpha": str(norm.alpha),
@@ -365,9 +366,9 @@ def _cmd_digits(args) -> int:
     return 0
 
 
-def _cmd_language(args) -> int:
-    src, base = _digit_source(args)
-    n_max = _positive_int(_merged(args, "nmax", 30), "--nmax")
+def _cmd_language(fields) -> int:
+    src, base = _digit_source(fields)
+    n_max = _positive_int(fields, "nmax", 30)
     lw = words(src, base, n_max, allow_zero_start=True)
     payload = {
         "source": lw.source_label,
@@ -383,25 +384,25 @@ def _cmd_language(args) -> int:
     return 0
 
 
-def _cmd_decide(args) -> int:
-    src, base = _digit_source(args)
-    window = _positive_int(_merged(args, "window", DEFAULT_WINDOW), "--window")
+def _cmd_decide(fields) -> int:
+    src, base = _digit_source(fields)
+    window = _window(fields)
     verdict = decide_regularity(src, base, window=window)
     _print(_verdict_payload(verdict))
     return 0
 
 
-def _cmd_kernel(args) -> int:
-    norm = _normalized(args)
-    depth = _positive_int(_merged(args, "depth", 6), "--depth")
-    prefix_len = _positive_int(_merged(args, "prefix_len", 64), "--prefix-len")
+def _cmd_kernel(fields) -> int:
+    norm = _normalized(fields)
+    depth = _positive_int(fields, "depth", 6)
+    prefix_len = _positive_int(fields, "prefix_len", 64)
     _print(_kernel_payload(_kernel_report(norm, depth, prefix_len)))
     return 0
 
 
-def _cmd_fk(args) -> int:
-    norm = _normalized(args)
-    kmax = _positive_int(_merged(args, "kmax", 60), "--kmax")
+def _cmd_fk(fields) -> int:
+    norm = _normalized(fields)
+    kmax = _positive_int(fields, "kmax", 60)
     lc = f_counts(norm, kmax)
     jumps = jump_positions(norm, kmax + 12)
     alignment = align_m0(lc, jumps)
@@ -422,11 +423,11 @@ def _cmd_fk(args) -> int:
     return 0
 
 
-def _cmd_dfa(args) -> int:
-    norm = _normalized(args)
-    window = _positive_int(_merged(args, "window", DEFAULT_WINDOW), "--window")
+def _cmd_dfa(fields) -> int:
+    norm = _normalized(fields)
+    window = _window(fields)
     verdict = decide_regularity(RkDigitSource(norm), norm.base, window=window)
-    if args.dot:
+    if fields["dot"]:
         if verdict.kind != "Regular" or verdict.dfa is None:
             print(
                 f"no DFA: verdict is {verdict.kind}; emitting verdict JSON",
@@ -455,20 +456,18 @@ def _check_links(rational: bool, r_verdict, language_verdict, d_verdict) -> None
     verdict on the wrong side of the rationality dichotomy is a bug, not
     a mathematical outcome.
     """
-    if r_verdict.certified:
-        if r_verdict.kind == "Periodic" and not rational:
-            raise ConsistencyError("r certified periodic with irrational slope")
-        if r_verdict.kind == "AperiodicByTheorem" and rational:
-            raise ConsistencyError("r certified aperiodic with rational slope")
+    if r_verdict.kind == "Periodic" and not rational:
+        raise ConsistencyError("r certified periodic with irrational slope")
+    if r_verdict.kind == "AperiodicByTheorem" and rational:
+        raise ConsistencyError("r certified aperiodic with rational slope")
     if language_verdict.kind == "Regular" and not rational:
         raise ConsistencyError("language Regular with irrational slope")
     if language_verdict.kind == "NonRegular" and rational:
         raise ConsistencyError("language NonRegular with rational slope")
-    if d_verdict.certified:
-        if d_verdict.kind == "Periodic" and not rational:
-            raise ConsistencyError("d certified periodic with irrational slope")
-        if d_verdict.kind == "AperiodicByTheorem" and rational:
-            raise ConsistencyError("d certified aperiodic with rational slope")
+    if d_verdict.kind == "Periodic" and not rational:
+        raise ConsistencyError("d certified periodic with irrational slope")
+    if d_verdict.kind == "AperiodicByTheorem" and rational:
+        raise ConsistencyError("d certified aperiodic with rational slope")
 
 
 def run_analyze(scenario: dict) -> dict:
@@ -476,34 +475,20 @@ def run_analyze(scenario: dict) -> dict:
 
     Every link (digit periodicity, language regularity, level-count
     difference periodicity, the headline regular-iff-rational verdict)
-    is recorded separately so a failure localizes to its link.
+    is recorded separately so a failure localizes to its link.  The
+    scenario holds the same fields as the flags; null means unset.
     """
-    if "alpha" not in scenario:
-        raise UsageError("scenario needs an 'alpha'")
-    if "base" not in scenario:
-        raise UsageError("scenario needs a 'base'")
-    alpha_text = str(scenario["alpha"])
-    beta_text = str(scenario.get("beta", "0"))
-    base = _positive_int(scenario["base"], "base")
-    if base < 2:
-        raise UsageError("base must be at least 2")
-    kmax = _positive_int(scenario.get("kmax", DEFAULT_KMAX), "kmax")
-    window = _positive_int(scenario.get("window", DEFAULT_WINDOW), "window")
-    kernel_depth = _positive_int(scenario.get("kernel_depth", 4), "kernel_depth")
-    kernel_prefix = _positive_int(
-        scenario.get("kernel_prefix", 32), "kernel_prefix"
-    )
+    kmax = _positive_int(scenario, "kmax", DEFAULT_KMAX)
+    window = _window(scenario)
+    kernel_depth = _positive_int(scenario, "kernel_depth", 4)
+    kernel_prefix = _positive_int(scenario, "kernel_prefix", 32)
 
     timings: dict[str, float] = {}
     clock = time.perf_counter
 
     t0 = clock()
-    alpha = _parse_exact(alpha_text, "alpha")
-    beta = _parse_exact(beta_text, "beta")
-    try:
-        norm = normalize(FloorLogInstance(alpha, beta, base))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    norm = _normalized(scenario)
+    base = norm.base
     timings["normalize"] = clock() - t0
 
     t0 = clock()
@@ -535,8 +520,8 @@ def run_analyze(scenario: dict) -> dict:
         "schema": SCHEMA,
         "version": __version__,
         "scenario": {
-            "alpha": alpha_text,
-            "beta": beta_text,
+            "alpha": str(scenario["alpha"]),
+            "beta": str(_field(scenario, "beta", "0")),
             "base": base,
             "kmax": kmax,
             "window": window,
@@ -575,38 +560,20 @@ def run_analyze(scenario: dict) -> dict:
     }
 
 
-def _cmd_analyze(args) -> int:
-    if args.batch:
-        try:
-            with open(args.batch, "r", encoding="utf-8") as fh:
-                batch = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read batch file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"batch file is not valid JSON: {exc}")
-        if not isinstance(batch, list):
-            raise UsageError("batch file must hold a JSON array of scenarios")
-        reports = []
-        for i, scenario in enumerate(batch):
-            if not isinstance(scenario, dict):
-                raise UsageError(f"batch entry {i} is not a JSON object")
-            reports.append(run_analyze(scenario))
-        _print(reports)
-        return 0
-    scenario = dict(getattr(args, "scenario_data", None) or {})
-    for key in (
-        "alpha",
-        "beta",
-        "base",
-        "kmax",
-        "window",
-        "kernel_depth",
-        "kernel_prefix",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            scenario[key] = value
-    _print(run_analyze(scenario))
+def _cmd_analyze(fields) -> int:
+    _print(run_analyze(fields))
+    return 0
+
+
+def _cmd_batch(path: str, scenario: dict, flags: dict) -> int:
+    batch = _load_json(path, "batch file")
+    if not isinstance(batch, list):
+        raise UsageError("batch file must hold a JSON array of scenarios")
+    for i, entry in enumerate(batch):
+        if not isinstance(entry, dict):
+            raise UsageError(f"batch entry {i} is not a JSON object")
+    # each entry takes the scenario file's place; flags still win
+    _print([run_analyze(_merge(scenario, entry, flags)) for entry in batch])
     return 0
 
 
@@ -709,14 +676,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        scenario_path = getattr(args, "scenario", None)
-        args.scenario_data = (
-            _load_scenario_file(scenario_path) if scenario_path else {}
-        )
-        return args.handler(args)
+        scenario = _load_json(args.scenario, "scenario file") if args.scenario else {}
+        if not isinstance(scenario, dict):
+            raise UsageError("scenario file must hold a JSON object")
+        flags = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in ("command", "handler", "scenario", "batch")
+        }
+        if getattr(args, "batch", None):
+            return _cmd_batch(args.batch, scenario, flags)
+        return args.handler(_merge(scenario, flags))
     except UsageError as exc:
         print(f"floorlog: error: {exc}", file=sys.stderr)
         return 1

@@ -330,13 +330,6 @@ def expansion_forms(norm: NormalizedInstance, k_max: int) -> list[ExpansionForm]
     return forms
 
 
-def check_expansion_forms(norm: NormalizedInstance, k: int) -> ExpansionForm:
-    """Audit the single prefix [r_1 ... r_k]."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return expansion_forms(norm, k)[-1]
-
-
 # ---------------------------------------------------------------------------
 # periodicity
 
@@ -378,20 +371,23 @@ class PeriodicityVerdict:
     preperiod: int | None = None
     period: int | None = None
     certificate: ModCycleCertificate | None = None
-    certified: bool = False
     reason: str | None = None
     window: int | None = None
 
+    @property
+    def certified(self) -> bool:
+        """Every verdict is certified or honestly Inconclusive."""
+        return self.kind != "Inconclusive"
+
     @classmethod
     def periodic(cls, preperiod: int, period: int,
-                 certificate: ModCycleCertificate | None,
-                 certified: bool) -> "PeriodicityVerdict":
+                 certificate: ModCycleCertificate | None) -> "PeriodicityVerdict":
         return cls(kind="Periodic", preperiod=preperiod, period=period,
-                   certificate=certificate, certified=certified)
+                   certificate=certificate)
 
     @classmethod
     def aperiodic_by_theorem(cls, reason: str) -> "PeriodicityVerdict":
-        return cls(kind="AperiodicByTheorem", reason=reason, certified=True)
+        return cls(kind="AperiodicByTheorem", reason=reason)
 
     @classmethod
     def inconclusive(cls, window: int) -> "PeriodicityVerdict":
@@ -461,7 +457,7 @@ def certify_cycle(
     for k, value in enumerate(values, 1):
         if cert.predict(k) != value:
             raise ConsistencyError(f"certificate replay fails at k={k}")
-    return PeriodicityVerdict.periodic(preperiod, period, cert, certified=True)
+    return PeriodicityVerdict.periodic(preperiod, period, cert)
 
 
 def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:

@@ -50,9 +50,6 @@ class DigitSource:
     it, structurally or by the rational/irrational dichotomy.
     """
 
-    #: exclusive upper bound on digit values, when one is known
-    alphabet_bound: int | None = None
-
     def digit(self, i: int) -> int:
         raise NotImplementedError
 
@@ -69,7 +66,7 @@ class DigitSource:
     def _minimized_cover(self, preperiod, period, certificate=None):
         """Certified verdict for a proven cover, minimized on this stream."""
         lam, q = minimize_cycle(self.prefix(preperiod + 3 * period), preperiod, period)
-        return PeriodicityVerdict.periodic(lam, q, certificate, True)
+        return PeriodicityVerdict.periodic(lam, q, certificate)
 
     def label(self) -> str:
         return type(self).__name__
@@ -91,7 +88,6 @@ class RkDigitSource(DigitSource):
     def __init__(self, norm: NormalizedInstance, r_verdict=None):
         self.norm = norm
         self._r_verdict = r_verdict
-        self.alphabet_bound = 2 * norm.base - 1
         lead = jump_positions(norm, 1).at(1)
         if lead > 2 * norm.base - 2:
             raise ConsistencyError(
@@ -120,7 +116,7 @@ class RkDigitSource(DigitSource):
 
     def _periodicity(self, window: int) -> PeriodicityVerdict:
         inner = self._r_verdict or detect_period(self.norm, window)
-        if inner.kind != "Periodic" or not inner.certified:
+        if inner.kind != "Periodic":
             return inner
         # the stream prepends one extra digit (the leading jump count)
         # ahead of the r digits, shifting the preperiod up by one; the
@@ -145,7 +141,6 @@ class PeriodicDigitSource(DigitSource):
             raise ValueError("period block must be nonempty")
         if any(d < 0 for d in self.preperiod + self.period):
             raise ValueError("digits must be nonnegative")
-        self.alphabet_bound = max(self.preperiod + self.period) + 1
 
     def digit(self, i: int) -> int:
         if i < 0:
@@ -173,7 +168,6 @@ class ExplicitDigitSource(DigitSource):
             raise ValueError("explicit word must be nonempty")
         if any(d < 0 for d in self.word):
             raise ValueError("digits must be nonnegative")
-        self.alphabet_bound = max(self.word) + 1
 
     def digit(self, i: int) -> int:
         if not 0 <= i < len(self.word):
@@ -210,7 +204,6 @@ class ThueMorseBlockSource(DigitSource):
             raise ValueError("both blocks must be nonempty")
         if any(d < 0 for d in self.block_a + self.block_b):
             raise ValueError("digits must be nonnegative")
-        self.alphabet_bound = max(self.block_a + self.block_b) + 1
         self._buf: list[int] = []
         self._blocks_done = 0
 
@@ -582,7 +575,7 @@ def certify_pattern(
         )
 
     verdict = src.periodicity(window)
-    if verdict.kind != "Periodic" or not verdict.certified:
+    if verdict.kind != "Periodic":
         raise PatternRejection(
             "ii", f"source periodicity is {verdict.kind}, not certified Periodic"
         )
@@ -706,6 +699,9 @@ def _pattern_scan_evidence(lw: LanguageWords, max_period: int = 8) -> dict:
     return found
 
 
+MIN_WINDOW = 8
+
+
 def decide_regularity(
     src: DigitSource, base: int, window: int = 1000
 ) -> RegularityVerdict:
@@ -721,18 +717,18 @@ def decide_regularity(
     too small a window): Inconclusive, with the empirical pattern scan
     and length-claim report as evidence.
     """
-    if window < 8:
+    if window < MIN_WINDOW:
         raise ValueError("window must allow at least a handful of words")
     if base < 2:
         raise ValueError("base must be at least 2")
     verdict = src.periodicity(window)
-    if verdict.kind == "AperiodicByTheorem" and verdict.certified:
+    if verdict.kind == "AperiodicByTheorem":
         return RegularityVerdict.non_regular(verdict)
 
     lw = words(src, base, window, allow_zero_start=True)
     length_report = verify_length_claim(lw)
 
-    if verdict.kind == "Periodic" and verdict.certified:
+    if verdict.kind == "Periodic":
         if lw.values[-1] == 0:
             # values are nondecreasing, so a zero at the top means the
             # certified-periodic stream is all zeros and the language is
@@ -774,7 +770,9 @@ def decide_regularity(
                 if lw.words[n] not in exceptions:
                     exceptions.append(lw.words[n])
                 n += q
-        dfa = from_patterns(patterns, exceptions, base)
+        dfa = from_patterns(
+            [(p.v0, p.v1, p.v2) for p in patterns], exceptions, base
+        )
         return RegularityVerdict.regular(dfa, patterns, exceptions, verdict)
 
     return RegularityVerdict.inconclusive(

@@ -264,7 +264,7 @@ def decide_d_periodicity(
         )
 
     cert_r = r_verdict.certificate
-    if (r_verdict.kind != "Periodic" or not r_verdict.certified or cert_r is None
+    if (r_verdict.kind != "Periodic" or cert_r is None
             or cert_r.modulus != norm.alpha.as_fraction().numerator):
         raise ValueError("a rational slope needs its certified Periodic r verdict")
     orbit = (cert_r.orbit_preperiod, cert_r.orbit_period)

@@ -40,10 +40,10 @@ from floorlog.battery import BATTERY, by_name
 from floorlog.cli import run_analyze
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import (
-    check_expansion_forms,
     check_transitions,
     classify_range,
     detect_period,
+    expansion_forms,
     r_direct,
     r_from_jumps,
     r_recur,
@@ -108,8 +108,9 @@ def test_criterion_2_classification_audits_are_clean(record_property):
         assert transitions.ok, (inst.name, transitions.violations)
         assert transitions.violations == ()
         assert transitions.pairs_checked == k_top - 1, inst.name
-        form = check_expansion_forms(norm, k_top)  # validates every prefix
-        assert form.k == k_top, inst.name
+        forms = expansion_forms(norm, k_top)  # audits every prefix
+        assert len(forms) == k_top, inst.name
+        assert all(f.ok for f in forms), inst.name
 
 
 def test_criterion_3_sqrt2_headline(record_property):

@@ -1,6 +1,5 @@
 """Automata machinery: construction, minimization, equivalence, kernels."""
 
-import types
 from fractions import Fraction
 
 import pytest
@@ -63,12 +62,6 @@ def test_exceptions_only():
     assert m.accepts("1")
     for w in ("", "0", "10", "11"):
         assert not m.accepts(w)
-
-
-def test_pattern_object_with_attributes():
-    pat = types.SimpleNamespace(v0="1", v1="01", v2="")
-    m = from_patterns([pat], base=2)
-    assert m.accepts("10101") and not m.accepts("1010")
 
 
 def test_pattern_digit_outside_alphabet():

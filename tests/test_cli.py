@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import pathlib
 import sys
 import time
+import types
 
 import pytest
 
@@ -114,6 +116,14 @@ def test_bad_flag_value_exits_one(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["decide", "dfa", "analyze"])
+def test_window_below_the_word_minimum_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--alpha", "3/2", "--base", "2",
+                         "--window", "7")
+    assert code == 1 and out == ""
+    assert "--window must be at least 8" in err
+
+
 def test_nonregular_verdict_still_exits_zero(capsys):
     code, out, _ = run(capsys, "decide", "--alpha", "sqrt(2)",
                        "--beta", "0", "--base", "2")
@@ -123,7 +133,7 @@ def test_nonregular_verdict_still_exits_zero(capsys):
 
 def test_consistency_failure_exits_two(capsys, monkeypatch):
     """A certified-periodic r for an irrational slope is a bug, not a verdict."""
-    poisoned = PeriodicityVerdict.periodic(0, 2, None, certified=True)
+    poisoned = PeriodicityVerdict.periodic(0, 2, None)
     monkeypatch.setattr(cli, "detect_period", lambda norm, window: poisoned)
     code, _, err = run(capsys, "analyze", "--alpha", "sqrt(2)",
                        "--beta", "0", "--base", "2")
@@ -435,3 +445,109 @@ def test_batch_file_must_be_a_list(tmp_path, capsys):
     assert code == 1
     assert "array" in err
 
+
+
+# ---------------------------------------------------------------------------
+# one scenario path: flags, scenario files and batch entries resolve alike
+# ---------------------------------------------------------------------------
+
+
+EXAMPLE_SCENARIO = (
+    pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json"
+)
+_EXAMPLE = json.loads(EXAMPLE_SCENARIO.read_text())
+
+# per subcommand, fields that are all flags of that subcommand; fk and
+# analyze read theirs from the example file the README points to
+_FIELDS = {
+    "seq": {"alpha": "1", "beta": "0", "base": 2, "start": 2, "stop": 9},
+    "rk": {"alpha": "3/2", "base": 2, "kmax": 10},
+    "digits": {"alpha": "1+sqrt(2)", "base": 10, "count": 12},
+    "language": {"source": "periodic", "preperiod": "21", "period": "102",
+                 "base": 3, "nmax": 8},
+    "decide": {"source": "tm-blocks", "block_a": "10", "block_b": "02",
+               "base": 3, "window": 200},
+    "kernel": {"alpha": "1", "base": 2, "depth": 5, "prefix_len": 32},
+    "fk": {key: _EXAMPLE[key] for key in ("alpha", "beta", "base", "kmax")},
+    "dfa": {"alpha": "7/5", "base": 10, "window": 500},
+    "analyze": _EXAMPLE,
+}
+
+
+def _as_flags(fields):
+    names = {"start": "--from", "stop": "--to"}
+    argv = []
+    for key, value in fields.items():
+        argv += [names.get(key, "--" + key.replace("_", "-")), str(value)]
+    return argv
+
+
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    # analyze's timings are the only clock readings in any stdout
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+
+
+@pytest.mark.parametrize("command", sorted(_FIELDS))
+def test_flags_and_scenario_file_print_the_same_bytes(tmp_path, capsys,
+                                                      frozen_clock, command):
+    fields = _FIELDS[command]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(fields))
+    if command in ("fk", "analyze"):
+        path = EXAMPLE_SCENARIO
+    by_flags = run(capsys, command, *_as_flags(fields))
+    by_file = run(capsys, command, "--scenario", str(path))
+    assert by_flags[0] == 0 and by_flags[1]
+    assert by_flags == by_file
+
+
+def test_flags_win_over_batch_entries(tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([
+        {"alpha": "3/2", "base": 2, "window": 300},
+        {"alpha": "sqrt(2)", "base": 2, "kmax": 40},
+    ]))
+    code, out, _ = run(capsys, "analyze", "--batch", str(path),
+                       "--window", "50", "--kmax", "7", "--alpha", "5/3")
+    assert code == 0
+    echoes = [report["scenario"] for report in json.loads(out)]
+    assert [(e["alpha"], e["window"], e["kmax"]) for e in echoes] == [
+        ("5/3", 50, 7), ("5/3", 50, 7)
+    ]
+
+
+def test_batch_entries_take_the_scenario_file_place(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"beta": "1/3", "base": 3, "kmax": 30}))
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([
+        {"alpha": "3/2"},
+        {"alpha": "5/3", "beta": "0", "base": None},
+    ]))
+    code, out, _ = run(capsys, "analyze", "--scenario", str(scenario),
+                       "--batch", str(batch), "--kmax", "20")
+    assert code == 0
+    echoes = [report["scenario"] for report in json.loads(out)]
+    assert [(e["alpha"], e["beta"], e["base"], e["kmax"]) for e in echoes] == [
+        ("3/2", "1/3", 3, 20), ("5/3", "0", 3, 20)
+    ]
+
+
+def test_null_beta_counts_as_unset(tmp_path, capsys, frozen_clock):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"alpha": "3/2", "base": 2, "beta": None}))
+    with_null = run(capsys, "analyze", "--scenario", str(path))
+    assert with_null[0] == 0
+    assert json.loads(with_null[1])["scenario"]["beta"] == "0"
+    assert with_null == run(capsys, "analyze", "--alpha", "3/2", "--base", "2")
+
+
+@pytest.mark.parametrize("command", ["decide", "dfa", "analyze"])
+def test_null_window_takes_the_default(tmp_path, capsys, frozen_clock, command):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"alpha": "3/2", "base": 2, "window": None}))
+    with_null = run(capsys, command, "--scenario", str(path))
+    assert with_null[0] == 0
+    assert with_null == run(capsys, command, "--alpha", "3/2", "--base", "2",
+                            "--window", str(cli.DEFAULT_WINDOW))

@@ -10,7 +10,6 @@ from floorlog.exact import ExactReal
 from floorlog.jumpdigits import (
     RkRecord,
     certify_cycle,
-    check_expansion_forms,
     check_transitions,
     classify,
     classify_range,
@@ -155,7 +154,7 @@ def test_transitions_flag_mismatched_pair():
 
 
 def test_expansion_frozen_sqrt2():
-    form = check_expansion_forms(N_SQRT2, 7)
+    form = expansion_forms(N_SQRT2, 7)[-1]
     assert form.value == 53
     assert form.rendered == "110101"
     assert not form.decremented
@@ -164,13 +163,13 @@ def test_expansion_frozen_sqrt2():
 
 
 def test_expansion_three_halves():
-    form = check_expansion_forms(N_32, 4)
+    form = expansion_forms(N_32, 4)[-1]
     assert form.value == 5 and form.ok and form.rendered == "101"
 
 
 def test_expansion_decremented_branch():
     # k=1 of the 5/3 instance is case D with digit 0: audit adds 1 first
-    form = check_expansion_forms(N_53, 1)
+    form = expansion_forms(N_53, 1)[-1]
     assert form.decremented and form.value == 1 and form.candidates == (0, 2)
     assert form.ok
     assert all(f.ok for f in expansion_forms(N_53, 60))

@@ -57,7 +57,6 @@ def rk_source(alpha, beta, base):
 def test_rk_source_three_halves_digits():
     src = rk_source("3/2", 0, 2)
     assert src.prefix(8) == (1, 0, 1, 0, 1, 0, 1, 0)
-    assert src.alphabet_bound == 3
     assert "base 2" in src.label()
 
 

@@ -182,7 +182,6 @@ def test_decide_d_rational_needs_certified_periodic_r_verdict():
     for bad in [
         PeriodicityVerdict.inconclusive(12),
         PeriodicityVerdict.aperiodic_by_theorem("wrong side"),
-        replace(rv, certified=False),
         replace(rv, certificate=None),
         detect_period(norm_of("5/3", 0, 2), 12),  # another slope's verdict
     ]:
