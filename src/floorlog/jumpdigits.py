@@ -24,7 +24,9 @@ is rational, a theorem-backed refusal when alpha is an irrational surd.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 
 from .exact import over_common_denominator
@@ -69,8 +71,8 @@ def r_recur(norm: NormalizedInstance, k: int) -> int:
     return c(k + 1) - norm.base * c(k)
 
 
-def r_stream(norm: NormalizedInstance, k_max: int) -> list[int]:
-    """First k_max terms of r by the fractional-remainder machine.
+def r_digits(norm: NormalizedInstance) -> Iterator[int]:
+    """The terms r_1, r_2, ... of r, generated by the fractional-remainder machine.
 
     Carries g_k = frac((base^k - beta)/alpha) across steps:
     z = base*g + (base-1)*frac(beta/alpha), r_k = floor(z), next g = frac(z).
@@ -82,8 +84,8 @@ def r_stream(norm: NormalizedInstance, k_max: int) -> list[int]:
     s' = base*s + floor(tau*sqrt(d)) + delta with 0 <= delta <= base, and R'
     follows from R with small multipliers; delta is found by stepping s' up
     while R' >= 2s' + 1.  A step therefore costs a bounded number of linear-time
-    operations on numbers of about k*log2(base) bits, and k_max = 10^4 on a
-    surd takes a fraction of a second.  Where B is zero or changes sign
+    operations on numbers of about k*log2(base) bits, and 10^4 terms of a
+    surd take a fraction of a second.  Where B is zero or changes sign
     (at most once, since B moves monotonically away from its fixed point)
     one exact isqrt restarts the spigot.  A rational stream is the same
     loop with B = 0.
@@ -111,8 +113,7 @@ def r_stream(norm: NormalizedInstance, k_max: int) -> list[int]:
         spigot[sign] = (tau * d, u, tau * tau * d - u * u)
     s = floor_root(abs(rad))
     rem = rad * rad * d - s * s
-    out = []
-    for _ in range(k_max):
+    while True:
         num = b * a + shift
         rad_next = b * rad + t
         if rad and rad_next and (rad > 0) == (rad_next > 0):
@@ -131,9 +132,13 @@ def r_stream(norm: NormalizedInstance, k_max: int) -> list[int]:
             r = (num - s - 1) // den
         else:
             r = num // den
-        out.append(r)
+        yield r
         a, rad = num - r * den, rad_next
-    return out
+
+
+def r_stream(norm: NormalizedInstance, k_max: int) -> list[int]:
+    """First k_max terms of r_digits(norm)."""
+    return list(islice(r_digits(norm), k_max))
 
 
 def r_from_jumps(jumps: JumpData, base: int) -> list[int]:
@@ -145,21 +150,13 @@ def r_from_jumps(jumps: JumpData, base: int) -> list[int]:
 # threshold tests and classification
 
 
-@dataclass(frozen=True)
-class PropositionPk:
-    """Outcome of the exact threshold test at index k."""
-
-    k: int
-    holds: bool
-
-
-def eval_Pk(norm: NormalizedInstance, k: int) -> PropositionPk:
+def eval_Pk(norm: NormalizedInstance, k: int) -> bool:
     """Decide frac(base^k/alpha) >= frac(beta/alpha) exactly."""
     if k < 0:
         raise ValueError("k must be >= 0")
     lhs = ((norm.base**k) / norm.alpha).frac()
     rhs = (norm.beta / norm.alpha).frac()
-    return PropositionPk(k=k, holds=lhs >= rhs)
+    return lhs >= rhs
 
 
 def inverse_slope_digits(norm: NormalizedInstance) -> DigitStream:
@@ -203,8 +200,8 @@ def classify(norm: NormalizedInstance, k: int) -> RkRecord:
     """Classify index k and assert the case formula against r_direct."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pk = eval_Pk(norm, k).holds
-    pk1 = eval_Pk(norm, k + 1).holds
+    pk = eval_Pk(norm, k)
+    pk1 = eval_Pk(norm, k + 1)
     digit = inverse_slope_digits(norm).digit(k + 1)
     r = r_direct(norm, k)
     # RkRecord.__post_init__ raises if r disagrees with the case formula

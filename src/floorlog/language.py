@@ -21,10 +21,12 @@ empirical match over any finite window is never promoted to a verdict.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 from .automata import Dfa, from_patterns
-from .jumpdigits import PeriodicityVerdict, detect_period, minimize_cycle, r_stream
+from .jumpdigits import PeriodicityVerdict, detect_period, minimize_cycle, r_digits
 from .numeration import as_digits, from_word, to_word, word_str
 from .sequences import ConsistencyError, NormalizedInstance, jump_positions
 
@@ -44,21 +46,38 @@ def _value(word: Word, base: int) -> int:
 class DigitSource:
     """A (finite or infinite) stream of digits with optional periodicity proof.
 
-    Subclasses provide random access via digit(i) and answer periodicity
-    questions about themselves.  The honesty contract: periodicity() may
-    return a certified verdict only when the subclass can actually prove
-    it, structurally or by the rational/irrational dichotomy.
+    Subclasses yield their digits in order from _generate(), which a finite
+    stream simply ends, and answer periodicity questions about themselves.
+    This class pulls those digits into one buffer, only as far as digit(i)
+    and prefix(count) ask.  The honesty contract: periodicity() may return
+    a certified verdict only when the subclass can actually prove it,
+    structurally or by the rational/irrational dichotomy.
     """
 
-    def digit(self, i: int) -> int:
+    def __init__(self):
+        self._buffer: list[int] = []
+        self._pending = self._generate()
+
+    def _generate(self) -> Iterator[int]:
         raise NotImplementedError
 
-    def prefix(self, count: int) -> Word:
-        return tuple(self.digit(i) for i in range(count))
+    def _fill(self, count: int) -> None:
+        missing = count - len(self._buffer)
+        if missing > 0:
+            self._buffer.extend(islice(self._pending, missing))
 
-    def limit(self) -> int | None:
-        """Largest defined index, or None for an unbounded stream."""
-        return None
+    def digit(self, i: int) -> int:
+        if i < 0:
+            raise IndexError("digit index must be nonnegative")
+        self._fill(i + 1)
+        if i >= len(self._buffer):
+            raise IndexError(f"index {i} past the end of the stream")
+        return self._buffer[i]
+
+    def prefix(self, count: int) -> Word:
+        """The first count digits, or all of them if the stream is shorter."""
+        self._fill(count)
+        return tuple(self._buffer[:count])
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
         raise NotImplementedError
@@ -78,6 +97,8 @@ class RkDigitSource(DigitSource):
     Position 0 carries the first jump count c_1; position i >= 1 carries
     the digit r_i.  Folding these through the base reproduces the jump
     counts themselves: w_k = c_{k+1}.  Digits stay below 2*base - 1.
+    The r digits come from one live r_digits generator, so serving n
+    digits computes n - 1 of them.
 
     periodicity() shifts the instance's r verdict onto the stream and keeps
     the result per window.  That r verdict is the handed r_verdict
@@ -88,26 +109,18 @@ class RkDigitSource(DigitSource):
     def __init__(self, norm: NormalizedInstance, r_verdict=None):
         self.norm = norm
         self._r_verdict = r_verdict
-        lead = jump_positions(norm, 1).at(1)
-        if lead > 2 * norm.base - 2:
+        self._lead = jump_positions(norm, 1).at(1)
+        if self._lead > 2 * norm.base - 2:
             raise ConsistencyError(
-                f"leading jump count {lead} exceeds the digit bound "
+                f"leading jump count {self._lead} exceeds the digit bound "
                 f"{2 * norm.base - 2}"
             )
-        self._digits: list[int] = [lead]
         self._verdicts: dict[int, PeriodicityVerdict] = {}
+        super().__init__()
 
-    def _ensure(self, count: int) -> None:
-        if len(self._digits) >= count:
-            return
-        k_max = max(count, 2 * len(self._digits), 16)
-        self._digits[1:] = r_stream(self.norm, k_max)
-
-    def digit(self, i: int) -> int:
-        if i < 0:
-            raise IndexError("digit index must be nonnegative")
-        self._ensure(i + 1)
-        return self._digits[i]
+    def _generate(self) -> Iterator[int]:
+        yield self._lead
+        yield from r_digits(self.norm)
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
         if window not in self._verdicts:
@@ -141,13 +154,12 @@ class PeriodicDigitSource(DigitSource):
             raise ValueError("period block must be nonempty")
         if any(d < 0 for d in self.preperiod + self.period):
             raise ValueError("digits must be nonnegative")
+        super().__init__()
 
-    def digit(self, i: int) -> int:
-        if i < 0:
-            raise IndexError("digit index must be nonnegative")
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
+    def _generate(self) -> Iterator[int]:
+        yield from self.preperiod
+        while True:
+            yield from self.period
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
         return self._minimized_cover(len(self.preperiod), len(self.period))
@@ -168,14 +180,10 @@ class ExplicitDigitSource(DigitSource):
             raise ValueError("explicit word must be nonempty")
         if any(d < 0 for d in self.word):
             raise ValueError("digits must be nonnegative")
+        super().__init__()
 
-    def digit(self, i: int) -> int:
-        if not 0 <= i < len(self.word):
-            raise IndexError(f"index {i} outside the explicit word")
-        return self.word[i]
-
-    def limit(self) -> int | None:
-        return len(self.word) - 1
+    def _generate(self) -> Iterator[int]:
+        yield from self.word
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
         # a finite prefix proves nothing about the tail either way
@@ -204,17 +212,11 @@ class ThueMorseBlockSource(DigitSource):
             raise ValueError("both blocks must be nonempty")
         if any(d < 0 for d in self.block_a + self.block_b):
             raise ValueError("digits must be nonnegative")
-        self._buf: list[int] = []
-        self._blocks_done = 0
+        super().__init__()
 
-    def digit(self, i: int) -> int:
-        if i < 0:
-            raise IndexError("digit index must be nonnegative")
-        while len(self._buf) <= i:
-            odd = self._blocks_done.bit_count() & 1
-            self._buf.extend(self.block_b if odd else self.block_a)
-            self._blocks_done += 1
-        return self._buf[i]
+    def _generate(self) -> Iterator[int]:
+        for m in count():
+            yield from self.block_b if m.bit_count() & 1 else self.block_a
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
         if self.block_a == self.block_b:
@@ -278,9 +280,8 @@ def words(
         raise ValueError("base must be at least 2")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    top = n_max if src.limit() is None else min(n_max, src.limit())
-    lead = src.digit(0)
-    if lead == 0 and not allow_zero_start:
+    stream = src.prefix(n_max + 1)
+    if stream[0] == 0 and not allow_zero_start:
         raise ValueError(
             "stream starts with digit 0; pass allow_zero_start=True to "
             "read it by value anyway"
@@ -289,8 +290,7 @@ def words(
     rendered = []
     value = 0
     digits: list[int] = []  # canonical rendering of value; [] while it is 0
-    for n in range(top + 1):
-        u = lead if n == 0 else src.digit(n)
+    for u in stream:
         value = value * base + u
         digits.append(u)
         i = len(digits) - 1
@@ -305,7 +305,9 @@ def words(
             digits.clear()  # a zero start appends zero digits to nothing
         values.append(value)
         rendered.append(tuple(digits) or (0,))
-    return LanguageWords(base, tuple(values), tuple(rendered), top, src.label())
+    return LanguageWords(
+        base, tuple(values), tuple(rendered), len(stream) - 1, src.label()
+    )
 
 
 @dataclass(frozen=True)
@@ -366,17 +368,14 @@ def length_claim_for_source(
         raise ValueError("base must be at least 2")
     if n_max < 1:
         raise ValueError("need at least two words to compare lengths")
-    top = n_max if src.limit() is None else min(n_max, src.limit())
-    # one bulk request up front; per-digit calls would make buffered
-    # sources regrow geometrically past the point actually needed
-    src.digit(top)
-    value = src.digit(0)
+    stream = src.prefix(n_max + 1)
+    value = stream[0]
     first = len(to_word(value, base))
     lengths = [first]
     power = base**first
     current = first
-    for n in range(1, top + 1):
-        value = value * base + src.digit(n)
+    for u in stream[1:]:
+        value = value * base + u
         while value >= power:
             power *= base
             current += 1
@@ -400,12 +399,6 @@ class PatternCandidate:
     period: int
     residue: int
     anchor: int
-
-    def describe(self) -> str:
-        return (
-            f"{word_str(self.v0)} ({word_str(self.v1)})^m {word_str(self.v2)}"
-            f" from n={self.anchor}"
-        )
 
 
 def _family_consistent(
@@ -526,9 +519,6 @@ class CertifiedPattern:
         if m < 0:
             raise ValueError("m must be nonnegative")
         return self.v0 + self.v1 * m + self.v2
-
-    def value_for(self, m: int) -> int:
-        return _value(self.word_for(m), self.base)
 
     def describe(self) -> str:
         return (
@@ -670,23 +660,6 @@ class RegularityVerdict:
     def inconclusive(cls, window, evidence):
         return cls("Inconclusive", window=window, evidence=dict(evidence))
 
-    def summary(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "Regular":
-            out["dfa_states"] = self.dfa.num_states
-            out["patterns"] = [p.describe() for p in self.patterns]
-            out["exceptions"] = [word_str(w) for w in self.exceptions]
-            out["stream_period"] = self.certificate.period
-            out["stream_preperiod"] = self.certificate.preperiod
-        elif self.kind == "NonRegular":
-            out["reason"] = self.certificate.reason
-        else:
-            out["window"] = self.window
-            out["evidence"] = {
-                k: v for k, v in self.evidence.items() if isinstance(k, str)
-            }
-        return out
-
 
 def _pattern_scan_evidence(lw: LanguageWords, max_period: int = 8) -> dict:
     found = {}
@@ -726,7 +699,6 @@ def decide_regularity(
         return RegularityVerdict.non_regular(verdict)
 
     lw = words(src, base, window, allow_zero_start=True)
-    length_report = verify_length_claim(lw)
 
     if verdict.kind == "Periodic":
         if lw.values[-1] == 0:
@@ -759,7 +731,7 @@ def decide_regularity(
                             f"{residue} mod {q} admitted no certifiable "
                             f"pattern inside the window"
                         ),
-                        "length_claim": length_report,
+                        "length_claim": verify_length_claim(lw),
                     },
                 )
             patterns.append(pattern)
@@ -779,7 +751,7 @@ def decide_regularity(
         window,
         {
             "note": "stream has no certificate either way",
-            "length_claim": length_report,
+            "length_claim": verify_length_claim(lw),
             "pattern_scan": _pattern_scan_evidence(lw),
         },
     )

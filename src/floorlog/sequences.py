@@ -39,6 +39,12 @@ class FloorLogInstance:
             raise TypeError("alpha and beta must be ExactReal")
         if self.alpha.sign() <= 0:
             raise ValueError("alpha must be positive")
+        radicands = {self.alpha.radicand, self.beta.radicand} - {1}
+        if len(radicands) > 1:
+            d1, d2 = sorted(radicands)
+            raise ValueError(
+                f"alpha and beta must share one radicand, got sqrt({d1}) and sqrt({d2})"
+            )
 
     @property
     def n_min(self) -> int:

@@ -81,6 +81,22 @@ def test_overlong_integer_literal_is_usage_error(capsys, template):
     assert "too long" in err and "Traceback" not in err
 
 
+_MIXED_RADICANDS = ["--alpha", "sqrt(2)", "--beta", "1/3*sqrt(3)", "--base", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["rk"], ["fk"], ["kernel"], ["dfa"], ["digits"],
+    ["decide", "--source", "rk"], ["language", "--source", "rk"],
+], ids=lambda argv: " ".join(argv))
+def test_mixed_radicands_are_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, *_MIXED_RADICANDS)
+    assert code == 1 and out == ""
+    assert err == (
+        "floorlog: error: alpha and beta must share one radicand, "
+        "got sqrt(2) and sqrt(3)\n"
+    )
+
+
 _SOURCE_FLAGS = {
     "rk": ["--alpha", "3/2", "--beta", "0", "--base", "2"],
     "periodic": ["--preperiod", "21", "--period", "102", "--base", "3"],
@@ -95,6 +111,47 @@ def test_stream_commands_share_source_flags(capsys, command, source):
     code, out, _ = run(capsys, command, "--source", source, *_SOURCE_FLAGS[source])
     assert code == 0
     assert json.loads(out)
+
+
+# sha256 of stdout, computed before the digit sources shared one buffer
+_STREAM_STDOUT_SHA256 = {
+    ("language", "explicit"): "a55bc8d9e679cbe549695b8031a9db438d643a89c8f26588fb77944e85865da9",
+    ("language", "periodic"): "943ebb1064fd3ca168aad964940cf65bb32c26f11c536a0e092b64eea3b59a10",
+    ("language", "rk"): "e3b2d356f65da7bde0db7dbe329eaf3f887cfcab235dd07aec6742ae40c265ba",
+    ("language", "tm-blocks"): "23b7ad03c2811cfd1fc43c3db0b60a52627546e08b54a49d62d43ad69d17846c",
+    ("decide", "explicit"): "2a7f6411e1658d20a2a20946798ff4339e84bb8fac4231fe0e5d3586a58003f6",
+    ("decide", "periodic"): "6167bcf14e00841a007fb07176774ec459afa142d1598893f65bdad20f5c01a1",
+    ("decide", "rk"): "5a0f6f3327e16618ae5f933f1499fabc2d40b7afadbe7d58ffc8b79564563480",
+    ("decide", "tm-blocks"): "fe9abce78d754c1582f2efcb1c7642100a143e0fc59277e63d53f9657bfe4f2a",
+}
+
+
+@pytest.mark.parametrize("command, source", sorted(_STREAM_STDOUT_SHA256))
+def test_stream_command_output_is_pinned(capsys, command, source):
+    code, out, _ = run(capsys, command, "--source", source, *_SOURCE_FLAGS[source])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _STREAM_STDOUT_SHA256[command, source]
+
+
+_DFA_FLAGS = {
+    "3/2": ["--alpha", "3/2", "--base", "2"],
+    "7/5+1/3": ["--alpha", "7/5", "--beta", "1/3", "--base", "10"],
+}
+_DFA_STDOUT_SHA256 = {
+    ("3/2", ()): "fe0bed0c7dffec02d6f9e5c1011e177885fe8328830a5ef7174e2c30e0d40c8a",
+    ("3/2", ("--dot",)): "585c55dc775818d399a29bdd13c3fcb6f7cf5d357bcd9fbdd40b70d962473deb",
+    ("7/5+1/3", ()): "81fa1c5fdcc31e4f9e2350f3452f4c40745c2092aa4ece3739163585a6102831",
+    ("7/5+1/3", ("--dot",)): "11c592b6404c540e656794642231452279398c3eacf34cb5faf0b69835f969b3",
+}
+
+
+@pytest.mark.parametrize("instance, extra", sorted(_DFA_STDOUT_SHA256))
+def test_dfa_output_is_pinned(capsys, instance, extra):
+    code, out, _ = run(capsys, "dfa", *_DFA_FLAGS[instance], *extra)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _DFA_STDOUT_SHA256[instance, extra]
 
 
 def test_analyze_has_no_nmax_flag(capsys):

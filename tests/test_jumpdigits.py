@@ -98,12 +98,12 @@ def test_r_rejects_bad_k():
 
 def test_threshold_test_frozen():
     # beta = 0 makes the right-hand side zero, so the test always passes
-    assert all(eval_Pk(N_SQRT2, k).holds for k in range(0, 11))
-    assert all(eval_Pk(N_32, k).holds for k in range(0, 11))
+    assert all(eval_Pk(N_SQRT2, k) for k in range(0, 11))
+    assert all(eval_Pk(N_32, k) for k in range(0, 11))
     # frac(4/3) = 1/3 against frac(2/3) = 2/3 fails; one step later it holds
     n = norm_of("3/2", 1, 2)
-    assert not eval_Pk(n, 1).holds
-    assert eval_Pk(n, 2).holds
+    assert not eval_Pk(n, 1)
+    assert eval_Pk(n, 2)
 
 
 def test_classify_frozen_sqrt2():

@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorlog import language
+from floorlog import jumpdigits, language
 from floorlog.automata import trie_dfa, equivalent, equivalent_to_length
 from floorlog.battery import by_name
 from floorlog.exact import ExactReal
@@ -160,6 +160,27 @@ def test_rk_source_shifts_a_handed_r_verdict(monkeypatch, alpha, beta, base):
     derived = RkDigitSource(norm).periodicity(1000)
     monkeypatch.setattr(language, "detect_period", None)  # must not be called
     assert RkDigitSource(norm, r_verdict).periodicity(1000) == derived
+
+
+@pytest.mark.parametrize("alpha, beta, base", [("7/5", "1/3", 10), ("sqrt(2)", 0, 2)])
+def test_rk_source_computes_each_jump_digit_once(monkeypatch, alpha, beta, base):
+    computed = []
+
+    def counted(norm):
+        for r in jumpdigits.r_digits(norm):
+            computed.append(r)
+            yield r
+
+    monkeypatch.setattr(language, "r_digits", counted)
+    norm = norm_of(alpha, beta, base)
+    src = RkDigitSource(norm)
+    # grow digit by digit, then in bulk, then through words and back
+    for i in range(501):
+        src.digit(i)
+    assert src.prefix(1001)[1:] == tuple(jumpdigits.r_stream(norm, 1000))
+    words(src, base, 1000, allow_zero_start=True)
+    src.digit(1000)
+    assert len(computed) == 1000
 
 
 def test_tm_source_periodicity_variants():
@@ -335,7 +356,7 @@ def test_certified_pattern_replays_against_source():
             value = 2 * value + src.digit(i)
             m, extra = divmod(i - pat.anchor, pat.period)
             if i >= pat.anchor and extra == 0:
-                assert pat.value_for(m) == value
+                assert from_word(pat.word_for(m), 2) == value
 
 
 def test_certify_rejects_wrong_split_at_constant_identity():
@@ -403,8 +424,7 @@ def test_decide_three_halves_regular():
     # enumerated length it must
     ok, witness = equivalent_to_length(verdict.dfa, trie_dfa(enum.words, 2), 40)
     assert ok, witness
-    summary = verdict.summary()
-    assert summary["kind"] == "Regular" and summary["dfa_states"] >= 3
+    assert verdict.kind == "Regular" and verdict.dfa.num_states >= 3
 
 
 def test_decide_alpha_one_language_is_one_zero_star():
@@ -430,32 +450,36 @@ def test_decide_tm_blocks_nonregular():
 
 
 class _CountingThueMorse(ThueMorseBlockSource):
-    def __init__(self, block_a, block_b):
-        super().__init__(block_a, block_b)
-        self.digit_calls = 0
+    """Counts the digits pulled from the stream's generator."""
 
-    def digit(self, i):
-        self.digit_calls += 1
-        return super().digit(i)
+    def __init__(self, block_a, block_b):
+        self.digits_pulled = 0
+        super().__init__(block_a, block_b)
+
+    def _generate(self):
+        for d in super()._generate():
+            self.digits_pulled += 1
+            yield d
 
 
 def test_decide_renders_no_words_for_certified_aperiodic_sources(monkeypatch):
     tm = _CountingThueMorse("10", "02")
     assert decide_regularity(tm, 2).kind == "NonRegular"
-    assert tm.digit_calls == 0
+    assert tm.digits_pulled == 0
+    # the counter sees the digits that rendering words would pull
+    words(tm, 2, 9)
+    assert tm.digits_pulled == 10
 
     def no_words(*args, **kwargs):
         raise AssertionError("words rendered for a certified aperiodic stream")
 
     monkeypatch.setattr(language, "words", no_words)
-    summary = decide_regularity(rk_source("sqrt(2)", 0, 2), 2).summary()
-    assert summary == {
-        "kind": "NonRegular",
-        "reason": (
-            "alpha is an irrational quadratic surd; the jump-digit sequence "
-            "has an ultimately periodic tail exactly when alpha is rational"
-        ),
-    }
+    verdict = decide_regularity(rk_source("sqrt(2)", 0, 2), 2)
+    assert verdict.kind == "NonRegular"
+    assert verdict.certificate.reason == (
+        "alpha is an irrational quadratic surd; the jump-digit sequence "
+        "has an ultimately periodic tail exactly when alpha is rational"
+    )
 
 
 def test_decide_rejects_base_below_two_before_periodicity():
@@ -468,7 +492,7 @@ def test_decide_explicit_inconclusive_with_evidence():
     assert verdict.kind == "Inconclusive"
     assert "note" in verdict.evidence
     assert "pattern_scan" in verdict.evidence
-    assert verdict.summary()["kind"] == "Inconclusive"
+    assert "length_claim" in verdict.evidence
 
 
 def test_decide_tm_unequal_blocks_inconclusive():
@@ -574,7 +598,7 @@ def test_certified_patterns_replay_for_random_sources(case):
             value = base * value + src.digit(i)
             m, extra = divmod(i - pat.anchor, pat.period)
             if i >= pat.anchor and extra == 0:
-                assert pat.value_for(m) == value
+                assert from_word(pat.word_for(m), base) == value
 
 
 def assert_renders_like_oracle(src, base, n_max):

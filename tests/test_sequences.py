@@ -160,6 +160,11 @@ def test_instance_validation():
         inst("-3/2", 0, 2)
     with pytest.raises(ValueError):
         inst(1, 0, 1)
+    with pytest.raises(ValueError, match=r"sqrt\(2\) and sqrt\(3\)"):
+        inst("sqrt(2)", "1/3*sqrt(3)", 10)
+    # one radicand, or a rational partner, is fine
+    inst("sqrt(2)", "1/3*sqrt(8)", 10)
+    inst("3/2", "sqrt(3)", 10)
     with pytest.raises(ConsistencyError):
         NormalizedInstance(ExactReal(3), ExactReal(0), 2)
 
