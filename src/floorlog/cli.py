@@ -285,7 +285,7 @@ def _alignment_payload(alignment):
         "threshold": alignment.threshold,
         "checked_to": alignment.checked_to,
         "mismatches": list(alignment.mismatches),
-        "also_valid": list(alignment.also_valid),
+        "also_valid": [],  # kept until the floorlog-report/3 bump
         "ok": alignment.ok,
         "note": alignment.note,
     }
@@ -360,7 +360,7 @@ def _cmd_digits(fields) -> int:
             "alpha": str(norm.alpha),
             "base": norm.base,
             "value": "frac(1/alpha)",
-            "digits": inverse_slope_digits(norm).prefix(count),
+            "digits": inverse_slope_digits(norm, count),
         }
     )
     return 0
@@ -404,8 +404,7 @@ def _cmd_fk(fields) -> int:
     norm = _normalized(fields)
     kmax = _positive_int(fields, "kmax", 60)
     lc = f_counts(norm, kmax)
-    jumps = jump_positions(norm, kmax + 12)
-    alignment = align_m0(lc, jumps)
+    alignment = align_m0(lc, jump_positions(norm, kmax + 1))
     payload = {
         "k_min": lc.k_min,
         "k_max": lc.k_max,
@@ -509,7 +508,7 @@ def run_analyze(scenario: dict) -> dict:
     t0 = clock()
     fk_top = min(kmax, 60)
     lc = f_counts(norm, fk_top)
-    alignment = align_m0(lc, jump_positions(norm, fk_top + 12))
+    alignment = align_m0(lc, jump_positions(norm, fk_top + 1))
     d_verdict = decide_d_periodicity(norm, min(kmax, 400), r_verdict)
     timings["level_counts"] = clock() - t0
 

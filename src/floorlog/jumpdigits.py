@@ -30,7 +30,7 @@ from itertools import islice
 from math import isqrt
 
 from .exact import over_common_denominator
-from .numeration import DigitStream, to_word, word_str
+from .numeration import digit_stream, to_word, word_str
 from .sequences import ConsistencyError, JumpData, NormalizedInstance, jump_positions
 
 _TAG_BY_TESTS = {
@@ -159,9 +159,9 @@ def eval_Pk(norm: NormalizedInstance, k: int) -> bool:
     return lhs >= rhs
 
 
-def inverse_slope_digits(norm: NormalizedInstance) -> DigitStream:
-    """Digit stream of frac(1/alpha) in the instance base."""
-    return DigitStream((1 / norm.alpha).frac(), norm.base)
+def inverse_slope_digits(norm: NormalizedInstance, count: int) -> list[int]:
+    """First count digits of frac(1/alpha) in the instance base."""
+    return digit_stream((1 / norm.alpha).frac(), norm.base, count)
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def classify(norm: NormalizedInstance, k: int) -> RkRecord:
         raise ValueError("k must be >= 1")
     pk = eval_Pk(norm, k)
     pk1 = eval_Pk(norm, k + 1)
-    digit = inverse_slope_digits(norm).digit(k + 1)
+    digit = inverse_slope_digits(norm, k + 1)[k]
     r = r_direct(norm, k)
     # RkRecord.__post_init__ raises if r disagrees with the case formula
     return RkRecord(

@@ -140,8 +140,8 @@ class RkDigitSource(DigitSource):
         )
 
     def label(self) -> str:
-        d = self.norm.describe()
-        return f"jump digits of {d['alpha']}, {d['beta']} in base {self.norm.base}"
+        norm = self.norm
+        return f"jump digits of {norm.alpha}, {norm.beta} in base {norm.base}"
 
 
 class PeriodicDigitSource(DigitSource):

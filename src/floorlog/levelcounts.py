@@ -13,12 +13,12 @@ alone, from one common-denominator form each:
     from its definition, in a different form from the primary route.
 
 f is deliberately not read off jump_positions: align_m0 compares f_k with
-the jump differences c_{k+m0+1} - c_{k+m0}, and that comparison is only a
-check while f comes from somewhere else.  The derived sequence
-d_k = f_{k+1} - base*f_k mirrors the jump-digit differences on an aligned
-tail, and its ultimate periodicity is decided with the same modular-orbit
-machinery, extended to cover instances where crossings land on integers
-forever; the cover and the tail check come from the r certificate.
+the jump gaps c_{k+1} - c_k, and that comparison is only a check while f
+comes from somewhere else.  The derived sequence d_k = f_{k+1} - base*f_k
+mirrors the jump-digit differences r_{k+1} - r_k on an aligned tail, and
+its ultimate periodicity is decided with the same modular-orbit machinery,
+extended to cover instances where crossings land on integers forever; the
+cover and the tail check come from the r certificate.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class LevelCounts:
     f maps level k to its count for k_min <= k <= k_max; negative levels
     (argument still below 1) are included.  enum_verified_to is the highest
     level whose count was independently confirmed by brute enumeration;
-    m0 and alignment are filled in by align_m0.
+    alignment is filled in by align_m0.
     """
 
     norm: NormalizedInstance
@@ -92,7 +92,6 @@ class LevelCounts:
     k_max: int
     f: dict[int, int]
     enum_verified_to: int | None = None
-    m0: int | None = None
     alignment: "AlignmentResult | None" = None
 
     def at(self, k: int) -> int:
@@ -152,19 +151,18 @@ def f_counts(norm: NormalizedInstance, k_max: int, enum_cap: int = 2000) -> Leve
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Outcome of matching level counts against jump-position differences.
+    """Outcome of matching level counts against jump gaps.
 
-    m0 is the least offset with f_k = c_{k+m0+1} - c_{k+m0} on the tail of
-    the computed range (None when nothing aligns: either the range is too
-    short or crossings keep landing on integers, which shifts single
-    endpoints forever).  threshold is the first k of the verified tail;
-    also_valid flags any larger offsets that validate too.
+    m0 is the offset of the tie f_k = c_{k+m0+1} - c_{k+m0} on the tail of
+    the computed range: 0 when it holds there, None when it does not
+    (either the range is too short or crossings keep landing on integers,
+    which shifts single endpoints forever).  threshold is the first k of
+    the verified tail.
     """
 
     m0: int | None
     threshold: int | None
     checked_to: int
-    also_valid: tuple[int, ...] = ()
     mismatches: tuple[int, ...] = ()
     note: str = ""
 
@@ -174,45 +172,43 @@ class AlignmentResult:
 
 
 def align_m0(lc: LevelCounts, jd: JumpData) -> AlignmentResult:
-    """Find the least offset aligning counts with jump differences.
+    """Check f_k = c_{k+1} - c_k on a tail of k = 1..min(lc.k_max, jd.k_max - 1).
 
-    An offset is accepted when the identity holds on the entire second half
-    of the comparable range, i.e. violations, if any, are confined to a
+    On a normalized instance the tie can only sit at offset 0.  For k >= 1
+    level k starts at L_k = c_k + 1 - h_k, where h_k = 1 exactly when
+    (base^k - beta)/alpha is an integer, so
+
+        f_k - (c_{k+1} - c_k) = h_k - h_{k+1},
+
+    and a gap c_{k+m+1} - c_{k+m} with m >= 1 overshoots f_k by more than
+    base^k (base-1)^2 / alpha - 3, which is positive for every k >= 3
+    because alpha < base.  An offset m >= 1 would thus mismatch at every
+    k >= 3, the top compared level included, and could never be accepted.
+
+    The tie is accepted when it holds on the entire second half of a range
+    of at least 6 levels, i.e. mismatches, if any, are confined to a
     prefix; the threshold where the clean tail starts is reported rather
     than assumed.  Negative and zero levels never take part.  The result is
     also recorded on lc.
     """
-    # gaps[j] = c_{j+2} - c_{j+1}, so f_k pairs with gaps[k + m0 - 1]
-    gaps = [y - x for x, y in zip(jd.c, jd.c[1:])]
-    counts = [lc.f[k] for k in range(1, min(lc.k_max, jd.k_max - 1) + 1)]
-    found: list[tuple[int, int, tuple[int, ...]]] = []
-    for m0 in range(0, max(0, min(8, jd.k_max - 3)) + 1):
-        k_top = min(lc.k_max, jd.k_max - m0 - 1)
-        if k_top < 6:
-            continue
-        bad = tuple(
-            k for k, (x, y) in enumerate(zip(counts, gaps[m0 : m0 + k_top]), 1)
-            if x != y
-        )
-        if not bad or bad[-1] <= k_top // 2:
-            found.append((m0, k_top, bad))
-    if not found:
-        k_top = min(lc.k_max, jd.k_max - 1)
+    k_top = min(lc.k_max, jd.k_max - 1)
+    # c[k] - c[k - 1] = c_{k+1} - c_k, since jd.c[0] is c_1
+    bad = tuple(
+        k for k in range(1, k_top + 1) if lc.f[k] != jd.c[k] - jd.c[k - 1]
+    )
+    if k_top < 6 or (bad and bad[-1] > k_top // 2):
         result = AlignmentResult(
             m0=None, threshold=None, checked_to=max(k_top, 0),
             note="no offset aligns on this range: too short, or exact "
                  "integer crossings recur and keep shifting single endpoints",
         )
     else:
-        m0, k_top, bad = found[0]
         result = AlignmentResult(
-            m0=m0,
+            m0=0,
             threshold=(bad[-1] + 1) if bad else 1,
             checked_to=k_top,
-            also_valid=tuple(m for m, _, _ in found[1:]),
             mismatches=bad,
         )
-    lc.m0 = result.m0
     lc.alignment = result
     return result
 
@@ -221,19 +217,18 @@ def d_seq(lc: LevelCounts) -> SeqSlice:
     """d_k = f_{k+1} - base*f_k for k from max(0, k_min) to k_max - 1.
 
     When lc has been aligned, the aligned tail is cross-checked against the
-    jump-digit differences r_{k+m0+1} - r_{k+m0}; any mismatch raises
+    jump-digit differences r_{k+1} - r_k; any mismatch raises
     ConsistencyError, since both sides are exact.
     """
     b = lc.norm.base
     start = max(0, lc.k_min)
     values = tuple(lc.f[k + 1] - b * lc.f[k] for k in range(start, lc.k_max))
     slice_ = SeqSlice(start=start, values=values)
-    if lc.m0 is not None:
-        m0 = lc.m0
+    if lc.alignment is not None and lc.alignment.ok:
         t = max(lc.alignment.threshold, start, 1)
-        r_vals = r_stream(lc.norm, lc.k_max + m0 + 1)
+        r_vals = r_stream(lc.norm, lc.k_max + 1)
         for k in range(t, lc.k_max):
-            want = r_vals[k + m0] - r_vals[k + m0 - 1]
+            want = r_vals[k] - r_vals[k - 1]
             if slice_.at(k) != want:
                 raise ConsistencyError(
                     f"d_{k} = {slice_.at(k)} but jump digits predict {want}"
@@ -276,10 +271,9 @@ def decide_d_periodicity(
     d_slice = d_seq(lc)  # runs the aligned-tail cross-check internally
     d_list = [d_slice.at(k) for k in range(1, span + 1)]
 
-    if lc.m0 is not None:
-        m0 = lc.m0
+    if lc.alignment.ok:
         for k in range(lc.alignment.threshold, span + 1):
-            if cert_r.predict(k + m0 + 1) - cert_r.predict(k + m0) != d_list[k - 1]:
+            if cert_r.predict(k + 1) - cert_r.predict(k) != d_list[k - 1]:
                 raise ConsistencyError(
                     f"r certificate fails to predict d_{k} through the "
                     f"difference map"

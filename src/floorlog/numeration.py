@@ -83,47 +83,21 @@ def parse_word(text: str) -> Word:
     return tuple(int(ch) for ch in text)
 
 
-class DigitStream:
-    """Lazy greedy base-b expansion of some x in [0, 1), exact and memoized.
-
-    The first N digits are the base-b digits of floor(x * b^N), so extending
-    the prefix costs one exact floor per batch.  Greedy means terminating
-    expansions get a tail of zeros, never of (b-1)s, which keeps digit tails
-    aligned with fractional parts: 0.d1 d2 ... read back through from_word
-    always equals floor-scaled x.
-    """
-
-    def __init__(self, x: ExactReal, base: int):
-        if base < 2:
-            raise ValueError("base must be at least 2")
-        x = ExactReal(x)
-        if x.sign() < 0 or x >= 1:
-            raise ValueError("DigitStream needs 0 <= x < 1")
-        self.base = base
-        self._digits: list[int] = []
-        self._residual = x  # frac(x * b^len), always in [0, 1)
-
-    def prefix(self, count: int) -> list[int]:
-        """Digits d_1 .. d_count as a list (positional, MSD first)."""
-        while len(self._digits) < count:
-            batch = max(16, count - len(self._digits))
-            scaled = self._residual * self.base**batch
-            block = scaled.__floor__()
-            word = to_word(block, self.base)
-            # residual < 1 makes block < b**batch, so word fits the batch
-            self._digits.extend((0,) * (batch - len(word)) if block else (0,) * batch)
-            if block:
-                self._digits.extend(word)
-            self._residual = scaled - block
-        return self._digits[:count]
-
-    def digit(self, i: int) -> int:
-        """The coefficient of base**(-i), i >= 1."""
-        if i < 1:
-            raise ValueError("digit positions are 1-based")
-        return self.prefix(i)[i - 1]
-
-
 def digit_stream(x: ExactReal, base: int, count: int) -> list[int]:
-    """First ``count`` greedy base-b digits of x in [0, 1)."""
-    return DigitStream(x, base).prefix(count)
+    """First ``count`` greedy base-b digits of x in [0, 1), MSD first.
+
+    They are the base-b digits of floor(x * b^count), zero-padded on the
+    left to ``count``, so the whole prefix costs one exact floor.  Greedy
+    means terminating expansions get a tail of zeros, never of (b-1)s, which
+    keeps digit tails aligned with fractional parts: 0.d1 d2 ... read back
+    through from_word always equals floor-scaled x.
+    """
+    if base < 2:
+        raise ValueError("base must be at least 2")
+    x = ExactReal(x)
+    if x.sign() < 0 or x >= 1:
+        raise ValueError("digit_stream needs 0 <= x < 1")
+    block = (x * base**count).__floor__()
+    # x < 1 makes block < b**count, so its word fits the prefix
+    word = to_word(block, base) if block else ()
+    return [0] * (count - len(word)) + list(word)

@@ -54,14 +54,6 @@ class FloorLogInstance:
         # n > -beta/alpha, so the least usable index is floor(-beta/alpha)+1
         return max(0, (-self.beta / self.alpha).floor() + 1)
 
-    def describe(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "beta": str(self.beta),
-            "base": self.base,
-            "alpha_is_rational": self.alpha.is_rational,
-        }
-
 
 @dataclass(frozen=True)
 class NormalizedInstance:
@@ -96,18 +88,6 @@ class NormalizedInstance:
     @property
     def n_min(self) -> int:
         return 0 if self.beta.sign() > 0 else 1
-
-    def instance(self) -> FloorLogInstance:
-        return FloorLogInstance(self.alpha, self.beta, self.base)
-
-    def describe(self) -> dict:
-        d = self.instance().describe()
-        d.update(
-            index_shift=self.index_shift,
-            value_offset=self.value_offset,
-            identity_start=self.identity_start,
-        )
-        return d
 
 
 def normalize(inst: FloorLogInstance) -> NormalizedInstance:

@@ -397,6 +397,25 @@ def test_battery_reports_are_pinned():
     assert digest.hexdigest() == BATTERY_REPORTS_SHA256
 
 
+# sha256 over the fk stdout of the 20 battery instances, in battery order,
+# computed while align_m0 still searched offsets 0..8
+_FK_STDOUT_SHA256 = {
+    (): "70cca9fdf30553b037b89be706e40c40b32672b386854131f54ccbe5c834b7f1",
+    ("--kmax", "7"): "45c46d4541a53e8243cc37c7e9fa60314ea17c0f2c568ad2a5c5c3f640996785",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(_FK_STDOUT_SHA256))
+def test_fk_output_is_pinned(capsys, extra):
+    digest = hashlib.sha256()
+    for inst in BATTERY:
+        code, out, _ = run(capsys, "fk", "--alpha", inst.alpha_text, "--beta",
+                           inst.beta_text, "--base", str(inst.base), *extra)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == _FK_STDOUT_SHA256[extra]
+
+
 def _count_calls(monkeypatch, name):
     """Count calls of jumpdigits.<name> through every module that holds it."""
     real = getattr(jumpdigits, name)

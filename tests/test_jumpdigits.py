@@ -262,7 +262,7 @@ def test_digits_fuel_the_classification(alpha, beta, base):
         assert 0 <= rec.r <= 2 * base - 2
         if rec.case_tag == "B":
             assert rec.digit >= 1
-    assert inverse_slope_digits(n).prefix(21) == digits
+    assert inverse_slope_digits(n, 21) == digits
 
 
 @settings(max_examples=50, deadline=None)

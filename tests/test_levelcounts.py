@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorlog import levelcounts
+from floorlog.battery import BATTERY
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import PeriodicityVerdict, detect_period
 from floorlog.levelcounts import (
@@ -85,8 +86,7 @@ def test_align_sqrt2():
     res = align_m0(lc, jump_positions(N_SQRT2, 35))
     assert res.ok and res.m0 == 0
     assert res.threshold == 1 and res.mismatches == ()
-    assert lc.m0 == 0 and lc.alignment is res
-    assert res.also_valid == ()
+    assert lc.alignment is res
 
 
 def test_align_alpha_one_every_level_hits():
@@ -320,7 +320,12 @@ def test_aligned_tail_matches_digit_differences(alpha, beta, base):
 
 
 def _align_by_lookup(lc, jd):
-    """align_m0's acceptance rule, one jd.at lookup pair per level."""
+    """The offset search align_m0 once ran, one jd.at lookup pair per level.
+
+    It tries offsets m0 = 0..8 under align_m0's acceptance rule and returns
+    (m0, threshold, checked_to, also_valid, mismatches) for the least
+    accepted offset; also_valid lists the larger ones that pass too.
+    """
     found = []
     for m0 in range(0, max(0, min(8, jd.k_max - 3)) + 1):
         k_top = min(lc.k_max, jd.k_max - m0 - 1)
@@ -356,9 +361,31 @@ def test_align_matches_per_level_lookup(case, k_max, extra):
     n = normalize(FloorLogInstance(alpha, beta, base))
     lc = f_counts(n, k_max)
     jd = jump_positions(n, max(1, k_max + extra - 6))
+    _assert_offset_zero_is_the_only_offset(lc, jd)
+
+
+def _assert_offset_zero_is_the_only_offset(lc, jd):
     res = align_m0(lc, jd)
-    assert (res.m0, res.threshold, res.checked_to, res.also_valid,
-            res.mismatches) == _align_by_lookup(lc, jd)
+    m0, threshold, checked_to, also_valid, mismatches = _align_by_lookup(lc, jd)
+    assert also_valid == ()
+    assert (res.m0, res.threshold, res.checked_to, res.mismatches) == (
+        m0, threshold, checked_to, mismatches)
+
+
+@pytest.mark.parametrize("inst", BATTERY, ids=lambda inst: inst.name)
+def test_offset_search_finds_only_offset_zero_on_the_battery(inst):
+    # the table sizes run_analyze, fk and criterion 6 use, with the old
+    # 12-level slack, and decide_d_periodicity's own range on rational slopes
+    n = inst.normalized()
+    for k_max in (6, 60, 200):
+        _assert_offset_zero_is_the_only_offset(
+            f_counts(n, k_max), jump_positions(n, k_max + 12))
+    if inst.alpha_is_rational:
+        for window in (60, 400):
+            cert = detect_period(n, window).certificate
+            span = max(cert.orbit_preperiod + 2 * cert.orbit_period, window)
+            _assert_offset_zero_is_the_only_offset(
+                f_counts(n, span + 1), jump_positions(n, span + 2))
 
 
 @settings(max_examples=40, deadline=None)

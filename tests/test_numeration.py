@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from floorlog.exact import ExactReal
 from floorlog.numeration import (
-    DigitStream,
     digit_stream,
     from_word,
     parse_word,
@@ -73,14 +72,6 @@ def test_digit_stream_requires_unit_interval():
         digit_stream(ExactReal(1), 2, 4)
     with pytest.raises(ValueError):
         digit_stream(ExactReal(-1) / 2, 2, 4)
-
-
-def test_stream_prefix_stability():
-    s = DigitStream(1 / ExactReal.sqrt(2), 2)
-    first = s.prefix(5)
-    assert s.prefix(30)[:5] == first
-    assert s.digit(1) == 1
-    assert s.digit(8) == 1
 
 
 @settings(max_examples=200)
