@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -68,6 +69,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token after a value flag as that flag's value
+        # only if it looks like a negative decimal number; widen that to
+        # every negative number ExactReal.parse reads, so --beta -1/3 and
+        # --beta -sqrt(2) work as --beta=-1/3 does.  No flag starts that way.
+        self._negative_number_matcher = re.compile(r"^-(\d|sqrt\()")
+
     # argparse exits with status 2 on usage problems; this tool reserves
     # 2 for internal consistency failures, so usage errors become 1
     def error(self, message):

@@ -21,7 +21,7 @@ empirical match over any finite window is never promoted to a verdict.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import count, islice
 
@@ -243,15 +243,81 @@ class ThueMorseBlockSource(DigitSource):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LanguageWords:
-    """The first chunk of the language: values, renderings, bookkeeping."""
+def _fold(stream, base: int) -> Iterator[tuple[int, int]]:
+    """(w_n, length of its rendering) for each n, in one left-to-right fold.
 
-    base: int
-    values: tuple[int, ...]
-    words: tuple[Word, ...]
-    n_top: int
-    source_label: str = ""
+    The rendering of w_n has L digits exactly when w_n < b^L and L is
+    least (one digit for 0).  Digits are nonnegative, so values never
+    decrease, and tracking b^L as the values pass it costs one integer
+    comparison per step.
+    """
+    value, length, power = 0, 1, base
+    for u in stream:
+        value = value * base + u
+        while value >= power:
+            power *= base
+            length += 1
+        yield value, length
+
+
+class LanguageWords:
+    """The first chunk of the language: values and lengths, words on demand.
+
+    One fold of the source digits stores, for every n <= n_top, the value
+    w_n and the length of its canonical rendering.  Most readers need
+    only those: find_pattern tests lengths before any word, and the
+    family check compares values and lengths.  word(n) renders words
+    with the carry renderer below, only as far as the largest n asked
+    for; the words property renders every one.
+    """
+
+    def __init__(self, base: int, stream: Word, source_label: str = ""):
+        self.base = base
+        self.n_top = len(stream) - 1
+        self.source_label = source_label
+        values, lengths = zip(*_fold(stream, base))
+        self.values: tuple[int, ...] = values
+        self.lengths: tuple[int, ...] = lengths
+        self._stream = stream
+        self._rendered: list[Word] = []
+        self._digits: list[int] = []  # rendering of the last word; [] while 0
+
+    def word(self, n: int) -> Word:
+        """The canonical rendering of w_n, for 0 <= n <= n_top.
+
+        Renderings are carried forward rather than recomputed: the word of
+        w_{n+1} = base * w_n + u_{n+1} is the word of w_n with u_{n+1}
+        appended, after carries are pushed leftward with divmod.  A digit
+        may exceed the base by any amount (explicit and Thue-Morse sources
+        allow that), so a carry can exceed 1, and a carry out of the
+        leading digit is rendered as several new leading digits.  Each
+        step costs the carry run plus one tuple copy, instead of a full
+        radix conversion of a value that keeps growing.
+        """
+        if not 0 <= n <= self.n_top:
+            raise IndexError(f"word index {n} outside 0..{self.n_top}")
+        base, digits, rendered = self.base, self._digits, self._rendered
+        for i in range(len(rendered), n + 1):
+            u = self._stream[i]
+            digits.append(u)
+            j = len(digits) - 1
+            carry, digits[j] = divmod(u, base)
+            while carry:
+                j -= 1
+                if j < 0:
+                    digits[:0] = to_word(carry, base)
+                    break
+                carry, digits[j] = divmod(digits[j] + carry, base)
+            if not self.values[i]:
+                digits.clear()  # a zero start appends zero digits to nothing
+            rendered.append(tuple(digits) or (0,))
+        return rendered[n]
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """Every rendering, w_0 to w_{n_top}; reading it renders them all."""
+        self.word(self.n_top)
+        return tuple(self._rendered)
 
     def word_strs(self) -> list[str]:
         return [word_str(w) for w in self.words]
@@ -260,16 +326,12 @@ class LanguageWords:
 def words(
     src: DigitSource, base: int, n_max: int, *, allow_zero_start: bool = False
 ) -> LanguageWords:
-    """Fold the first digits of src through base and render each value.
+    """Fold the first n_max + 1 digits of src through base.
 
-    Renderings are carried forward rather than recomputed: the word of
-    w_{n+1} = base * w_n + u_{n+1} is the word of w_n with u_{n+1}
-    appended, after carries are pushed leftward with divmod.  A digit may
-    exceed the base by any amount (explicit and Thue-Morse sources allow
-    that), so a carry can exceed 1, and a carry out of the leading digit
-    is rendered as several new leading digits.  Each step therefore costs the carry run plus one
-    tuple copy instead of a full radix conversion of a value that keeps
-    growing.
+    Returns the values and rendering lengths of w_0 .. w_{n_top}, where
+    n_top is n_max or the last index of a shorter finite stream; the
+    words themselves are rendered only as far as they are read (see
+    LanguageWords).
 
     The very first digit normally must be nonzero, else w_0 and later
     values silently shed a leading position; passing allow_zero_start
@@ -286,28 +348,7 @@ def words(
             "stream starts with digit 0; pass allow_zero_start=True to "
             "read it by value anyway"
         )
-    values = []
-    rendered = []
-    value = 0
-    digits: list[int] = []  # canonical rendering of value; [] while it is 0
-    for u in stream:
-        value = value * base + u
-        digits.append(u)
-        i = len(digits) - 1
-        carry, digits[i] = divmod(u, base)
-        while carry:
-            i -= 1
-            if i < 0:
-                digits[:0] = to_word(carry, base)
-                break
-            carry, digits[i] = divmod(digits[i] + carry, base)
-        if not value:
-            digits.clear()  # a zero start appends zero digits to nothing
-        values.append(value)
-        rendered.append(tuple(digits) or (0,))
-    return LanguageWords(
-        base, tuple(values), tuple(rendered), len(stream) - 1, src.label()
-    )
+    return LanguageWords(base, stream, src.label())
 
 
 @dataclass(frozen=True)
@@ -320,7 +361,7 @@ class LengthClaimReport:
     violation: bool = False
 
 
-def _report_from_lengths(lengths: list[int]) -> LengthClaimReport:
+def _report_from_lengths(lengths: Sequence[int]) -> LengthClaimReport:
     n_top = len(lengths) - 1
     anomalies = []
     for n in range(n_top):
@@ -352,35 +393,24 @@ def verify_length_claim(lw: LanguageWords) -> LengthClaimReport:
     run is flagged as a violation: under the intended digit bounds that
     should never happen once lengths have settled.
     """
-    return _report_from_lengths([len(w) for w in lw.words])
+    return _report_from_lengths(lw.lengths)
 
 
 def length_claim_for_source(
     src: DigitSource, base: int, n_max: int
 ) -> LengthClaimReport:
-    """verify_length_claim without materializing any words.
+    """verify_length_claim without keeping any values or words.
 
-    Rendering every word costs quadratic work in n_max; tracking only
-    the current value and the power-of-base length boundary keeps deep
-    scans (tens of thousands of indices) cheap.
+    A deep scan (tens of thousands of indices) keeps
+    one length per index and no values, whose total size would grow with
+    the square of n_max.
     """
     if base < 2:
         raise ValueError("base must be at least 2")
     if n_max < 1:
         raise ValueError("need at least two words to compare lengths")
     stream = src.prefix(n_max + 1)
-    value = stream[0]
-    first = len(to_word(value, base))
-    lengths = [first]
-    power = base**first
-    current = first
-    for u in stream[1:]:
-        value = value * base + u
-        while value >= power:
-            power *= base
-            current += 1
-        lengths.append(current)
-    return _report_from_lengths(lengths)
+    return _report_from_lengths([length for _, length in _fold(stream, base)])
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +434,34 @@ class PatternCandidate:
 def _family_consistent(
     lw: LanguageWords, n0: int, p: int, v0: Word, v1: Word, v2: Word
 ) -> bool:
-    # every family member inside the window must render as V0 V1^m V2;
-    # the expected word grows by one V1 after V0 per member, so each
-    # member costs a single tuple comparison
-    expected = v0 + v2
-    head = v0 + v1
-    for n in range(n0, lw.n_top + 1, p):
-        if lw.words[n] != expected:
+    """Whether w_{n0+mp} renders as V0 V1^m V2 for every n0 + mp <= n_top.
+
+    find_pattern calls this with V0 V2 a split of the rendering of w_n0,
+    |V1| = p, and at least three members inside the window.  Member 1 is
+    compared as a word (a mismatch there is the common, cheap reject), so
+    every digit of V0, V1 and V2 lies below the base.  Each later member
+    is compared by value and length.  With E_m = [V0 V1^m V2]_b,
+    concatenation gives
+
+        E_{m+1} = b^p E_m + ([V1 V2]_b - b^p [V2]_b),
+
+    and that constant equals E_1 - b^p E_0, read off the two stored
+    values.  Two digit strings below the base with the same length and
+    the same value are equal, so comparing (E_m, |V0 V2| + m p) with the
+    stored value and length of w_{n0+mp} decides exactly what comparing
+    the words would, without building a word per member.
+    """
+    n1 = n0 + p
+    if lw.word(n1) != v0 + v1 + v2:
+        return False
+    step = lw.base**p
+    value, length = lw.values[n1], lw.lengths[n1]
+    constant = value - step * lw.values[n0]
+    for n in range(n1 + p, lw.n_top + 1, p):
+        value = step * value + constant
+        length += p
+        if value != lw.values[n] or length != lw.lengths[n]:
             return False
-        expected = head + expected[len(v0) :]
     return True
 
 
@@ -451,7 +500,9 @@ def find_pattern(
     equal V0 V1^m V2 exactly for all m with n0 + mp <= n_top.  Returns
     None when no split survives, which is the expected outcome for a
     stream with no ultimately periodic structure.  At least three family
-    members must fit inside the window before a split is considered.
+    members must fit inside the window, with the lengths a family needs,
+    before a split is considered; anchors are tested on the stored
+    lengths first, and only a fitting anchor has its words rendered.
     """
     if p < 1:
         raise ValueError("pattern period must be positive")
@@ -460,9 +511,11 @@ def find_pattern(
     n0 = residue
     if n0 < min_anchor:
         n0 += ((min_anchor - n0 + p - 1) // p) * p
+    lengths = lw.lengths
     while n0 + 2 * p <= lw.n_top:
-        w0, w1, w2 = lw.words[n0], lw.words[n0 + p], lw.words[n0 + 2 * p]
-        if w0 and len(w1) == len(w0) + p and len(w2) == len(w0) + 2 * p:
+        size = lengths[n0]
+        if lengths[n0 + p] == size + p and lengths[n0 + 2 * p] == size + 2 * p:
+            w0, w1 = lw.word(n0), lw.word(n0 + p)
             # split i renders w1 as V0 V1 V2 exactly when w0[:i] is a
             # prefix of w1 and w0[i:] a suffix of it, i.e. for i from
             # lo = len(w0) - (common suffix length) up to the common
@@ -682,7 +735,9 @@ def decide_regularity(
 
     The stream's periodicity verdict comes first.  Certified aperiodic
     stream: NonRegular, carrying the certificate, with no word rendered.
-    Otherwise the window's words are rendered.  Certified ultimately
+    Otherwise the window's digits are folded into values and lengths,
+    and words are rendered only as far as the pattern search and the
+    exception list read them.  Certified ultimately
     periodic stream: every residue class modulo the stream period gets a
     certified word family, the words before the family anchors become
     explicit exceptions, and the assembled minimal DFA is returned in a
@@ -739,8 +794,9 @@ def decide_regularity(
         for pattern in patterns:
             n = pattern.residue
             while n < pattern.anchor:
-                if lw.words[n] not in exceptions:
-                    exceptions.append(lw.words[n])
+                word = lw.word(n)
+                if word not in exceptions:
+                    exceptions.append(word)
                 n += q
         dfa = from_patterns(
             [(p.v0, p.v1, p.v2) for p in patterns], exceptions, base

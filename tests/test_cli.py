@@ -37,6 +37,20 @@ def test_seq_example(capsys):
     assert out.strip() == "0,1,1,2"
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("seq", ("--to", "4")),
+    ("analyze", ("--kmax", "20", "--window", "50")),
+    ("fk", ("--kmax", "20")),
+])
+@pytest.mark.parametrize("beta", ["-1/3", "-1/2*sqrt(2)", "-sqrt(2)"])
+def test_negative_value_may_follow_its_flag(capsys, frozen_clock, command, extra, beta):
+    alpha = "2*sqrt(2)" if "sqrt" in beta else "3/2"
+    spaced = run(capsys, command, "--alpha", alpha, "--beta", beta, "--base", "2", *extra)
+    attached = run(capsys, command, "--alpha", alpha, f"--beta={beta}", "--base", "2", *extra)
+    assert attached[0] == 0 and attached[1]
+    assert spaced == attached
+
+
 def test_missing_alpha_is_usage_error(capsys):
     code, _, err = run(capsys, "rk", "--base", "2")
     assert code == 1

@@ -11,11 +11,11 @@ blocks and vary forever.  The tests below freeze both facts.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floorlog import jumpdigits, language
 from floorlog.automata import trie_dfa, equivalent, equivalent_to_length
-from floorlog.battery import by_name
+from floorlog.battery import BATTERY, by_name
 from floorlog.exact import ExactReal
 from floorlog.language import (
     CertifiedPattern,
@@ -32,7 +32,7 @@ from floorlog.language import (
     verify_length_claim,
     words,
 )
-from floorlog.numeration import from_word, word_str
+from floorlog.numeration import from_word, to_word, word_str
 from floorlog.sequences import FloorLogInstance, normalize
 
 from oracles import enumerate_words, find_pattern_unpruned
@@ -98,6 +98,46 @@ def test_words_explicit_source_stops_at_its_end():
     lw = words(ExplicitDigitSource("1012"), 2, 50)
     assert lw.n_top == 3
     assert len(lw.words) == 4
+
+
+def test_words_render_on_demand_in_any_order():
+    # zero start, and digits past 2b in base 3 (carries of 2)
+    src = PeriodicDigitSource((0, 7), (8, 1, 2))
+    lw = words(src, 3, 60, allow_zero_start=True)
+    values = [src.digit(0)]
+    for n in range(1, 61):
+        values.append(3 * values[-1] + src.digit(n))
+    assert lw.values == tuple(values)
+    assert lw.lengths == tuple(len(w) for w in enumerate_words(values, 3))
+    for n in (17, 3, 42, 0, 60, 29, 42):
+        assert lw.word(n) == to_word(values[n], 3)
+    assert list(lw.words) == enumerate_words(values, 3)
+    assert lw.word(17) == to_word(values[17], 3)
+
+
+@pytest.mark.parametrize("n", [-1, 61, 1000])
+def test_reading_past_the_window_raises(n):
+    lw = words(PeriodicDigitSource("1", "02"), 2, 60)
+    with pytest.raises(IndexError):
+        lw.word(n)
+
+
+@pytest.mark.parametrize(
+    "inst", [i for i in BATTERY if i.alpha_is_rational], ids=lambda i: i.name
+)
+def test_decide_renders_few_words_on_rational_battery(monkeypatch, inst):
+    folded = []
+
+    def spy(*args, **kwargs):
+        folded.append(words(*args, **kwargs))
+        return folded[-1]
+
+    monkeypatch.setattr(language, "words", spy)
+    verdict = decide_regularity(RkDigitSource(inst.normalized()), inst.base, 1000)
+    assert verdict.kind == "Regular"
+    (lw,) = folded
+    assert lw.n_top == 1000
+    assert len(lw._rendered) <= 64
 
 
 def test_words_argument_validation():
@@ -323,6 +363,57 @@ def test_find_pattern_matches_unpruned_reference_scan():
                         want = PatternCandidate(lw.base, v0, v1, v2, p, residue, anchor)
                     got = find_pattern(lw, p, residue, min_anchor)
                     assert got == want, (lw.source_label, p, residue, min_anchor)
+
+
+def family_consistent_by_words(words, n0, p, v0, v1, v2):
+    """The family check as it was before values and lengths: every member
+    of the class inside the window compared as a word, the expected word
+    grown by one V1 after V0 per member."""
+    expected = v0 + v2
+    head = v0 + v1
+    for n in range(n0, len(words), p):
+        if words[n] != expected:
+            return False
+        expected = head + expected[len(v0) :]
+    return True
+
+
+@st.composite
+def st_any_source(draw):
+    base = draw(st_base)
+    digit = st.integers(0, 3 * base)  # a digit of 2b or more carries 2 or more
+    kind = draw(st.sampled_from(["periodic", "explicit", "tm-blocks"]))
+    if kind == "periodic":
+        pre = draw(st.lists(digit, max_size=5))
+        return base, PeriodicDigitSource(pre, draw(st.lists(digit, min_size=1, max_size=6)))
+    if kind == "explicit":
+        return base, ExplicitDigitSource(draw(st.lists(digit, min_size=1, max_size=60)))
+    block = st.lists(digit, min_size=1, max_size=3)
+    return base, ThueMorseBlockSource(draw(block), draw(block))
+
+
+@given(st_any_source())
+@example((2, ExplicitDigitSource("1" + "01" * 10 + "2" + "01" * 10)))
+@example((3, PeriodicDigitSource((0, 0, 8), (7, 2))))
+@example((2, ThueMorseBlockSource("10", "02")))
+@settings(max_examples=40, deadline=None)
+def test_family_check_matches_word_comparison(case):
+    # every anchor and split find_pattern can try: three members with the
+    # lengths of a family, every split of w_n0, V1 read off w_(n0+p)
+    base, src = case
+    lw = words(src, base, 40, allow_zero_start=True)
+    all_words = lw.words
+    for p in range(1, 7):
+        for n0 in range(lw.n_top - 2 * p + 1):
+            size = len(all_words[n0])
+            if len(all_words[n0 + p]) != size + p or len(all_words[n0 + 2 * p]) != size + 2 * p:
+                continue
+            w0, w1 = all_words[n0], all_words[n0 + p]
+            for i in range(1, size + 1):
+                v0, v1, v2 = w0[:i], w1[i : i + p], w0[i:]
+                want = family_consistent_by_words(all_words, n0, p, v0, v1, v2)
+                got = language._family_consistent(lw, n0, p, v0, v1, v2)
+                assert got == want, (src.label(), p, n0, i)
 
 
 # ---------------------------------------------------------------------------
