@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full analysis pipeline over every battery instance.
 
-Prints one summary line per instance; --json DIR additionally writes the
-complete report of each run to DIR/<name>.json.  --kmax trims or extends
+Prints one summary line per instance, then one line on stderr with each
+stage's timings summed over the battery; --json DIR additionally writes
+the complete report of each run to DIR/<name>.json.  --kmax trims or extends
 the digit range fed to each stage (default 200, like the CLI).
 """
 
@@ -30,6 +31,8 @@ def main() -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     width = max(len(inst.label()) for inst in BATTERY)
+    stages = ("normalize", "r_periodicity", "language", "kernel", "level_counts")
+    spent = dict.fromkeys(stages, 0.0)
     for inst in BATTERY:
         report = run_analyze(
             {
@@ -40,6 +43,8 @@ def main() -> int:
                 "window": args.window,
             }
         )
+        for stage in stages:
+            spent[stage] += report["timings"][stage]
         verdicts = report["verdicts"]
         r_v = verdicts["r_periodicity"]
         lang = verdicts["language_regularity"]
@@ -56,6 +61,12 @@ def main() -> int:
         if out_dir is not None:
             path = out_dir / f"{inst.name}.json"
             path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    totals = ", ".join(f"{stage} {spent[stage]:.4f} s" for stage in stages)
+    print(
+        f"timings summed over {len(BATTERY)} reports: {totals}, "
+        f"total {sum(spent.values()):.4f} s",
+        file=sys.stderr,
+    )
     if out_dir is not None:
         print(f"reports written to {out_dir}/")
     return 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -30,10 +31,11 @@ from .automata import kernel_explore
 from .exact import ExactReal, ParseError
 from .jumpdigits import (
     PeriodicityVerdict,
+    certify_r,
     classify_range,
     detect_period,
     inverse_slope_digits,
-    r_stream,
+    residue_orbit,
 )
 from .language import (
     MIN_WINDOW,
@@ -46,12 +48,20 @@ from .language import (
     verify_length_claim,
     words,
 )
-from .levelcounts import align_m0, d_seq, decide_d_periodicity, f_counts
+from .levelcounts import (
+    LevelCounts,
+    align_m0,
+    certify_d,
+    d_seq,
+    decide_d_periodicity,
+    f_counts,
+)
 from .numeration import parse_word, word_str
 from .sequences import (
     ConsistencyError,
     FloorLogInstance,
     NormalizedInstance,
+    jump_levels_past,
     jump_positions,
     normalize,
     u_term,
@@ -310,16 +320,80 @@ def _kernel_payload(report):
     }
 
 
-def _kernel_report(norm: NormalizedInstance, depth: int, prefix_len: int):
+def _kernel_scope(base: int, depth: int, prefix_len: int) -> int:
     # the closure probe reads one level past depth, so cover that too
-    scope = norm.base ** (depth + 1) * prefix_len
+    scope = base ** (depth + 1) * prefix_len
     if scope > _KERNEL_SCOPE_CAP:
         raise UsageError(
             f"kernel scope base**(depth+1) * prefix_len = {scope} exceeds "
             f"the cap {_KERNEL_SCOPE_CAP}; lower --depth or --prefix-len"
         )
-    bitmap = v_indicator(norm, scope - 1)
+    return scope
+
+
+def _kernel_report(
+    norm: NormalizedInstance, depth: int, prefix_len: int, jumps=None
+):
+    scope = _kernel_scope(norm.base, depth, prefix_len)
+    bitmap = v_indicator(norm, scope - 1, jumps)
     return kernel_explore(lambda n: bitmap[n], norm.base, depth, prefix_len)
+
+
+class _Tables:
+    """The exact tables of one instance, each computed once.
+
+    With cover = preperiod + 2*period of base^k mod p for alpha = p/q, r
+    is certified on span_r = max(cover, r_window) terms and d on span_d =
+    max(cover, d_window), as detect_period and decide_d_periodicity do.
+    One jump table reaches the largest index any stage reads, and at least
+    levels; the r digits live in one RkDigitSource buffer, which the
+    language stage reads on; one level-count table reaches span_d + 1, and
+    the fk_top levels of the report are its prefix (fk_top <= d_window).
+    Every check reads the prefix it would read off tables of its own: r
+    against the jump table over span_r, d against r on the aligned tail
+    and the r certificate against d up to span_d, the level audit over the
+    same indices.  A surd slope needs neither span: its verdicts hold by
+    theorem.
+    """
+
+    def __init__(self, norm: NormalizedInstance, r_window: int, d_window: int,
+                 fk_top: int, levels: int = 1):
+        self.norm = norm
+        self._fk_top = fk_top
+        self._d_window = d_window
+        self._orbit = None
+        top = max(fk_top + 1, levels)
+        if norm.alpha.is_rational:
+            self._modulus = norm.alpha.as_fraction().numerator
+            orbit = self._orbit = residue_orbit(norm.base, self._modulus)
+            cover = orbit[0] + 2 * orbit[1]
+            self._span_r, self._span_d = max(cover, r_window), max(cover, d_window)
+            top = max(top, self._span_r + 1, self._span_d + 2)
+        self.jumps = jump_positions(norm, top)
+        self.digits = RkDigitSource(norm, jumps=self.jumps)
+        if self._orbit is None:
+            verdict = detect_period(norm, r_window)
+        else:
+            verdict = certify_r(
+                self.digits.r_terms(self._span_r), self.jumps, self._modulus,
+                self._orbit, norm.base,
+            )
+        self.r_verdict = self.digits.r_verdict = verdict
+
+    def level_counts(self) -> tuple[LevelCounts, PeriodicityVerdict]:
+        """The levels up to fk_top, aligned, and the d verdict."""
+        norm = self.norm
+        if self._orbit is None:
+            lc = f_counts(norm, self._fk_top)
+            d_verdict = decide_d_periodicity(norm, self._d_window, self.r_verdict)
+        else:
+            span = self._span_d
+            full = f_counts(norm, span + 1)
+            d_verdict = certify_d(full, self.jumps, self.r_verdict.certificate,
+                                  self.digits.r_terms(span + 1))
+            lc = full.prefix(self._fk_top)
+        align_m0(lc, self.jumps.prefix(self._fk_top + 1))
+        return lc, d_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +486,17 @@ def _cmd_kernel(fields) -> int:
 def _cmd_fk(fields) -> int:
     norm = _normalized(fields)
     kmax = _positive_int(fields, "kmax", 60)
-    lc = f_counts(norm, kmax)
-    alignment = align_m0(lc, jump_positions(norm, kmax + 1))
+    tables = _Tables(norm, r_window=kmax, d_window=kmax, fk_top=kmax)
+    lc, d_verdict = tables.level_counts()
     payload = {
         "k_min": lc.k_min,
         "k_max": lc.k_max,
         "f": [[k, lc.at(k)] for k in range(lc.k_min, lc.k_max + 1)],
-        "alignment": _alignment_payload(alignment),
-        "d_verdict": _periodicity_payload(
-            decide_d_periodicity(norm, kmax, detect_period(norm, kmax))
-        ),
+        "alignment": _alignment_payload(lc.alignment),
+        "d_verdict": _periodicity_payload(d_verdict),
     }
-    if alignment.ok:
-        slice_ = d_seq(lc)
+    if lc.alignment.ok:
+        slice_ = d_seq(lc, tables.digits.r_terms(lc.k_max))
         payload["d_start"] = slice_.start
         payload["d"] = list(slice_.values)
     _print(payload)
@@ -497,28 +569,28 @@ def run_analyze(scenario: dict) -> dict:
     t0 = clock()
     norm = _normalized(scenario)
     base = norm.base
+    kernel_scope = _kernel_scope(base, kernel_depth, kernel_prefix)
     timings["normalize"] = clock() - t0
 
     t0 = clock()
-    r_head = r_stream(norm, min(kmax, 64))
-    r_verdict = detect_period(norm, window)
+    tables = _Tables(
+        norm, r_window=window, d_window=min(kmax, 400), fk_top=min(kmax, 60),
+        levels=jump_levels_past(base, kernel_scope - 1),
+    )
+    r_verdict = tables.r_verdict
+    r_head = tables.digits.r_terms(min(kmax, 64))
     timings["r_periodicity"] = clock() - t0
 
     t0 = clock()
-    language_verdict = decide_regularity(
-        RkDigitSource(norm, r_verdict), base, window=window
-    )
+    language_verdict = decide_regularity(tables.digits, base, window=window)
     timings["language"] = clock() - t0
 
     t0 = clock()
-    kernel = _kernel_report(norm, kernel_depth, kernel_prefix)
+    kernel = _kernel_report(norm, kernel_depth, kernel_prefix, tables.jumps)
     timings["kernel"] = clock() - t0
 
     t0 = clock()
-    fk_top = min(kmax, 60)
-    lc = f_counts(norm, fk_top)
-    alignment = align_m0(lc, jump_positions(norm, fk_top + 1))
-    d_verdict = decide_d_periodicity(norm, min(kmax, 400), r_verdict)
+    lc, d_verdict = tables.level_counts()
     timings["level_counts"] = clock() - t0
 
     rational = bool(norm.alpha.is_rational)
@@ -562,7 +634,7 @@ def run_analyze(scenario: dict) -> dict:
             "r_head": list(r_head),
             "kernel": _kernel_payload(kernel),
             "level_counts": [[k, lc.at(k)] for k in range(lc.k_min, lc.k_max + 1)],
-            "alignment": _alignment_payload(alignment),
+            "alignment": _alignment_payload(lc.alignment),
         },
         "timings": timings,
     }
@@ -684,6 +756,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`floorlog seq ... | head`): exit 1 without
+        # a traceback, as the Python docs advise for SIGPIPE; pointing the
+        # process's stdout at devnull keeps the final flush at exit quiet too
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = _load_json(args.scenario, "scenario file") if args.scenario else {}

@@ -457,17 +457,34 @@ def certify_cycle(
     return PeriodicityVerdict.periodic(preperiod, period, cert)
 
 
+def certify_r(
+    stream: list[int], jumps: JumpData, modulus: int, orbit: tuple[int, int], base: int
+) -> PeriodicityVerdict:
+    """The rational body of detect_period, on tables computed elsewhere.
+
+    stream holds r_1..r_span and jumps reaches at least c_{span+1}; only
+    that prefix of the jump table is read.  The stream is cross-checked
+    against the jump-table route over all span terms, then certified under
+    the proven cover orbit of base^k mod modulus.
+    """
+    jumps = jumps.prefix(len(stream) + 1)
+    if r_from_jumps(jumps, base) != stream:
+        raise ConsistencyError("stream and jump-table routes disagree on r")
+    return certify_cycle(stream, modulus, orbit, jumps.integrality_hits)
+
+
 def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
     """Decide ultimate periodicity of r with a certificate when possible.
 
     Rational alpha = p/q: the residue orbit of base^k mod p bounds the
-    shape; certify_cycle minimizes and replays it on a stream that is
-    cross-checked against the jump-table route.  Irrational alpha (a surd
-    by construction): no tail of r ever repeats, because an ultimately
-    periodic r would resum to a rational value for alpha; answered without
-    search.  The window argument extends the replayed verification range
-    beyond the orbit-derived minimum.  RkDigitSource and
-    decide_d_periodicity take this verdict rather than derive it again.
+    shape; certify_r minimizes and replays it on span =
+    max(preperiod + 2*period, window) terms of r_stream, cross-checked
+    against a fresh jump table.  Irrational alpha (a surd by construction):
+    no tail of r ever repeats, because an ultimately periodic r would resum
+    to a rational value for alpha; answered without search.  The window
+    argument extends the replayed verification range beyond the
+    orbit-derived minimum.  RkDigitSource and decide_d_periodicity take
+    this verdict rather than derive it again.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -481,7 +498,4 @@ def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
     orbit = residue_orbit(norm.base, p)
     span = max(orbit[0] + 2 * orbit[1], window)
     stream = r_stream(norm, span)
-    jumps = jump_positions(norm, span + 1)
-    if r_from_jumps(jumps, norm.base) != stream:
-        raise ConsistencyError("stream and jump-table routes disagree on r")
-    return certify_cycle(stream, p, orbit, jumps.integrality_hits)
+    return certify_r(stream, jump_positions(norm, span + 1), p, orbit, norm.base)

@@ -98,18 +98,19 @@ class RkDigitSource(DigitSource):
     the digit r_i.  Folding these through the base reproduces the jump
     counts themselves: w_k = c_{k+1}.  Digits stay below 2*base - 1.
     The r digits come from one live r_digits generator, so serving n
-    digits computes n - 1 of them.
+    digits computes n - 1 of them; r_terms hands the same buffer to the
+    other stages.  c_1 is read off jumps when a table is given.
 
     periodicity() shifts the instance's r verdict onto the stream and keeps
-    the result per window.  That r verdict is the handed r_verdict
-    (detect_period's, which settles every window), else one detect_period
-    run per window asked for.
+    the result per window.  That r verdict is r_verdict when set
+    (detect_period's or certify_r's, which settles every window), else one
+    detect_period run per window asked for.
     """
 
-    def __init__(self, norm: NormalizedInstance, r_verdict=None):
+    def __init__(self, norm: NormalizedInstance, r_verdict=None, jumps=None):
         self.norm = norm
-        self._r_verdict = r_verdict
-        self._lead = jump_positions(norm, 1).at(1)
+        self.r_verdict = r_verdict
+        self._lead = (jump_positions(norm, 1) if jumps is None else jumps).at(1)
         if self._lead > 2 * norm.base - 2:
             raise ConsistencyError(
                 f"leading jump count {self._lead} exceeds the digit bound "
@@ -122,13 +123,18 @@ class RkDigitSource(DigitSource):
         yield self._lead
         yield from r_digits(self.norm)
 
+    def r_terms(self, count: int) -> list[int]:
+        """r_1..r_count, from the stream's own buffer."""
+        self._fill(count + 1)
+        return self._buffer[1 : count + 1]
+
     def periodicity(self, window: int) -> PeriodicityVerdict:
         if window not in self._verdicts:
             self._verdicts[window] = self._periodicity(window)
         return self._verdicts[window]
 
     def _periodicity(self, window: int) -> PeriodicityVerdict:
-        inner = self._r_verdict or detect_period(self.norm, window)
+        inner = self.r_verdict or detect_period(self.norm, window)
         if inner.kind != "Periodic":
             return inner
         # the stream prepends one extra digit (the leading jump count)

@@ -23,11 +23,12 @@ cover and the tail check come from the r certificate.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isqrt
 
-from .exact import _sign_quadratic, over_common_denominator
-from .jumpdigits import PeriodicityVerdict, certify_cycle, r_stream
+from .exact import over_common_denominator
+from .jumpdigits import ModCycleCertificate, PeriodicityVerdict, certify_cycle, r_stream
 from .sequences import (
     ConsistencyError,
     JumpData,
@@ -99,6 +100,22 @@ class LevelCounts:
             raise IndexError(f"level {k} outside {self.k_min}..{self.k_max}")
         return self.f[k]
 
+    def prefix(self, k_max: int) -> "LevelCounts":
+        """What f_counts(norm, k_max) returns, read off these counts, unaligned.
+
+        A level fully inside this audit's range that is at most k_max is
+        also fully inside the shorter audit's range, so the prefix keeps
+        min(enum_verified_to, k_max).
+        """
+        if not 1 <= k_max <= self.k_max:
+            raise IndexError(f"prefix {k_max} outside 1..{self.k_max}")
+        verified = self.enum_verified_to
+        return LevelCounts(
+            norm=self.norm, k_min=self.k_min, k_max=k_max,
+            f={k: n for k, n in self.f.items() if k <= k_max},
+            enum_verified_to=None if verified is None else min(verified, k_max),
+        )
+
 
 def f_counts(norm: NormalizedInstance, k_max: int, enum_cap: int = 2000) -> LevelCounts:
     """Count every level up to k_max two ways and reconcile them.
@@ -107,11 +124,17 @@ def f_counts(norm: NormalizedInstance, k_max: int, enum_cap: int = 2000) -> Leve
     for k_min..k_max+1, and sets f_k = L_{k+1} - L_k; it is exact at any
     depth.  The audit enumerates n from n_min up to enum_cap (or the end
     of level k_max, if sooner) and tallies u_n, which it walks upward from
-    u_{n_min}: with alpha*n + beta = (a1*n + a2 + (b1*n + b2)*sqrt(d))/C,
-    the level rises while that argument is at least base^(level+1), each
-    step one exact integer sign test.  Tallies are compared on every level
-    lying fully inside the enumerated range; disagreement raises
-    ConsistencyError.  The two routes share only over_common_denominator.
+    u_{n_min}.  With alpha*n + beta = (a1*n + a2 + (b1*n + b2)*sqrt(d))/C
+    and the next threshold base^(level+1) = num/den, u_n has passed that
+    threshold exactly when
+
+        x + y*sqrt(d) >= 0,   x = den*(a1*n + a2) - num*C,  y = den*(b1*n + b2),
+
+    so x and y step by den*a1 and den*b1 per index, and are rebuilt from n
+    only when the level rises and num/den moves.  Tallies are compared on
+    every level lying fully inside the enumerated range; disagreement
+    raises ConsistencyError.  The two routes share only
+    over_common_denominator.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -125,24 +148,40 @@ def f_counts(norm: NormalizedInstance, k_max: int, enum_cap: int = 2000) -> Leve
     c, d, ((a1, b1), (a2, b2)) = over_common_denominator(norm.alpha, norm.beta)
     lvl = k_min
     num, den = (b ** (lvl + 1), 1) if lvl + 1 >= 0 else (1, b ** -(lvl + 1))
-    tally: dict[int, int] = {}
-    for n in range(norm.n_min, top + 1):
-        ra, rb = a1 * n + a2, b1 * n + b2
-        # alpha*n + beta >= num/den  <=>  den*(ra + rb*sqrt(d)) - num*c >= 0
-        while _sign_quadratic(den * ra - num * c, den * rb, d) >= 0:
+    tally = [0] * (k_max - k_min + 1)
+    n = norm.n_min
+    x, y = den * (a1 * n + a2) - num * c, den * (b1 * n + b2)
+    dx, dy = den * a1, den * b1
+    while n <= top:
+        if y == 0:
+            passed = x >= 0
+        elif (x >= 0) == (y > 0):
+            passed = y > 0
+        else:
+            # opposite signs: compare squares, never equal since d is not a square
+            passed = (x * x > y * y * d) == (x >= 0)
+        if passed:
             lvl += 1
+            if lvl > k_max:
+                raise ConsistencyError(f"enumeration reaches level {lvl} at n={n}")
             if den > 1:
                 den //= b
             else:
                 num *= b
-        tally[lvl] = tally.get(lvl, 0) + 1
+            x, y = den * (a1 * n + a2) - num * c, den * (b1 * n + b2)
+            dx, dy = den * a1, den * b1
+            continue
+        tally[lvl - k_min] += 1
+        n += 1
+        x += dx
+        y += dy
     verified = None
     for i, k in enumerate(range(k_min, k_max + 1)):
         if starts[i + 1] - 1 > top:
             break
-        if tally.get(k, 0) != f[k]:
+        if tally[i] != f[k]:
             raise ConsistencyError(
-                f"level {k}: formula says {f[k]}, enumeration says {tally.get(k, 0)}"
+                f"level {k}: formula says {f[k]}, enumeration says {tally[i]}"
             )
         verified = k
     return LevelCounts(norm=norm, k_min=k_min, k_max=k_max, f=f,
@@ -213,12 +252,14 @@ def align_m0(lc: LevelCounts, jd: JumpData) -> AlignmentResult:
     return result
 
 
-def d_seq(lc: LevelCounts) -> SeqSlice:
+def d_seq(lc: LevelCounts, r_terms: Sequence[int] | None = None) -> SeqSlice:
     """d_k = f_{k+1} - base*f_k for k from max(0, k_min) to k_max - 1.
 
     When lc has been aligned, the aligned tail is cross-checked against the
     jump-digit differences r_{k+1} - r_k; any mismatch raises
-    ConsistencyError, since both sides are exact.
+    ConsistencyError, since both sides are exact.  r_terms holds r_1, r_2,
+    ... at r_terms[0], r_terms[1], ..., at least lc.k_max of them; it is
+    computed with r_stream when not given.
     """
     b = lc.norm.base
     start = max(0, lc.k_min)
@@ -226,7 +267,7 @@ def d_seq(lc: LevelCounts) -> SeqSlice:
     slice_ = SeqSlice(start=start, values=values)
     if lc.alignment is not None and lc.alignment.ok:
         t = max(lc.alignment.threshold, start, 1)
-        r_vals = r_stream(lc.norm, lc.k_max + 1)
+        r_vals = r_stream(lc.norm, lc.k_max) if r_terms is None else r_terms
         for k in range(t, lc.k_max):
             want = r_vals[k] - r_vals[k - 1]
             if slice_.at(k) != want:
@@ -234,6 +275,33 @@ def d_seq(lc: LevelCounts) -> SeqSlice:
                     f"d_{k} = {slice_.at(k)} but jump digits predict {want}"
                 )
     return slice_
+
+
+def certify_d(
+    lc: LevelCounts, jumps: JumpData, cert_r: ModCycleCertificate,
+    r_terms: Sequence[int] | None = None,
+) -> PeriodicityVerdict:
+    """The rational body of decide_d_periodicity, on tables computed elsewhere.
+
+    lc counts the levels up to span + 1, jumps reaches at least c_{span+2}
+    (only that prefix is read) and r_terms, as in d_seq, holds at least
+    r_1..r_{span+1}.  d_1..d_span is certified under the orbit on cert_r.
+    """
+    span = lc.k_max - 1
+    jd = jumps.prefix(span + 2)
+    align_m0(lc, jd)
+    d_slice = d_seq(lc, r_terms)  # runs the aligned-tail cross-check internally
+    d_list = [d_slice.at(k) for k in range(1, span + 1)]
+
+    if lc.alignment.ok:
+        for k in range(lc.alignment.threshold, span + 1):
+            if cert_r.predict(k + 1) - cert_r.predict(k) != d_list[k - 1]:
+                raise ConsistencyError(
+                    f"r certificate fails to predict d_{k} through the "
+                    f"difference map"
+                )
+    orbit = (cert_r.orbit_preperiod, cert_r.orbit_period)
+    return certify_cycle(d_list, cert_r.modulus, orbit, jd.integrality_hits)
 
 
 def decide_d_periodicity(
@@ -249,6 +317,8 @@ def decide_d_periodicity(
     the r certificate must also predict the aligned tail of d, which d_seq
     checks against r_stream.  Irrational alpha: aperiodic, no search needed,
     since d ultimately periodic would force r, and then alpha, to be rational.
+    The tables are built here for span = max(preperiod + 2*period, window)
+    and handed to certify_d.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -262,20 +332,5 @@ def decide_d_periodicity(
     if (r_verdict.kind != "Periodic" or cert_r is None
             or cert_r.modulus != norm.alpha.as_fraction().numerator):
         raise ValueError("a rational slope needs its certified Periodic r verdict")
-    orbit = (cert_r.orbit_preperiod, cert_r.orbit_period)
-    span = max(orbit[0] + 2 * orbit[1], window)
-
-    lc = f_counts(norm, span + 1)
-    jd = jump_positions(norm, span + 2)
-    align_m0(lc, jd)
-    d_slice = d_seq(lc)  # runs the aligned-tail cross-check internally
-    d_list = [d_slice.at(k) for k in range(1, span + 1)]
-
-    if lc.alignment.ok:
-        for k in range(lc.alignment.threshold, span + 1):
-            if cert_r.predict(k + 1) - cert_r.predict(k) != d_list[k - 1]:
-                raise ConsistencyError(
-                    f"r certificate fails to predict d_{k} through the "
-                    f"difference map"
-                )
-    return certify_cycle(d_list, cert_r.modulus, orbit, jd.integrality_hits)
+    span = max(cert_r.orbit_preperiod + 2 * cert_r.orbit_period, window)
+    return certify_d(f_counts(norm, span + 1), jump_positions(norm, span + 2), cert_r)

@@ -213,6 +213,18 @@ class JumpData:
             raise IndexError(f"jump index {k} outside 1..{self.k_max}")
         return self.c[k - 1]
 
+    def prefix(self, k_max: int) -> "JumpData":
+        """The table jump_positions(norm, k_max) would build, read off this one."""
+        if not 1 <= k_max <= self.k_max:
+            raise IndexError(f"prefix {k_max} outside 1..{self.k_max}")
+        if k_max == self.k_max:
+            return self
+        return JumpData(
+            k_max=k_max,
+            c=self.c[:k_max],
+            integrality_hits=tuple(k for k in self.integrality_hits if k <= k_max),
+        )
+
 
 def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     """Exact c_k for k = 1..k_max with integrality bookkeeping.
@@ -286,21 +298,31 @@ def verify_jumps_against_v(
         u_prev = u_here
 
 
-def v_indicator(norm: NormalizedInstance, size: int) -> bytearray:
+def jump_levels_past(base: int, size: int) -> int:
+    """A k_max whose last jump position lies beyond index size.
+
+    On a normalized instance c_k > (base^k - beta)/alpha - 1 > base^(k-1) - 2,
+    since beta < alpha < base, so c_k > size as soon as base^(k-1) > size + 1,
+    which holds for k - 1 = the digit length of size + 1.
+    """
+    return len(to_word(size + 1, base)) + 1
+
+
+def v_indicator(
+    norm: NormalizedInstance, size: int, jumps: JumpData | None = None
+) -> bytearray:
     """The unit-step indicator v_n = u_{n+1} - u_n for 0 <= n <= size.
 
     Read directly off the jump positions: the step to level k sits at
     index c_k, except when the level boundary is hit exactly, where it
     moves one slot earlier.  Cheap even for large size because only
-    log-many jumps land inside the range.
+    log-many jumps land inside the range: jump_levels_past(base, size)
+    levels, computed here or read as the prefix of a given jump table.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
-    k_max = 4
-    jumps = jump_positions(norm, k_max)
-    while jumps.at(jumps.k_max) <= size:
-        k_max += 4
-        jumps = jump_positions(norm, k_max)
+    k_max = jump_levels_past(norm.base, size)
+    jumps = jump_positions(norm, k_max) if jumps is None else jumps.prefix(k_max)
     bm = bytearray(size + 1)
     for k in range(1, jumps.k_max + 1):
         c = jumps.at(k)

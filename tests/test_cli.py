@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from floorlog import cli, jumpdigits
+from floorlog import cli, jumpdigits, levelcounts, sequences
 from floorlog.battery import BATTERY
 from floorlog.cli import main, run_analyze
 from floorlog.exact import ExactReal
@@ -109,6 +109,26 @@ def test_mixed_radicands_are_usage_error(capsys, argv):
         "floorlog: error: alpha and beta must share one radicand, "
         "got sqrt(2) and sqrt(3)\n"
     )
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, like `floorlog ... | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--alpha", "3/2", "--base", "2", "--to", "2000"],
+    ["analyze", "--alpha", "3/2", "--base", "2"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_1_without_traceback(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ""
 
 
 _SOURCE_FLAGS = {
@@ -411,6 +431,32 @@ def test_battery_reports_are_pinned():
     assert digest.hexdigest() == BATTERY_REPORTS_SHA256
 
 
+# sha256 over run_analyze reports at window 200 (timings scrubbed, canonical
+# JSON, in this order) computed while every stage built its own tables.  At
+# window 200 and kmax 200 the d stage reads one jump index past the r stage.
+# The orbits of base^k mod p have orders 75, 292, 700 and 592, so from the
+# second on the cover preperiod + 2*period sets both spans; 5/4 in base 10
+# hits an integer at every k, so each certificate must list only the hits
+# of its own range.
+_WINDOW_200_INPUTS = (
+    ("151/107", "1/3", 10), ("293/171", "1/2", 2), ("701/500", "0", 10),
+    ("593/400", "1/3", 3), ("5/4", "0", 10),
+)
+WINDOW_200_REPORTS_SHA256 = (
+    "b203a491e4aba7b4d15b868fb82784c34941b1c666df4a760a7be4e75af1d697"
+)
+
+
+def test_window_200_reports_are_pinned():
+    digest = hashlib.sha256()
+    for alpha, beta, base in _WINDOW_200_INPUTS:
+        report = run_analyze(
+            {"alpha": alpha, "beta": beta, "base": base, "window": 200}
+        )
+        digest.update(cli._canonical(scrub(report)).encode())
+    assert digest.hexdigest() == WINDOW_200_REPORTS_SHA256
+
+
 # sha256 over the fk stdout of the 20 battery instances, in battery order,
 # computed while align_m0 still searched offsets 0..8
 _FK_STDOUT_SHA256 = {
@@ -430,14 +476,14 @@ def test_fk_output_is_pinned(capsys, extra):
     assert digest.hexdigest() == _FK_STDOUT_SHA256[extra]
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of jumpdigits.<name> through every module that holds it."""
-    real = getattr(jumpdigits, name)
+def _count_calls(monkeypatch, name, owner=jumpdigits):
+    """Count calls of owner.<name> through every module that holds it."""
+    real = getattr(owner, name)
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     for mod_name, module in list(sys.modules.items()):
         if mod_name.startswith("floorlog") and getattr(module, name, None) is real:
@@ -446,12 +492,23 @@ def _count_calls(monkeypatch, name):
 
 
 def test_analyze_proves_r_periodicity_once(monkeypatch):
-    detect = _count_calls(monkeypatch, "detect_period")
+    # certify_r builds the r certificate, on its own tables or detect_period's
+    certify = _count_calls(monkeypatch, "certify_r")
     orbit = _count_calls(monkeypatch, "residue_orbit")
     report = run_analyze({"alpha": "7/5", "base": 10})
     assert report["verdicts"]["language_regularity"]["kind"] == "Regular"
     assert report["verdicts"]["d_periodicity"]["certified"]
-    assert (len(detect), len(orbit)) == (1, 1)
+    assert (len(certify), len(orbit)) == (1, 1)
+
+
+@pytest.mark.parametrize("command", ["analyze", "fk"])
+def test_each_exact_table_is_built_once(monkeypatch, capsys, command):
+    jumps = _count_calls(monkeypatch, "jump_positions", sequences)
+    levels = _count_calls(monkeypatch, "f_counts", levelcounts)
+    digits = _count_calls(monkeypatch, "r_digits")
+    code, _, _ = run(capsys, command, "--alpha", "7/5", "--base", "10")
+    assert code == 0
+    assert (len(jumps), len(levels), len(digits)) == (1, 1, 1)
 
 
 def test_downstream_stages_reuse_the_r_verdict(monkeypatch):

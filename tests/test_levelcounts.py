@@ -280,6 +280,25 @@ def test_counts_match_enumeration_oracle(case):
         assert lc.at(k) == oracle_f(n.alpha, n.beta, base, k, n.n_min)
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=st_level_instance(), data=st.data())
+@example(case=(ExactReal(1), ExactReal(0), 3, 2000), data=None)
+@example(case=(ExactReal(1), ExactReal(Fraction(1, 10**6)), 10, 37), data=None)
+def test_prefix_views_equal_fresh_tables(case, data):
+    alpha, beta, base, cap = case
+    n = normalize(FloorLogInstance(alpha, beta, base))
+    top = 30
+    jd = jump_positions(n, top)
+    lc = f_counts(n, top, enum_cap=cap)
+    ks = [1, top] if data is None else data.draw(
+        st.lists(st.integers(1, top), min_size=1, max_size=4), label="k")
+    for k in ks:
+        assert jd.prefix(k) == jump_positions(n, k)  # integrality hits included
+        view, fresh = lc.prefix(k), f_counts(n, k, enum_cap=cap)
+        assert (view.k_min, view.k_max, view.f, view.enum_verified_to) == (
+            fresh.k_min, fresh.k_max, fresh.f, fresh.enum_verified_to)
+
+
 @pytest.mark.parametrize("alpha,beta,base", [
     ("sqrt(2)", 0, 2),               # B != 0, B > 0
     ("3+sqrt(2)", "1/5", 2),         # B != 0, B < 0

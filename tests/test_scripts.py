@@ -7,7 +7,7 @@ import sys
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name):
+def run_process(name):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / name)],
         capture_output=True,
@@ -15,7 +15,11 @@ def run_script(name):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def run_script(name):
+    return run_process(name).stdout
 
 
 def test_run_battery_prints_one_line_per_instance():
@@ -31,3 +35,10 @@ def test_headline_demo_shows_both_sides_of_the_dichotomy():
         if line.startswith("language ")
     ]
     assert verdicts == ["Regular:", "NonRegular:"]
+
+
+def test_run_battery_sums_stage_timings_on_stderr():
+    (line,) = run_process("run_battery.py").stderr.splitlines()
+    assert line.startswith("timings summed over 20 reports: ")
+    for stage in ("normalize", "r_periodicity", "language", "kernel", "level_counts", "total"):
+        assert f" {stage} " in line
