@@ -1,0 +1,38 @@
+#!/usr/bin/env python3
+"""Time the full pipeline on rational slopes with longer and longer orbits.
+
+Runs run_analyze at CLI defaults (window 1000, kmax 200, beta 0, base 10)
+on 7/5, 1009/1000 and 10007/10000, whose orbits of 10 mod the numerator
+have periods 6, 252 and 10006, and prints one line per slope: the wall
+time of the call, each stage's timings, the language verdict and the
+number of DFA states (None unless Regular).
+"""
+
+import pathlib
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from floorlog.cli import run_analyze
+
+PROBES = ("7/5", "1009/1000", "10007/10000")
+
+
+def main() -> int:
+    width = max(len(alpha) for alpha in PROBES)
+    for alpha in PROBES:
+        t0 = time.perf_counter()
+        report = run_analyze({"alpha": alpha, "base": 10})
+        wall = time.perf_counter() - t0
+        stages = "  ".join(f"{stage} {s:.3f}" for stage, s in report["timings"].items())
+        lang = report["verdicts"]["language_regularity"]
+        print(
+            f"{alpha:<{width}}  wall {wall:.3f} s  ({stages})  "
+            f"language={lang['kind']}  dfa_states={lang['dfa_states']}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -3,9 +3,12 @@
 Deterministic machines are immutable tables: state q reading digit d moves
 to ``transitions[q][d]``, with every row total (a rejecting sink makes up
 the difference when a language is finite).  Construction from word
-patterns goes through a small epsilon-NFA and the subset construction,
-followed by partition-refinement minimization and a breadth-first
-renumbering so equal languages produce identical tables.
+patterns goes through an epsilon-NFA whose size is linear in the
+distinct words: patterns that share V0 and V1 share one hub and one V1
+loop, and all words are read through tries.  The subset construction
+takes one pass over each subset's members with precomputed epsilon
+closures, and partition-refinement minimization plus a breadth-first
+renumbering follow, so equal languages produce identical tables.
 
 The kernel explorer walks arithmetic subsequences n -> s(base^i * n + j),
 identifying two of them when their first ``prefix_len`` terms agree.
@@ -161,62 +164,56 @@ def trie_dfa(words: Iterable, base: int) -> Dfa:
 
 
 class _Nfa:
-    """Throwaway epsilon-NFA used only as scaffolding for from_patterns."""
+    """Throwaway epsilon-NFA used only as scaffolding for from_patterns.
+
+    Every state's digit edges are deterministic (the words are read
+    through tries, one child per digit); epsilon edges supply all the
+    nondeterminism.  They only ever enter a hub, and a hub has none of
+    its own, so a state's epsilon closure is the state and its targets.
+    """
 
     def __init__(self, base: int):
         self.base = base
-        self.eps: list[set[int]] = []
-        self.delta: list[dict[int, set[int]]] = []
+        self.eps: list[list[int]] = []
+        self.delta: list[dict[int, int]] = []
+        self.accepting: set[int] = set()
 
     def fresh(self) -> int:
-        self.eps.append(set())
+        self.eps.append([])
         self.delta.append({})
         return len(self.eps) - 1
 
-    def edge(self, q: int, d: int, t: int):
-        if not 0 <= d < self.base:
-            raise ValueError(f"digit {d} outside alphabet of base {self.base}")
-        self.delta[q].setdefault(d, set()).add(t)
-
     def word_path(self, q: int, word: Word) -> int:
+        """The trie node that word reaches from q, made as it goes."""
         for d in word:
-            t = self.fresh()
-            self.edge(q, d, t)
+            if not 0 <= d < self.base:
+                raise ValueError(f"digit {d} outside alphabet of base {self.base}")
+            t = self.delta[q].get(d)
+            if t is None:
+                t = self.delta[q][d] = self.fresh()
             q = t
         return q
 
-    def closure(self, states: frozenset[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for t in self.eps[q]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-    def determinize(self, start: int, final: int) -> Dfa:
-        start_set = self.closure(frozenset([start]))
+    def determinize(self, start: int) -> Dfa:
+        closure = [frozenset((q, *hubs)) for q, hubs in enumerate(self.eps)]
+        start_set = closure[start]
         index = {start_set: 0}
-        rows: list[list[int]] = []
-        queue = deque([start_set])
         order = [start_set]
-        while queue:
-            cur = queue.popleft()
+        rows: list[list[int]] = []
+        for cur in order:  # grows as subsets are discovered: breadth first
+            moved: dict[int, set[int]] = {}
+            for q in cur:
+                for d, t in self.delta[q].items():
+                    moved.setdefault(d, set()).update(closure[t])
             row = []
             for d in range(self.base):
-                moved = set()
-                for q in cur:
-                    moved.update(self.delta[q].get(d, ()))
-                nxt = self.closure(frozenset(moved))
+                nxt = frozenset(moved.get(d, ()))
                 if nxt not in index:
-                    index[nxt] = len(index)
-                    queue.append(nxt)
+                    index[nxt] = len(order)
                     order.append(nxt)
                 row.append(index[nxt])
             rows.append(row)
-        acc = frozenset(i for i, s in enumerate(order) if final in s)
+        acc = frozenset(i for i, s in enumerate(order) if not self.accepting.isdisjoint(s))
         return Dfa(self.base, tuple(tuple(r) for r in rows), 0, acc)
 
 
@@ -224,24 +221,32 @@ def from_patterns(patterns: Iterable, exceptions: Iterable = (), base: int = 2) 
     """Minimal DFA for (union of V0 V1* V2 over the patterns) + exceptions.
 
     Each pattern is a triple of digit words; strings like "01" are read
-    digit by digit.  The result is checked against the raw subset-built
-    machine before being returned.
+    digit by digit.  Patterns with the same V0 and V1 share one hub and
+    one V1 loop, since the union of V0 V1* V2 over them is V0 V1* (union
+    of their V2): the NFA grows with the total length of the distinct
+    words, not with the number of patterns times |V1|.  The exceptions
+    and every V0 are read through one trie rooted at the start state,
+    and each hub's loop and V2 tails through a trie rooted at the hub.
+    A hub is a fresh state entered by an epsilon edge from the end of
+    its V0, never a trie node itself, so no other word passing through
+    that node can take the loop.  The result is checked against the raw
+    subset-built machine before being returned.
     """
     nfa = _Nfa(base)
     start = nfa.fresh()
-    final = nfa.fresh()
     for raw in exceptions:
-        end = nfa.word_path(start, as_digits(raw))
-        nfa.eps[end].add(final)
+        nfa.accepting.add(nfa.word_path(start, as_digits(raw)))
+    hubs: dict[tuple[Word, Word], int] = {}
     for pat in patterns:
         v0, v1, v2 = (as_digits(part) for part in pat)
-        hub = nfa.word_path(start, v0)
-        if v1:
-            loop_end = nfa.word_path(hub, v1)
-            nfa.eps[loop_end].add(hub)
-        tail = nfa.word_path(hub, v2)
-        nfa.eps[tail].add(final)
-    raw_dfa = nfa.determinize(start, final)
+        hub = hubs.get((v0, v1))
+        if hub is None:
+            hub = hubs[v0, v1] = nfa.fresh()
+            nfa.eps[nfa.word_path(start, v0)].append(hub)
+            if v1:
+                nfa.eps[nfa.word_path(hub, v1)].append(hub)
+        nfa.accepting.add(nfa.word_path(hub, v2))
+    raw_dfa = nfa.determinize(start)
     out = raw_dfa.minimize()
     ok, witness = equivalent(out, raw_dfa)
     if not ok:

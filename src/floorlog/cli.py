@@ -72,6 +72,15 @@ SCHEMA = "floorlog-report/2"
 DEFAULT_KMAX = 200
 DEFAULT_WINDOW = 10**3
 _KERNEL_SCOPE_CAP = 1 << 24
+# work budgets, refused with exit 1: the work and output of each flag's
+# stage grow at least linearly in it; at its cap a small instance such as
+# 3/2 in base 2 or 10 runs in about ten seconds or less
+_WINDOW_CAP = 10**5
+_KMAX_CAP = 4000  # fk's base-10 f_k stay below 4300, Python's int-to-text limit
+_COUNT_CAP = 10**5
+_NMAX_CAP = 2000  # language prints every word, about nmax^2 / 2 digits
+_INDEX_CAP = 10**6
+_DEPTH_CAP = 64  # bounds base**depth before the kernel scope cap is tested
 
 
 class UsageError(Exception):
@@ -138,7 +147,7 @@ def _field(fields: dict, key: str, default=None):
     return value
 
 
-def _positive_int(fields: dict, key: str, default=None) -> int:
+def _positive_int(fields: dict, key: str, default=None, cap=None) -> int:
     value = _field(fields, key, default)
     try:
         out = int(value)
@@ -146,6 +155,8 @@ def _positive_int(fields: dict, key: str, default=None) -> int:
         raise UsageError(f"{_flag(key)} must be an integer, got {value!r}")
     if out < 1:
         raise UsageError(f"{_flag(key)} must be positive, got {out}")
+    if cap is not None and out > cap:
+        raise UsageError(f"{_flag(key)} must be at most {cap}, got {out}")
     return out
 
 
@@ -157,7 +168,7 @@ def _base(fields: dict) -> int:
 
 
 def _window(fields: dict) -> int:
-    window = _positive_int(fields, "window", DEFAULT_WINDOW)
+    window = _positive_int(fields, "window", DEFAULT_WINDOW, _WINDOW_CAP)
     if window < MIN_WINDOW:
         raise UsageError(f"--window must be at least {MIN_WINDOW}")
     return window
@@ -404,7 +415,7 @@ class _Tables:
 def _cmd_seq(fields) -> int:
     alpha, beta, base = _triple(fields)
     start = _positive_int(fields, "start", 1)
-    stop = _positive_int(fields, "stop", 10)
+    stop = _positive_int(fields, "stop", 10, _INDEX_CAP)
     if stop < start:
         raise UsageError("--to must not be below --from")
     try:
@@ -417,7 +428,7 @@ def _cmd_seq(fields) -> int:
 
 def _cmd_rk(fields) -> int:
     norm = _normalized(fields)
-    kmax = _positive_int(fields, "kmax", DEFAULT_KMAX)
+    kmax = _positive_int(fields, "kmax", DEFAULT_KMAX, _KMAX_CAP)
     records = classify_range(norm, kmax)
     _print(
         [
@@ -437,7 +448,7 @@ def _cmd_rk(fields) -> int:
 
 def _cmd_digits(fields) -> int:
     norm = _normalized(fields)
-    count = _positive_int(fields, "count", 32)
+    count = _positive_int(fields, "count", 32, _COUNT_CAP)
     _print(
         {
             "alpha": str(norm.alpha),
@@ -451,7 +462,7 @@ def _cmd_digits(fields) -> int:
 
 def _cmd_language(fields) -> int:
     src, base = _digit_source(fields)
-    n_max = _positive_int(fields, "nmax", 30)
+    n_max = _positive_int(fields, "nmax", 30, _NMAX_CAP)
     lw = words(src, base, n_max, allow_zero_start=True)
     payload = {
         "source": lw.source_label,
@@ -477,7 +488,7 @@ def _cmd_decide(fields) -> int:
 
 def _cmd_kernel(fields) -> int:
     norm = _normalized(fields)
-    depth = _positive_int(fields, "depth", 6)
+    depth = _positive_int(fields, "depth", 6, _DEPTH_CAP)
     prefix_len = _positive_int(fields, "prefix_len", 64)
     _print(_kernel_payload(_kernel_report(norm, depth, prefix_len)))
     return 0
@@ -485,7 +496,7 @@ def _cmd_kernel(fields) -> int:
 
 def _cmd_fk(fields) -> int:
     norm = _normalized(fields)
-    kmax = _positive_int(fields, "kmax", 60)
+    kmax = _positive_int(fields, "kmax", 60, _KMAX_CAP)
     tables = _Tables(norm, r_window=kmax, d_window=kmax, fk_top=kmax)
     lc, d_verdict = tables.level_counts()
     payload = {
@@ -558,9 +569,9 @@ def run_analyze(scenario: dict) -> dict:
     is recorded separately so a failure localizes to its link.  The
     scenario holds the same fields as the flags; null means unset.
     """
-    kmax = _positive_int(scenario, "kmax", DEFAULT_KMAX)
+    kmax = _positive_int(scenario, "kmax", DEFAULT_KMAX, _KMAX_CAP)
     window = _window(scenario)
-    kernel_depth = _positive_int(scenario, "kernel_depth", 4)
+    kernel_depth = _positive_int(scenario, "kernel_depth", 4, _DEPTH_CAP)
     kernel_prefix = _positive_int(scenario, "kernel_prefix", 32)
 
     timings: dict[str, float] = {}

@@ -586,6 +586,14 @@ class CertifiedPattern:
         )
 
 
+def _read(src: DigitSource, start: int, count: int) -> Word:
+    """Digits start .. start+count-1, or IndexError past a finite end."""
+    digits = src.prefix(start + count)
+    if len(digits) < start + count:
+        raise IndexError(f"index {len(digits)} past the end of the stream")
+    return digits[start:]
+
+
 def certify_pattern(
     src: DigitSource, candidate: PatternCandidate, window: int = 1000
 ) -> CertifiedPattern:
@@ -613,9 +621,7 @@ def certify_pattern(
     p = candidate.period
     n0 = candidate.anchor
 
-    value = src.digit(0)
-    for i in range(1, n0 + 1):
-        value = value * b + src.digit(i)
+    value = from_word(_read(src, 0, n0 + 1), b)
     if to_word(value, b) != candidate.v0 + candidate.v2:
         raise PatternRejection(
             "i",
@@ -640,8 +646,7 @@ def certify_pattern(
             f"anchor {n0} starts its digit block inside the preperiod "
             f"(needs index >= {verdict.preperiod})",
         )
-    block = tuple(src.digit(n0 + 1 + j) for j in range(p))
-    constant = from_word(block, b)
+    constant = from_word(_read(src, n0 + 1, p), b)
 
     split_constant = _value(candidate.v1 + candidate.v2, b) - b**p * _value(
         candidate.v2, b

@@ -8,6 +8,10 @@ non-boundary inputs and always terminate.
 
 Deliberately shares no arithmetic with floorlog.exact: different data
 structure, different floor algorithm, different comparison logic.
+
+The word-level oracles at the end (rendering, the unpruned pattern scan,
+the ungrouped pattern automaton) work on plain digit tuples; the last
+shares only the Dfa table and its minimization with floorlog.automata.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import os
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable
+
+from floorlog.automata import Dfa
 
 Shadow = tuple[Fraction, Fraction, int]  # ra + rc * sqrt(d)
 
@@ -285,3 +291,80 @@ def find_pattern_unpruned(words, p: int, residue: int, min_anchor: int = 0):
                     return v0, v1, v2, n0
         n0 += p
     return None
+
+
+class _UngroupedNfa:
+    """Epsilon-NFA with one fresh path per word and a final state."""
+
+    def __init__(self, base: int):
+        self.base = base
+        self.eps: list[set[int]] = []
+        self.delta: list[dict[int, set[int]]] = []
+
+    def fresh(self) -> int:
+        self.eps.append(set())
+        self.delta.append({})
+        return len(self.eps) - 1
+
+    def word_path(self, q: int, word) -> int:
+        for d in word:
+            if not 0 <= d < self.base:
+                raise ValueError(f"digit {d} outside alphabet of base {self.base}")
+            t = self.fresh()
+            self.delta[q].setdefault(d, set()).add(t)
+            q = t
+        return q
+
+    def closure(self, states) -> frozenset[int]:
+        seen = set(states)
+        stack = list(states)
+        while stack:
+            for t in self.eps[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    def determinize(self, start: int, final: int) -> Dfa:
+        start_set = self.closure([start])
+        index = {start_set: 0}
+        order = [start_set]
+        rows = []
+        for cur in order:
+            row = []
+            for d in range(self.base):
+                moved = set()
+                for q in cur:
+                    moved.update(self.delta[q].get(d, ()))
+                nxt = self.closure(moved)
+                if nxt not in index:
+                    index[nxt] = len(order)
+                    order.append(nxt)
+                row.append(index[nxt])
+            rows.append(row)
+        acc = frozenset(i for i, s in enumerate(order) if final in s)
+        return Dfa(self.base, tuple(tuple(r) for r in rows), 0, acc)
+
+
+def from_patterns_ungrouped(patterns, exceptions=(), base: int = 2) -> Dfa:
+    """The minimal DFA of automata.from_patterns, built the direct way.
+
+    Every exception and every pattern gets its own paths from the start
+    state, with its own hub and V1 loop, so the NFA holds about
+    (number of patterns) * |V1| states; each subset move takes its
+    closure afresh.  Only the minimization is shared with the library.
+    """
+    nfa = _UngroupedNfa(base)
+    start = nfa.fresh()
+    final = nfa.fresh()
+    for word in exceptions:
+        nfa.eps[nfa.word_path(start, tuple(word))].add(final)
+    for v0, v1, v2 in patterns:
+        # an empty V0 must not make start the hub: the loop would then
+        # run in front of the exceptions and the other patterns too
+        hub = nfa.fresh()
+        nfa.eps[nfa.word_path(start, tuple(v0))].add(hub)
+        if v1:
+            nfa.eps[nfa.word_path(hub, tuple(v1))].add(hub)
+        nfa.eps[nfa.word_path(hub, tuple(v2))].add(final)
+    return nfa.determinize(start, final).minimize()

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from floorlog import automata
 from floorlog.automata import (
     Dfa,
     equivalent,
@@ -15,7 +16,9 @@ from floorlog.automata import (
     trie_dfa,
 )
 from floorlog.exact import ExactReal
+from floorlog.language import RkDigitSource, decide_regularity
 from floorlog.sequences import FloorLogInstance, jump_positions, normalize
+from oracles import from_patterns_ungrouped
 
 
 def all_words(base, max_len):
@@ -64,6 +67,15 @@ def test_exceptions_only():
         assert not m.accepts(w)
 
 
+def test_empty_v0_loop_stays_off_the_exceptions():
+    # with V0 empty the hub must still be a state of its own: a loop on the
+    # start state would also run in front of the exception, accepting 00
+    m = from_patterns([("", "00", "0")], exceptions=[""], base=2)
+    assert [w for w in ("", "0", "00", "000", "0000", "00000") if m.accepts(w)] == [
+        "", "0", "000", "00000"
+    ]
+
+
 def test_pattern_digit_outside_alphabet():
     with pytest.raises(ValueError):
         from_patterns([("2", "01", "")], base=2)
@@ -72,6 +84,69 @@ def test_pattern_digit_outside_alphabet():
 def test_empty_language():
     m = from_patterns([], base=2)
     assert not any(m.accepts(w) for w in all_words(2, 5))
+
+
+@st.composite
+def pattern_sets(draw):
+    """Patterns drawn from small V0 and V1 pools, so groups share them often.
+
+    Each V2 is free, a prefix of its V1 (the empty word among them) or V1
+    extended; a pattern may repeat, and some exceptions are prefixes of
+    pattern words.
+    """
+    base = draw(st.integers(min_value=2, max_value=10))
+    word = st.lists(st.integers(min_value=0, max_value=base - 1), max_size=4).map(tuple)
+    v0_pool = draw(st.lists(word, min_size=1, max_size=3))
+    v1_pool = draw(st.lists(word, min_size=1, max_size=3))
+    patterns = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        v0 = draw(st.sampled_from(v0_pool))
+        v1 = draw(st.sampled_from(v1_pool))
+        v2 = draw(st.one_of(
+            word,
+            st.integers(min_value=0, max_value=len(v1)).map(lambda i: v1[:i]),
+            word.map(lambda w: v1 + w),
+        ))
+        patterns.append((v0, v1, v2))
+    if patterns:
+        patterns += draw(st.lists(st.sampled_from(patterns), max_size=2))
+    exceptions = draw(st.lists(word, max_size=3))
+    for v0, v1, v2 in draw(st.lists(st.sampled_from(patterns), max_size=3)) if patterns else ():
+        full = v0 + v1 * draw(st.integers(min_value=0, max_value=2)) + v2
+        exceptions.append(full[: draw(st.integers(min_value=0, max_value=len(full)))])
+    return base, patterns, exceptions
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pattern_sets())
+# one V0, two loops: a hub that is the V0 trie node carries both loops
+@example(case=(2, [((1,), (0,), ()), ((1,), (1,), ())], []))
+# an exception passing through the V0 trie node must not take the loop
+@example(case=(2, [((1,), (1,), ())], [(1, 0)]))
+# one group whose V2s are a prefix of V1 and an extension of it
+@example(case=(3, [((2,), (0, 1), (0,)), ((2,), (0, 1), (0, 1, 2))], [(2, 0)]))
+def test_grouped_machine_matches_ungrouped_oracle(case):
+    base, patterns, exceptions = case
+    got = from_patterns(patterns, exceptions, base)
+    assert got.to_table() == from_patterns_ungrouped(patterns, exceptions, base).to_table()
+
+
+def test_shared_loops_keep_the_nfa_linear(monkeypatch):
+    # 1009/1000 base 10: 252 certified patterns with |V1| = 252, all with
+    # one V0 and one V1; one copy per pattern made 95,384 NFA states
+    sizes = []
+    determinize = automata._Nfa.determinize
+
+    def counted(self, start):
+        sizes.append(len(self.delta))
+        return determinize(self, start)
+
+    monkeypatch.setattr(automata._Nfa, "determinize", counted)
+    norm = normalize(FloorLogInstance(ExactReal.parse("1009/1000"), ExactReal(0), 10))
+    verdict = decide_regularity(RkDigitSource(norm), 10)
+    assert verdict.kind == "Regular" and len(verdict.patterns) == 252
+    assert verdict.dfa.num_states == 254
+    assert len(sizes) == 1 and sizes[0] < 1000
 
 
 def test_minimize_idempotent_and_smaller():

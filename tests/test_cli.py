@@ -171,16 +171,25 @@ def test_stream_command_output_is_pinned(capsys, command, source):
 _DFA_FLAGS = {
     "3/2": ["--alpha", "3/2", "--base", "2"],
     "7/5+1/3": ["--alpha", "7/5", "--beta", "1/3", "--base", "10"],
+    "47/43": ["--alpha", "47/43", "--base", "10"],
+    "47/40": ["--alpha", "47/40", "--base", "2"],
+    "31/23": ["--alpha", "31/23", "--base", "3"],
 }
+# the last three have orbits of period 46, 23 and 30 and 48-, 25- and
+# 32-state machines; their digests were computed while every pattern
+# had its own copy of the V1 loop
 _DFA_STDOUT_SHA256 = {
     ("3/2", ()): "fe0bed0c7dffec02d6f9e5c1011e177885fe8328830a5ef7174e2c30e0d40c8a",
     ("3/2", ("--dot",)): "585c55dc775818d399a29bdd13c3fcb6f7cf5d357bcd9fbdd40b70d962473deb",
     ("7/5+1/3", ()): "81fa1c5fdcc31e4f9e2350f3452f4c40745c2092aa4ece3739163585a6102831",
     ("7/5+1/3", ("--dot",)): "11c592b6404c540e656794642231452279398c3eacf34cb5faf0b69835f969b3",
+    ("47/43", ("--window", "200")): "076aefddca1b3ddf317a45995575c82d65702abf64cc42adc39774fe401c7567",
+    ("47/40", ("--window", "200")): "19f19d555f2de2eecedd435f89417cd391b0351559080d325b3c864ccaa277f6",
+    ("31/23", ("--window", "200")): "bb4b9ca8301febd8d83e228517477b6ee4a3037bf04c40ae1e38491e46cac9e3",
 }
 
 
-@pytest.mark.parametrize("instance, extra", sorted(_DFA_STDOUT_SHA256))
+@pytest.mark.parametrize("instance, extra", list(_DFA_STDOUT_SHA256))
 def test_dfa_output_is_pinned(capsys, instance, extra):
     code, out, _ = run(capsys, "dfa", *_DFA_FLAGS[instance], *extra)
     assert code == 0
@@ -350,6 +359,33 @@ def test_kernel_scope_cap(capsys):
     assert "scope" in err
 
 
+# each of the first six was still running when `timeout 5` stopped it
+_OVER_BUDGET = {
+    "analyze-window": ("analyze", "--window", 10**8, cli._WINDOW_CAP),
+    "fk-kmax": ("fk", "--kmax", 10**8, cli._KMAX_CAP),
+    "rk-kmax": ("rk", "--kmax", 10**8, cli._KMAX_CAP),
+    "digits-count": ("digits", "--count", 10**8, cli._COUNT_CAP),
+    "language-nmax": ("language", "--nmax", 10**8, cli._NMAX_CAP),
+    "seq-to": ("seq", "--to", 10**12, cli._INDEX_CAP),
+    "analyze-kmax": ("analyze", "--kmax", 10**8, cli._KMAX_CAP),
+    "kernel-depth": ("kernel", "--depth", 10**12, cli._DEPTH_CAP),
+    "analyze-kernel-depth": ("analyze", "--kernel-depth", 10**12, cli._DEPTH_CAP),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVER_BUDGET))
+def test_work_budgets_refuse_oversized_values(capsys, case):
+    command, flag, value, cap = _OVER_BUDGET[case]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, "--alpha", "3/2", "--base", "2",
+                         flag, str(value))
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    assert f"{flag} must be at most {cap}, got {value}" in err
+    assert "Traceback" not in err
+    assert cli._positive_int({"n": cap}, "n", cap=cap) == cap  # the cap itself passes
+
+
 def test_fk_subcommand(capsys):
     code, out, _ = run(capsys, "fk", "--alpha", "3/2", "--beta", "0",
                        "--base", "2", "--kmax", "30")
@@ -455,6 +491,21 @@ def test_window_200_reports_are_pinned():
         )
         digest.update(cli._canonical(scrub(report)).encode())
     assert digest.hexdigest() == WINDOW_200_REPORTS_SHA256
+
+
+# sha256 of the 1009/1000 base-10 report at CLI defaults (timings scrubbed,
+# canonical JSON): 252 patterns with |V1| = 252 and a 254-state machine,
+# computed while the pattern NFA held 95,384 states
+ORBIT_252_REPORT_SHA256 = (
+    "db029d8dfc4c93602d9e9bdcfd7ba076c442b36e0eda37d4466961921427bf4a"
+)
+
+
+def test_orbit_252_report_is_pinned():
+    report = run_analyze({"alpha": "1009/1000", "base": 10})
+    assert report["verdicts"]["language_regularity"]["dfa_states"] == 254
+    digest = hashlib.sha256(cli._canonical(scrub(report)).encode()).hexdigest()
+    assert digest == ORBIT_252_REPORT_SHA256
 
 
 # sha256 over the fk stdout of the 20 battery instances, in battery order,

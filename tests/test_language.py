@@ -749,3 +749,10 @@ def test_carry_rendering_matches_oracle_on_random_explicit_words(case):
 def test_carry_rendering_matches_oracle_on_battery_streams(name):
     inst = by_name(name)
     assert_renders_like_oracle(RkDigitSource(inst.normalized()), inst.base, 300)
+
+
+def test_certify_past_a_short_finite_source_is_index_error():
+    # anchor 4 needs digits 0..4, and the word has four
+    cand = PatternCandidate(2, (1, 0), (1, 0), (1,), 2, 0, 4)
+    with pytest.raises(IndexError):
+        certify_pattern(ExplicitDigitSource("1011"), cand)

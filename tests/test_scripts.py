@@ -42,3 +42,11 @@ def test_run_battery_sums_stage_timings_on_stderr():
     assert line.startswith("timings summed over 20 reports: ")
     for stage in ("normalize", "r_periodicity", "language", "kernel", "level_counts", "total"):
         assert f" {stage} " in line
+
+
+def test_rational_probes_print_one_line_per_slope():
+    lines = run_script("rational_probes.py").splitlines()
+    assert [line.split()[0] for line in lines] == ["7/5", "1009/1000", "10007/10000"]
+    verdicts = [word for line in lines for word in line.split() if word.startswith("language=")]
+    assert verdicts == ["language=Regular", "language=Regular", "language=Inconclusive"]
+    assert "dfa_states=254" in lines[1].split()
