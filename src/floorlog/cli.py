@@ -76,11 +76,14 @@ _KERNEL_SCOPE_CAP = 1 << 24
 # stage grow at least linearly in it; at its cap a small instance such as
 # 3/2 in base 2 or 10 runs in about ten seconds or less
 _WINDOW_CAP = 10**5
-_KMAX_CAP = 4000  # fk's base-10 f_k stay below 4300, Python's int-to-text limit
+_KMAX_CAP = 4000  # fk in base 10 prints f_k up to 4001 digits; see _fk_fits_text_limit
 _COUNT_CAP = 10**5
 _NMAX_CAP = 2000  # language prints every word, about nmax^2 / 2 digits
 _INDEX_CAP = 10**6
 _DEPTH_CAP = 64  # bounds base**depth before the kernel scope cap is tested
+# base**2 is the least kernel scope (depth 1, prefix 1), so analyze cannot
+# run above this base; it also bounds the alphabet of every digit automaton
+_BASE_CAP = 1 << 12
 
 
 class UsageError(Exception):
@@ -161,7 +164,7 @@ def _positive_int(fields: dict, key: str, default=None, cap=None) -> int:
 
 
 def _base(fields: dict) -> int:
-    base = _positive_int(fields, "base")
+    base = _positive_int(fields, "base", cap=_BASE_CAP)
     if base < 2:
         raise UsageError("--base must be at least 2")
     return base
@@ -494,9 +497,28 @@ def _cmd_kernel(fields) -> int:
     return 0
 
 
+def _fk_fits_text_limit(base: int, kmax: int) -> None:
+    """Refuse a level range whose counts Python cannot print.
+
+    On a normalized instance (alpha >= 1, 0 <= beta < alpha) a level
+    holds f_k <= (base^(k+1) - base^k)/alpha + 2 indices, which is below
+    base^(kmax+1) for every k <= kmax once base^kmax > 2 (smaller ranges
+    print one-digit counts).  So every count fk prints has at most limit
+    digits when base^(kmax+1) <= 10^limit, limit being the interpreter's
+    int-to-text digit limit (0 when it is off).
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and base ** (kmax + 1) > 10**limit:
+        raise UsageError(
+            f"--kmax {kmax} at --base {base} could print level counts f_k of "
+            f"more than {limit} digits, Python's int-to-text limit; lower --kmax"
+        )
+
+
 def _cmd_fk(fields) -> int:
     norm = _normalized(fields)
     kmax = _positive_int(fields, "kmax", 60, _KMAX_CAP)
+    _fk_fits_text_limit(norm.base, kmax)
     tables = _Tables(norm, r_window=kmax, d_window=kmax, fk_top=kmax)
     lc, d_verdict = tables.level_counts()
     payload = {

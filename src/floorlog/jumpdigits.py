@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
 
-from .exact import over_common_denominator
+from .exact import _sign_quadratic, over_common_denominator
 from .numeration import digit_stream, to_word, word_str
 from .sequences import ConsistencyError, JumpData, NormalizedInstance, jump_positions
 
@@ -90,9 +90,11 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     one exact isqrt restarts the spigot.  A rational stream is the same
     loop with B = 0.
 
-    jump_positions evaluates each c_k with a fresh isqrt of B_k^2 d and
-    keeps nothing between indices, so comparing the two routes compares two
-    independent square-root computations, not one kernel with itself.
+    jump_positions takes two fixed-point roots once per call and brackets
+    each c_k from base^k times the first, with a fresh isqrt of B_k^2 d
+    where the bracket straddles; it carries no remainder and never looks
+    at this spigot, so comparing the two routes compares two independent
+    square-root computations, not one kernel with itself.
     """
     b = norm.base
     tail = (norm.beta / norm.alpha).frac()
@@ -212,28 +214,40 @@ def classify(norm: NormalizedInstance, k: int) -> RkRecord:
 
 
 def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
-    """Classify k = 1..k_max in one sweep.
+    """Classify k = 1..k_max in one integer sweep.
 
-    The state carried between steps is x_k = frac(base^k/alpha); the next
-    digit is floor(base*x_k) and the next state its fractional remainder, so
-    the whole range costs one floor and one comparison per index.
+    The state carried between steps is x_k = frac(base^k/alpha), held as
+    (A + B*sqrt(d))/C over one denominator shared with
+    frac(beta/alpha) = (A' + B'*sqrt(d))/C.  A step scales A and B by
+    base and takes the digit floor(base*x_k) with one fresh isqrt, as
+    ExactReal.floor does; A minus digit*C leaves the next state, and
+    P_(k+1) is the exact sign test (A - A') + (B - B')*sqrt(d) >= 0.  B
+    is base^k times its start, so the sweep shares no root with
+    jump_positions or r_digits.  No value is normalized on the way.
     """
     b = norm.base
-    rhs = (norm.beta / norm.alpha).frac()
-    x = (b / norm.alpha).frac()
-    pk = x >= rhs
+    den, d, ((a, rad), (ta, tb)) = over_common_denominator(
+        (b / norm.alpha).frac(), (norm.beta / norm.alpha).frac()
+    )
+    pk = _sign_quadratic(a - ta, rad - tb, d) >= 0
     records = []
     for k in range(1, k_max + 1):
-        scaled = b * x
-        digit = scaled.floor()
-        x_next = scaled - digit
-        pk1 = x_next >= rhs
+        a *= b
+        rad *= b
+        if rad > 0:
+            digit = (a + isqrt(rad * rad * d)) // den
+        elif rad < 0:
+            digit = (a - isqrt(rad * rad * d) - 1) // den
+        else:
+            digit = a // den
+        a -= digit * den
+        pk1 = _sign_quadratic(a - ta, rad - tb, d) >= 0
         r = digit + (0 if pk else b) - (0 if pk1 else 1)
         records.append(
             RkRecord(k=k, r=r, case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1,
                      digit=digit, base=b)
         )
-        x, pk = x_next, pk1
+        pk = pk1
     return records
 
 

@@ -226,6 +226,17 @@ class JumpData:
         )
 
 
+# guard bits of the fixed-point roots in jump_positions, past base^k_max
+_ROOT_GUARD_BITS = 64
+
+
+def _floor_scaled_root(x: int, d: int, shift: int) -> int:
+    """floor(x*sqrt(d)*2^shift) for an integer x and a non-square d."""
+    root = isqrt((x * x * d) << (2 * shift))
+    # x*sqrt(d) is irrational for x != 0, so a negative value is never whole
+    return root if x >= 0 else -root - 1
+
+
 def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     """Exact c_k for k = 1..k_max with integrality bookkeeping.
 
@@ -235,10 +246,38 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
         (base^k - beta)/alpha = (A_k + B_k*sqrt(d))/C,
         A_k = base^k*p - e,  B_k = base^k*q - f,
 
-    so c_k = (A_k + isqrt(B_k^2 d)) // C when B_k > 0 and
-    (A_k - isqrt(B_k^2 d) - 1) // C when B_k < 0, one fresh square root
-    per k and no state carried between indices beyond base^k.  The
-    quotient is an integer exactly when B_k == 0 and C divides A_k.
+    and c_k = floor((A_k + floor(B_k*sqrt(d)))/C).  The quotient is an
+    integer exactly when B_k == 0 and C divides A_k; that case is one
+    divmod.  A rational instance (d == 1) has B_k == 0 at every k and
+    takes no root at all.
+
+    For d > 1 the roots are fixed-point numbers taken once per call:
+    Q = floor(q*sqrt(d)*2^M) and F = floor(f*sqrt(d)*2^M), with M the bit
+    length of base^k_max plus _ROOT_GUARD_BITS.  Then, with power = base^k
+    and V = power*Q, both stepped by one small multiplication per k,
+
+        V - F - 1  <  B_k*sqrt(d)*2^M  <  V + power - F.
+
+    Proof: Q <= q*sqrt(d)*2^M < Q + 1 and F <= f*sqrt(d)*2^M < F + 1 by
+    the definition of a floor.  Multiply the first by power and subtract
+    the second: the upper end is strict because power*(Q + 1) is never
+    reached, and the lower end because F + 1 is never reached.  Neither
+    step needs the middle terms to be irrational, so q = 0 (a rational
+    slope with a surd offset: Q = V = 0, the first term exactly 0) and
+    f = 0 (F = 0, the second term exactly 0) are covered.  Irrationality
+    enters in the floors themselves: since d is not a square,
+    x*sqrt(d)*2^M is never an integer for x != 0, so for negative x its
+    floor is -isqrt(x^2 d 4^M) - 1, not -isqrt(x^2 d 4^M); the same
+    holds for B_k*sqrt(d) below.  Since floor(t/2^M) is monotone,
+    floor(B_k*sqrt(d)) lies in [(V - F - 1) >> M, (V + power - F) >> M],
+    so c_k lies between lo = (A_k + ((V - F - 1) >> M)) // C and
+    hi = (A_k + ((V + power - F) >> M)) // C, and equals lo when lo == hi.
+    The bracket is power + 1 <= 2^(M - 64) units of 2^-M wide, at most
+    2^-64, so it rarely straddles an integer; when it does, c_k is taken
+    the direct way, (A_k + isqrt(B_k^2 d)) // C for B_k > 0 and
+    (A_k - isqrt(B_k^2 d) - 1) // C for B_k < 0.  A step thus costs a few
+    linear-time operations on numbers of about 2*k_max*log2(base) bits
+    instead of one isqrt of that size.
     """
     b = norm.base
     den, d, ((p, q), (e, f)) = over_common_denominator(
@@ -247,6 +286,25 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     cs = []
     hits = []
     power = 1
+    if d > 1:
+        shift = (b**k_max).bit_length() + _ROOT_GUARD_BITS
+        scaled, root_f = _floor_scaled_root(q, d, shift), _floor_scaled_root(f, d, shift)
+        for k in range(1, k_max + 1):
+            power *= b
+            scaled *= b
+            num = power * p - e
+            rad = power * q - f
+            if rad == 0:
+                c, rest = divmod(num, den)
+                if rest == 0:
+                    hits.append(k)
+            else:
+                c = (num + ((scaled - root_f - 1) >> shift)) // den
+                if c != (num + ((scaled + power - root_f) >> shift)) // den:
+                    root = isqrt(rad * rad * d)
+                    c = (num + root) // den if rad > 0 else (num - root - 1) // den
+            cs.append(c)
+        return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
     for k in range(1, k_max + 1):
         power *= b
         num = power * p - e

@@ -9,9 +9,15 @@ non-boundary inputs and always terminate.
 Deliberately shares no arithmetic with floorlog.exact: different data
 structure, different floor algorithm, different comparison logic.
 
-The word-level oracles at the end (rendering, the unpruned pattern scan,
-the ungrouped pattern automaton) work on plain digit tuples; the last
-shares only the Dfa table and its minimization with floorlog.automata.
+The word-level oracles (rendering, the unpruned pattern scan, the
+ungrouped pattern automaton) work on plain digit tuples; the last shares
+only the Dfa table and its minimization with floorlog.automata.
+
+The two reference tables at the end are the direct forms of the library's
+linear-step surd tables, kept to compare against: a jump table with a
+fresh isqrt per index, and the jump-digit classification swept on
+ExactReal values.  They do use floorlog.exact, and nothing else of the
+library but its record types.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from math import isqrt
 from typing import Iterable
 
 from floorlog.automata import Dfa
+from floorlog.exact import over_common_denominator
+from floorlog.jumpdigits import RkRecord
+from floorlog.sequences import JumpData
 
 Shadow = tuple[Fraction, Fraction, int]  # ra + rc * sqrt(d)
 
@@ -368,3 +377,61 @@ def from_patterns_ungrouped(patterns, exceptions=(), base: int = 2) -> Dfa:
             nfa.eps[nfa.word_path(hub, tuple(v1))].add(hub)
         nfa.eps[nfa.word_path(hub, tuple(v2))].add(final)
     return nfa.determinize(start, final).minimize()
+
+
+def jump_positions_fresh_roots(norm, k_max: int) -> JumpData:
+    """sequences.jump_positions the direct way: one fresh isqrt per index.
+
+    With 1/alpha = (p + q*sqrt(d))/C and beta/alpha = (e + f*sqrt(d))/C,
+    c_k = (A_k + isqrt(B_k^2 d)) // C for B_k > 0 and
+    (A_k - isqrt(B_k^2 d) - 1) // C for B_k < 0, where A_k = base^k*p - e
+    and B_k = base^k*q - f; B_k == 0 is a divmod, and a zero remainder an
+    integrality hit.
+    """
+    b = norm.base
+    den, d, ((p, q), (e, f)) = over_common_denominator(
+        1 / norm.alpha, norm.beta / norm.alpha
+    )
+    cs = []
+    hits = []
+    power = 1
+    for k in range(1, k_max + 1):
+        power *= b
+        num = power * p - e
+        rad = power * q - f
+        if rad > 0:
+            c = (num + isqrt(rad * rad * d)) // den
+        elif rad < 0:
+            c = (num - isqrt(rad * rad * d) - 1) // den
+        else:
+            c, rest = divmod(num, den)
+            if rest == 0:
+                hits.append(k)
+        cs.append(c)
+    return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
+
+
+def classify_range_exact(norm, k_max: int) -> list[RkRecord]:
+    """jumpdigits.classify_range swept on ExactReal values.
+
+    Carries x_k = frac(base^k/alpha): the digit is floor(base*x_k), the
+    next state its fractional part, and P_(k+1) compares that state with
+    frac(beta/alpha), each a normalized ExactReal operation.
+    """
+    tags = {(True, True): "A", (True, False): "B", (False, True): "C", (False, False): "D"}
+    b = norm.base
+    rhs = (norm.beta / norm.alpha).frac()
+    x = (b / norm.alpha).frac()
+    pk = x >= rhs
+    records = []
+    for k in range(1, k_max + 1):
+        scaled = b * x
+        digit = scaled.floor()
+        x_next = scaled - digit
+        pk1 = x_next >= rhs
+        r = digit + (0 if pk else b) - (0 if pk1 else 1)
+        records.append(
+            RkRecord(k=k, r=r, case_tag=tags[(pk, pk1)], pk=pk, pk1=pk1, digit=digit, base=b)
+        )
+        x, pk = x_next, pk1
+    return records

@@ -189,6 +189,30 @@ _DFA_STDOUT_SHA256 = {
 }
 
 
+# sha256 of `rk --kmax 1000` stdout, computed while classify_range swept
+# ExactReal values
+_RK_FLAGS = {
+    "sqrt(2) b2": ["--alpha", "sqrt(2)", "--base", "2"],
+    "1+sqrt(3) b3": ["--alpha", "1+sqrt(3)", "--base", "3"],
+    "golden b10, surd beta": ["--alpha", "1/2+1/2*sqrt(5)", "--beta", "2/7*sqrt(5)",
+                              "--base", "10"],
+    "3/2 b2": ["--alpha", "3/2", "--base", "2"],
+}
+_RK_STDOUT_SHA256 = {
+    "sqrt(2) b2": "12bea194250ae393344c74a6e19401aa705391bdd27e6c6f20f2466bf5358697",
+    "1+sqrt(3) b3": "0b00e5374c4878d2f4a25cdd429827c92894689a62b83cd96f1970487373fa74",
+    "golden b10, surd beta": "5b5d507318bf1a3b65672356df4e047d196e6b55122ed471990be64f5687e54f",
+    "3/2 b2": "61de63995d2febd3ee5b68191f53ac81f216c6167616ee2146fd37adac0b71cf",
+}
+
+
+@pytest.mark.parametrize("instance", sorted(_RK_STDOUT_SHA256))
+def test_rk_output_is_pinned(capsys, instance):
+    code, out, _ = run(capsys, "rk", *_RK_FLAGS[instance], "--kmax", "1000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _RK_STDOUT_SHA256[instance]
+
+
 @pytest.mark.parametrize("instance, extra", list(_DFA_STDOUT_SHA256))
 def test_dfa_output_is_pinned(capsys, instance, extra):
     code, out, _ = run(capsys, "dfa", *_DFA_FLAGS[instance], *extra)
@@ -370,6 +394,11 @@ _OVER_BUDGET = {
     "analyze-kmax": ("analyze", "--kmax", 10**8, cli._KMAX_CAP),
     "kernel-depth": ("kernel", "--depth", 10**12, cli._DEPTH_CAP),
     "analyze-kernel-depth": ("analyze", "--kernel-depth", 10**12, cli._DEPTH_CAP),
+    # the next two were still running after 5 s as well; analyze was
+    # refused only by its kernel scope, with a message that hid the base
+    "digits-base": ("digits", "--base", 10**12, cli._BASE_CAP),
+    "dfa-base": ("dfa", "--base", 10**12, cli._BASE_CAP),
+    "analyze-base": ("analyze", "--base", 10**12, cli._BASE_CAP),
 }
 
 
@@ -384,6 +413,24 @@ def test_work_budgets_refuse_oversized_values(capsys, case):
     assert f"{flag} must be at most {cap}, got {value}" in err
     assert "Traceback" not in err
     assert cli._positive_int({"n": cap}, "n", cap=cap) == cap  # the cap itself passes
+
+
+def test_fk_refuses_counts_past_the_int_to_text_limit(capsys):
+    # f_k of 3/2 in base 16 passes 4300 digits near k = 3570
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "fk", "--alpha", "3/2", "--base", "16", "--kmax", "4000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "Traceback" not in err
+
+
+def test_fk_prints_base_10_counts_at_the_kmax_cap(capsys):
+    code, out, _ = run(capsys, "fk", "--alpha", "3/2", "--base", "10",
+                       "--kmax", str(cli._KMAX_CAP))
+    assert code == 0
+    top, count = json.loads(out)["f"][-1]
+    assert top == cli._KMAX_CAP and len(str(count)) == cli._KMAX_CAP + 1
 
 
 def test_fk_subcommand(capsys):

@@ -7,9 +7,9 @@ import sys
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_process(name):
+def run_process(name, *args):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / name)],
+        [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -18,8 +18,8 @@ def run_process(name):
     return proc
 
 
-def run_script(name):
-    return run_process(name).stdout
+def run_script(name, *args):
+    return run_process(name, *args).stdout
 
 
 def test_run_battery_prints_one_line_per_instance():
@@ -50,3 +50,14 @@ def test_rational_probes_print_one_line_per_slope():
     verdicts = [word for line in lines for word in line.split() if word.startswith("language=")]
     assert verdicts == ["language=Regular", "language=Regular", "language=Inconclusive"]
     assert "dfa_states=254" in lines[1].split()
+
+
+def test_surd_probes_time_three_tables_per_depth():
+    lines = run_script("surd_probes.py", "20", "100").splitlines()
+    assert len(lines) == 6
+    assert [line.split()[0] for line in lines[::2]] == ["sqrt(2)", "1+sqrt(3)", "1/2+1/2*sqrt(5)"]
+    for line in lines:
+        assert "r_stream" in line and "jump_positions" in line and "classify_range" in line
+        assert line.endswith("routes agree")
+    depths = [next(word for word in line.split() if word.startswith("k=")) for line in lines]
+    assert depths == ["k=20", "k=100"] * 3
