@@ -327,7 +327,6 @@ def kernel_explore(
     seen = {fingerprint(0, 0)}
     counts = [1]
     frontier = [(0, 0)]
-    drained = False
     for level in range(1, depth + 1):
         nxt = []
         for i, j in frontier:
@@ -341,21 +340,13 @@ def kernel_explore(
         counts.append(len(seen))
         frontier = nxt
         if not frontier:
-            drained = True
             counts.extend([len(seen)] * (depth - level))
             break
-    if drained:
-        closed = True
-    else:
-        closed = True
-        for i, j in frontier:
-            step = base**i
-            for t in range(base):
-                if fingerprint(i + 1, t * step + j) not in seen:
-                    closed = False
-                    break
-            if not closed:
-                break
+    closed = all(
+        fingerprint(i + 1, t * base**i + j) in seen
+        for i, j in frontier
+        for t in range(base)
+    )
     return KernelReport(
         base=base,
         depth=depth,

@@ -60,6 +60,25 @@ def _sign_quadratic(a, b, d) -> int:
     return _sign(a * a - b * b * d)
 
 
+def floor_quadratic(a: int, b: int, d: int, c: int) -> int:
+    """floor((a + b*sqrt(d))/c) for integers a, b, d >= 1 and c > 0.
+
+    Precondition: d is not a perfect square unless b == 0.  The quadruple
+    need not be reduced.  With s = isqrt(b^2 d), for b > 0 the value sits
+    strictly inside ((a+s)/c, (a+s+1)/c), because b*sqrt(d) is irrational;
+    a multiple of c strictly between the consecutive integers a+s and
+    a+s+1 does not exist, so floor((a+s)/c) is the answer.  The b < 0 case
+    mirrors it one unit down, inside ((a-s-1)/c, (a-s)/c).  This is the one
+    place in the package that takes an integer square root.
+    """
+    if b == 0:
+        return a // c
+    s = isqrt(b * b * d)
+    if b > 0:
+        return (a + s) // c
+    return (a - s - 1) // c
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split n >= 1 as s*s*d with d squarefree. Returns (s, d)."""
     if n < 1:
@@ -359,19 +378,8 @@ class ExactReal:
     # -- floor and friends --------------------------------------------------
 
     def __floor__(self) -> int:
-        """Exact floor via one integer square root.
-
-        For B > 0 the value sits in [(A+s)/C, (A+s+1)/C) with s = isqrt(B^2 d),
-        and since B*sqrt(d) is irrational no multiple of C can be crossed
-        inside that half-open unit window, so floor((A+s)/C) is the answer.
-        The B < 0 case mirrors it one unit down.
-        """
-        if self._b == 0:
-            return self._a // self._c
-        s = isqrt(self._b * self._b * self._d)
-        if self._b > 0:
-            return (self._a + s) // self._c
-        return (self._a - s - 1) // self._c
+        """Exact floor via one integer square root (see floor_quadratic)."""
+        return floor_quadratic(self._a, self._b, self._d, self._c)
 
     def __ceil__(self) -> int:
         return -((-self).__floor__())

@@ -27,9 +27,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
-from math import isqrt
 
-from .exact import _sign_quadratic, over_common_denominator
+from .exact import _sign_quadratic, floor_quadratic, over_common_denominator
 from .numeration import digit_stream, to_word, word_str
 from .sequences import ConsistencyError, JumpData, NormalizedInstance, jump_positions
 
@@ -87,33 +86,28 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     operations on numbers of about k*log2(base) bits, and 10^4 terms of a
     surd take a fraction of a second.  Where B is zero or changes sign
     (at most once, since B moves monotonically away from its fixed point)
-    one exact isqrt restarts the spigot.  A rational stream is the same
-    loop with B = 0.
+    one call of the exact floor kernel floor_quadratic restarts the
+    spigot.  A rational stream is the same loop with B = 0.
 
     jump_positions takes two fixed-point roots once per call and brackets
-    each c_k from base^k times the first, with a fresh isqrt of B_k^2 d
-    where the bracket straddles; it carries no remainder and never looks
-    at this spigot, so comparing the two routes compares two independent
-    square-root computations, not one kernel with itself.
+    each c_k from base^k times the first, calling floor_quadratic on
+    (A_k, B_k) where the bracket straddles; it carries no remainder and
+    never looks at this spigot.  The two routes share only the exact floor
+    kernel, never a root value or a stepping rule, so comparing them is a
+    real cross-check, not one computation with itself.
     """
     b = norm.base
     tail = (norm.beta / norm.alpha).frac()
     g = ((b - norm.beta) / norm.alpha).frac()
     den, d, ((a, rad), (ta, tb)) = over_common_denominator(g, tail)
     shift, t = (b - 1) * ta, (b - 1) * tb
-
-    def floor_root(x: int) -> int:
-        """floor(x*sqrt(d)) for an integer x; d is not a square when x != 0."""
-        root = isqrt(x * x * d)
-        return root if x >= 0 else -root - 1
-
     # per sign of B, with tau = sign*t: tau*d, u = floor(tau*sqrt(d)), tau^2 d - u^2
     spigot = {}
     for sign in (1, -1):
         tau = sign * t
-        u = floor_root(tau)
+        u = floor_quadratic(0, tau, d, 1)
         spigot[sign] = (tau * d, u, tau * tau * d - u * u)
-    s = floor_root(abs(rad))
+    s = floor_quadratic(0, abs(rad), d, 1)
     rem = rad * rad * d - s * s
     while True:
         num = b * a + shift
@@ -126,7 +120,7 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
                 rem -= 2 * s + 1
                 s += 1
         else:
-            s = floor_root(abs(rad_next))
+            s = floor_quadratic(0, abs(rad_next), d, 1)
             rem = rad_next * rad_next * d - s * s
         if rad_next > 0:
             r = (num + s) // den
@@ -219,11 +213,12 @@ def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
     The state carried between steps is x_k = frac(base^k/alpha), held as
     (A + B*sqrt(d))/C over one denominator shared with
     frac(beta/alpha) = (A' + B'*sqrt(d))/C.  A step scales A and B by
-    base and takes the digit floor(base*x_k) with one fresh isqrt, as
-    ExactReal.floor does; A minus digit*C leaves the next state, and
-    P_(k+1) is the exact sign test (A - A') + (B - B')*sqrt(d) >= 0.  B
-    is base^k times its start, so the sweep shares no root with
-    jump_positions or r_digits.  No value is normalized on the way.
+    base and takes the digit floor(base*x_k) = floor_quadratic(A, B, d, C)
+    afresh, the kernel ExactReal.floor uses; A minus digit*C leaves the
+    next state, and P_(k+1) is the exact sign test
+    (A - A') + (B - B')*sqrt(d) >= 0.  B is base^k times its start, so
+    the sweep shares no root value or stepping rule with jump_positions
+    or r_digits.  No value is normalized on the way.
     """
     b = norm.base
     den, d, ((a, rad), (ta, tb)) = over_common_denominator(
@@ -234,12 +229,7 @@ def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
     for k in range(1, k_max + 1):
         a *= b
         rad *= b
-        if rad > 0:
-            digit = (a + isqrt(rad * rad * d)) // den
-        elif rad < 0:
-            digit = (a - isqrt(rad * rad * d) - 1) // den
-        else:
-            digit = a // den
+        digit = floor_quadratic(a, rad, d, den)
         a -= digit * den
         pk1 = _sign_quadratic(a - ta, rad - tb, d) >= 0
         r = digit + (0 if pk else b) - (0 if pk1 else 1)
@@ -309,8 +299,18 @@ class ExpansionForm:
     value: int
     decremented: bool
     candidates: tuple[int, int]
-    rendered: str
     ok: bool
+    base: int
+
+    @property
+    def rendered(self) -> str:
+        """The checked value, value + 1 when decremented, as base digits.
+
+        Rendered on read: a string per prefix would make expansion_forms
+        quadratic in k_max.
+        """
+        adjusted = self.value + 1 if self.decremented else self.value
+        return word_str(to_word(adjusted, self.base))
 
 
 def expansion_forms(norm: NormalizedInstance, k_max: int) -> list[ExpansionForm]:
@@ -334,8 +334,8 @@ def expansion_forms(norm: NormalizedInstance, k_max: int) -> list[ExpansionForm]
                 value=value,
                 decremented=decremented,
                 candidates=candidates,
-                rendered=word_str(to_word(adjusted, b)),
                 ok=adjusted in candidates,
+                base=b,
             )
         )
     return forms

@@ -7,7 +7,8 @@ and never needs enumeration.  Both routes that produce f run on integers
 alone, from one common-denominator form each:
 
   * the primary route writes (base^k - beta)/alpha as (A + B*sqrt(d))/C
-    and takes every level start's ceiling with one isqrt;
+    and takes every level start's ceiling with the exact floor kernel
+    floor_quadratic;
   * the audit enumerates a prefix of indices and walks the level up as
     alpha*n + beta passes each power of the base, so it evaluates u_n
     from its definition, in a different form from the primary route.
@@ -25,9 +26,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import isqrt
 
-from .exact import over_common_denominator
+from .exact import floor_quadratic, over_common_denominator
 from .jumpdigits import ModCycleCertificate, PeriodicityVerdict, certify_cycle, r_stream
 from .sequences import (
     ConsistencyError,
@@ -48,10 +48,7 @@ def _level_starts(norm: NormalizedInstance, k_lo: int, k_hi: int) -> list[int]:
         (base^k - beta)/alpha = (A + B*sqrt(d))/C,
         A = num*p - bden*e,  B = num*q - bden*f,  C = bden*den.
 
-    For B != 0 the quotient is irrational, so its ceiling is its floor plus
-    one, and the floor is (A + isqrt(B^2 d)) // C or
-    (A - isqrt(B^2 d) - 1) // C by the sign of B; for B == 0 it is the
-    rational ceiling -(-A // C).
+    The ceiling of that quotient is -floor_quadratic(-A, -B, d, C).
     """
     b = norm.base
     den, d, ((p, q), (e, f)) = over_common_denominator(
@@ -63,14 +60,7 @@ def _level_starts(norm: NormalizedInstance, k_lo: int, k_hi: int) -> list[int]:
     for _ in range(k_lo, k_hi + 1):
         a = num * p - bden * e
         rad = num * q - bden * f
-        c = bden * den
-        if rad > 0:
-            ceil = (a + isqrt(rad * rad * d)) // c + 1
-        elif rad < 0:
-            ceil = (a - isqrt(rad * rad * d) - 1) // c + 1
-        else:
-            ceil = -(-a // c)
-        starts.append(max(ceil, n_min))
+        starts.append(max(-floor_quadratic(-a, -rad, d, bden * den), n_min))
         if bden > 1:
             bden //= b
         else:

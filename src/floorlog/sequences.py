@@ -14,9 +14,8 @@ c_k = floor((base^k - beta)/alpha), which drive everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
-from .exact import ExactReal, over_common_denominator
+from .exact import ExactReal, floor_quadratic, over_common_denominator
 from .numeration import to_word
 
 
@@ -230,13 +229,6 @@ class JumpData:
 _ROOT_GUARD_BITS = 64
 
 
-def _floor_scaled_root(x: int, d: int, shift: int) -> int:
-    """floor(x*sqrt(d)*2^shift) for an integer x and a non-square d."""
-    root = isqrt((x * x * d) << (2 * shift))
-    # x*sqrt(d) is irrational for x != 0, so a negative value is never whole
-    return root if x >= 0 else -root - 1
-
-
 def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     """Exact c_k for k = 1..k_max with integrality bookkeeping.
 
@@ -246,7 +238,7 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
         (base^k - beta)/alpha = (A_k + B_k*sqrt(d))/C,
         A_k = base^k*p - e,  B_k = base^k*q - f,
 
-    and c_k = floor((A_k + floor(B_k*sqrt(d)))/C).  The quotient is an
+    and c_k = floor_quadratic(A_k, B_k, d, C).  The quotient is an
     integer exactly when B_k == 0 and C divides A_k; that case is one
     divmod.  A rational instance (d == 1) has B_k == 0 at every k and
     takes no root at all.
@@ -264,20 +256,16 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     reached, and the lower end because F + 1 is never reached.  Neither
     step needs the middle terms to be irrational, so q = 0 (a rational
     slope with a surd offset: Q = V = 0, the first term exactly 0) and
-    f = 0 (F = 0, the second term exactly 0) are covered.  Irrationality
-    enters in the floors themselves: since d is not a square,
-    x*sqrt(d)*2^M is never an integer for x != 0, so for negative x its
-    floor is -isqrt(x^2 d 4^M) - 1, not -isqrt(x^2 d 4^M); the same
-    holds for B_k*sqrt(d) below.  Since floor(t/2^M) is monotone,
-    floor(B_k*sqrt(d)) lies in [(V - F - 1) >> M, (V + power - F) >> M],
-    so c_k lies between lo = (A_k + ((V - F - 1) >> M)) // C and
+    f = 0 (F = 0, the second term exactly 0) are covered.  Since
+    floor(t/2^M) is monotone, floor(B_k*sqrt(d)) lies in
+    [(V - F - 1) >> M, (V + power - F) >> M], so c_k lies between
+    lo = (A_k + ((V - F - 1) >> M)) // C and
     hi = (A_k + ((V + power - F) >> M)) // C, and equals lo when lo == hi.
     The bracket is power + 1 <= 2^(M - 64) units of 2^-M wide, at most
     2^-64, so it rarely straddles an integer; when it does, c_k is taken
-    the direct way, (A_k + isqrt(B_k^2 d)) // C for B_k > 0 and
-    (A_k - isqrt(B_k^2 d) - 1) // C for B_k < 0.  A step thus costs a few
-    linear-time operations on numbers of about 2*k_max*log2(base) bits
-    instead of one isqrt of that size.
+    the direct way, floor_quadratic(A_k, B_k, d, C).  A step thus costs a
+    few linear-time operations on numbers of about 2*k_max*log2(base) bits
+    instead of one integer square root of that size.
     """
     b = norm.base
     den, d, ((p, q), (e, f)) = over_common_denominator(
@@ -286,37 +274,24 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     cs = []
     hits = []
     power = 1
+    shift = scaled = root_f = 0
     if d > 1:
         shift = (b**k_max).bit_length() + _ROOT_GUARD_BITS
-        scaled, root_f = _floor_scaled_root(q, d, shift), _floor_scaled_root(f, d, shift)
-        for k in range(1, k_max + 1):
-            power *= b
-            scaled *= b
-            num = power * p - e
-            rad = power * q - f
-            if rad == 0:
-                c, rest = divmod(num, den)
-                if rest == 0:
-                    hits.append(k)
-            else:
-                c = (num + ((scaled - root_f - 1) >> shift)) // den
-                if c != (num + ((scaled + power - root_f) >> shift)) // den:
-                    root = isqrt(rad * rad * d)
-                    c = (num + root) // den if rad > 0 else (num - root - 1) // den
-            cs.append(c)
-        return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
+        scaled = floor_quadratic(0, q << shift, d, 1)
+        root_f = floor_quadratic(0, f << shift, d, 1)
     for k in range(1, k_max + 1):
         power *= b
+        scaled *= b
         num = power * p - e
         rad = power * q - f
-        if rad > 0:
-            c = (num + isqrt(rad * rad * d)) // den
-        elif rad < 0:
-            c = (num - isqrt(rad * rad * d) - 1) // den
-        else:
+        if rad == 0:
             c, rest = divmod(num, den)
             if rest == 0:
                 hits.append(k)
+        else:
+            c = (num + ((scaled - root_f - 1) >> shift)) // den
+            if c != (num + ((scaled + power - root_f) >> shift)) // den:
+                c = floor_quadratic(num, rad, d, den)
         cs.append(c)
     return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
 

@@ -1,15 +1,19 @@
 """Exact-number tests, pinned against the interval/shadow oracle."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import floorlog
 from floorlog.exact import (
     ExactReal,
     IncompatibleRadicandsError,
     ParseError,
+    floor_quadratic,
     squarefree_decompose,
 )
 from oracles import sh_compare, sh_floor, sh_make, shadow
@@ -154,6 +158,49 @@ def test_floor_matches_oracle_and_frac_identity(x):
     assert fr.sign() >= 0
     assert fr < 1
     assert fr + f == x
+
+
+st_operand = st.integers(min_value=-(1 << 300), max_value=1 << 300)
+# (d, b): a non-square d with any b, or d = 1 with b = 0
+st_radical = st.one_of(
+    st.tuples(st.just(1), st.just(0)),
+    st.tuples(st.sampled_from([2, 3, 5, 6, 7, 10]), st.one_of(st.just(0), st_operand)),
+)
+
+
+@settings(max_examples=200)
+@given(
+    a=st.one_of(st.just(0), st_operand),
+    radical=st_radical,
+    c=st.integers(min_value=1, max_value=1 << 300),
+)
+@example(a=0, radical=(2, -1), c=1)
+@example(a=-7, radical=(1, 0), c=7)
+@example(a=3, radical=(5, -(1 << 299)), c=6)
+@example(a=6, radical=(2, -4), c=10)  # a common factor left in
+def test_floor_quadratic_matches_oracle_on_unreduced_quadruples(a, radical, c):
+    d, b = radical
+    x = sh_make(Fraction(a, c), Fraction(b, c), d)
+    floor = floor_quadratic(a, b, d, c)
+    assert floor == sh_floor(x)
+    # the level-start ceiling in levelcounts: ceil(x) = -floor(-x), which is
+    # floor(x) + 1 unless x is an integer
+    whole = b == 0 and a % c == 0
+    assert -floor_quadratic(-a, -b, d, c) == floor + (0 if whole else 1)
+
+
+def test_only_exact_imports_isqrt():
+    """floor_quadratic stays the package's one integer square root: no other
+    module under floorlog imports isqrt, from math or elsewhere."""
+    importers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(floorlog.__file__).parent.rglob("*.py"))
+        if path.name != "exact.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "isqrt" for alias in node.names)
+    ]
+    assert importers == []
 
 
 @settings(max_examples=150)

@@ -7,13 +7,12 @@ sweep give, integrality hits and record tags included.
 """
 
 from fractions import Fraction
-from math import isqrt
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from floorlog import sequences
-from floorlog.exact import ExactReal
+from floorlog.exact import ExactReal, floor_quadratic
 from floorlog.jumpdigits import classify_range
 from floorlog.sequences import FloorLogInstance, jump_positions, normalize
 from oracles import classify_range_exact, jump_positions_fresh_roots
@@ -104,12 +103,12 @@ def test_straddled_brackets_fall_back_to_a_fresh_root(monkeypatch):
     then give c_k, and every accepted bracket must still be right."""
     roots = []
 
-    def counting_isqrt(n):
-        roots.append(n)
-        return isqrt(n)
+    def counting_floor(a, b, d, c):
+        roots.append(b)
+        return floor_quadratic(a, b, d, c)
 
     monkeypatch.setattr(sequences, "_ROOT_GUARD_BITS", -2)
-    monkeypatch.setattr(sequences, "isqrt", counting_isqrt)
+    monkeypatch.setattr(sequences, "floor_quadratic", counting_floor)
     fallbacks = 0
     for alpha, beta, base in _GUARD_CASES:
         norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
