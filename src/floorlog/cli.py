@@ -25,6 +25,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .automata import kernel_explore
@@ -75,7 +76,10 @@ _KERNEL_SCOPE_CAP = 1 << 24
 # work budgets, refused with exit 1: the work and output of each flag's
 # stage grow at least linearly in it; at its cap a small instance such as
 # 3/2 in base 2 or 10 runs in about ten seconds or less
-_WINDOW_CAP = 10**5
+# the language fold keeps every w_n, so --window memory grows as
+# window^2 * log2(base): at this cap analyze on 3/2 peaks near 0.3 GB in
+# base 10 and 1 GB in base 4096; 10007/10000 needs 20012 to decide by window
+_WINDOW_CAP = 25000
 _KMAX_CAP = 4000  # fk in base 10 prints f_k up to 4001 digits; see _fk_fits_text_limit
 _COUNT_CAP = 10**5
 _NMAX_CAP = 2000  # language prints every word, about nmax^2 / 2 digits
@@ -266,15 +270,6 @@ def _periodicity_payload(verdict: PeriodicityVerdict | None):
     return out
 
 
-def _length_claim_payload(report):
-    return {
-        "stable_from": report.stable_from,
-        "anomalies": [list(item) for item in report.anomalies],
-        "checked_to": report.checked_to,
-        "violation": report.violation,
-    }
-
-
 def _verdict_payload(verdict) -> dict:
     out = {
         "kind": verdict.kind,
@@ -303,7 +298,7 @@ def _verdict_payload(verdict) -> dict:
         evidence = {}
         for key, value in verdict.evidence.items():
             if key == "length_claim":
-                evidence[key] = _length_claim_payload(value)
+                evidence[key] = asdict(value)
             elif key == "pattern_scan":
                 evidence[key] = {str(p): list(hits) for p, hits in value.items()}
             else:
@@ -313,25 +308,8 @@ def _verdict_payload(verdict) -> dict:
 
 
 def _alignment_payload(alignment):
-    return {
-        "m0": alignment.m0,
-        "threshold": alignment.threshold,
-        "checked_to": alignment.checked_to,
-        "mismatches": list(alignment.mismatches),
-        "also_valid": [],  # kept until the floorlog-report/3 bump
-        "ok": alignment.ok,
-        "note": alignment.note,
-    }
-
-
-def _kernel_payload(report):
-    return {
-        "base": report.base,
-        "depth": report.depth,
-        "prefix_len": report.prefix_len,
-        "distinct_by_depth": list(report.distinct_by_depth),
-        "closure": report.closure,
-    }
+    # also_valid is kept until the floorlog-report/3 bump
+    return {**asdict(alignment), "also_valid": [], "ok": alignment.ok}
 
 
 def _kernel_scope(base: int, depth: int, prefix_len: int) -> int:
@@ -384,7 +362,7 @@ class _Tables:
             self._span_r, self._span_d = max(cover, r_window), max(cover, d_window)
             top = max(top, self._span_r + 1, self._span_d + 2)
         self.jumps = jump_positions(norm, top)
-        self.digits = RkDigitSource(norm, jumps=self.jumps)
+        self.digits = RkDigitSource(norm)
         if self._orbit is None:
             verdict = detect_period(norm, r_window)
         else:
@@ -476,7 +454,7 @@ def _cmd_language(fields) -> int:
     if lw.n_top >= 1:
         report = verify_length_claim(lw)
         payload["length_stabilization_N"] = report.stable_from
-        payload["length_claim"] = _length_claim_payload(report)
+        payload["length_claim"] = asdict(report)
     _print(payload)
     return 0
 
@@ -493,7 +471,7 @@ def _cmd_kernel(fields) -> int:
     norm = _normalized(fields)
     depth = _positive_int(fields, "depth", 6, _DEPTH_CAP)
     prefix_len = _positive_int(fields, "prefix_len", 64)
-    _print(_kernel_payload(_kernel_report(norm, depth, prefix_len)))
+    _print(asdict(_kernel_report(norm, depth, prefix_len)))
     return 0
 
 
@@ -665,7 +643,7 @@ def run_analyze(scenario: dict) -> dict:
         },
         "evidence": {
             "r_head": list(r_head),
-            "kernel": _kernel_payload(kernel),
+            "kernel": asdict(kernel),
             "level_counts": [[k, lc.at(k)] for k in range(lc.k_min, lc.k_max + 1)],
             "alignment": _alignment_payload(lc.alignment),
         },

@@ -83,11 +83,13 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     s' = base*s + floor(tau*sqrt(d)) + delta with 0 <= delta <= base, and R'
     follows from R with small multipliers; delta is found by stepping s' up
     while R' >= 2s' + 1.  A step therefore costs a bounded number of linear-time
-    operations on numbers of about k*log2(base) bits, and 10^4 terms of a
-    surd take a fraction of a second.  Where B is zero or changes sign
-    (at most once, since B moves monotonically away from its fixed point)
-    one call of the exact floor kernel floor_quadratic restarts the
-    spigot.  A rational stream is the same loop with B = 0.
+    operations on numbers of about k*log2(base) bits, plus up to base unit
+    steps of that search: 10^4 terms of a surd in base 2, 3 or 10 take a
+    fraction of a second, but 2000 terms in base 4096 take about 20 s.
+    Where B is zero or changes sign (at most once, since B moves
+    monotonically away from its fixed point) one call of the exact floor
+    kernel floor_quadratic restarts the spigot.  A rational stream is the
+    same loop with B = 0.
 
     jump_positions takes two fixed-point roots once per call and brackets
     each c_k from base^k times the first, calling floor_quadratic on

@@ -28,7 +28,7 @@ from itertools import count, islice
 from .automata import Dfa, from_patterns
 from .jumpdigits import PeriodicityVerdict, detect_period, minimize_cycle, r_digits
 from .numeration import as_digits, from_word, to_word, word_str
-from .sequences import ConsistencyError, NormalizedInstance, jump_positions
+from .sequences import ConsistencyError, NormalizedInstance
 
 Word = tuple[int, ...]
 
@@ -99,7 +99,7 @@ class RkDigitSource(DigitSource):
     counts themselves: w_k = c_{k+1}.  Digits stay below 2*base - 1.
     The r digits come from one live r_digits generator, so serving n
     digits computes n - 1 of them; r_terms hands the same buffer to the
-    other stages.  c_1 is read off jumps when a table is given.
+    other stages.  c_1 = floor((base - beta)/alpha) is one exact floor.
 
     periodicity() shifts the instance's r verdict onto the stream and keeps
     the result per window.  That r verdict is r_verdict when set
@@ -107,10 +107,10 @@ class RkDigitSource(DigitSource):
     detect_period run per window asked for.
     """
 
-    def __init__(self, norm: NormalizedInstance, r_verdict=None, jumps=None):
+    def __init__(self, norm: NormalizedInstance, r_verdict=None):
         self.norm = norm
         self.r_verdict = r_verdict
-        self._lead = (jump_positions(norm, 1) if jumps is None else jumps).at(1)
+        self._lead = ((norm.base - norm.beta) / norm.alpha).floor()
         if self._lead > 2 * norm.base - 2:
             raise ConsistencyError(
                 f"leading jump count {self._lead} exceeds the digit bound "

@@ -14,6 +14,7 @@ c_k = floor((base^k - beta)/alpha), which drive everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exact import ExactReal, floor_quadratic, over_common_denominator
 from .numeration import to_word
@@ -92,18 +93,12 @@ class NormalizedInstance:
 def normalize(inst: FloorLogInstance) -> NormalizedInstance:
     """Rewrite an instance into the 0 <= beta < alpha < base, alpha >= 1 normal form."""
     alpha, beta, b = inst.alpha, inst.beta, inst.base
-    value_offset = 0
-    # alpha >= base: divide the argument by base**m, absorbing m into u
-    while alpha >= b:
-        alpha = alpha / b
-        beta = beta / b
-        value_offset += 1
-    # alpha < 1: multiply up instead; without this the leading jump count
-    # can overrun the digit alphabet
-    while alpha < 1:
-        alpha = alpha * b
-        beta = beta * b
-        value_offset -= 1
+    # dividing the argument by base**m puts alpha in [1, base) and absorbs m
+    # into u; below 1 the leading jump count can overrun the digit alphabet
+    value_offset = _level(alpha, b)
+    if value_offset:
+        scale = ExactReal(Fraction(b) ** value_offset)
+        alpha, beta = alpha / scale, beta / scale
     index_shift = 0
     if beta >= alpha:
         m = (beta / alpha).floor()
@@ -131,17 +126,24 @@ def u_term(alpha: ExactReal, beta: ExactReal, base: int, n: int) -> int:
     x = alpha * n + beta
     if x.sign() <= 0:
         raise ValueError(f"u_{n} undefined: alpha*{n}+beta is not positive")
+    return _level(x, base)
+
+
+def _level(x: ExactReal, base: int) -> int:
+    """floor(log_base x) for x > 0, in a fixed number of exact operations.
+
+    With t = floor(x) >= 1: base^k <= t <= x < t+1 <= base^(k+1) for the
+    digit length k+1 of t, so the level is that length minus one.
+
+    With x < 1: the level is -m for the least m with base^m >= 1/x.  As
+    base^m is an integer, base^m >= 1/x exactly when base^m >= s for
+    s = ceil(1/x) >= 2, and base^m >= s exactly when base^m > s - 1 >= 1,
+    that is, when m is at least the digit length of s - 1.
+    """
     t = x.floor()
     if t >= 1:
-        # base^k <= floor(x) <= x < floor(x)+1 <= base^(k+1) for the digit
-        # length k+1 of floor(x), so u_n is that length minus one.
         return len(to_word(t, base)) - 1
-    k = 0
-    while t < 1:
-        x = x * base
-        t = x.floor()
-        k -= 1
-    return k
+    return -len(to_word((1 / x).ceil() - 1, base))
 
 
 @dataclass(frozen=True)

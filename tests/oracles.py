@@ -13,11 +13,11 @@ The word-level oracles (rendering, the unpruned pattern scan, the
 ungrouped pattern automaton) work on plain digit tuples; the last shares
 only the Dfa table and its minimization with floorlog.automata.
 
-The two reference tables at the end are the direct forms of the library's
-linear-step surd tables, kept to compare against: a jump table with a
-fresh isqrt per index, and the jump-digit classification swept on
-ExactReal values.  They do use floorlog.exact, and nothing else of the
-library but its record types.
+The reference forms at the end are the direct versions of library
+routines, kept to compare against: normalization one power of the base
+at a time, a jump table with a fresh isqrt per index, and the jump-digit
+classification swept on ExactReal values.  They do use floorlog.exact,
+and nothing else of the library but its record types.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterable
 from floorlog.automata import Dfa
 from floorlog.exact import over_common_denominator
 from floorlog.jumpdigits import RkRecord
-from floorlog.sequences import JumpData
+from floorlog.sequences import JumpData, NormalizedInstance
 
 Shadow = tuple[Fraction, Fraction, int]  # ra + rc * sqrt(d)
 
@@ -377,6 +377,38 @@ def from_patterns_ungrouped(patterns, exceptions=(), base: int = 2) -> Dfa:
             nfa.eps[nfa.word_path(hub, tuple(v1))].add(hub)
         nfa.eps[nfa.word_path(hub, tuple(v2))].add(final)
     return nfa.determinize(start, final).minimize()
+
+
+def normalize_stepwise(inst) -> NormalizedInstance:
+    """sequences.normalize scaling alpha into [1, base) one power at a time."""
+    alpha, beta, b = inst.alpha, inst.beta, inst.base
+    value_offset = 0
+    while alpha >= b:
+        alpha = alpha / b
+        beta = beta / b
+        value_offset += 1
+    while alpha < 1:
+        alpha = alpha * b
+        beta = beta * b
+        value_offset -= 1
+    index_shift = 0
+    if beta >= alpha:
+        m = (beta / alpha).floor()
+        beta = beta - alpha * m
+        index_shift = m
+    elif beta.sign() < 0:
+        m = (-beta / alpha).ceil()
+        beta = beta + alpha * m
+        index_shift = -m
+    n_min_norm = 0 if beta.sign() > 0 else 1
+    return NormalizedInstance(
+        alpha=alpha,
+        beta=beta,
+        base=b,
+        index_shift=index_shift,
+        value_offset=value_offset,
+        identity_start=max(inst.n_min, n_min_norm - index_shift),
+    )
 
 
 def jump_positions_fresh_roots(norm, k_max: int) -> JumpData:

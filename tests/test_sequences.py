@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floorlog import cli
 from floorlog.exact import ExactReal
 from floorlog.sequences import (
     ConsistencyError,
@@ -18,7 +19,7 @@ from floorlog.sequences import (
     v_seq,
     verify_jumps_against_v,
 )
-from oracles import oracle_c, oracle_u
+from oracles import normalize_stepwise, oracle_c, oracle_u
 
 SQRT2 = ExactReal.sqrt(2)
 
@@ -236,3 +237,66 @@ def test_v_is_eventually_binary(alpha, beta, base):
         # violations live in a finite prefix; with normalized data they are
         # confined to the very start where the argument is still below 1
         assert n.alpha * n0 + n.beta < 1
+
+
+@st.composite
+def st_wide_pair(draw, scale: int, top: int):
+    """alpha > 0 and beta of any sign, one radicand, each a mantissa times scale**e, |e| <= top."""
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+
+    def scaled() -> ExactReal:
+        mantissa = ExactReal(
+            draw(st.fractions(min_value=0, max_value=3, max_denominator=6))
+        ) + ExactReal(
+            draw(st.fractions(min_value=Fraction(1, 6), max_value=2, max_denominator=6))
+        ) * ExactReal.sqrt(d)
+        return mantissa * ExactReal(Fraction(scale) ** draw(st.integers(-top, top)))
+
+    return scaled(), draw(st.sampled_from([-1, 0, 1])) * scaled()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.integers(min_value=2, max_value=16).flatmap(
+        lambda base: st.tuples(st_wide_pair(base, 40), st.just(base))
+    ),
+    n=st.integers(min_value=0, max_value=3),
+)
+def test_u_matches_oracle_across_levels(case, n):
+    # alpha*n + beta from about base^-40 to base^40, both sides of level 0
+    (alpha, beta), base = case
+    n = max(n, FloorLogInstance(alpha, beta, base).n_min)
+    assert u_term(alpha, beta, base, n) == oracle_u(alpha, beta, base, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st_wide_pair(10, 30), base=st.integers(min_value=2, max_value=16))
+def test_normalize_matches_stepwise_scaling(pair, base):
+    raw = FloorLogInstance(*pair, base)
+    got, want = normalize(raw), normalize_stepwise(raw)
+    assert got == want
+    assert (str(got.alpha), str(got.beta)) == (str(want.alpha), str(want.beta))
+
+
+def test_level_of_a_4000_digit_denominator_is_a_few_operations(monkeypatch, capsys):
+    nines = "9" * 4000
+    alpha = ExactReal.parse(f"1/{nines}")
+    zero = ExactReal(0)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        real = getattr(ExactReal, name)
+
+        def counted(self, other, _real=real):
+            calls.append(other)
+            return _real(self, other)
+
+        monkeypatch.setattr(ExactReal, name, counted)
+    # stepping one power of 2 at a time would take 13,288 steps each
+    assert u_term(alpha, zero, 2, 1) == -13288
+    assert len(calls) <= 8
+    calls.clear()
+    assert normalize(FloorLogInstance(alpha, zero, 2)).value_offset == -13288
+    assert len(calls) <= 8
+    monkeypatch.undo()
+    assert cli.main(["seq", "--alpha", f"1/{nines}", "--base", "2", "--to", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "-13288,-13287,-13287"
