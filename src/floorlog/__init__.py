@@ -9,145 +9,3 @@ certificate.
 """
 
 __version__ = "0.1.0"
-
-from .automata import (
-    Dfa,
-    KernelReport,
-    equivalent,
-    equivalent_to_length,
-    from_patterns,
-    kernel_explore,
-    trie_dfa,
-)
-from .battery import BATTERY, BatteryInstance, by_name
-from .exact import ExactReal, IncompatibleRadicandsError, ParseError
-from .jumpdigits import (
-    ExpansionForm,
-    ModCycleCertificate,
-    PeriodicityVerdict,
-    RkRecord,
-    TransitionReport,
-    check_transitions,
-    classify_range,
-    detect_period,
-    minimize_cycle,
-    r_direct,
-    r_from_jumps,
-    r_recur,
-    r_stream,
-)
-from .language import (
-    CertifiedPattern,
-    DigitSource,
-    ExplicitDigitSource,
-    LanguageWords,
-    LengthClaimReport,
-    PatternCandidate,
-    PatternRejection,
-    PeriodicDigitSource,
-    RegularityVerdict,
-    RkDigitSource,
-    ThueMorseBlockSource,
-    certify_pattern,
-    decide_regularity,
-    find_pattern,
-    length_claim_for_source,
-    verify_length_claim,
-    words,
-)
-from .levelcounts import (
-    AlignmentResult,
-    LevelCounts,
-    align_m0,
-    d_seq,
-    decide_d_periodicity,
-    f_counts,
-)
-from .numeration import (
-    digit_stream,
-    from_word,
-    parse_word,
-    to_word,
-    word_str,
-)
-from .sequences import (
-    ConsistencyError,
-    FloorLogInstance,
-    JumpData,
-    NormalizedInstance,
-    SeqSlice,
-    jump_positions,
-    normalize,
-    u_seq,
-    u_term,
-    v_indicator,
-    v_seq,
-)
-
-__all__ = [
-    "BATTERY",
-    "AlignmentResult",
-    "BatteryInstance",
-    "CertifiedPattern",
-    "ConsistencyError",
-    "Dfa",
-    "DigitSource",
-    "ExactReal",
-    "ExpansionForm",
-    "ExplicitDigitSource",
-    "FloorLogInstance",
-    "IncompatibleRadicandsError",
-    "JumpData",
-    "KernelReport",
-    "LanguageWords",
-    "LengthClaimReport",
-    "LevelCounts",
-    "ModCycleCertificate",
-    "NormalizedInstance",
-    "ParseError",
-    "PatternCandidate",
-    "PatternRejection",
-    "PeriodicDigitSource",
-    "PeriodicityVerdict",
-    "RegularityVerdict",
-    "RkDigitSource",
-    "RkRecord",
-    "SeqSlice",
-    "ThueMorseBlockSource",
-    "TransitionReport",
-    "align_m0",
-    "by_name",
-    "certify_pattern",
-    "check_transitions",
-    "classify_range",
-    "d_seq",
-    "decide_d_periodicity",
-    "decide_regularity",
-    "detect_period",
-    "digit_stream",
-    "equivalent",
-    "equivalent_to_length",
-    "f_counts",
-    "find_pattern",
-    "from_patterns",
-    "from_word",
-    "jump_positions",
-    "kernel_explore",
-    "length_claim_for_source",
-    "minimize_cycle",
-    "normalize",
-    "parse_word",
-    "r_direct",
-    "r_from_jumps",
-    "r_recur",
-    "r_stream",
-    "to_word",
-    "trie_dfa",
-    "u_seq",
-    "u_term",
-    "v_indicator",
-    "v_seq",
-    "verify_length_claim",
-    "word_str",
-    "words",
-]

@@ -452,7 +452,7 @@ def _cmd_language(fields) -> int:
         "words": lw.word_strs(),
     }
     if lw.n_top >= 1:
-        report = verify_length_claim(lw)
+        report = verify_length_claim(lw.lengths)
         payload["length_stabilization_N"] = report.stable_from
         payload["length_claim"] = asdict(report)
     _print(payload)

@@ -300,24 +300,6 @@ class ExactReal:
             return NotImplemented
         return o * self._inverse()
 
-    def __abs__(self) -> "ExactReal":
-        return -self if self.sign() < 0 else self
-
-    def __pow__(self, exponent: int) -> "ExactReal":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return (self ** (-exponent))._inverse()
-        out = ExactReal(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     # -- order -------------------------------------------------------------
 
     def sign(self) -> int:

@@ -17,9 +17,9 @@ a = digit k+1 of frac(1/alpha):
     D     (F, F)           base + a - 1
 
 The module evaluates r_k two independent ways, classifies every index,
-verifies the digit-expansion identities the classification implies, and
-decides ultimate periodicity: a replayable modular certificate when alpha
-is rational, a theorem-backed refusal when alpha is an irrational surd.
+and decides ultimate periodicity: a replayable modular certificate when
+alpha is rational, a theorem-backed refusal when alpha is an irrational
+surd.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .exact import _sign_quadratic, floor_quadratic, over_common_denominator
-from .numeration import digit_stream, to_word, word_str
+from .numeration import digit_stream
 from .sequences import ConsistencyError, JumpData, NormalizedInstance, jump_positions
 
 _TAG_BY_TESTS = {
@@ -148,15 +148,6 @@ def r_from_jumps(jumps: JumpData, base: int) -> list[int]:
 # threshold tests and classification
 
 
-def eval_Pk(norm: NormalizedInstance, k: int) -> bool:
-    """Decide frac(base^k/alpha) >= frac(beta/alpha) exactly."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    lhs = ((norm.base**k) / norm.alpha).frac()
-    rhs = (norm.beta / norm.alpha).frac()
-    return lhs >= rhs
-
-
 def inverse_slope_digits(norm: NormalizedInstance, count: int) -> list[int]:
     """First count digits of frac(1/alpha) in the instance base."""
     return digit_stream((1 / norm.alpha).frac(), norm.base, count)
@@ -194,21 +185,6 @@ class RkRecord:
             raise ConsistencyError(f"k={self.k}: r={self.r} outside 0..{2*self.base-2}")
 
 
-def classify(norm: NormalizedInstance, k: int) -> RkRecord:
-    """Classify index k and assert the case formula against r_direct."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pk = eval_Pk(norm, k)
-    pk1 = eval_Pk(norm, k + 1)
-    digit = inverse_slope_digits(norm, k + 1)[k]
-    r = r_direct(norm, k)
-    # RkRecord.__post_init__ raises if r disagrees with the case formula
-    return RkRecord(
-        k=k, r=r, case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1,
-        digit=digit, base=norm.base,
-    )
-
-
 def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
     """Classify k = 1..k_max in one integer sweep.
 
@@ -241,106 +217,6 @@ def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
         )
         pk = pk1
     return records
-
-
-# ---------------------------------------------------------------------------
-# structural checks
-
-
-@dataclass(frozen=True)
-class TransitionReport:
-    """Adjacent-pair audit of the classification."""
-
-    pairs_checked: int
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_transitions(records: list[RkRecord]) -> TransitionReport:
-    """Verify the handshake between consecutive classifications.
-
-    The shape at k leaves the second threshold test as the first test of
-    k+1, so r_k being un-decremented (tags A, C) must coincide with r_{k+1}
-    passing its own first test (tags A, B).  Both the tag-level and the
-    value-level readings of that equivalence are checked; the value sets
-    {digit, base+digit} and {digit, digit-1} cannot collide across tags, so
-    any discrepancy is a genuine violation.
-    """
-    violations = []
-    for rec, nxt in zip(records, records[1:]):
-        if nxt.k != rec.k + 1:
-            raise ValueError("records must cover consecutive indices")
-        left_tag = rec.case_tag in ("A", "C")
-        left_val = rec.r in (rec.digit, rec.base + rec.digit)
-        right_tag = nxt.case_tag in ("A", "B")
-        right_val = nxt.r in (nxt.digit, nxt.digit - 1)
-        if len({left_tag, left_val, right_tag, right_val}) != 1:
-            violations.append(
-                f"k={rec.k}: tags ({rec.case_tag},{nxt.case_tag}) "
-                f"values (r={rec.r},r'={nxt.r}) disagree on the handshake"
-            )
-    return TransitionReport(pairs_checked=max(0, len(records) - 1),
-                            violations=tuple(violations))
-
-
-@dataclass(frozen=True)
-class ExpansionForm:
-    """Value-level audit of the prefix [r_1 ... r_k] read in the base.
-
-    The prefix value must land on the block of inverse-slope digits
-    2..k+1, possibly with a leading 1 attached (first threshold test
-    false) and possibly after adding 1 back (index k decremented, tags
-    B/D).  Membership is checked on values, not digit strings, because
-    the digit block may start with zeros.
-    """
-
-    k: int
-    value: int
-    decremented: bool
-    candidates: tuple[int, int]
-    ok: bool
-    base: int
-
-    @property
-    def rendered(self) -> str:
-        """The checked value, value + 1 when decremented, as base digits.
-
-        Rendered on read: a string per prefix would make expansion_forms
-        quadratic in k_max.
-        """
-        adjusted = self.value + 1 if self.decremented else self.value
-        return word_str(to_word(adjusted, self.base))
-
-
-def expansion_forms(norm: NormalizedInstance, k_max: int) -> list[ExpansionForm]:
-    """Audit every prefix [r_1..r_k] for k = 1..k_max incrementally."""
-    records = classify_range(norm, k_max)
-    forms = []
-    b = norm.base
-    value = 0
-    block = 0
-    power = 1
-    for rec in records:
-        value = value * b + rec.r
-        block = block * b + rec.digit
-        power *= b
-        decremented = rec.case_tag in ("B", "D")
-        adjusted = value + 1 if decremented else value
-        candidates = (block, power + block)
-        forms.append(
-            ExpansionForm(
-                k=rec.k,
-                value=value,
-                decremented=decremented,
-                candidates=candidates,
-                ok=adjusted in candidates,
-                base=b,
-            )
-        )
-    return forms
 
 
 # ---------------------------------------------------------------------------

@@ -367,7 +367,16 @@ class LengthClaimReport:
     violation: bool = False
 
 
-def _report_from_lengths(lengths: Sequence[int]) -> LengthClaimReport:
+def verify_length_claim(lengths: Sequence[int]) -> LengthClaimReport:
+    """Find the least N past which every step adds exactly one digit.
+
+    lengths[n] is the rendering length of w_n (LanguageWords.lengths).
+    Records every step n (from w_n to w_{n+1}) whose length delta is not
+    +1, then reports N = last bad step + 1 (or 0 when every step is
+    clean).  A jump of two or more digits occurring after a long clean
+    run is flagged as a violation: under the intended digit bounds that
+    should never happen once lengths have settled.
+    """
     n_top = len(lengths) - 1
     anomalies = []
     for n in range(n_top):
@@ -388,35 +397,6 @@ def _report_from_lengths(lengths: Sequence[int]) -> LengthClaimReport:
                 violation = True
             run = 0
     return LengthClaimReport(stable_from, tuple(anomalies), n_top, violation)
-
-
-def verify_length_claim(lw: LanguageWords) -> LengthClaimReport:
-    """Find the least N past which every step adds exactly one digit.
-
-    Records every step n (from w_n to w_{n+1}) whose length delta is not
-    +1, then reports N = last bad step + 1 (or 0 when every step is
-    clean).  A jump of two or more digits occurring after a long clean
-    run is flagged as a violation: under the intended digit bounds that
-    should never happen once lengths have settled.
-    """
-    return _report_from_lengths(lw.lengths)
-
-
-def length_claim_for_source(
-    src: DigitSource, base: int, n_max: int
-) -> LengthClaimReport:
-    """verify_length_claim without keeping any values or words.
-
-    A deep scan (tens of thousands of indices) keeps
-    one length per index and no values, whose total size would grow with
-    the square of n_max.
-    """
-    if base < 2:
-        raise ValueError("base must be at least 2")
-    if n_max < 1:
-        raise ValueError("need at least two words to compare lengths")
-    stream = src.prefix(n_max + 1)
-    return _report_from_lengths([length for _, length in _fold(stream, base)])
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +553,6 @@ class CertifiedPattern:
     anchor: int
     residue: int
     constant: int
-
-    def word_for(self, m: int) -> Word:
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        return self.v0 + self.v1 * m + self.v2
 
     def describe(self) -> str:
         return (
@@ -797,7 +772,7 @@ def decide_regularity(
                             f"{residue} mod {q} admitted no certifiable "
                             f"pattern inside the window"
                         ),
-                        "length_claim": verify_length_claim(lw),
+                        "length_claim": verify_length_claim(lw.lengths),
                     },
                 )
             patterns.append(pattern)
@@ -818,7 +793,7 @@ def decide_regularity(
         window,
         {
             "note": "stream has no certificate either way",
-            "length_claim": verify_length_claim(lw),
+            "length_claim": verify_length_claim(lw.lengths),
             "pattern_scan": _pattern_scan_evidence(lw),
         },
     )

@@ -162,8 +162,6 @@ class SeqSlice:
             raise IndexError(f"index {n} outside [{self.start}, {self.stop})")
         return self.values[n - self.start]
 
-    def items(self):
-        return zip(range(self.start, self.stop), self.values)
 
 
 def u_seq(inst: FloorLogInstance | NormalizedInstance, n_max: int) -> SeqSlice:
@@ -173,26 +171,6 @@ def u_seq(inst: FloorLogInstance | NormalizedInstance, n_max: int) -> SeqSlice:
         return SeqSlice(start, ())
     vals = tuple(u_term(inst.alpha, inst.beta, inst.base, n) for n in range(start, n_max + 1))
     return SeqSlice(start, vals)
-
-
-def v_seq(inst: FloorLogInstance | NormalizedInstance, n_max: int) -> tuple[SeqSlice, int | None]:
-    """Differences v_n = u_{n+1} - u_n for n in [n_min, n_max], plus N0.
-
-    N0 is the last observed index whose difference is outside {0, 1}, or None
-    if the whole computed range is already a 0/1 word.  The theory promises
-    such violations live in a finite prefix; this reports what the window
-    actually shows rather than assuming a bound.
-    """
-    u = u_seq(inst, n_max + 1)
-    if len(u.values) < 2:
-        return SeqSlice(u.start, ()), None
-    diffs = tuple(b - a for a, b in zip(u.values, u.values[1:]))
-    sl = SeqSlice(u.start, diffs)
-    n0 = None
-    for n, v in sl.items():
-        if v not in (0, 1):
-            n0 = n
-    return sl, n0
 
 
 @dataclass(frozen=True)
@@ -296,41 +274,6 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
                 c = floor_quadratic(num, rad, d, den)
         cs.append(c)
     return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
-
-
-def verify_jumps_against_v(
-    norm: NormalizedInstance, jumps: JumpData, n_cap: int
-) -> None:
-    """Cross-check v_n = 1 exactly at the jump positions, within reach.
-
-    At an integrality hit the jump to level k happens at n = c_k itself, so
-    the unit step sits one slot earlier; both layouts are checked.  The scan
-    runs from the first n whose argument reaches 1 (below that, steps target
-    levels k < 1 which JumpData does not cover) and stops before the last
-    known jump, so every step inside the window has a prediction.  Raises
-    ConsistencyError on any mismatch.
-    """
-    if jumps.k_max < 1:
-        return
-    start = max(norm.n_min, ((1 - norm.beta) / norm.alpha).ceil())
-    cap = min(n_cap, jumps.at(jumps.k_max) - 1)
-    jump_set = set()
-    shifted = set()
-    for k in range(1, jumps.k_max + 1):
-        c = jumps.at(k)
-        (shifted if k in jumps.integrality_hits else jump_set).add(c)
-    u_prev = None
-    for n in range(start, cap + 2):
-        u_here = u_term(norm.alpha, norm.beta, norm.base, n)
-        if u_prev is not None:
-            val = u_here - u_prev
-            m = n - 1
-            expected = 1 if (m in jump_set or m + 1 in shifted) else 0
-            if val != expected:
-                raise ConsistencyError(
-                    f"v_{m} = {val} but jump positions predict {expected}"
-                )
-        u_prev = u_here
 
 
 def jump_levels_past(base: int, size: int) -> int:

@@ -13,24 +13,48 @@ The word-level oracles (rendering, the unpruned pattern scan, the
 ungrouped pattern automaton) work on plain digit tuples; the last shares
 only the Dfa table and its minimization with floorlog.automata.
 
-The reference forms at the end are the direct versions of library
+The reference forms that follow are the direct versions of library
 routines, kept to compare against: normalization one power of the base
 at a time, a jump table with a fresh isqrt per index, and the jump-digit
-classification swept on ExactReal values.  They do use floorlog.exact,
-and nothing else of the library but its record types.
+classification swept on ExactReal values.  They use floorlog.exact and
+the library's record types.
+
+The audits at the end check identities the library's results must
+satisfy: the per-index classification against the threshold tests, the
+handshake between consecutive classifications, the expansion identity
+of every prefix of r, and the unit steps of u against the jump
+positions.  Unlike everything above they call library routines:
+classify on r_direct, expansion_forms on classify_range, and v_seq and
+verify_jumps_against_v on u_term.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable
 
 from floorlog.automata import Dfa
 from floorlog.exact import over_common_denominator
-from floorlog.jumpdigits import RkRecord
-from floorlog.sequences import JumpData, NormalizedInstance
+from floorlog.jumpdigits import (
+    _TAG_BY_TESTS,
+    RkRecord,
+    classify_range,
+    inverse_slope_digits,
+    r_direct,
+)
+from floorlog.numeration import to_word, word_str
+from floorlog.sequences import (
+    ConsistencyError,
+    FloorLogInstance,
+    JumpData,
+    NormalizedInstance,
+    SeqSlice,
+    u_seq,
+    u_term,
+)
 
 Shadow = tuple[Fraction, Fraction, int]  # ra + rc * sqrt(d)
 
@@ -467,3 +491,182 @@ def classify_range_exact(norm, k_max: int) -> list[RkRecord]:
         )
         x, pk = x_next, pk1
     return records
+
+
+# ---------------------------------------------------------------------------
+# audits of the jump-digit classification and of the unit steps
+
+
+def eval_Pk(norm: NormalizedInstance, k: int) -> bool:
+    """Decide frac(base^k/alpha) >= frac(beta/alpha) exactly."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    lhs = ((norm.base**k) / norm.alpha).frac()
+    rhs = (norm.beta / norm.alpha).frac()
+    return lhs >= rhs
+
+
+def classify(norm: NormalizedInstance, k: int) -> RkRecord:
+    """Classify index k and assert the case formula against r_direct."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pk = eval_Pk(norm, k)
+    pk1 = eval_Pk(norm, k + 1)
+    digit = inverse_slope_digits(norm, k + 1)[k]
+    r = r_direct(norm, k)
+    # RkRecord.__post_init__ raises if r disagrees with the case formula
+    return RkRecord(
+        k=k, r=r, case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1,
+        digit=digit, base=norm.base,
+    )
+
+
+@dataclass(frozen=True)
+class TransitionReport:
+    """Adjacent-pair audit of the classification."""
+
+    pairs_checked: int
+    violations: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_transitions(records: list[RkRecord]) -> TransitionReport:
+    """Verify the handshake between consecutive classifications.
+
+    The shape at k leaves the second threshold test as the first test of
+    k+1, so r_k being un-decremented (tags A, C) must coincide with r_{k+1}
+    passing its own first test (tags A, B).  Both the tag-level and the
+    value-level readings of that equivalence are checked; the value sets
+    {digit, base+digit} and {digit, digit-1} cannot collide across tags, so
+    any discrepancy is a genuine violation.
+    """
+    violations = []
+    for rec, nxt in zip(records, records[1:]):
+        if nxt.k != rec.k + 1:
+            raise ValueError("records must cover consecutive indices")
+        left_tag = rec.case_tag in ("A", "C")
+        left_val = rec.r in (rec.digit, rec.base + rec.digit)
+        right_tag = nxt.case_tag in ("A", "B")
+        right_val = nxt.r in (nxt.digit, nxt.digit - 1)
+        if len({left_tag, left_val, right_tag, right_val}) != 1:
+            violations.append(
+                f"k={rec.k}: tags ({rec.case_tag},{nxt.case_tag}) "
+                f"values (r={rec.r},r'={nxt.r}) disagree on the handshake"
+            )
+    return TransitionReport(pairs_checked=max(0, len(records) - 1),
+                            violations=tuple(violations))
+
+
+@dataclass(frozen=True)
+class ExpansionForm:
+    """Value-level audit of the prefix [r_1 ... r_k] read in the base.
+
+    The prefix value must land on the block of inverse-slope digits
+    2..k+1, possibly with a leading 1 attached (first threshold test
+    false) and possibly after adding 1 back (index k decremented, tags
+    B/D).  Membership is checked on values, not digit strings, because
+    the digit block may start with zeros.
+    """
+
+    k: int
+    value: int
+    decremented: bool
+    candidates: tuple[int, int]
+    ok: bool
+    base: int
+
+    @property
+    def rendered(self) -> str:
+        """The checked value, value + 1 when decremented, as base digits.
+
+        Rendered on read: a string per prefix would make expansion_forms
+        quadratic in k_max.
+        """
+        adjusted = self.value + 1 if self.decremented else self.value
+        return word_str(to_word(adjusted, self.base))
+
+
+def expansion_forms(norm: NormalizedInstance, k_max: int) -> list[ExpansionForm]:
+    """Audit every prefix [r_1..r_k] for k = 1..k_max incrementally."""
+    records = classify_range(norm, k_max)
+    forms = []
+    b = norm.base
+    value = 0
+    block = 0
+    power = 1
+    for rec in records:
+        value = value * b + rec.r
+        block = block * b + rec.digit
+        power *= b
+        decremented = rec.case_tag in ("B", "D")
+        adjusted = value + 1 if decremented else value
+        candidates = (block, power + block)
+        forms.append(
+            ExpansionForm(
+                k=rec.k,
+                value=value,
+                decremented=decremented,
+                candidates=candidates,
+                ok=adjusted in candidates,
+                base=b,
+            )
+        )
+    return forms
+
+
+def v_seq(inst: FloorLogInstance | NormalizedInstance, n_max: int) -> tuple[SeqSlice, int | None]:
+    """Differences v_n = u_{n+1} - u_n for n in [n_min, n_max], plus N0.
+
+    N0 is the last observed index whose difference is outside {0, 1}, or None
+    if the whole computed range is already a 0/1 word.  The theory promises
+    such violations live in a finite prefix; this reports what the window
+    actually shows rather than assuming a bound.
+    """
+    u = u_seq(inst, n_max + 1)
+    if len(u.values) < 2:
+        return SeqSlice(u.start, ()), None
+    diffs = tuple(b - a for a, b in zip(u.values, u.values[1:]))
+    sl = SeqSlice(u.start, diffs)
+    n0 = None
+    for n, v in zip(range(sl.start, sl.stop), sl.values):
+        if v not in (0, 1):
+            n0 = n
+    return sl, n0
+
+
+def verify_jumps_against_v(
+    norm: NormalizedInstance, jumps: JumpData, n_cap: int
+) -> None:
+    """Cross-check v_n = 1 exactly at the jump positions, within reach.
+
+    At an integrality hit the jump to level k happens at n = c_k itself, so
+    the unit step sits one slot earlier; both layouts are checked.  The scan
+    runs from the first n whose argument reaches 1 (below that, steps target
+    levels k < 1 which JumpData does not cover) and stops before the last
+    known jump, so every step inside the window has a prediction.  Raises
+    ConsistencyError on any mismatch.
+    """
+    if jumps.k_max < 1:
+        return
+    start = max(norm.n_min, ((1 - norm.beta) / norm.alpha).ceil())
+    cap = min(n_cap, jumps.at(jumps.k_max) - 1)
+    jump_set = set()
+    shifted = set()
+    for k in range(1, jumps.k_max + 1):
+        c = jumps.at(k)
+        (shifted if k in jumps.integrality_hits else jump_set).add(c)
+    u_prev = None
+    for n in range(start, cap + 2):
+        u_here = u_term(norm.alpha, norm.beta, norm.base, n)
+        if u_prev is not None:
+            val = u_here - u_prev
+            m = n - 1
+            expected = 1 if (m in jump_set or m + 1 in shifted) else 0
+            if val != expected:
+                raise ConsistencyError(
+                    f"v_{m} = {val} but jump positions predict {expected}"
+                )
+        u_prev = u_here

@@ -40,10 +40,8 @@ from floorlog.battery import BATTERY, by_name
 from floorlog.cli import run_analyze
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import (
-    check_transitions,
     classify_range,
     detect_period,
-    expansion_forms,
     r_direct,
     r_from_jumps,
     r_recur,
@@ -55,14 +53,13 @@ from floorlog.language import (
     ThueMorseBlockSource,
     decide_regularity,
     find_pattern,
-    length_claim_for_source,
     verify_length_claim,
     words,
 )
 from floorlog.levelcounts import align_m0, d_seq, decide_d_periodicity, f_counts
 from floorlog.numeration import digit_stream, to_word
 from floorlog.sequences import jump_positions, v_indicator
-from oracles import START_BITS, sh_compare, shadow
+from oracles import START_BITS, check_transitions, expansion_forms, sh_compare, shadow
 
 
 def test_criterion_1_evaluation_routes_agree(record_property):
@@ -315,7 +312,9 @@ def test_criterion_7_length_growth_stabilizes(record_property):
     n_top = 10**4
     for inst in BATTERY:
         norm = inst.normalized()
-        report = length_claim_for_source(RkDigitSource(norm), norm.base, n_top)
+        report = verify_length_claim(
+            words(RkDigitSource(norm), norm.base, n_top, allow_zero_start=True).lengths
+        )
         assert report.checked_to == n_top, inst.name
         assert report.violation is False, inst.name
         stable_n = report.stable_from
@@ -324,7 +323,7 @@ def test_criterion_7_length_growth_stabilizes(record_property):
         assert all(n <= stable_n for n, _ in report.anomalies), inst.name
         # the streaming scan must agree with materialized words on a prefix
         lw = words(RkDigitSource(norm), norm.base, 300, allow_zero_start=True)
-        assert verify_length_claim(lw).stable_from == stable_n, inst.name
+        assert verify_length_claim(lw.lengths).stable_from == stable_n, inst.name
 
 
 # --- criterion 8: static float audit + randomized oracle agreement --------

@@ -125,8 +125,6 @@ def test_field_arithmetic_identities():
     x = ExactReal(Fraction(3, 7)) - 5 * ExactReal.sqrt(13)
     assert x - x == 0
     assert x / x == 1
-    assert (x**3) == x * x * x
-    assert x**0 == 1
     assert (1 / x) * x == 1
 
 

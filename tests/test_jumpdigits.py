@@ -10,12 +10,8 @@ from floorlog.exact import ExactReal
 from floorlog.jumpdigits import (
     RkRecord,
     certify_cycle,
-    check_transitions,
-    classify,
     classify_range,
     detect_period,
-    eval_Pk,
-    expansion_forms,
     inverse_slope_digits,
     r_direct,
     r_from_jumps,
@@ -28,7 +24,14 @@ from floorlog.sequences import (
     jump_positions,
     normalize,
 )
-from oracles import oracle_digits, oracle_r
+from oracles import (
+    check_transitions,
+    classify,
+    eval_Pk,
+    expansion_forms,
+    oracle_digits,
+    oracle_r,
+)
 
 
 def norm_of(alpha, beta, base):

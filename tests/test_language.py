@@ -243,7 +243,7 @@ def test_length_claim_examples():
         (rk_source("3/2", 0, 2), 2),
     ]:
         lw = words(src, base, 40)
-        report = verify_length_claim(lw)
+        report = verify_length_claim(lw.lengths)
         assert report.stable_from == 0
         assert report.anomalies == ()
         assert not report.violation
@@ -251,7 +251,7 @@ def test_length_claim_examples():
 
 def test_length_claim_vacuous_for_single_word():
     lw = words(ExplicitDigitSource("101"), 2, 0)
-    report = verify_length_claim(lw)
+    report = verify_length_claim(lw.lengths)
     assert report.stable_from == 0
     assert report.checked_to == 0
 
@@ -260,7 +260,7 @@ def test_length_claim_records_anomalies():
     # digit 3 in base 2 makes the value jump past one binary length
     src = PeriodicDigitSource((1, 3), (0,))
     lw = words(src, 2, 20)
-    report = verify_length_claim(lw)
+    report = verify_length_claim(lw.lengths)
     assert report.anomalies == ((0, 2),)
     assert report.stable_from == 1
     assert not report.violation
@@ -270,7 +270,7 @@ def test_length_claim_flags_late_jump_as_violation():
     # a bounded digit alphabet cannot jump two lengths once values are
     # large, so forcing the flag takes an absurdly large explicit digit
     src = ExplicitDigitSource((1,) + (0,) * 11 + (8192,))
-    report = verify_length_claim(words(src, 2, 30))
+    report = verify_length_claim(words(src, 2, 30).lengths)
     assert report.violation
     assert any(delta >= 2 for _, delta in report.anomalies)
 
@@ -426,7 +426,7 @@ def test_certify_three_halves_residue_zero():
     lw = words(src, 2, 30)
     pat = certify_pattern(src, find_pattern(lw, 2, 0))
     assert pat.constant == 1
-    assert pat.word_for(2) == (1, 0, 1, 0, 1)
+    assert pat.v0 + pat.v1 * 2 + pat.v2 == (1, 0, 1, 0, 1)
 
 
 def test_certify_three_halves_residue_one():
@@ -434,7 +434,7 @@ def test_certify_three_halves_residue_one():
     lw = words(src, 2, 30)
     pat = certify_pattern(src, find_pattern(lw, 2, 1))
     assert pat.constant == 2
-    assert word_str(pat.word_for(0)) == "10"
+    assert word_str(pat.v0 + pat.v1 * 0 + pat.v2) == "10"
 
 
 def test_certified_pattern_replays_against_source():
@@ -447,7 +447,7 @@ def test_certified_pattern_replays_against_source():
             value = 2 * value + src.digit(i)
             m, extra = divmod(i - pat.anchor, pat.period)
             if i >= pat.anchor and extra == 0:
-                assert from_word(pat.word_for(m), 2) == value
+                assert from_word(pat.v0 + pat.v1 * m + pat.v2, 2) == value
 
 
 def test_certify_rejects_wrong_split_at_constant_identity():
@@ -605,7 +605,7 @@ def test_decide_periodic_source_with_preperiod():
     assert ok, witness
     for pat in verdict.patterns:
         for m in range(6):
-            assert verdict.dfa.accepts(pat.word_for(m))
+            assert verdict.dfa.accepts(pat.v0 + pat.v1 * m + pat.v2)
     for exc in verdict.exceptions:
         assert verdict.dfa.accepts(exc)
 
@@ -669,7 +669,7 @@ def test_periodic_sources_decide_regular_and_match_enumeration(case):
 def test_one_word_per_length_past_stabilization(case):
     base, src = case
     lw = words(src, base, 80, allow_zero_start=True)
-    report = verify_length_claim(lw)
+    report = verify_length_claim(lw.lengths)
     assert not report.violation
     tail = lw.words[report.stable_from :]
     lengths = [len(w) for w in tail]
@@ -689,7 +689,7 @@ def test_certified_patterns_replay_for_random_sources(case):
             value = base * value + src.digit(i)
             m, extra = divmod(i - pat.anchor, pat.period)
             if i >= pat.anchor and extra == 0:
-                assert from_word(pat.word_for(m), base) == value
+                assert from_word(pat.v0 + pat.v1 * m + pat.v2, base) == value
 
 
 def assert_renders_like_oracle(src, base, n_max):

@@ -16,10 +16,8 @@ from floorlog.sequences import (
     normalize,
     u_seq,
     u_term,
-    v_seq,
-    verify_jumps_against_v,
 )
-from oracles import normalize_stepwise, oracle_c, oracle_u
+from oracles import normalize_stepwise, oracle_c, oracle_u, v_seq, verify_jumps_against_v
 
 SQRT2 = ExactReal.sqrt(2)
 
