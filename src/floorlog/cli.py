@@ -31,6 +31,7 @@ from . import __version__
 from .automata import kernel_explore
 from .exact import ExactReal, ParseError
 from .jumpdigits import (
+    OrbitCapError,
     PeriodicityVerdict,
     certify_r,
     classify_range,
@@ -133,6 +134,12 @@ def _load_json(path: str, what: str):
         raise UsageError(f"{what} is not valid JSON: {exc}")
 
 
+def _check_keys(layer: dict, known: set[str], what: str) -> None:
+    unknown = sorted(set(layer) - known)
+    if unknown:
+        raise UsageError(f"{what} key {unknown[0]!r} names no flag of any subcommand")
+
+
 def _merge(*layers: dict) -> dict:
     """One field dict from layers of rising priority; null means unset."""
     fields = {}
@@ -154,12 +161,22 @@ def _field(fields: dict, key: str, default=None):
     return value
 
 
-def _positive_int(fields: dict, key: str, default=None, cap=None) -> int:
+def _integer(fields: dict, key: str, default=None) -> int:
     value = _field(fields, key, default)
+    # JSON may give a bool (an int subclass) or 2.9, which int() truncates;
+    # a decimal string such as "2" is read as written
     try:
         out = int(value)
-    except (TypeError, ValueError):
+        exact = not isinstance(value, bool) and (isinstance(value, str) or out == value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
         raise UsageError(f"{_flag(key)} must be an integer, got {value!r}")
+    return out
+
+
+def _positive_int(fields: dict, key: str, default=None, cap=None) -> int:
+    out = _integer(fields, key, default)
     if out < 1:
         raise UsageError(f"{_flag(key)} must be positive, got {out}")
     if cap is not None and out > cap:
@@ -395,7 +412,9 @@ class _Tables:
 
 def _cmd_seq(fields) -> int:
     alpha, beta, base = _triple(fields)
-    start = _positive_int(fields, "start", 1)
+    start = _integer(fields, "start", 1)
+    if start < 0:
+        raise UsageError(f"--from must not be negative, got {start}")
     stop = _positive_int(fields, "stop", 10, _INDEX_CAP)
     if stop < start:
         raise UsageError("--to must not be below --from")
@@ -656,13 +675,14 @@ def _cmd_analyze(fields) -> int:
     return 0
 
 
-def _cmd_batch(path: str, scenario: dict, flags: dict) -> int:
+def _cmd_batch(path: str, scenario: dict, flags: dict, known: set[str]) -> int:
     batch = _load_json(path, "batch file")
     if not isinstance(batch, list):
         raise UsageError("batch file must hold a JSON array of scenarios")
     for i, entry in enumerate(batch):
         if not isinstance(entry, dict):
             raise UsageError(f"batch entry {i} is not a JSON object")
+        _check_keys(entry, known, f"batch entry {i}")
     # each entry takes the scenario file's place; flags still win
     _print([run_analyze(_merge(scenario, entry, flags)) for entry in batch])
     return 0
@@ -707,7 +727,7 @@ def build_parser() -> _Parser:
 
     seq = subs.add_parser("seq", help="print u_n over an index range")
     _add_instance_flags(seq)
-    seq.add_argument("--from", dest="start", type=int, help="first index, default 1")
+    seq.add_argument("--from", dest="start", type=int, help="first index (0 or more), default 1")
     seq.add_argument("--to", dest="stop", type=int, help="last index, default 10")
     seq.set_defaults(handler=_cmd_seq)
 
@@ -780,21 +800,30 @@ def main(argv=None) -> int:
         return 1
 
 
+def _scenario_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """What a scenario file or batch entry may set: any subcommand's flag."""
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for sub in subs.choices.values() for a in sub._actions} - {"help"}
+
+
 def _main(argv) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    known = _scenario_keys(parser)
     try:
         scenario = _load_json(args.scenario, "scenario file") if args.scenario else {}
         if not isinstance(scenario, dict):
             raise UsageError("scenario file must hold a JSON object")
+        _check_keys(scenario, known, "scenario file")
         flags = {
             key: value
             for key, value in vars(args).items()
             if key not in ("command", "handler", "scenario", "batch")
         }
         if getattr(args, "batch", None):
-            return _cmd_batch(args.batch, scenario, flags)
+            return _cmd_batch(args.batch, scenario, flags, known)
         return args.handler(_merge(scenario, flags))
-    except UsageError as exc:
+    except (UsageError, OrbitCapError) as exc:
         print(f"floorlog: error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:

@@ -51,6 +51,21 @@ def test_negative_value_may_follow_its_flag(capsys, frozen_clock, command, extra
     assert spaced == attached
 
 
+def test_seq_from_zero_prints_u0(capsys):
+    code, out, _ = run(capsys, "seq", "--alpha", "3/2", "--beta", "1",
+                       "--base", "2", "--from", "0", "--to", "3")
+    assert code == 0
+    assert out.strip() == "0,1,2,2"
+
+
+@pytest.mark.parametrize("beta", ["0", "-1/2"])
+def test_seq_from_zero_refuses_undefined_u0(capsys, beta):
+    code, out, err = run(capsys, "seq", "--alpha", "3/2", "--beta", beta,
+                         "--base", "2", "--from", "0", "--to", "3")
+    assert code == 1 and out == ""
+    assert "u_0 undefined" in err
+
+
 def test_missing_alpha_is_usage_error(capsys):
     code, _, err = run(capsys, "rk", "--base", "2")
     assert code == 1
@@ -415,6 +430,24 @@ def test_work_budgets_refuse_oversized_values(capsys, case):
     assert cli._positive_int({"n": cap}, "n", cap=cap) == cap  # the cap itself passes
 
 
+@pytest.mark.parametrize("command", [
+    ("analyze", "--window", "200", "--kernel-depth", "2"),
+    ("fk",),
+    ("dfa",),
+    ("decide", "--source", "rk"),
+])
+def test_orbit_cap_refuses_long_orbits(capsys, command):
+    # the order of 16 mod 123456789 is 3,427,503; tables that long would
+    # exhaust memory
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *command, "--alpha", "123456789/7",
+                         "--beta", "-5", "--base", "16")
+    assert time.perf_counter() - t0 < 5
+    assert code == 1 and out == ""
+    assert "past the orbit cap for base 16" in err
+    assert "Traceback" not in err
+
+
 def test_fk_refuses_counts_past_the_int_to_text_limit(capsys):
     # f_k of 3/2 in base 16 passes 4300 digits near k = 3570
     t0 = time.perf_counter()
@@ -659,6 +692,40 @@ def test_scenario_file_works_for_subcommands_too(tmp_path, capsys):
                        "--from", "1", "--to", "4")
     assert code == 0
     assert out.strip() == "0,1,1,2"
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("fk", "kmax", 2.9),
+    ("rk", "kmax", True),
+    ("decide", "window", True),
+    ("analyze", "kernel_depth", 1.5),
+])
+def test_scenario_integer_fields_refuse_bools_and_fractions(tmp_path, capsys,
+                                                            command, key, value):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, command, "--alpha", "3/2", "--base", "2",
+                         "--scenario", str(path))
+    assert code == 1 and out == ""
+    assert f"{cli._flag(key)} must be an integer, got {value!r}" in err
+
+
+def test_integral_numbers_and_decimal_strings_still_read():
+    assert cli._positive_int({"n": 3.0}, "n") == 3
+    assert cli._positive_int({"n": "3"}, "n") == 3
+
+
+def test_unknown_scenario_and_batch_keys_are_refused(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"alpha": "3/2", "base": 2, "kmaxx": 5}))
+    code, out, err = run(capsys, "fk", "--scenario", str(path))
+    assert code == 1 and out == ""
+    assert "scenario file key 'kmaxx' names no flag" in err
+    path.write_text(json.dumps([{"alpha": "3/2", "base": 2},
+                                {"alpha": "3/2", "base": 2, "kmaxx": 5}]))
+    code, out, err = run(capsys, "analyze", "--batch", str(path))
+    assert code == 1 and out == ""
+    assert "batch entry 1 key 'kmaxx' names no flag" in err
 
 
 def test_scenario_file_must_be_an_object(tmp_path, capsys):

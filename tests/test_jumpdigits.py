@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import (
+    OrbitCapError,
     RkRecord,
     certify_cycle,
     classify_range,
@@ -17,6 +18,7 @@ from floorlog.jumpdigits import (
     r_from_jumps,
     r_recur,
     r_stream,
+    residue_orbit,
 )
 from floorlog.sequences import (
     ConsistencyError,
@@ -302,6 +304,18 @@ def test_rational_period_divides_residue_orbit(alpha, beta, base):
     assert cert.preperiod <= cert.orbit_preperiod
     for k in range(1, 16):
         assert cert.predict(k) == oracle_r(n.alpha, n.beta, base, k)
+
+
+def test_residue_orbit_cap_sits_on_the_cover():
+    # in base 2 the cap is a cover (preperiod + 2*period) of 65536; the
+    # order of 2 is 32748 mod 32749 (cover 65496) and 32770 mod 32771
+    assert residue_orbit(2, 32749) == (0, 32748)
+    with pytest.raises(OrbitCapError, match="orbit cap for base 2"):
+        residue_orbit(2, 32771)
+    # a walk that passes the cap stops there: the order of 16 mod
+    # 123456789 is 3,427,503
+    with pytest.raises(OrbitCapError, match="more than 32768 terms"):
+        residue_orbit(16, 123456789)
 
 
 @settings(max_examples=30, deadline=None)
