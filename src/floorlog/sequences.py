@@ -163,7 +163,6 @@ class SeqSlice:
         return self.values[n - self.start]
 
 
-
 def u_seq(inst: FloorLogInstance | NormalizedInstance, n_max: int) -> SeqSlice:
     """u_n for n from n_min through n_max inclusive."""
     start = inst.n_min
