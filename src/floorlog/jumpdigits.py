@@ -320,8 +320,9 @@ def minimize_cycle(values, cover_preperiod: int, cover_period: int) -> tuple[int
 # a rational analysis keeps tables of about cover = preperiod + 2*period
 # integers of up to cover base digits, so its memory grows as
 # cover^2 * log2(base); at this budget analyze near the cap peaks at
-# 0.70 GB in base 10 and 0.85 GB in bases 2 and 4096, in 2.6-4.2 s, and
-# 10007/10000 in base 10 (cover 20012) still runs
+# 0.70 GB in base 10 and 0.85 GB in bases 2 and 4096, in 2.6-4.2 s on a
+# 2-CPU x86 box (CPython 3.11), and 10007/10000 in base 10 (cover 20012)
+# still runs
 _ORBIT_BUDGET = 1 << 32
 
 
