@@ -14,7 +14,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from floorlog.exact import ExactReal
-from floorlog.jumpdigits import detect_period, r_stream
+from floorlog.jumpdigits import InstanceTables, r_stream
 from floorlog.language import RkDigitSource, decide_regularity, words
 from floorlog.numeration import digit_stream
 from floorlog.sequences import FloorLogInstance, normalize, u_seq
@@ -40,7 +40,8 @@ def show(alpha_text: str) -> None:
     frac = inverse - inverse.__floor__()
     print(f"1/alpha digits {' '.join(str(d) for d in digit_stream(frac, 2, 24))} ...")
 
-    verdict = detect_period(norm, 64)
+    tables = InstanceTables(norm, 1000)
+    verdict = tables.r_verdict
     if verdict.kind == "Periodic":
         cert = verdict.certificate
         print(
@@ -50,8 +51,8 @@ def show(alpha_text: str) -> None:
     else:
         print(f"periodicity    {verdict.kind}: {verdict.reason}")
 
-    lang = decide_regularity(RkDigitSource(norm), 2)
-    lw = words(RkDigitSource(norm), 2, 8, allow_zero_start=True)
+    lang = decide_regularity(RkDigitSource(tables), 2)
+    lw = words(RkDigitSource(tables), 2, 8, allow_zero_start=True)
     print(f"first words    {' '.join(lw.word_strs())}")
     if lang.kind == "Regular":
         shapes = ", ".join(p.describe() for p in lang.patterns)

@@ -112,8 +112,8 @@ class Dfa:
         out = Dfa(m.base, tuple(tuple(r) for r in rows), cls[m.start], frozenset(acc))
         return out.canonical()
 
-    def to_dot(self, name: str = "dfa") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, style=invis];']
+    def to_dot(self) -> str:
+        lines = ["digraph dfa {", "  rankdir=LR;", '  hidden [shape=point, style=invis];']
         for q in range(self.num_states):
             shape = "doublecircle" if q in self.accepting else "circle"
             lines.append(f"  q{q} [shape={shape}, label=\"{q}\"];")

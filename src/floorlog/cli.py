@@ -31,13 +31,11 @@ from . import __version__
 from .automata import kernel_explore
 from .exact import ExactReal, ParseError
 from .jumpdigits import (
+    InstanceTables,
     OrbitCapError,
     PeriodicityVerdict,
-    certify_r,
     classify_range,
-    detect_period,
     inverse_slope_digits,
-    residue_orbit,
 )
 from .language import (
     MIN_WINDOW,
@@ -50,21 +48,13 @@ from .language import (
     verify_length_claim,
     words,
 )
-from .levelcounts import (
-    LevelCounts,
-    align_m0,
-    certify_d,
-    d_seq,
-    decide_d_periodicity,
-    f_counts,
-)
+from .levelcounts import d_seq, decide_d_periodicity
 from .numeration import parse_word, word_str
 from .sequences import (
     ConsistencyError,
     FloorLogInstance,
     NormalizedInstance,
     jump_levels_past,
-    jump_positions,
     normalize,
     u_term,
     v_indicator,
@@ -138,6 +128,9 @@ def _check_keys(layer: dict, known: set[str], what: str) -> None:
     unknown = sorted(set(layer) - known)
     if unknown:
         raise UsageError(f"{what} key {unknown[0]!r} names no flag of any subcommand")
+    files = sorted({"batch", "scenario"} & set(layer))
+    if files:
+        raise UsageError(f"{what} key {files[0]!r} names a file; pass it as --{files[0]}")
 
 
 def _merge(*layers: dict) -> dict:
@@ -227,12 +220,13 @@ def _digit_word(fields: dict, key: str, default=None) -> tuple[int, ...]:
         raise UsageError(f"cannot parse {_flag(key)}: {exc}")
 
 
-def _digit_source(fields: dict) -> tuple[DigitSource, int]:
+def _digit_source(fields: dict, window: int) -> tuple[DigitSource, int]:
+    """The stream --source names; an rk stream's r verdict is certified on window."""
     base = _base(fields)
     kind = _field(fields, "source", "rk")
     try:
         if kind == "rk":
-            return RkDigitSource(_normalized(fields)), base
+            return RkDigitSource(InstanceTables(_normalized(fields), window)), base
         if kind == "periodic":
             if fields.get("period") is None:
                 raise UsageError("--period is required for --source periodic")
@@ -348,63 +342,6 @@ def _kernel_report(
     return kernel_explore(lambda n: bitmap[n], norm.base, depth, prefix_len)
 
 
-class _Tables:
-    """The exact tables of one instance, each computed once.
-
-    With cover = preperiod + 2*period of base^k mod p for alpha = p/q, r
-    is certified on span_r = max(cover, r_window) terms and d on span_d =
-    max(cover, d_window), as detect_period and decide_d_periodicity do.
-    One jump table reaches the largest index any stage reads, and at least
-    levels; the r digits live in one RkDigitSource buffer, which the
-    language stage reads on; one level-count table reaches span_d + 1, and
-    the fk_top levels of the report are its prefix (fk_top <= d_window).
-    Every check reads the prefix it would read off tables of its own: r
-    against the jump table over span_r, d against r on the aligned tail
-    and the r certificate against d up to span_d, the level audit over the
-    same indices.  A surd slope needs neither span: its verdicts hold by
-    theorem.
-    """
-
-    def __init__(self, norm: NormalizedInstance, r_window: int, d_window: int,
-                 fk_top: int, levels: int = 1):
-        self.norm = norm
-        self._fk_top = fk_top
-        self._d_window = d_window
-        self._orbit = None
-        top = max(fk_top + 1, levels)
-        if norm.alpha.is_rational:
-            self._modulus = norm.alpha.as_fraction().numerator
-            orbit = self._orbit = residue_orbit(norm.base, self._modulus)
-            cover = orbit[0] + 2 * orbit[1]
-            self._span_r, self._span_d = max(cover, r_window), max(cover, d_window)
-            top = max(top, self._span_r + 1, self._span_d + 2)
-        self.jumps = jump_positions(norm, top)
-        self.digits = RkDigitSource(norm)
-        if self._orbit is None:
-            verdict = detect_period(norm, r_window)
-        else:
-            verdict = certify_r(
-                self.digits.r_terms(self._span_r), self.jumps, self._modulus,
-                self._orbit, norm.base,
-            )
-        self.r_verdict = self.digits.r_verdict = verdict
-
-    def level_counts(self) -> tuple[LevelCounts, PeriodicityVerdict]:
-        """The levels up to fk_top, aligned, and the d verdict."""
-        norm = self.norm
-        if self._orbit is None:
-            lc = f_counts(norm, self._fk_top)
-            d_verdict = decide_d_periodicity(norm, self._d_window, self.r_verdict)
-        else:
-            span = self._span_d
-            full = f_counts(norm, span + 1)
-            d_verdict = certify_d(full, self.jumps, self.r_verdict.certificate,
-                                  self.digits.r_terms(span + 1))
-            lc = full.prefix(self._fk_top)
-        align_m0(lc, self.jumps.prefix(self._fk_top + 1))
-        return lc, d_verdict
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -415,7 +352,9 @@ def _cmd_seq(fields) -> int:
     start = _integer(fields, "start", 1)
     if start < 0:
         raise UsageError(f"--from must not be negative, got {start}")
-    stop = _positive_int(fields, "stop", 10, _INDEX_CAP)
+    stop = _integer(fields, "stop", 10)
+    if stop > _INDEX_CAP:
+        raise UsageError(f"--to must be at most {_INDEX_CAP}, got {stop}")
     if stop < start:
         raise UsageError("--to must not be below --from")
     try:
@@ -461,7 +400,8 @@ def _cmd_digits(fields) -> int:
 
 
 def _cmd_language(fields) -> int:
-    src, base = _digit_source(fields)
+    # words read digits alone, so no r verdict is computed and 1 is never read
+    src, base = _digit_source(fields, 1)
     n_max = _positive_int(fields, "nmax", 30, _NMAX_CAP)
     lw = words(src, base, n_max, allow_zero_start=True)
     payload = {
@@ -479,8 +419,8 @@ def _cmd_language(fields) -> int:
 
 
 def _cmd_decide(fields) -> int:
-    src, base = _digit_source(fields)
     window = _window(fields)
+    src, base = _digit_source(fields, window)
     verdict = decide_regularity(src, base, window=window)
     _print(_verdict_payload(verdict))
     return 0
@@ -516,8 +456,8 @@ def _cmd_fk(fields) -> int:
     norm = _normalized(fields)
     kmax = _positive_int(fields, "kmax", 60, _KMAX_CAP)
     _fk_fits_text_limit(norm.base, kmax)
-    tables = _Tables(norm, r_window=kmax, d_window=kmax, fk_top=kmax)
-    lc, d_verdict = tables.level_counts()
+    tables = InstanceTables(norm, kmax, d_window=kmax, reach=kmax + 1)
+    lc, d_verdict = decide_d_periodicity(tables, kmax)
     payload = {
         "k_min": lc.k_min,
         "k_max": lc.k_max,
@@ -526,7 +466,7 @@ def _cmd_fk(fields) -> int:
         "d_verdict": _periodicity_payload(d_verdict),
     }
     if lc.alignment.ok:
-        slice_ = d_seq(lc, tables.digits.r_terms(lc.k_max))
+        slice_ = d_seq(lc, tables.r_terms(lc.k_max))
         payload["d_start"] = slice_.start
         payload["d"] = list(slice_.values)
     _print(payload)
@@ -536,8 +476,9 @@ def _cmd_fk(fields) -> int:
 def _cmd_dfa(fields) -> int:
     norm = _normalized(fields)
     window = _window(fields)
-    verdict = decide_regularity(RkDigitSource(norm), norm.base, window=window)
-    if fields["dot"]:
+    src = RkDigitSource(InstanceTables(norm, window))
+    verdict = decide_regularity(src, norm.base, window=window)
+    if fields.get("dot"):
         if verdict.kind != "Regular" or verdict.dfa is None:
             print(
                 f"no DFA: verdict is {verdict.kind}; emitting verdict JSON",
@@ -602,17 +543,19 @@ def run_analyze(scenario: dict) -> dict:
     kernel_scope = _kernel_scope(base, kernel_depth, kernel_prefix)
     timings["normalize"] = clock() - t0
 
-    t0 = clock()
-    tables = _Tables(
-        norm, r_window=window, d_window=min(kmax, 400), fk_top=min(kmax, 60),
-        levels=jump_levels_past(base, kernel_scope - 1),
+    fk_top = min(kmax, 60)
+    tables = InstanceTables(
+        norm, window, d_window=min(kmax, 400),
+        reach=max(fk_top + 1, jump_levels_past(base, kernel_scope - 1)),
     )
+
+    t0 = clock()
     r_verdict = tables.r_verdict
-    r_head = tables.digits.r_terms(min(kmax, 64))
+    r_head = tables.r_terms(min(kmax, 64))
     timings["r_periodicity"] = clock() - t0
 
     t0 = clock()
-    language_verdict = decide_regularity(tables.digits, base, window=window)
+    language_verdict = decide_regularity(RkDigitSource(tables), base, window=window)
     timings["language"] = clock() - t0
 
     t0 = clock()
@@ -620,7 +563,7 @@ def run_analyze(scenario: dict) -> dict:
     timings["kernel"] = clock() - t0
 
     t0 = clock()
-    lc, d_verdict = tables.level_counts()
+    lc, d_verdict = decide_d_periodicity(tables, fk_top)
     timings["level_counts"] = clock() - t0
 
     rational = bool(norm.alpha.is_rational)
@@ -771,7 +714,9 @@ def build_parser() -> _Parser:
     dfa = subs.add_parser("dfa", help="DFA of the word language, JSON or DOT")
     _add_instance_flags(dfa)
     dfa.add_argument("--window", type=int, help=f"word window, default {DEFAULT_WINDOW}")
-    dfa.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    # default None, not False: a None flag leaves a scenario file's "dot" in force
+    dfa.add_argument("--dot", action="store_true", default=None,
+                     help="emit DOT instead of JSON")
     dfa.set_defaults(handler=_cmd_dfa)
 
     analyze = subs.add_parser("analyze", help="full pipeline report as JSON")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .exact import _sign_quadratic, floor_quadratic, over_common_denominator
@@ -377,7 +378,7 @@ def certify_cycle(
 def certify_r(
     stream: list[int], jumps: JumpData, modulus: int, orbit: tuple[int, int], base: int
 ) -> PeriodicityVerdict:
-    """The rational body of detect_period, on tables computed elsewhere.
+    """The rational r certificate of InstanceTables, on its tables.
 
     stream holds r_1..r_span and jumps reaches at least c_{span+1}; only
     that prefix of the jump table is read.  The stream is cross-checked
@@ -390,29 +391,96 @@ def certify_r(
     return certify_cycle(stream, modulus, orbit, jumps.integrality_hits)
 
 
-def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
-    """Decide ultimate periodicity of r with a certificate when possible.
-
-    Rational alpha = p/q: the residue orbit of base^k mod p bounds the
-    shape; certify_r minimizes and replays it on span =
-    max(preperiod + 2*period, window) terms of r_stream, cross-checked
-    against a fresh jump table.  Irrational alpha (a surd by construction):
-    no tail of r ever repeats, because an ultimately periodic r would resum
-    to a rational value for alpha; answered without search.  The window
-    argument extends the replayed verification range beyond the
-    orbit-derived minimum.  RkDigitSource and decide_d_periodicity take
-    this verdict rather than derive it again.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not norm.alpha.is_rational:
-        return PeriodicityVerdict.aperiodic_by_theorem(
-            "alpha is an irrational quadratic surd; the jump-digit sequence "
-            "has an ultimately periodic tail exactly when alpha is rational"
+def _jump_count_digits(norm: NormalizedInstance) -> Iterator[int]:
+    """c_1 = floor((base - beta)/alpha), then r_1, r_2, ... from r_digits."""
+    lead = ((norm.base - norm.beta) / norm.alpha).floor()
+    if lead > 2 * norm.base - 2:
+        raise ConsistencyError(
+            f"leading jump count {lead} exceeds the digit bound {2 * norm.base - 2}"
         )
+    yield lead
+    yield from r_digits(norm)
 
-    p = norm.alpha.as_fraction().numerator
-    orbit = residue_orbit(norm.base, p)
-    span = max(orbit[0] + 2 * orbit[1], window)
-    stream = r_stream(norm, span)
-    return certify_r(stream, jump_positions(norm, span + 1), p, orbit, norm.base)
+
+class InstanceTables:
+    """The exact tables of one instance, each computed once, on first use.
+
+    digits is the one jump-count digit buffer: c_1 = floor((base -
+    beta)/alpha) at position 0, r_k at position k >= 1, from one live
+    r_digits generator that fill extends in place.  For alpha = p/q, orbit
+    is the (preperiod, period) of base^k mod p; with cover = preperiod +
+    2*period, r is certified on span_r = max(cover, r_window) terms, d on
+    span_d = max(cover, d_window), and jumps reaches c_top, top =
+    max(reach, span_r + 1, span_d + 2).  Each reader takes the prefix it
+    needs, so every check covers the range tables of its own would.  A
+    surd needs no span: orbit is None, jumps reaches c_reach and r_verdict
+    holds by theorem.  orbit, jumps and r_verdict wait for their first
+    reader, so reading digits alone walks no orbit.
+    """
+
+    def __init__(self, norm: NormalizedInstance, r_window: int, d_window: int = 1,
+                 reach: int = 1):
+        if min(r_window, d_window, reach) < 1:
+            raise ValueError("window must be >= 1")
+        self.norm = norm
+        self._r_window, self._d_window, self._reach = r_window, d_window, reach
+        self.digits: list[int] = []
+        # a generator of its own, not a method: one holding self would make
+        # the tables a reference cycle, freed only by the cycle collector
+        self._pending = _jump_count_digits(norm)
+
+    def fill(self, count: int) -> None:
+        """Extend digits to count entries."""
+        missing = count - len(self.digits)
+        if missing > 0:
+            self.digits.extend(islice(self._pending, missing))
+
+    def r_terms(self, count: int) -> list[int]:
+        """r_1..r_count, off the one digit buffer."""
+        self.fill(count + 1)
+        return self.digits[1 : count + 1]
+
+    @cached_property
+    def orbit(self) -> tuple[int, int] | None:
+        """(preperiod, period) of base^k mod p; None for a surd."""
+        if not self.norm.alpha.is_rational:
+            return None
+        return residue_orbit(self.norm.base, self.norm.alpha.as_fraction().numerator)
+
+    @property
+    def span_r(self) -> int:
+        return max(self.orbit[0] + 2 * self.orbit[1], self._r_window)
+
+    @property
+    def span_d(self) -> int:
+        return max(self.orbit[0] + 2 * self.orbit[1], self._d_window)
+
+    @cached_property
+    def jumps(self) -> JumpData:
+        top = self._reach
+        if self.orbit is not None:
+            top = max(top, self.span_r + 1, self.span_d + 2)
+        return jump_positions(self.norm, top)
+
+    @cached_property
+    def r_verdict(self) -> PeriodicityVerdict:
+        """Ultimate periodicity of r, certified by certify_r when alpha is rational.
+
+        An irrational alpha (a surd by construction) needs no search: an
+        ultimately periodic r would resum to a rational value for alpha.
+        """
+        if self.orbit is None:
+            return PeriodicityVerdict.aperiodic_by_theorem(
+                "alpha is an irrational quadratic surd; the jump-digit sequence "
+                "has an ultimately periodic tail exactly when alpha is rational"
+            )
+        p = self.norm.alpha.as_fraction().numerator
+        return certify_r(self.r_terms(self.span_r), self.jumps, p, self.orbit, self.norm.base)
+
+
+def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:
+    """InstanceTables(norm, window).r_verdict: r certified on at least window terms.
+
+    On a surd slope the verdict holds by theorem and no table is built.
+    """
+    return InstanceTables(norm, window).r_verdict

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, islice
 
 from .automata import Dfa, from_patterns
-from .jumpdigits import PeriodicityVerdict, detect_period, minimize_cycle, r_digits
+from .jumpdigits import InstanceTables, PeriodicityVerdict, minimize_cycle
 from .numeration import as_digits, from_word, to_word, word_str
-from .sequences import ConsistencyError, NormalizedInstance
+from .sequences import ConsistencyError
 
 Word = tuple[int, ...]
 
@@ -97,44 +98,28 @@ class RkDigitSource(DigitSource):
     Position 0 carries the first jump count c_1; position i >= 1 carries
     the digit r_i.  Folding these through the base reproduces the jump
     counts themselves: w_k = c_{k+1}.  Digits stay below 2*base - 1.
-    The r digits come from one live r_digits generator, so serving n
-    digits computes n - 1 of them; r_terms hands the same buffer to the
-    other stages.  c_1 = floor((base - beta)/alpha) is one exact floor.
+    The stream is a view of tables.digits: its buffer is that very list,
+    extended in place by tables.fill, so every stage that reads the same
+    tables computes each r digit once.
 
-    periodicity() shifts the instance's r verdict onto the stream and keeps
-    the result per window.  That r verdict is r_verdict when set
-    (detect_period's or certify_r's, which settles every window), else one
-    detect_period run per window asked for.
+    periodicity() shifts tables.r_verdict onto the stream, whatever window
+    is asked for; that verdict is certified on the tables' own r window.
     """
 
-    def __init__(self, norm: NormalizedInstance, r_verdict=None):
-        self.norm = norm
-        self.r_verdict = r_verdict
-        self._lead = ((norm.base - norm.beta) / norm.alpha).floor()
-        if self._lead > 2 * norm.base - 2:
-            raise ConsistencyError(
-                f"leading jump count {self._lead} exceeds the digit bound "
-                f"{2 * norm.base - 2}"
-            )
-        self._verdicts: dict[int, PeriodicityVerdict] = {}
-        super().__init__()
+    def __init__(self, tables: InstanceTables):
+        # no DigitSource.__init__: the buffer and its generator are the tables'
+        self.tables = tables
+        self._buffer = tables.digits
 
-    def _generate(self) -> Iterator[int]:
-        yield self._lead
-        yield from r_digits(self.norm)
-
-    def r_terms(self, count: int) -> list[int]:
-        """r_1..r_count, from the stream's own buffer."""
-        self._fill(count + 1)
-        return self._buffer[1 : count + 1]
+    def _fill(self, count: int) -> None:
+        self.tables.fill(count)
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
-        if window not in self._verdicts:
-            self._verdicts[window] = self._periodicity(window)
-        return self._verdicts[window]
+        return self._verdict
 
-    def _periodicity(self, window: int) -> PeriodicityVerdict:
-        inner = self.r_verdict or detect_period(self.norm, window)
+    @cached_property
+    def _verdict(self) -> PeriodicityVerdict:
+        inner = self.tables.r_verdict
         if inner.kind != "Periodic":
             return inner
         # the stream prepends one extra digit (the leading jump count)
@@ -146,7 +131,7 @@ class RkDigitSource(DigitSource):
         )
 
     def label(self) -> str:
-        norm = self.norm
+        norm = self.tables.norm
         return f"jump digits of {norm.alpha}, {norm.beta} in base {norm.base}"
 
 
@@ -700,9 +685,10 @@ class RegularityVerdict:
         return cls("Inconclusive", window=window, evidence=dict(evidence))
 
 
-def _pattern_scan_evidence(lw: LanguageWords, max_period: int = 8) -> dict:
+def _pattern_scan_evidence(lw: LanguageWords) -> dict:
+    """find_pattern's earliest anchor per residue, for periods 1 to 8."""
     found = {}
-    for p in range(1, max_period + 1):
+    for p in range(1, 9):
         hits = []
         for residue in range(p):
             cand = find_pattern(lw, p, residue)

@@ -28,15 +28,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .exact import floor_quadratic, over_common_denominator
-from .jumpdigits import ModCycleCertificate, PeriodicityVerdict, certify_cycle, r_stream
-from .sequences import (
-    ConsistencyError,
-    JumpData,
-    NormalizedInstance,
-    SeqSlice,
-    jump_positions,
-    u_term,
+from .jumpdigits import (
+    InstanceTables,
+    ModCycleCertificate,
+    PeriodicityVerdict,
+    certify_cycle,
 )
+from .sequences import ConsistencyError, JumpData, NormalizedInstance, SeqSlice, u_term
 
 
 def _level_starts(norm: NormalizedInstance, k_lo: int, k_hi: int) -> list[int]:
@@ -242,14 +240,13 @@ def align_m0(lc: LevelCounts, jd: JumpData) -> AlignmentResult:
     return result
 
 
-def d_seq(lc: LevelCounts, r_terms: Sequence[int] | None = None) -> SeqSlice:
+def d_seq(lc: LevelCounts, r_terms: Sequence[int]) -> SeqSlice:
     """d_k = f_{k+1} - base*f_k for k from max(0, k_min) to k_max - 1.
 
     When lc has been aligned, the aligned tail is cross-checked against the
     jump-digit differences r_{k+1} - r_k; any mismatch raises
     ConsistencyError, since both sides are exact.  r_terms holds r_1, r_2,
-    ... at r_terms[0], r_terms[1], ..., at least lc.k_max of them; it is
-    computed with r_stream when not given.
+    ... at r_terms[0], r_terms[1], ..., at least lc.k_max of them.
     """
     b = lc.norm.base
     start = max(0, lc.k_min)
@@ -257,9 +254,8 @@ def d_seq(lc: LevelCounts, r_terms: Sequence[int] | None = None) -> SeqSlice:
     slice_ = SeqSlice(start=start, values=values)
     if lc.alignment is not None and lc.alignment.ok:
         t = max(lc.alignment.threshold, start, 1)
-        r_vals = r_stream(lc.norm, lc.k_max) if r_terms is None else r_terms
         for k in range(t, lc.k_max):
-            want = r_vals[k] - r_vals[k - 1]
+            want = r_terms[k] - r_terms[k - 1]
             if slice_.at(k) != want:
                 raise ConsistencyError(
                     f"d_{k} = {slice_.at(k)} but jump digits predict {want}"
@@ -268,10 +264,9 @@ def d_seq(lc: LevelCounts, r_terms: Sequence[int] | None = None) -> SeqSlice:
 
 
 def certify_d(
-    lc: LevelCounts, jumps: JumpData, cert_r: ModCycleCertificate,
-    r_terms: Sequence[int] | None = None,
+    lc: LevelCounts, jumps: JumpData, cert_r: ModCycleCertificate, r_terms: Sequence[int]
 ) -> PeriodicityVerdict:
-    """The rational body of decide_d_periodicity, on tables computed elsewhere.
+    """The rational body of decide_d_periodicity, on the instance's tables.
 
     lc counts the levels up to span + 1, jumps reaches at least c_{span+2}
     (only that prefix is read) and r_terms, as in d_seq, holds at least
@@ -295,32 +290,30 @@ def certify_d(
 
 
 def decide_d_periodicity(
-    norm: NormalizedInstance, window: int, r_verdict: PeriodicityVerdict
-) -> PeriodicityVerdict:
-    """Decide whether d is ultimately periodic, with a certificate.
+    tables: InstanceTables, k_max: int
+) -> tuple[LevelCounts, PeriodicityVerdict]:
+    """The levels up to k_max, aligned on tables.jumps, and the d verdict.
 
     Rational alpha = p/q: d_k is a function of base^k mod p, because both
     the jump-digit differences and the pattern of exact integer crossings
-    are; the orbit on r_verdict's certificate (detect_period's, required:
-    anything else raises ValueError) is the proven cover, and certify_cycle
-    certifies d the same way as r.  When the count/jump alignment exists,
-    the r certificate must also predict the aligned tail of d, which d_seq
-    checks against r_stream.  Irrational alpha: aperiodic, no search needed,
-    since d ultimately periodic would force r, and then alpha, to be rational.
-    The tables are built here for span = max(preperiod + 2*period, window)
-    and handed to certify_d.
+    are, so the orbit on tables.r_verdict's certificate is the proven
+    cover; certify_d certifies d on span_d terms the same way as r, and
+    the levels counted for it to span_d + 1 >= k_max are also the ones
+    reported.  Irrational alpha: aperiodic, no search needed, since d
+    ultimately periodic would force r, and then alpha, to be rational.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not norm.alpha.is_rational:
-        return PeriodicityVerdict.aperiodic_by_theorem(
+    norm = tables.norm
+    if tables.orbit is None:
+        lc = f_counts(norm, k_max)
+        verdict = PeriodicityVerdict.aperiodic_by_theorem(
             "alpha is an irrational quadratic surd; the count-difference "
             "sequence is ultimately periodic exactly when alpha is rational"
         )
-
-    cert_r = r_verdict.certificate
-    if (r_verdict.kind != "Periodic" or cert_r is None
-            or cert_r.modulus != norm.alpha.as_fraction().numerator):
-        raise ValueError("a rational slope needs its certified Periodic r verdict")
-    span = max(cert_r.orbit_preperiod + 2 * cert_r.orbit_period, window)
-    return certify_d(f_counts(norm, span + 1), jump_positions(norm, span + 2), cert_r)
+    else:
+        span = tables.span_d
+        full = f_counts(norm, span + 1)
+        verdict = certify_d(full, tables.jumps, tables.r_verdict.certificate,
+                            tables.r_terms(span + 1))
+        lc = full.prefix(k_max)
+    align_m0(lc, tables.jumps.prefix(k_max + 1))
+    return lc, verdict

@@ -40,8 +40,8 @@ from floorlog.battery import BATTERY, by_name
 from floorlog.cli import run_analyze
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import (
+    InstanceTables,
     classify_range,
-    detect_period,
     r_direct,
     r_from_jumps,
     r_recur,
@@ -126,7 +126,7 @@ def test_criterion_3_sqrt2_headline(record_property):
     digits = digit_stream(inverse - inverse.__floor__(), 2, 1001)
     assert rs == digits[1:], "digit shift fails"
 
-    verdict = decide_regularity(RkDigitSource(norm), 2)
+    verdict = decide_regularity(RkDigitSource(InstanceTables(norm, 1000)), 2)
     assert verdict.kind == "NonRegular"
     assert verdict.certificate is not None and verdict.certificate.certified
 
@@ -174,9 +174,10 @@ def test_criterion_4_three_halves_end_to_end(record_property):
     assert lang["dfa_states"] == 4  # three live states plus the sink
 
     norm = by_name("i03").normalized()
-    verdict = decide_regularity(RkDigitSource(norm), 2)
+    tables = InstanceTables(norm, 1000)
+    verdict = decide_regularity(RkDigitSource(tables), 2)
     assert verdict.kind == "Regular"
-    lw = words(RkDigitSource(norm), 2, 45, allow_zero_start=True)
+    lw = words(RkDigitSource(tables), 2, 45, allow_zero_start=True)
     trie = trie_dfa([w for w in lw.words if len(w) <= 40], 2)
     agree, witness = equivalent_to_length(verdict.dfa, trie, 40)
     assert agree, f"machines disagree on {witness}"
@@ -279,13 +280,14 @@ def test_criterion_6_level_counts_and_differences(record_property):
                     inst.name,
                     k,
                 )
-            diffs = d_seq(lc)
             rs = r_stream(norm, k_top + m0 + 2)
+            diffs = d_seq(lc, rs)
             for k in range(max(threshold, diffs.start + 1), k_top):
                 assert diffs.at(k) == lc.at(k + 1) - norm.base * lc.at(k)
                 assert diffs.at(k) == rs[k + m0] - rs[k + m0 - 1], (inst.name, k)
 
-        verdict = decide_d_periodicity(norm, k_top, detect_period(norm, k_top))
+        tables = InstanceTables(norm, k_top, k_top, k_top + 1)
+        _, verdict = decide_d_periodicity(tables, k_top)
         assert verdict.certified, inst.name
         if inst.alpha_is_rational:
             assert verdict.kind == "Periodic", inst.name
@@ -312,8 +314,9 @@ def test_criterion_7_length_growth_stabilizes(record_property):
     n_top = 10**4
     for inst in BATTERY:
         norm = inst.normalized()
+        tables = InstanceTables(norm, 1000)
         report = verify_length_claim(
-            words(RkDigitSource(norm), norm.base, n_top, allow_zero_start=True).lengths
+            words(RkDigitSource(tables), norm.base, n_top, allow_zero_start=True).lengths
         )
         assert report.checked_to == n_top, inst.name
         assert report.violation is False, inst.name
@@ -322,7 +325,7 @@ def test_criterion_7_length_growth_stabilizes(record_property):
         # nothing irregular past N: in particular no jump of 2 or more
         assert all(n <= stable_n for n, _ in report.anomalies), inst.name
         # the streaming scan must agree with materialized words on a prefix
-        lw = words(RkDigitSource(norm), norm.base, 300, allow_zero_start=True)
+        lw = words(RkDigitSource(tables), norm.base, 300, allow_zero_start=True)
         assert verify_length_claim(lw.lengths).stable_from == stable_n, inst.name
 
 

@@ -13,7 +13,7 @@ from floorlog import cli, jumpdigits, levelcounts, sequences
 from floorlog.battery import BATTERY
 from floorlog.cli import main, run_analyze
 from floorlog.exact import ExactReal
-from floorlog.jumpdigits import PeriodicityVerdict, detect_period
+from floorlog.jumpdigits import InstanceTables, PeriodicityVerdict
 from floorlog.language import RkDigitSource, decide_regularity
 from floorlog.levelcounts import decide_d_periodicity
 from floorlog.sequences import FloorLogInstance, normalize
@@ -56,6 +56,17 @@ def test_seq_from_zero_prints_u0(capsys):
                        "--base", "2", "--from", "0", "--to", "3")
     assert code == 0
     assert out.strip() == "0,1,2,2"
+
+
+def test_seq_may_stop_at_zero(capsys):
+    code, out, _ = run(capsys, "seq", "--alpha", "3/2", "--beta", "1",
+                       "--base", "2", "--from", "0", "--to", "0")
+    assert code == 0
+    assert out.strip() == "0"
+    code, out, err = run(capsys, "seq", "--alpha", "3/2", "--beta", "1",
+                         "--base", "2", "--from", "0", "--to", "-1")
+    assert code == 1 and out == ""
+    assert "--to must not be below --from" in err
 
 
 @pytest.mark.parametrize("beta", ["0", "-1/2"])
@@ -273,7 +284,7 @@ def test_nonregular_verdict_still_exits_zero(capsys):
 def test_consistency_failure_exits_two(capsys, monkeypatch):
     """A certified-periodic r for an irrational slope is a bug, not a verdict."""
     poisoned = PeriodicityVerdict.periodic(0, 2, None)
-    monkeypatch.setattr(cli, "detect_period", lambda norm, window: poisoned)
+    monkeypatch.setattr(InstanceTables, "r_verdict", poisoned)
     code, _, err = run(capsys, "analyze", "--alpha", "sqrt(2)",
                        "--beta", "0", "--base", "2")
     assert code == 2
@@ -623,7 +634,7 @@ def _count_calls(monkeypatch, name, owner=jumpdigits):
 
 
 def test_analyze_proves_r_periodicity_once(monkeypatch):
-    # certify_r builds the r certificate, on its own tables or detect_period's
+    # certify_r builds the r certificate, on the instance's one set of tables
     certify = _count_calls(monkeypatch, "certify_r")
     orbit = _count_calls(monkeypatch, "residue_orbit")
     report = run_analyze({"alpha": "7/5", "base": 10})
@@ -632,25 +643,44 @@ def test_analyze_proves_r_periodicity_once(monkeypatch):
     assert (len(certify), len(orbit)) == (1, 1)
 
 
-@pytest.mark.parametrize("command", ["analyze", "fk"])
+# the level counts each subcommand builds besides the r tables
+_LEVEL_TABLES = {"analyze": 1, "fk": 1, "dfa": 0, "decide": 0}
+
+
+@pytest.mark.parametrize("command", list(_LEVEL_TABLES))
 def test_each_exact_table_is_built_once(monkeypatch, capsys, command):
     jumps = _count_calls(monkeypatch, "jump_positions", sequences)
     levels = _count_calls(monkeypatch, "f_counts", levelcounts)
     digits = _count_calls(monkeypatch, "r_digits")
-    code, _, _ = run(capsys, command, "--alpha", "7/5", "--base", "10")
+    orbit = _count_calls(monkeypatch, "residue_orbit")
+    extra = ("--source", "rk") if command == "decide" else ()
+    code, _, _ = run(capsys, command, *extra, "--alpha", "7/5", "--base", "10")
     assert code == 0
-    assert (len(jumps), len(levels), len(digits)) == (1, 1, 1)
+    assert (len(jumps), len(levels), len(digits), len(orbit)) == (
+        1, _LEVEL_TABLES[command], 1, 1)
+
+
+def test_language_reads_digits_without_walking_the_orbit(monkeypatch, capsys):
+    # 123456789/7 in base 16 has an orbit past the cap (see
+    # test_orbit_cap_refuses_long_orbits); words need no r verdict
+    orbit = _count_calls(monkeypatch, "residue_orbit")
+    code, out, err = run(capsys, "language", "--source", "rk", "--alpha",
+                         "123456789/7", "--beta", "-5", "--base", "16")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["words"]) == 31
+    assert orbit == []
 
 
 def test_downstream_stages_reuse_the_r_verdict(monkeypatch):
     norm = normalize(FloorLogInstance(ExactReal.parse("7/5"), ExactReal(0), 10))
-    r_verdict = detect_period(norm, 1000)
-    detect = _count_calls(monkeypatch, "detect_period")
+    tables = InstanceTables(norm, 1000, 400, 61)
+    assert tables.r_verdict.certified
+    certify = _count_calls(monkeypatch, "certify_r")
     orbit = _count_calls(monkeypatch, "residue_orbit")
-    d_verdict = decide_d_periodicity(norm, 400, r_verdict)
-    language_verdict = decide_regularity(RkDigitSource(norm, r_verdict), 10)
+    _, d_verdict = decide_d_periodicity(tables, 60)
+    language_verdict = decide_regularity(RkDigitSource(tables), 10)
     assert d_verdict.certified and language_verdict.kind == "Regular"
-    assert detect == [] and orbit == []
+    assert certify == [] and orbit == []
 
 
 def test_analyze_report_has_scenario_echo_and_normalization():
@@ -726,6 +756,26 @@ def test_unknown_scenario_and_batch_keys_are_refused(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--batch", str(path))
     assert code == 1 and out == ""
     assert "batch entry 1 key 'kmaxx' names no flag" in err
+
+
+def test_scenario_file_may_ask_for_dot(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"alpha": "3/2", "base": 2, "dot": True}))
+    code, from_file, _ = run(capsys, "dfa", "--scenario", str(path))
+    assert code == 0
+    code, from_flag, _ = run(capsys, "dfa", "--alpha", "3/2", "--base", "2", "--dot")
+    assert from_file == from_flag and from_file.startswith("digraph")
+
+
+@pytest.mark.parametrize("key", ["batch", "scenario"])
+def test_file_keys_in_a_scenario_file_are_refused(tmp_path, capsys, key):
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps([{"alpha": "3/2", "base": 2}]))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"alpha": "3/2", "base": 2, key: str(named)}))
+    code, out, err = run(capsys, "analyze", "--scenario", str(path))
+    assert code == 1 and out == ""
+    assert f"scenario file key {key!r} names a file" in err
 
 
 def test_scenario_file_must_be_an_object(tmp_path, capsys):

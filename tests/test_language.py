@@ -17,6 +17,7 @@ from floorlog import jumpdigits, language
 from floorlog.automata import trie_dfa, equivalent, equivalent_to_length
 from floorlog.battery import BATTERY, by_name
 from floorlog.exact import ExactReal
+from floorlog.jumpdigits import InstanceTables
 from floorlog.language import (
     CertifiedPattern,
     ExplicitDigitSource,
@@ -46,7 +47,7 @@ def norm_of(alpha, beta, base):
 
 
 def rk_source(alpha, beta, base):
-    return RkDigitSource(norm_of(alpha, beta, base))
+    return RkDigitSource(InstanceTables(norm_of(alpha, beta, base), 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def test_decide_renders_few_words_on_rational_battery(monkeypatch, inst):
         return folded[-1]
 
     monkeypatch.setattr(language, "words", spy)
-    verdict = decide_regularity(RkDigitSource(inst.normalized()), inst.base, 1000)
+    verdict = decide_regularity(RkDigitSource(InstanceTables(inst.normalized(), 1000)), inst.base, 1000)
     assert verdict.kind == "Regular"
     (lw,) = folded
     assert lw.n_top == 1000
@@ -178,13 +179,13 @@ def test_rk_source_surd_periodicity_passes_through():
 
 def test_rk_source_proves_periodicity_once(monkeypatch):
     calls = []
-    real = language.detect_period
+    real = jumpdigits.certify_r
 
-    def counted(norm, window):
-        calls.append(window)
-        return real(norm, window)
+    def counted(stream, *args):
+        calls.append(len(stream))
+        return real(stream, *args)
 
-    monkeypatch.setattr(language, "detect_period", counted)
+    monkeypatch.setattr(jumpdigits, "certify_r", counted)
     verdict = decide_regularity(rk_source("3/2", 0, 2), 2)
     assert verdict.kind == "Regular"
     assert calls == [1000]
@@ -196,28 +197,32 @@ def test_rk_source_proves_periodicity_once(monkeypatch):
 )
 def test_rk_source_shifts_a_handed_r_verdict(monkeypatch, alpha, beta, base):
     norm = norm_of(alpha, beta, base)
-    r_verdict = language.detect_period(norm, 1000)
-    derived = RkDigitSource(norm).periodicity(1000)
-    monkeypatch.setattr(language, "detect_period", None)  # must not be called
-    assert RkDigitSource(norm, r_verdict).periodicity(1000) == derived
+    derived = RkDigitSource(InstanceTables(norm, 1000)).periodicity(1000)
+    tables = InstanceTables(norm, 1000)
+    assert tables.r_verdict.certified
+    for name in ("certify_r", "residue_orbit"):
+        monkeypatch.setattr(jumpdigits, name, None)  # must not be called again
+    assert RkDigitSource(tables).periodicity(1000) == derived
 
 
 @pytest.mark.parametrize("alpha, beta, base", [("7/5", "1/3", 10), ("sqrt(2)", 0, 2)])
 def test_rk_source_computes_each_jump_digit_once(monkeypatch, alpha, beta, base):
     computed = []
+    real = jumpdigits.r_digits
 
     def counted(norm):
-        for r in jumpdigits.r_digits(norm):
+        for r in real(norm):
             computed.append(r)
             yield r
 
-    monkeypatch.setattr(language, "r_digits", counted)
     norm = norm_of(alpha, beta, base)
-    src = RkDigitSource(norm)
+    expected = tuple(jumpdigits.r_stream(norm, 1000))
+    monkeypatch.setattr(jumpdigits, "r_digits", counted)
+    src = RkDigitSource(InstanceTables(norm, 1000))
     # grow digit by digit, then in bulk, then through words and back
     for i in range(501):
         src.digit(i)
-    assert src.prefix(1001)[1:] == tuple(jumpdigits.r_stream(norm, 1000))
+    assert src.prefix(1001)[1:] == expected
     words(src, base, 1000, allow_zero_start=True)
     src.digit(1000)
     assert len(computed) == 1000
@@ -748,7 +753,7 @@ def test_carry_rendering_matches_oracle_on_random_explicit_words(case):
 @pytest.mark.parametrize("name", ["i05", "i12", "i14"])
 def test_carry_rendering_matches_oracle_on_battery_streams(name):
     inst = by_name(name)
-    assert_renders_like_oracle(RkDigitSource(inst.normalized()), inst.base, 300)
+    assert_renders_like_oracle(RkDigitSource(InstanceTables(inst.normalized(), 1000)), inst.base, 300)
 
 
 def test_certify_past_a_short_finite_source_is_index_error():

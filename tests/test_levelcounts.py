@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from floorlog import levelcounts
 from floorlog.battery import BATTERY
 from floorlog.exact import ExactReal
-from floorlog.jumpdigits import PeriodicityVerdict, detect_period
+from floorlog.jumpdigits import InstanceTables, detect_period, r_stream
 from floorlog.levelcounts import (
     align_m0,
     d_seq,
@@ -31,6 +31,11 @@ def norm_of(alpha, beta, base):
     return normalize(
         FloorLogInstance(ExactReal.parse(str(alpha)), ExactReal.parse(str(beta)), base)
     )
+
+
+def d_verdict(norm, window):
+    """The d verdict on tables certifying r and d on window terms."""
+    return decide_d_periodicity(InstanceTables(norm, window, window, window + 1), window)[1]
 
 
 N_SQRT2 = norm_of("sqrt(2)", 0, 2)
@@ -105,7 +110,7 @@ def test_align_single_hit_shifts_threshold():
     assert res.m0 == 0
     assert res.mismatches == (1,)
     assert res.threshold == 2
-    d_seq(lc)  # cross-check starts past the threshold, so this must pass
+    d_seq(lc, r_stream(n, 30))  # cross-check starts past the threshold, so this must pass
 
 
 def test_align_degenerate_recurring_hits():
@@ -136,19 +141,19 @@ def test_align_hit_on_the_top_level_blocks_alignment():
 def test_d_frozen_sqrt2():
     lc = f_counts(N_SQRT2, 10)
     align_m0(lc, jump_positions(N_SQRT2, 15))
-    d = d_seq(lc)
+    d = d_seq(lc, r_stream(N_SQRT2, 10))
     assert d.start == 0
     assert [d.at(k) for k in (1, 2, 3)] == [1, 0, -1]
 
 
 def test_d_alpha_one_vanishes():
-    lc = f_counts(norm_of(1, 0, 2), 10)
-    assert set(d_seq(lc).values) == {0}
+    n = norm_of(1, 0, 2)
+    lc = f_counts(n, 10)
+    assert set(d_seq(lc, r_stream(n, 10)).values) == {0}
 
 
 def test_decide_d_three_halves():
-    n = norm_of("3/2", 0, 2)
-    v = decide_d_periodicity(n, 12, detect_period(n, 12))
+    v = d_verdict(norm_of("3/2", 0, 2), 12)
     assert v.kind == "Periodic" and v.certified
     assert (v.preperiod, v.period) == (0, 2)
     assert v.certificate.cycle == (1, -1)
@@ -156,44 +161,45 @@ def test_decide_d_three_halves():
 
 
 def test_decide_d_sqrt2():
-    v = decide_d_periodicity(N_SQRT2, 12, detect_period(N_SQRT2, 12))
+    v = d_verdict(N_SQRT2, 12)
     assert v.kind == "AperiodicByTheorem" and v.certified
 
 
 def test_decide_d_alpha_one():
-    n = norm_of(1, 0, 2)
-    v = decide_d_periodicity(n, 8, detect_period(n, 8))
+    v = d_verdict(norm_of(1, 0, 2), 8)
     assert (v.preperiod, v.period) == (0, 1)
     assert v.certificate.cycle == (0,)
 
 
 def test_decide_d_checks_the_handed_r_certificate():
     n = norm_of("3/2", 0, 2)
-    rv = detect_period(n, 12)
+    tables = InstanceTables(n, 12, 12, 13)
+    rv = tables.r_verdict
     cert = rv.certificate
     bent = replace(cert, cycle=(cert.cycle[0], cert.cycle[1] + 1))
+    tables.r_verdict = replace(rv, certificate=bent)
     with pytest.raises(ConsistencyError, match="d_1 "):
-        decide_d_periodicity(n, 12, replace(rv, certificate=bent))
+        decide_d_periodicity(tables, 12)
 
 
-def test_decide_d_rational_needs_certified_periodic_r_verdict():
-    n = norm_of("3/2", 0, 2)
-    rv = detect_period(n, 12)
-    for bad in [
-        PeriodicityVerdict.inconclusive(12),
-        PeriodicityVerdict.aperiodic_by_theorem("wrong side"),
-        replace(rv, certificate=None),
-        detect_period(norm_of("5/3", 0, 2), 12),  # another slope's verdict
-    ]:
-        with pytest.raises(ValueError, match="certified Periodic r verdict"):
-            decide_d_periodicity(n, 12, bad)
+def test_decide_d_reports_the_levels_it_certified_on():
+    # fk's shape: the reported levels are a prefix of the certified ones,
+    # aligned on the shared jump table, and equal to counts of their own
+    n = norm_of("7/5", "1/3", 10)
+    tables = InstanceTables(n, 60, 60, 21)
+    lc, v = decide_d_periodicity(tables, 20)
+    assert v.kind == "Periodic" and v.certificate.modulus == 7
+    own = f_counts(n, 20)
+    assert (lc.k_min, lc.k_max, lc.f, lc.enum_verified_to) == (
+        own.k_min, own.k_max, own.f, own.enum_verified_to)
+    assert lc.alignment == align_m0(own, jump_positions(n, 21))
+    assert v == d_verdict(n, 60)
 
 
 def test_decide_d_survives_degenerate_alignment():
     # alignment fails for this instance, yet the modular cover still
     # certifies the difference sequence; frozen cycle from first principles
-    n = norm_of("5/3", "1/3", 2)
-    v = decide_d_periodicity(n, 16, detect_period(n, 16))
+    v = d_verdict(norm_of("5/3", "1/3", 2), 16)
     assert v.kind == "Periodic" and v.certified
     assert (v.preperiod, v.period) == (0, 4)
     assert v.certificate.cycle == (-2, 1, -1, 2)
@@ -205,7 +211,7 @@ def test_decide_d_survives_degenerate_alignment():
 def test_partial_sums_rebuild_r_on_aligned_tail():
     lc = f_counts(N_SQRT2, 25)
     align_m0(lc, jump_positions(N_SQRT2, 30))
-    d = d_seq(lc)
+    d = d_seq(lc, r_stream(N_SQRT2, 25))
     acc = oracle_r(N_SQRT2.alpha, N_SQRT2.beta, 2, 1)
     for k in range(1, 24):
         acc += d.at(k)
@@ -328,7 +334,7 @@ def test_aligned_tail_matches_digit_differences(alpha, beta, base):
     n = normalize(FloorLogInstance(alpha, beta, base))
     lc = f_counts(n, 24)
     res = align_m0(lc, jump_positions(n, 30))
-    d = d_seq(lc)  # raises on its own if the aligned tail disagrees
+    d = d_seq(lc, r_stream(n, 24))  # raises on its own if the aligned tail disagrees
     if res.ok:
         m0, t = res.m0, res.threshold
         for k in range(max(t, 1), 12):
@@ -417,7 +423,7 @@ def test_offset_search_finds_only_offset_zero_on_the_battery(inst):
 )
 def test_rational_differences_certified(alpha, beta, base):
     n = normalize(FloorLogInstance(alpha, beta, base))
-    v = decide_d_periodicity(n, 8, detect_period(n, 8))
+    v = d_verdict(n, 8)
     assert v.kind == "Periodic" and v.certified
     for k in range(1, _ORACLE_KTOP[base]):
         want = oracle_f(n.alpha, n.beta, base, k + 1, n.n_min) - base * oracle_f(
@@ -436,5 +442,5 @@ def test_rational_differences_certified(alpha, beta, base):
 def test_surd_differences_refused(rational, coeff, d, base):
     alpha = ExactReal(rational) + ExactReal(coeff) * ExactReal.sqrt(d)
     n = normalize(FloorLogInstance(alpha, ExactReal(0), base))
-    v = decide_d_periodicity(n, 8, detect_period(n, 8))
+    v = d_verdict(n, 8)
     assert v.kind == "AperiodicByTheorem"
