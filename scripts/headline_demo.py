@@ -15,7 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import InstanceTables, r_stream
-from floorlog.language import RkDigitSource, decide_regularity, words
+from floorlog.language import decide_regularity, words
 from floorlog.numeration import digit_stream
 from floorlog.sequences import FloorLogInstance, normalize, u_seq
 
@@ -51,8 +51,8 @@ def show(alpha_text: str) -> None:
     else:
         print(f"periodicity    {verdict.kind}: {verdict.reason}")
 
-    lang = decide_regularity(RkDigitSource(tables), 2)
-    lw = words(RkDigitSource(tables), 2, 8, allow_zero_start=True)
+    lang = decide_regularity(tables, 2)
+    lw = words(tables, 2, 8, allow_zero_start=True)
     print(f"first words    {' '.join(lw.word_strs())}")
     if lang.kind == "Regular":
         shapes = ", ".join(p.describe() for p in lang.patterns)

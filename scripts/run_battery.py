@@ -4,7 +4,7 @@
 Prints one summary line per instance, then one line on stderr with each
 stage's timings summed over the battery; --json DIR additionally writes
 the complete report of each run to DIR/<name>.json.  --kmax trims or extends
-the digit range fed to each stage (default 200, like the CLI).
+the digit range fed to each stage; it and --window default as in the CLI.
 """
 
 import argparse
@@ -15,13 +15,13 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from floorlog.battery import BATTERY
-from floorlog.cli import run_analyze
+from floorlog.cli import DEFAULT_KMAX, DEFAULT_WINDOW, run_analyze
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--kmax", type=int, default=200)
-    ap.add_argument("--window", type=int, default=1000)
+    ap.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
+    ap.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     ap.add_argument("--json", metavar="DIR", help="also dump one report per instance")
     args = ap.parse_args()
 

@@ -31,6 +31,7 @@ from . import __version__
 from .automata import kernel_explore
 from .exact import ExactReal, ParseError
 from .jumpdigits import (
+    DigitSource,
     InstanceTables,
     OrbitCapError,
     PeriodicityVerdict,
@@ -39,10 +40,8 @@ from .jumpdigits import (
 )
 from .language import (
     MIN_WINDOW,
-    DigitSource,
     ExplicitDigitSource,
     PeriodicDigitSource,
-    RkDigitSource,
     ThueMorseBlockSource,
     decide_regularity,
     verify_length_claim,
@@ -226,7 +225,7 @@ def _digit_source(fields: dict, window: int) -> tuple[DigitSource, int]:
     kind = _field(fields, "source", "rk")
     try:
         if kind == "rk":
-            return RkDigitSource(InstanceTables(_normalized(fields), window)), base
+            return InstanceTables(_normalized(fields), window), base
         if kind == "periodic":
             if fields.get("period") is None:
                 raise UsageError("--period is required for --source periodic")
@@ -476,8 +475,7 @@ def _cmd_fk(fields) -> int:
 def _cmd_dfa(fields) -> int:
     norm = _normalized(fields)
     window = _window(fields)
-    src = RkDigitSource(InstanceTables(norm, window))
-    verdict = decide_regularity(src, norm.base, window=window)
+    verdict = decide_regularity(InstanceTables(norm, window), norm.base, window=window)
     if fields.get("dot"):
         if verdict.kind != "Regular" or verdict.dfa is None:
             print(
@@ -555,7 +553,7 @@ def run_analyze(scenario: dict) -> dict:
     timings["r_periodicity"] = clock() - t0
 
     t0 = clock()
-    language_verdict = decide_regularity(RkDigitSource(tables), base, window=window)
+    language_verdict = decide_regularity(tables, base, window=window)
     timings["language"] = clock() - t0
 
     t0 = clock()

@@ -19,7 +19,8 @@ a = digit k+1 of frac(1/alpha):
 The module evaluates r_k two independent ways, classifies every index,
 and decides ultimate periodicity: a replayable modular certificate when
 alpha is rational, a theorem-backed refusal when alpha is an irrational
-surd.
+surd.  DigitSource is the interface every digit stream is read through;
+InstanceTables serves the stream c_1, r_1, r_2, ... through it.
 """
 
 from __future__ import annotations
@@ -318,6 +319,53 @@ def minimize_cycle(values, cover_preperiod: int, cover_period: int) -> tuple[int
     return preperiod, period
 
 
+class DigitSource:
+    """A (finite or infinite) stream of digits with optional periodicity proof.
+
+    The constructor takes the digit iterator, which a finite stream simply
+    ends; one buffer pulls from it only as far as digit(i) and prefix(count)
+    ask.  Subclasses answer periodicity questions about themselves.  The
+    iterator must not hold the source: a generator method would make every
+    source a reference cycle, freed only by the cycle collector.  The
+    honesty contract: periodicity() may return a certified verdict only
+    when the subclass can actually prove it, structurally or by the
+    rational/irrational dichotomy.
+    """
+
+    def __init__(self, digits: Iterator[int]):
+        self._buffer: list[int] = []
+        self._pending = digits
+
+    def _fill(self, count: int) -> None:
+        missing = count - len(self._buffer)
+        if missing > 0:
+            self._buffer.extend(islice(self._pending, missing))
+
+    def digit(self, i: int) -> int:
+        if i < 0:
+            raise IndexError("digit index must be nonnegative")
+        self._fill(i + 1)
+        if i >= len(self._buffer):
+            raise IndexError(f"index {i} past the end of the stream")
+        return self._buffer[i]
+
+    def prefix(self, count: int) -> tuple[int, ...]:
+        """The first count digits, or all of them if the stream is shorter."""
+        self._fill(count)
+        return tuple(self._buffer[:count])
+
+    def periodicity(self, window: int) -> PeriodicityVerdict:
+        raise NotImplementedError
+
+    def _minimized_cover(self, preperiod, period, certificate=None):
+        """Certified verdict for a proven cover, minimized on this stream."""
+        lam, q = minimize_cycle(self.prefix(preperiod + 2 * period), preperiod, period)
+        return PeriodicityVerdict.periodic(lam, q, certificate)
+
+    def label(self) -> str:
+        raise NotImplementedError
+
+
 # a rational analysis keeps tables of about cover = preperiod + 2*period
 # integers of up to cover base digits, so its memory grows as
 # cover^2 * log2(base); at this budget analyze near the cap peaks at
@@ -402,20 +450,24 @@ def _jump_count_digits(norm: NormalizedInstance) -> Iterator[int]:
     yield from r_digits(norm)
 
 
-class InstanceTables:
+class InstanceTables(DigitSource):
     """The exact tables of one instance, each computed once, on first use.
 
-    digits is the one jump-count digit buffer: c_1 = floor((base -
+    As a digit source it is the jump-count expansion: c_1 = floor((base -
     beta)/alpha) at position 0, r_k at position k >= 1, from one live
-    r_digits generator that fill extends in place.  For alpha = p/q, orbit
-    is the (preperiod, period) of base^k mod p; with cover = preperiod +
-    2*period, r is certified on span_r = max(cover, r_window) terms, d on
-    span_d = max(cover, d_window), and jumps reaches c_top, top =
-    max(reach, span_r + 1, span_d + 2).  Each reader takes the prefix it
-    needs, so every check covers the range tables of its own would.  A
-    surd needs no span: orbit is None, jumps reaches c_reach and r_verdict
-    holds by theorem.  orbit, jumps and r_verdict wait for their first
-    reader, so reading digits alone walks no orbit.
+    r_digits generator.  Folding these through the base reproduces the
+    jump counts themselves, w_k = c_(k+1), and digits stay below
+    2*base - 1.  Its buffer is the one jump-count buffer, and r_terms reads
+    it, so every stage that reads the same tables computes each r digit
+    once.  For alpha = p/q, orbit is the (preperiod, period) of base^k
+    mod p; with cover = preperiod + 2*period, r is certified on span_r =
+    max(cover, r_window) terms, d on span_d = max(cover, d_window), and
+    jumps reaches c_top, top = max(reach, span_r + 1, span_d + 2).  Each
+    reader takes the prefix it needs, so every check covers the range
+    tables of its own would.  A surd needs no span: orbit is None, jumps
+    reaches c_reach and r_verdict holds by theorem.  orbit, jumps and
+    r_verdict wait for their first reader, so reading digits alone walks
+    no orbit.
     """
 
     def __init__(self, norm: NormalizedInstance, r_window: int, d_window: int = 1,
@@ -424,21 +476,12 @@ class InstanceTables:
             raise ValueError("window must be >= 1")
         self.norm = norm
         self._r_window, self._d_window, self._reach = r_window, d_window, reach
-        self.digits: list[int] = []
-        # a generator of its own, not a method: one holding self would make
-        # the tables a reference cycle, freed only by the cycle collector
-        self._pending = _jump_count_digits(norm)
-
-    def fill(self, count: int) -> None:
-        """Extend digits to count entries."""
-        missing = count - len(self.digits)
-        if missing > 0:
-            self.digits.extend(islice(self._pending, missing))
+        super().__init__(_jump_count_digits(norm))
 
     def r_terms(self, count: int) -> list[int]:
         """r_1..r_count, off the one digit buffer."""
-        self.fill(count + 1)
-        return self.digits[1 : count + 1]
+        self._fill(count + 1)
+        return self._buffer[1 : count + 1]
 
     @cached_property
     def orbit(self) -> tuple[int, int] | None:
@@ -476,6 +519,28 @@ class InstanceTables:
             )
         p = self.norm.alpha.as_fraction().numerator
         return certify_r(self.r_terms(self.span_r), self.jumps, p, self.orbit, self.norm.base)
+
+    def periodicity(self, window: int) -> PeriodicityVerdict:
+        """r_verdict shifted onto the stream, whatever window is asked for.
+
+        That verdict is certified on the tables' own r window.
+        """
+        return self._stream_verdict
+
+    @cached_property
+    def _stream_verdict(self) -> PeriodicityVerdict:
+        inner = self.r_verdict
+        if inner.kind != "Periodic":
+            return inner
+        # the stream prepends one extra digit (the leading jump count)
+        # ahead of the r digits, shifting the preperiod up by one; the
+        # shifted cover is then re-minimized against actual stream digits
+        # (the lead digit often happens to extend the cycle leftward)
+        return self._minimized_cover(inner.preperiod + 1, inner.period, inner.certificate)
+
+    def label(self) -> str:
+        norm = self.norm
+        return f"jump digits of {norm.alpha}, {norm.beta} in base {norm.base}"
 
 
 def detect_period(norm: NormalizedInstance, window: int) -> PeriodicityVerdict:

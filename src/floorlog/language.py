@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import count, islice
+from itertools import chain, count, cycle
 
 from .automata import Dfa, from_patterns
-from .jumpdigits import InstanceTables, PeriodicityVerdict, minimize_cycle
+from .jumpdigits import DigitSource, PeriodicityVerdict
 from .numeration import as_digits, from_word, to_word, word_str
 from .sequences import ConsistencyError
 
@@ -44,97 +43,6 @@ def _value(word: Word, base: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class DigitSource:
-    """A (finite or infinite) stream of digits with optional periodicity proof.
-
-    Subclasses yield their digits in order from _generate(), which a finite
-    stream simply ends, and answer periodicity questions about themselves.
-    This class pulls those digits into one buffer, only as far as digit(i)
-    and prefix(count) ask.  The honesty contract: periodicity() may return
-    a certified verdict only when the subclass can actually prove it,
-    structurally or by the rational/irrational dichotomy.
-    """
-
-    def __init__(self):
-        self._buffer: list[int] = []
-        self._pending = self._generate()
-
-    def _generate(self) -> Iterator[int]:
-        raise NotImplementedError
-
-    def _fill(self, count: int) -> None:
-        missing = count - len(self._buffer)
-        if missing > 0:
-            self._buffer.extend(islice(self._pending, missing))
-
-    def digit(self, i: int) -> int:
-        if i < 0:
-            raise IndexError("digit index must be nonnegative")
-        self._fill(i + 1)
-        if i >= len(self._buffer):
-            raise IndexError(f"index {i} past the end of the stream")
-        return self._buffer[i]
-
-    def prefix(self, count: int) -> Word:
-        """The first count digits, or all of them if the stream is shorter."""
-        self._fill(count)
-        return tuple(self._buffer[:count])
-
-    def periodicity(self, window: int) -> PeriodicityVerdict:
-        raise NotImplementedError
-
-    def _minimized_cover(self, preperiod, period, certificate=None):
-        """Certified verdict for a proven cover, minimized on this stream."""
-        lam, q = minimize_cycle(self.prefix(preperiod + 3 * period), preperiod, period)
-        return PeriodicityVerdict.periodic(lam, q, certificate)
-
-    def label(self) -> str:
-        return type(self).__name__
-
-
-class RkDigitSource(DigitSource):
-    """Digits of the jump-count expansion of a normalized instance.
-
-    Position 0 carries the first jump count c_1; position i >= 1 carries
-    the digit r_i.  Folding these through the base reproduces the jump
-    counts themselves: w_k = c_{k+1}.  Digits stay below 2*base - 1.
-    The stream is a view of tables.digits: its buffer is that very list,
-    extended in place by tables.fill, so every stage that reads the same
-    tables computes each r digit once.
-
-    periodicity() shifts tables.r_verdict onto the stream, whatever window
-    is asked for; that verdict is certified on the tables' own r window.
-    """
-
-    def __init__(self, tables: InstanceTables):
-        # no DigitSource.__init__: the buffer and its generator are the tables'
-        self.tables = tables
-        self._buffer = tables.digits
-
-    def _fill(self, count: int) -> None:
-        self.tables.fill(count)
-
-    def periodicity(self, window: int) -> PeriodicityVerdict:
-        return self._verdict
-
-    @cached_property
-    def _verdict(self) -> PeriodicityVerdict:
-        inner = self.tables.r_verdict
-        if inner.kind != "Periodic":
-            return inner
-        # the stream prepends one extra digit (the leading jump count)
-        # ahead of the r digits, shifting the preperiod up by one; the
-        # shifted cover is then re-minimized against actual stream digits
-        # (the lead digit often happens to extend the cycle leftward)
-        return self._minimized_cover(
-            inner.preperiod + 1, inner.period, inner.certificate
-        )
-
-    def label(self) -> str:
-        norm = self.tables.norm
-        return f"jump digits of {norm.alpha}, {norm.beta} in base {norm.base}"
-
-
 class PeriodicDigitSource(DigitSource):
     """An ultimately periodic stream given by its preperiod and period blocks."""
 
@@ -145,12 +53,7 @@ class PeriodicDigitSource(DigitSource):
             raise ValueError("period block must be nonempty")
         if any(d < 0 for d in self.preperiod + self.period):
             raise ValueError("digits must be nonnegative")
-        super().__init__()
-
-    def _generate(self) -> Iterator[int]:
-        yield from self.preperiod
-        while True:
-            yield from self.period
+        super().__init__(chain(self.preperiod, cycle(self.period)))
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
         return self._minimized_cover(len(self.preperiod), len(self.period))
@@ -171,10 +74,7 @@ class ExplicitDigitSource(DigitSource):
             raise ValueError("explicit word must be nonempty")
         if any(d < 0 for d in self.word):
             raise ValueError("digits must be nonnegative")
-        super().__init__()
-
-    def _generate(self) -> Iterator[int]:
-        yield from self.word
+        super().__init__(iter(self.word))
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
         # a finite prefix proves nothing about the tail either way
@@ -182,6 +82,12 @@ class ExplicitDigitSource(DigitSource):
 
     def label(self) -> str:
         return f"explicit word {word_str(self.word)}"
+
+
+def _thue_morse_blocks(block_a: Word, block_b: Word) -> Iterator[int]:
+    """Block A or B at each position m, by the parity of the bit count of m."""
+    for m in count():
+        yield from block_b if m.bit_count() & 1 else block_a
 
 
 class ThueMorseBlockSource(DigitSource):
@@ -203,11 +109,7 @@ class ThueMorseBlockSource(DigitSource):
             raise ValueError("both blocks must be nonempty")
         if any(d < 0 for d in self.block_a + self.block_b):
             raise ValueError("digits must be nonnegative")
-        super().__init__()
-
-    def _generate(self) -> Iterator[int]:
-        for m in count():
-            yield from self.block_b if m.bit_count() & 1 else self.block_a
+        super().__init__(_thue_morse_blocks(self.block_a, self.block_b))
 
     def periodicity(self, window: int) -> PeriodicityVerdict:
         if self.block_a == self.block_b:
@@ -262,7 +164,7 @@ class LanguageWords:
     for; the words property renders every one.
     """
 
-    def __init__(self, base: int, stream: Word, source_label: str = ""):
+    def __init__(self, base: int, stream: Word, source_label: str):
         self.base = base
         self.n_top = len(stream) - 1
         self.source_label = source_label
@@ -724,17 +626,19 @@ def decide_regularity(
     verdict = src.periodicity(window)
     if verdict.kind == "AperiodicByTheorem":
         return RegularityVerdict.non_regular(verdict)
+    if verdict.kind == "Periodic" and not any(
+        src.prefix(verdict.preperiod + verdict.period)
+    ):
+        # a certified-periodic stream whose preperiod and one period are
+        # all zeros is all zeros, and its language is the single rendering
+        # of 0: finite, hence regular
+        zero_word = to_word(0, base)
+        dfa = from_patterns((), [zero_word], base)
+        return RegularityVerdict.regular(dfa, (), (zero_word,), verdict)
 
     lw = words(src, base, window, allow_zero_start=True)
 
     if verdict.kind == "Periodic":
-        if lw.values[-1] == 0:
-            # values are nondecreasing, so a zero at the top means the
-            # certified-periodic stream is all zeros and the language is
-            # the single rendering of 0: finite, hence regular
-            zero_word = to_word(0, base)
-            dfa = from_patterns((), [zero_word], base)
-            return RegularityVerdict.regular(dfa, (), (zero_word,), verdict)
         q = verdict.period
         patterns = []
         for residue in range(q):

@@ -49,7 +49,6 @@ from floorlog.jumpdigits import (
 )
 from floorlog.language import (
     PeriodicDigitSource,
-    RkDigitSource,
     ThueMorseBlockSource,
     decide_regularity,
     find_pattern,
@@ -126,7 +125,7 @@ def test_criterion_3_sqrt2_headline(record_property):
     digits = digit_stream(inverse - inverse.__floor__(), 2, 1001)
     assert rs == digits[1:], "digit shift fails"
 
-    verdict = decide_regularity(RkDigitSource(InstanceTables(norm, 1000)), 2)
+    verdict = decide_regularity(InstanceTables(norm, 1000), 2)
     assert verdict.kind == "NonRegular"
     assert verdict.certificate is not None and verdict.certificate.certified
 
@@ -175,9 +174,9 @@ def test_criterion_4_three_halves_end_to_end(record_property):
 
     norm = by_name("i03").normalized()
     tables = InstanceTables(norm, 1000)
-    verdict = decide_regularity(RkDigitSource(tables), 2)
+    verdict = decide_regularity(tables, 2)
     assert verdict.kind == "Regular"
-    lw = words(RkDigitSource(tables), 2, 45, allow_zero_start=True)
+    lw = words(tables, 2, 45, allow_zero_start=True)
     trie = trie_dfa([w for w in lw.words if len(w) <= 40], 2)
     agree, witness = equivalent_to_length(verdict.dfa, trie, 40)
     assert agree, f"machines disagree on {witness}"
@@ -316,7 +315,7 @@ def test_criterion_7_length_growth_stabilizes(record_property):
         norm = inst.normalized()
         tables = InstanceTables(norm, 1000)
         report = verify_length_claim(
-            words(RkDigitSource(tables), norm.base, n_top, allow_zero_start=True).lengths
+            words(tables, norm.base, n_top, allow_zero_start=True).lengths
         )
         assert report.checked_to == n_top, inst.name
         assert report.violation is False, inst.name
@@ -325,7 +324,7 @@ def test_criterion_7_length_growth_stabilizes(record_property):
         # nothing irregular past N: in particular no jump of 2 or more
         assert all(n <= stable_n for n, _ in report.anomalies), inst.name
         # the streaming scan must agree with materialized words on a prefix
-        lw = words(RkDigitSource(tables), norm.base, 300, allow_zero_start=True)
+        lw = words(tables, norm.base, 300, allow_zero_start=True)
         assert verify_length_claim(lw.lengths).stable_from == stable_n, inst.name
 
 

@@ -17,7 +17,7 @@ from floorlog.automata import (
 )
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import InstanceTables
-from floorlog.language import RkDigitSource, decide_regularity
+from floorlog.language import decide_regularity
 from floorlog.sequences import FloorLogInstance, jump_positions, normalize
 from oracles import from_patterns_ungrouped
 
@@ -144,7 +144,7 @@ def test_shared_loops_keep_the_nfa_linear(monkeypatch):
 
     monkeypatch.setattr(automata._Nfa, "determinize", counted)
     norm = normalize(FloorLogInstance(ExactReal.parse("1009/1000"), ExactReal(0), 10))
-    verdict = decide_regularity(RkDigitSource(InstanceTables(norm, 1000)), 10)
+    verdict = decide_regularity(InstanceTables(norm, 1000), 10)
     assert verdict.kind == "Regular" and len(verdict.patterns) == 252
     assert verdict.dfa.num_states == 254
     assert len(sizes) == 1 and sizes[0] < 1000

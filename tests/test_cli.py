@@ -14,7 +14,7 @@ from floorlog.battery import BATTERY
 from floorlog.cli import main, run_analyze
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import InstanceTables, PeriodicityVerdict
-from floorlog.language import RkDigitSource, decide_regularity
+from floorlog.language import decide_regularity
 from floorlog.levelcounts import decide_d_periodicity
 from floorlog.sequences import FloorLogInstance, normalize
 
@@ -678,7 +678,7 @@ def test_downstream_stages_reuse_the_r_verdict(monkeypatch):
     certify = _count_calls(monkeypatch, "certify_r")
     orbit = _count_calls(monkeypatch, "residue_orbit")
     _, d_verdict = decide_d_periodicity(tables, 60)
-    language_verdict = decide_regularity(RkDigitSource(tables), 10)
+    language_verdict = decide_regularity(tables, 10)
     assert d_verdict.certified and language_verdict.kind == "Regular"
     assert certify == [] and orbit == []
 

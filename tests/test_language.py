@@ -8,7 +8,9 @@ from the even-indexed class, whose digit blocks straddle two Thue-Morse
 blocks and vary forever.  The tests below freeze both facts.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +27,6 @@ from floorlog.language import (
     PatternCandidate,
     PatternRejection,
     PeriodicDigitSource,
-    RkDigitSource,
     ThueMorseBlockSource,
     certify_pattern,
     decide_regularity,
@@ -47,7 +48,7 @@ def norm_of(alpha, beta, base):
 
 
 def rk_source(alpha, beta, base):
-    return RkDigitSource(InstanceTables(norm_of(alpha, beta, base), 1000))
+    return InstanceTables(norm_of(alpha, beta, base), 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ def test_decide_renders_few_words_on_rational_battery(monkeypatch, inst):
         return folded[-1]
 
     monkeypatch.setattr(language, "words", spy)
-    verdict = decide_regularity(RkDigitSource(InstanceTables(inst.normalized(), 1000)), inst.base, 1000)
+    verdict = decide_regularity(InstanceTables(inst.normalized(), 1000), inst.base, 1000)
     assert verdict.kind == "Regular"
     (lw,) = folded
     assert lw.n_top == 1000
@@ -197,12 +198,12 @@ def test_rk_source_proves_periodicity_once(monkeypatch):
 )
 def test_rk_source_shifts_a_handed_r_verdict(monkeypatch, alpha, beta, base):
     norm = norm_of(alpha, beta, base)
-    derived = RkDigitSource(InstanceTables(norm, 1000)).periodicity(1000)
+    derived = InstanceTables(norm, 1000).periodicity(1000)
     tables = InstanceTables(norm, 1000)
     assert tables.r_verdict.certified
     for name in ("certify_r", "residue_orbit"):
         monkeypatch.setattr(jumpdigits, name, None)  # must not be called again
-    assert RkDigitSource(tables).periodicity(1000) == derived
+    assert tables.periodicity(1000) == derived
 
 
 @pytest.mark.parametrize("alpha, beta, base", [("7/5", "1/3", 10), ("sqrt(2)", 0, 2)])
@@ -218,7 +219,7 @@ def test_rk_source_computes_each_jump_digit_once(monkeypatch, alpha, beta, base)
     norm = norm_of(alpha, beta, base)
     expected = tuple(jumpdigits.r_stream(norm, 1000))
     monkeypatch.setattr(jumpdigits, "r_digits", counted)
-    src = RkDigitSource(InstanceTables(norm, 1000))
+    src = InstanceTables(norm, 1000)
     # grow digit by digit, then in bulk, then through words and back
     for i in range(501):
         src.digit(i)
@@ -546,14 +547,15 @@ def test_decide_tm_blocks_nonregular():
 
 
 class _CountingThueMorse(ThueMorseBlockSource):
-    """Counts the digits pulled from the stream's generator."""
+    """Counts the digits pulled from the iterator the source hands its buffer."""
 
     def __init__(self, block_a, block_b):
         self.digits_pulled = 0
         super().__init__(block_a, block_b)
+        self._pending = self._counted(self._pending)
 
-    def _generate(self):
-        for d in super()._generate():
+    def _counted(self, digits):
+        for d in digits:
             self.digits_pulled += 1
             yield d
 
@@ -623,6 +625,40 @@ def test_decide_all_zero_stream_is_finite_regular():
     assert verdict.dfa.accepts((0,))
     assert not verdict.dfa.accepts((0, 0))
     assert not verdict.dfa.accepts((1,))
+
+
+def test_decide_zero_window_of_a_nonzero_stream_is_not_finite():
+    # twenty zeros fill a window of 8, but the stream goes on 1, 1, 1, ...
+    src = PeriodicDigitSource("0" * 20, "1")
+    assert decide_regularity(src, 2, window=8).kind == "Inconclusive"
+    verdict = decide_regularity(PeriodicDigitSource("0" * 20, "1"), 2, window=40)
+    assert verdict.kind == "Regular" and verdict.dfa.num_states == 4
+    assert verdict.dfa.accepts((1,)) and verdict.dfa.accepts((1, 1, 1))
+    enum = words(PeriodicDigitSource("0" * 20, "1"), 2, 80, allow_zero_start=True)
+    ok, witness = equivalent_to_length(verdict.dfa, trie_dfa(enum.words, 2), 50)
+    assert ok, witness
+
+
+def test_sources_are_freed_without_the_cycle_collector():
+    sources = [
+        (lambda: PeriodicDigitSource("21", "102"), 3),
+        (lambda: ThueMorseBlockSource("10", "02"), 2),
+        (lambda: ExplicitDigitSource("10120011"), 3),
+        (lambda: rk_source("3/2", 0, 2), 2),
+    ]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for make, base in sources:
+            src = make()
+            decide_regularity(src, base, window=50)
+            ref = weakref.ref(src)
+            del src
+            assert ref() is None, make().label()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_decide_window_too_small_is_inconclusive_not_wrong():
@@ -753,7 +789,7 @@ def test_carry_rendering_matches_oracle_on_random_explicit_words(case):
 @pytest.mark.parametrize("name", ["i05", "i12", "i14"])
 def test_carry_rendering_matches_oracle_on_battery_streams(name):
     inst = by_name(name)
-    assert_renders_like_oracle(RkDigitSource(InstanceTables(inst.normalized(), 1000)), inst.base, 300)
+    assert_renders_like_oracle(InstanceTables(inst.normalized(), 1000), inst.base, 300)
 
 
 def test_certify_past_a_short_finite_source_is_index_error():
