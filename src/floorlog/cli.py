@@ -197,14 +197,18 @@ def _exact(fields: dict, key: str, default=None) -> ExactReal:
         raise UsageError(f"cannot parse {_flag(key)}: {exc}")
 
 
-def _triple(fields: dict) -> tuple[ExactReal, ExactReal, int]:
-    """alpha, beta (default 0) and base, unnormalized."""
-    return _exact(fields, "alpha"), _exact(fields, "beta", "0"), _base(fields)
+def _instance(fields: dict) -> FloorLogInstance:
+    """alpha, beta (default 0) and base, checked and unnormalized."""
+    alpha, beta, base = _exact(fields, "alpha"), _exact(fields, "beta", "0"), _base(fields)
+    try:
+        return FloorLogInstance(alpha, beta, base)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _normalized(fields: dict) -> NormalizedInstance:
     try:
-        return normalize(FloorLogInstance(*_triple(fields)))
+        return normalize(_instance(fields))
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -265,8 +269,6 @@ def _periodicity_payload(verdict: PeriodicityVerdict | None):
         out["period"] = verdict.period
     if verdict.reason:
         out["reason"] = verdict.reason
-    if verdict.window is not None:
-        out["window"] = verdict.window
     cert = verdict.certificate
     if cert is not None:
         out["mod_cycle"] = {
@@ -322,21 +324,18 @@ def _alignment_payload(alignment):
     return {**asdict(alignment), "also_valid": [], "ok": alignment.ok}
 
 
-def _kernel_scope(base: int, depth: int, prefix_len: int) -> int:
+def _kernel_scope(base: int, depth: int, prefix_len: int, flags: str) -> int:
     # the closure probe reads one level past depth, so cover that too
     scope = base ** (depth + 1) * prefix_len
     if scope > _KERNEL_SCOPE_CAP:
         raise UsageError(
             f"kernel scope base**(depth+1) * prefix_len = {scope} exceeds "
-            f"the cap {_KERNEL_SCOPE_CAP}; lower --depth or --prefix-len"
+            f"the cap {_KERNEL_SCOPE_CAP}; lower {flags}"
         )
     return scope
 
 
-def _kernel_report(
-    norm: NormalizedInstance, depth: int, prefix_len: int, jumps=None
-):
-    scope = _kernel_scope(norm.base, depth, prefix_len)
+def _kernel_report(norm: NormalizedInstance, depth: int, prefix_len: int, scope: int, jumps):
     bitmap = v_indicator(norm, scope - 1, jumps)
     return kernel_explore(lambda n: bitmap[n], norm.base, depth, prefix_len)
 
@@ -347,7 +346,7 @@ def _kernel_report(
 
 
 def _cmd_seq(fields) -> int:
-    alpha, beta, base = _triple(fields)
+    inst = _instance(fields)
     start = _integer(fields, "start", 1)
     if start < 0:
         raise UsageError(f"--from must not be negative, got {start}")
@@ -357,7 +356,7 @@ def _cmd_seq(fields) -> int:
     if stop < start:
         raise UsageError("--to must not be below --from")
     try:
-        values = [u_term(alpha, beta, base, n) for n in range(start, stop + 1)]
+        values = [u_term(inst.alpha, inst.beta, inst.base, n) for n in range(start, stop + 1)]
     except ValueError as exc:
         raise UsageError(str(exc))
     print(",".join(str(v) for v in values))
@@ -429,7 +428,8 @@ def _cmd_kernel(fields) -> int:
     norm = _normalized(fields)
     depth = _positive_int(fields, "depth", 6, _DEPTH_CAP)
     prefix_len = _positive_int(fields, "prefix_len", 64)
-    _print(asdict(_kernel_report(norm, depth, prefix_len)))
+    scope = _kernel_scope(norm.base, depth, prefix_len, "--depth or --prefix-len")
+    _print(asdict(_kernel_report(norm, depth, prefix_len, scope, None)))
     return 0
 
 
@@ -538,7 +538,9 @@ def run_analyze(scenario: dict) -> dict:
     t0 = clock()
     norm = _normalized(scenario)
     base = norm.base
-    kernel_scope = _kernel_scope(base, kernel_depth, kernel_prefix)
+    kernel_scope = _kernel_scope(
+        base, kernel_depth, kernel_prefix, "--kernel-depth or --kernel-prefix"
+    )
     timings["normalize"] = clock() - t0
 
     fk_top = min(kmax, 60)
@@ -557,7 +559,7 @@ def run_analyze(scenario: dict) -> dict:
     timings["language"] = clock() - t0
 
     t0 = clock()
-    kernel = _kernel_report(norm, kernel_depth, kernel_prefix, tables.jumps)
+    kernel = _kernel_report(norm, kernel_depth, kernel_prefix, kernel_scope, tables.jumps)
     timings["kernel"] = clock() - t0
 
     t0 = clock()

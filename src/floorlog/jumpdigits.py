@@ -263,7 +263,6 @@ class PeriodicityVerdict:
     period: int | None = None
     certificate: ModCycleCertificate | None = None
     reason: str | None = None
-    window: int | None = None
 
     @property
     def certified(self) -> bool:
@@ -281,8 +280,8 @@ class PeriodicityVerdict:
         return cls(kind="AperiodicByTheorem", reason=reason)
 
     @classmethod
-    def inconclusive(cls, window: int) -> "PeriodicityVerdict":
-        return cls(kind="Inconclusive", window=window)
+    def inconclusive(cls) -> "PeriodicityVerdict":
+        return cls(kind="Inconclusive")
 
 
 def _divisors(n: int) -> list[int]:
@@ -326,10 +325,11 @@ class DigitSource:
     ends; one buffer pulls from it only as far as digit(i) and prefix(count)
     ask.  Subclasses answer periodicity questions about themselves.  The
     iterator must not hold the source: a generator method would make every
-    source a reference cycle, freed only by the cycle collector.  The
-    honesty contract: periodicity() may return a certified verdict only
-    when the subclass can actually prove it, structurally or by the
-    rational/irrational dichotomy.
+    source a reference cycle, freed only by the cycle collector.
+    periodicity is a fact about the whole stream, so each subclass gives
+    it as a cached_property, read once.  The honesty contract: it may
+    hold a certified verdict only when the subclass can actually prove
+    it, structurally or by the rational/irrational dichotomy.
     """
 
     def __init__(self, digits: Iterator[int]):
@@ -354,7 +354,8 @@ class DigitSource:
         self._fill(count)
         return tuple(self._buffer[:count])
 
-    def periodicity(self, window: int) -> PeriodicityVerdict:
+    @property
+    def periodicity(self) -> PeriodicityVerdict:
         raise NotImplementedError
 
     def _minimized_cover(self, preperiod, period, certificate=None):
@@ -465,9 +466,9 @@ class InstanceTables(DigitSource):
     jumps reaches c_top, top = max(reach, span_r + 1, span_d + 2).  Each
     reader takes the prefix it needs, so every check covers the range
     tables of its own would.  A surd needs no span: orbit is None, jumps
-    reaches c_reach and r_verdict holds by theorem.  orbit, jumps and
-    r_verdict wait for their first reader, so reading digits alone walks
-    no orbit.
+    reaches c_reach and r_verdict holds by theorem.  orbit, jumps,
+    r_verdict and periodicity wait for their first reader, so reading
+    digits alone walks no orbit.
     """
 
     def __init__(self, norm: NormalizedInstance, r_window: int, d_window: int = 1,
@@ -520,15 +521,9 @@ class InstanceTables(DigitSource):
         p = self.norm.alpha.as_fraction().numerator
         return certify_r(self.r_terms(self.span_r), self.jumps, p, self.orbit, self.norm.base)
 
-    def periodicity(self, window: int) -> PeriodicityVerdict:
-        """r_verdict shifted onto the stream, whatever window is asked for.
-
-        That verdict is certified on the tables' own r window.
-        """
-        return self._stream_verdict
-
     @cached_property
-    def _stream_verdict(self) -> PeriodicityVerdict:
+    def periodicity(self) -> PeriodicityVerdict:
+        """r_verdict shifted onto the stream, certified on the tables' r window."""
         inner = self.r_verdict
         if inner.kind != "Periodic":
             return inner

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, count, cycle
 
 from .automata import Dfa, from_patterns
@@ -55,7 +56,8 @@ class PeriodicDigitSource(DigitSource):
             raise ValueError("digits must be nonnegative")
         super().__init__(chain(self.preperiod, cycle(self.period)))
 
-    def periodicity(self, window: int) -> PeriodicityVerdict:
+    @cached_property
+    def periodicity(self) -> PeriodicityVerdict:
         return self._minimized_cover(len(self.preperiod), len(self.period))
 
     def label(self) -> str:
@@ -76,9 +78,10 @@ class ExplicitDigitSource(DigitSource):
             raise ValueError("digits must be nonnegative")
         super().__init__(iter(self.word))
 
-    def periodicity(self, window: int) -> PeriodicityVerdict:
+    @cached_property
+    def periodicity(self) -> PeriodicityVerdict:
         # a finite prefix proves nothing about the tail either way
-        return PeriodicityVerdict.inconclusive(min(window, len(self.word)))
+        return PeriodicityVerdict.inconclusive()
 
     def label(self) -> str:
         return f"explicit word {word_str(self.word)}"
@@ -111,7 +114,8 @@ class ThueMorseBlockSource(DigitSource):
             raise ValueError("digits must be nonnegative")
         super().__init__(_thue_morse_blocks(self.block_a, self.block_b))
 
-    def periodicity(self, window: int) -> PeriodicityVerdict:
+    @cached_property
+    def periodicity(self) -> PeriodicityVerdict:
         if self.block_a == self.block_b:
             return self._minimized_cover(0, len(self.block_a))
         if len(self.block_a) == len(self.block_b):
@@ -122,7 +126,7 @@ class ThueMorseBlockSource(DigitSource):
             )
         # distinct blocks of unequal length: almost surely aperiodic, but
         # the uniform-decoding argument above does not apply, so no proof
-        return PeriodicityVerdict.inconclusive(window)
+        return PeriodicityVerdict.inconclusive()
 
     def label(self) -> str:
         return (
@@ -266,23 +270,18 @@ def verify_length_claim(lengths: Sequence[int]) -> LengthClaimReport:
     """
     n_top = len(lengths) - 1
     anomalies = []
+    violation = settled = False
+    run = 0  # clean steps in a row; ten of them settle the lengths
     for n in range(n_top):
         delta = lengths[n + 1] - lengths[n]
-        if delta != 1:
-            anomalies.append((n, delta))
-    stable_from = anomalies[-1][0] + 1 if anomalies else 0
-    violation = False
-    clean_run_started = None
-    run = 0
-    for n in range(n_top):
-        if lengths[n + 1] - lengths[n] == 1:
+        if delta == 1:
             run += 1
-            if run >= 10 and clean_run_started is None:
-                clean_run_started = n - run + 1
+            settled = settled or run >= 10
         else:
-            if clean_run_started is not None and lengths[n + 1] - lengths[n] >= 2:
-                violation = True
+            anomalies.append((n, delta))
+            violation = violation or (settled and delta >= 2)
             run = 0
+    stable_from = anomalies[-1][0] + 1 if anomalies else 0
     return LengthClaimReport(stable_from, tuple(anomalies), n_top, violation)
 
 
@@ -456,9 +455,7 @@ def _read(src: DigitSource, start: int, count: int) -> Word:
     return digits[start:]
 
 
-def certify_pattern(
-    src: DigitSource, candidate: PatternCandidate, window: int = 1000
-) -> CertifiedPattern:
+def certify_pattern(src: DigitSource, candidate: PatternCandidate) -> CertifiedPattern:
     """Prove a candidate split or raise PatternRejection with the clause.
 
     Four clauses, checked in order:
@@ -491,7 +488,7 @@ def certify_pattern(
             f"not {word_str(candidate.v0 + candidate.v2)}",
         )
 
-    verdict = src.periodicity(window)
+    verdict = src.periodicity
     if verdict.kind != "Periodic":
         raise PatternRejection(
             "ii", f"source periodicity is {verdict.kind}, not certified Periodic"
@@ -618,12 +615,20 @@ def decide_regularity(
     Regular verdict.  Anything weaker (finite words, unproved structure,
     too small a window): Inconclusive, with the empirical pattern scan
     and length-claim report as evidence.
+
+    Each residue class is searched once, from anchor preperiod - 1 (or
+    0), where clause (ii) of certify_pattern stops rejecting.  Past it no
+    clause can reject a find_pattern candidate short of a bug, since (i)
+    compares to_word with the carry renderer on the same digits, (iii)
+    follows from w_(n0+p) = V0 V1 V2 and w_(n0+p) = b^p w_n0 + block, and
+    (iv) holds for canonical renderings, so a PatternRejection propagates
+    as the ConsistencyError it is.
     """
     if window < MIN_WINDOW:
         raise ValueError("window must allow at least a handful of words")
     if base < 2:
         raise ValueError("base must be at least 2")
-    verdict = src.periodicity(window)
+    verdict = src.periodicity
     if verdict.kind == "AperiodicByTheorem":
         return RegularityVerdict.non_regular(verdict)
     if verdict.kind == "Periodic" and not any(
@@ -641,19 +646,10 @@ def decide_regularity(
     if verdict.kind == "Periodic":
         q = verdict.period
         patterns = []
+        min_anchor = max(0, verdict.preperiod - 1)
         for residue in range(q):
-            pattern = None
-            min_anchor = 0
-            while True:
-                cand = find_pattern(lw, q, residue, min_anchor)
-                if cand is None:
-                    break
-                try:
-                    pattern = certify_pattern(src, cand, window)
-                    break
-                except PatternRejection:
-                    min_anchor = cand.anchor + q
-            if pattern is None:
+            cand = find_pattern(lw, q, residue, min_anchor)
+            if cand is None:
                 return RegularityVerdict.inconclusive(
                     window,
                     {
@@ -665,7 +661,7 @@ def decide_regularity(
                         "length_claim": verify_length_claim(lw.lengths),
                     },
                 )
-            patterns.append(pattern)
+            patterns.append(certify_pattern(src, cand))
         exceptions = []
         for pattern in patterns:
             n = pattern.residue

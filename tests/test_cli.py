@@ -3,6 +3,8 @@
 import hashlib
 import json
 import pathlib
+import re
+import shlex
 import sys
 import time
 import types
@@ -69,6 +71,14 @@ def test_seq_may_stop_at_zero(capsys):
     assert "--to must not be below --from" in err
 
 
+@pytest.mark.parametrize("alpha", ["-1", "0"])
+def test_seq_refuses_a_slope_that_is_not_positive(capsys, alpha):
+    code, out, err = run(capsys, "seq", "--alpha", alpha, "--beta", "5",
+                         "--base", "2", "--from", "1", "--to", "4")
+    assert code == 1 and out == ""
+    assert err == "floorlog: error: alpha must be positive\n"
+
+
 @pytest.mark.parametrize("beta", ["0", "-1/2"])
 def test_seq_from_zero_refuses_undefined_u0(capsys, beta):
     code, out, err = run(capsys, "seq", "--alpha", "3/2", "--beta", beta,
@@ -125,7 +135,7 @@ _MIXED_RADICANDS = ["--alpha", "sqrt(2)", "--beta", "1/3*sqrt(3)", "--base", "10
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze"], ["rk"], ["fk"], ["kernel"], ["dfa"], ["digits"],
+    ["analyze"], ["rk"], ["fk"], ["kernel"], ["dfa"], ["digits"], ["seq"],
     ["decide", "--source", "rk"], ["language", "--source", "rk"],
 ], ids=lambda argv: " ".join(argv))
 def test_mixed_radicands_are_usage_error(capsys, argv):
@@ -407,6 +417,15 @@ def test_kernel_scope_cap(capsys):
                        "--base", "10", "--depth", "12")
     assert code == 1
     assert "scope" in err
+    assert err.endswith("; lower --depth or --prefix-len\n")
+
+
+def test_analyze_kernel_scope_cap_names_its_own_flags(capsys):
+    # at its kernel defaults (depth 4, prefix 32) analyze runs to base 13
+    assert run(capsys, "analyze", "--alpha", "3/2", "--base", "13")[0] == 0
+    code, out, err = run(capsys, "analyze", "--alpha", "3/2", "--base", "14")
+    assert code == 1 and out == ""
+    assert err.endswith("; lower --kernel-depth or --kernel-prefix\n")
 
 
 # each of the first six was still running when `timeout 5` stopped it
@@ -806,6 +825,34 @@ def test_batch_file_must_be_a_list(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--batch", str(path))
     assert code == 1
     assert "array" in err
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _readme_commands():
+    """The floorlog lines of the README's command-line block."""
+    section = (REPO / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("floorlog ")]
+
+
+def test_readme_command_block_shows_every_subcommand():
+    shown = {line.split()[1] for line in _readme_commands()}
+    assert shown == {"seq", "rk", "digits", "language", "decide", "kernel", "fk", "dfa",
+                     "analyze"}
+
+
+@pytest.mark.parametrize("line", _readme_commands(), ids=lambda line: line.split()[1])
+def test_readme_command_examples_run(monkeypatch, capsys, line):
+    # paths in the examples are relative to the repository root
+    monkeypatch.chdir(REPO)
+    command, _, comment = line.partition("#")
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+    value = re.match(r"\s*(\d+(?:,\d+)+)", comment)
+    if value:
+        assert out.strip() == value.group(1)
 
 
 

@@ -35,7 +35,7 @@ from floorlog.language import (
     words,
 )
 from floorlog.numeration import from_word, to_word, word_str
-from floorlog.sequences import FloorLogInstance, normalize
+from floorlog.sequences import ConsistencyError, FloorLogInstance, normalize
 
 from oracles import enumerate_words, find_pattern_unpruned
 
@@ -166,14 +166,14 @@ def test_source_validation():
 def test_rk_source_periodicity_is_minimized_at_stream_level():
     # r has cover (0, 2); prepending the lead digit 1 to 0,1,0,1,...
     # still leaves a pure cycle, so the stream preperiod stays 0
-    verdict = rk_source("3/2", 0, 2).periodicity(100)
+    verdict = rk_source("3/2", 0, 2).periodicity
     assert verdict.kind == "Periodic"
     assert (verdict.preperiod, verdict.period) == (0, 2)
     assert verdict.certified
 
 
 def test_rk_source_surd_periodicity_passes_through():
-    verdict = rk_source("sqrt(2)", 0, 2).periodicity(100)
+    verdict = rk_source("sqrt(2)", 0, 2).periodicity
     assert verdict.kind == "AperiodicByTheorem"
     assert verdict.certified
 
@@ -198,12 +198,12 @@ def test_rk_source_proves_periodicity_once(monkeypatch):
 )
 def test_rk_source_shifts_a_handed_r_verdict(monkeypatch, alpha, beta, base):
     norm = norm_of(alpha, beta, base)
-    derived = InstanceTables(norm, 1000).periodicity(1000)
+    derived = InstanceTables(norm, 1000).periodicity
     tables = InstanceTables(norm, 1000)
     assert tables.r_verdict.certified
     for name in ("certify_r", "residue_orbit"):
         monkeypatch.setattr(jumpdigits, name, None)  # must not be called again
-    assert tables.periodicity(1000) == derived
+    assert tables.periodicity == derived
 
 
 @pytest.mark.parametrize("alpha, beta, base", [("7/5", "1/3", 10), ("sqrt(2)", 0, 2)])
@@ -230,11 +230,11 @@ def test_rk_source_computes_each_jump_digit_once(monkeypatch, alpha, beta, base)
 
 
 def test_tm_source_periodicity_variants():
-    aper = ThueMorseBlockSource("10", "02").periodicity(100)
+    aper = ThueMorseBlockSource("10", "02").periodicity
     assert aper.kind == "AperiodicByTheorem" and aper.certified
-    same = ThueMorseBlockSource("10", "10").periodicity(100)
+    same = ThueMorseBlockSource("10", "10").periodicity
     assert same.kind == "Periodic" and same.certified
-    unequal = ThueMorseBlockSource("1", "02").periodicity(100)
+    unequal = ThueMorseBlockSource("1", "02").periodicity
     assert unequal.kind == "Inconclusive"
 
 
@@ -671,6 +671,41 @@ def test_decide_window_too_small_is_inconclusive_not_wrong():
 def test_decide_rejects_tiny_window():
     with pytest.raises(ValueError):
         decide_regularity(rk_source(1, 0, 2), 2, window=4)
+
+
+@pytest.mark.parametrize("pre, per", [("10212", "20"), ("110", "02")])
+def test_decide_certifies_one_candidate_per_residue(monkeypatch, pre, per):
+    # in base 2 both streams hold a consistent family anchored inside the
+    # preperiod; the search starts past it, so no candidate is retried
+    certified, minimized = [], []
+    real_certify, real_minimize = language.certify_pattern, jumpdigits.minimize_cycle
+
+    def certify(src, cand, *rest):
+        certified.append(cand.anchor)
+        return real_certify(src, cand, *rest)
+
+    def minimize(*args):
+        minimized.append(args[1:])
+        return real_minimize(*args)
+
+    monkeypatch.setattr(language, "certify_pattern", certify)
+    monkeypatch.setattr(jumpdigits, "minimize_cycle", minimize)
+    verdict = decide_regularity(PeriodicDigitSource(pre, per), 2)
+    assert verdict.kind == "Regular"
+    q = verdict.certificate.period
+    assert len(certified) == q == 2
+    assert certified == [p.anchor for p in verdict.patterns]
+    assert minimized == [(len(pre), len(per))]
+
+
+def test_decide_surfaces_a_pattern_rejection_as_consistency_error(monkeypatch):
+    # clause (i) recomputes w_anchor with from_word; an off-by-one there
+    # rejects every candidate, which is a bug, not an Inconclusive verdict
+    real = language.from_word
+    monkeypatch.setattr(language, "from_word", lambda word, base: real(word, base) + 1)
+    with pytest.raises(ConsistencyError) as err:
+        decide_regularity(PeriodicDigitSource("21", "102"), 3)
+    assert isinstance(err.value, PatternRejection) and err.value.clause == "i"
 
 
 # ---------------------------------------------------------------------------
