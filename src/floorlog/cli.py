@@ -455,17 +455,17 @@ def _cmd_fk(fields) -> int:
     norm = _normalized(fields)
     kmax = _positive_int(fields, "kmax", 60, _KMAX_CAP)
     _fk_fits_text_limit(norm.base, kmax)
-    tables = InstanceTables(norm, kmax, d_window=kmax, reach=kmax + 1)
-    lc, d_verdict = decide_d_periodicity(tables, kmax)
+    tables = InstanceTables(norm, kmax, d_window=kmax)
+    lc, alignment, d_verdict = decide_d_periodicity(tables, kmax)
     payload = {
         "k_min": lc.k_min,
         "k_max": lc.k_max,
         "f": [[k, lc.at(k)] for k in range(lc.k_min, lc.k_max + 1)],
-        "alignment": _alignment_payload(lc.alignment),
+        "alignment": _alignment_payload(alignment),
         "d_verdict": _periodicity_payload(d_verdict),
     }
-    if lc.alignment.ok:
-        slice_ = d_seq(lc, tables.r_terms(lc.k_max))
+    if alignment.ok:
+        slice_ = d_seq(lc, tables.r_terms(lc.k_max), alignment)
         payload["d_start"] = slice_.start
         payload["d"] = list(slice_.values)
     _print(payload)
@@ -543,11 +543,7 @@ def run_analyze(scenario: dict) -> dict:
     )
     timings["normalize"] = clock() - t0
 
-    fk_top = min(kmax, 60)
-    tables = InstanceTables(
-        norm, window, d_window=min(kmax, 400),
-        reach=max(fk_top + 1, jump_levels_past(base, kernel_scope - 1)),
-    )
+    tables = InstanceTables(norm, window, d_window=min(kmax, 400))
 
     t0 = clock()
     r_verdict = tables.r_verdict
@@ -558,13 +554,16 @@ def run_analyze(scenario: dict) -> dict:
     language_verdict = decide_regularity(tables, base, window=window)
     timings["language"] = clock() - t0
 
+    # at defaults the level stage reads further into the jump table than
+    # the kernel, so counting first lets the kernel read a prefix of it
     t0 = clock()
-    kernel = _kernel_report(norm, kernel_depth, kernel_prefix, kernel_scope, tables.jumps)
-    timings["kernel"] = clock() - t0
+    lc, alignment, d_verdict = decide_d_periodicity(tables, min(kmax, 60))
+    timings["level_counts"] = clock() - t0
 
     t0 = clock()
-    lc, d_verdict = decide_d_periodicity(tables, fk_top)
-    timings["level_counts"] = clock() - t0
+    kernel_jumps = tables.jumps_to(jump_levels_past(base, kernel_scope - 1))
+    kernel = _kernel_report(norm, kernel_depth, kernel_prefix, kernel_scope, kernel_jumps)
+    timings["kernel"] = clock() - t0
 
     rational = bool(norm.alpha.is_rational)
     _check_links(rational, r_verdict, language_verdict, d_verdict)
@@ -607,7 +606,7 @@ def run_analyze(scenario: dict) -> dict:
             "r_head": list(r_head),
             "kernel": asdict(kernel),
             "level_counts": [[k, lc.at(k)] for k in range(lc.k_min, lc.k_max + 1)],
-            "alignment": _alignment_payload(lc.alignment),
+            "alignment": _alignment_payload(alignment),
         },
         "timings": timings,
     }

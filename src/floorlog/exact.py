@@ -333,10 +333,6 @@ class ExactReal:
             return NotImplemented
         return self._a == o._a and self._b == o._b and self._c == o._c and self._d == o._d
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
 

@@ -462,21 +462,20 @@ class InstanceTables(DigitSource):
     it, so every stage that reads the same tables computes each r digit
     once.  For alpha = p/q, orbit is the (preperiod, period) of base^k
     mod p; with cover = preperiod + 2*period, r is certified on span_r =
-    max(cover, r_window) terms, d on span_d = max(cover, d_window), and
-    jumps reaches c_top, top = max(reach, span_r + 1, span_d + 2).  Each
-    reader takes the prefix it needs, so every check covers the range
-    tables of its own would.  A surd needs no span: orbit is None, jumps
-    reaches c_reach and r_verdict holds by theorem.  orbit, jumps,
+    max(cover, r_window) terms and d on span_d = max(cover, d_window).
+    Each reader asks jumps_to for the jump prefix it reads, so every check
+    covers the range tables of its own would.  A surd needs no span:
+    orbit is None and r_verdict holds by theorem.  orbit, the jump table,
     r_verdict and periodicity wait for their first reader, so reading
     digits alone walks no orbit.
     """
 
-    def __init__(self, norm: NormalizedInstance, r_window: int, d_window: int = 1,
-                 reach: int = 1):
-        if min(r_window, d_window, reach) < 1:
+    def __init__(self, norm: NormalizedInstance, r_window: int, d_window: int = 1):
+        if min(r_window, d_window) < 1:
             raise ValueError("window must be >= 1")
         self.norm = norm
-        self._r_window, self._d_window, self._reach = r_window, d_window, reach
+        self._r_window, self._d_window = r_window, d_window
+        self._jumps: JumpData | None = None
         super().__init__(_jump_count_digits(norm))
 
     def r_terms(self, count: int) -> list[int]:
@@ -499,12 +498,20 @@ class InstanceTables(DigitSource):
     def span_d(self) -> int:
         return max(self.orbit[0] + 2 * self.orbit[1], self._d_window)
 
-    @cached_property
-    def jumps(self) -> JumpData:
-        top = self._reach
-        if self.orbit is not None:
-            top = max(top, self.span_r + 1, self.span_d + 2)
-        return jump_positions(self.norm, top)
+    def jumps_to(self, top: int) -> JumpData:
+        """c_1..c_top, off one jump table built at the first read.
+
+        On a rational slope the first build also reaches c_(span_r + 1)
+        and c_(span_d + 2), so the certificates and every later read
+        share it; a read past the table rebuilds it to top.
+        """
+        jumps = self._jumps
+        if jumps is None or top > jumps.k_max:
+            size = top
+            if jumps is None and self.orbit is not None:
+                size = max(top, self.span_r + 1, self.span_d + 2)
+            jumps = self._jumps = jump_positions(self.norm, size)
+        return jumps.prefix(top)
 
     @cached_property
     def r_verdict(self) -> PeriodicityVerdict:
@@ -518,8 +525,9 @@ class InstanceTables(DigitSource):
                 "alpha is an irrational quadratic surd; the jump-digit sequence "
                 "has an ultimately periodic tail exactly when alpha is rational"
             )
-        p = self.norm.alpha.as_fraction().numerator
-        return certify_r(self.r_terms(self.span_r), self.jumps, p, self.orbit, self.norm.base)
+        p, span = self.norm.alpha.as_fraction().numerator, self.span_r
+        return certify_r(self.r_terms(span), self.jumps_to(span + 1), p, self.orbit,
+                         self.norm.base)
 
     @cached_property
     def periodicity(self) -> PeriodicityVerdict:

@@ -431,7 +431,6 @@ class CertifiedPattern:
     canonical renderings, not merely value-equal ones.
     """
 
-    base: int
     v0: Word
     v1: Word
     v2: Word
@@ -530,14 +529,7 @@ def certify_pattern(src: DigitSource, candidate: PatternCandidate) -> CertifiedP
             raise PatternRejection("iv", f"{name} uses a digit outside base {b}")
 
     return CertifiedPattern(
-        b,
-        candidate.v0,
-        candidate.v1,
-        candidate.v2,
-        p,
-        n0,
-        candidate.residue,
-        constant,
+        candidate.v0, candidate.v1, candidate.v2, p, n0, candidate.residue, constant
     )
 
 

@@ -66,14 +66,13 @@ def _level_starts(norm: NormalizedInstance, k_lo: int, k_hi: int) -> list[int]:
     return starts
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelCounts:
     """Exact level populations for one instance.
 
     f maps level k to its count for k_min <= k <= k_max; negative levels
     (argument still below 1) are included.  enum_verified_to is the highest
-    level whose count was independently confirmed by brute enumeration;
-    alignment is filled in by align_m0.
+    level whose count was independently confirmed by brute enumeration.
     """
 
     norm: NormalizedInstance
@@ -81,7 +80,6 @@ class LevelCounts:
     k_max: int
     f: dict[int, int]
     enum_verified_to: int | None = None
-    alignment: "AlignmentResult | None" = None
 
     def at(self, k: int) -> int:
         if not self.k_min <= k <= self.k_max:
@@ -89,7 +87,7 @@ class LevelCounts:
         return self.f[k]
 
     def prefix(self, k_max: int) -> "LevelCounts":
-        """What f_counts(norm, k_max) returns, read off these counts, unaligned.
+        """What f_counts(norm, k_max) returns, read off these counts.
 
         A level fully inside this audit's range that is at most k_max is
         also fully inside the shorter audit's range, so the prefix keeps
@@ -215,8 +213,7 @@ def align_m0(lc: LevelCounts, jd: JumpData) -> AlignmentResult:
     The tie is accepted when it holds on the entire second half of a range
     of at least 6 levels, i.e. mismatches, if any, are confined to a
     prefix; the threshold where the clean tail starts is reported rather
-    than assumed.  Negative and zero levels never take part.  The result is
-    also recorded on lc.
+    than assumed.  Negative and zero levels never take part.
     """
     k_top = min(lc.k_max, jd.k_max - 1)
     # c[k] - c[k - 1] = c_{k+1} - c_k, since jd.c[0] is c_1
@@ -224,37 +221,35 @@ def align_m0(lc: LevelCounts, jd: JumpData) -> AlignmentResult:
         k for k in range(1, k_top + 1) if lc.f[k] != jd.c[k] - jd.c[k - 1]
     )
     if k_top < 6 or (bad and bad[-1] > k_top // 2):
-        result = AlignmentResult(
+        return AlignmentResult(
             m0=None, threshold=None, checked_to=max(k_top, 0),
             note="no offset aligns on this range: too short, or exact "
                  "integer crossings recur and keep shifting single endpoints",
         )
-    else:
-        result = AlignmentResult(
-            m0=0,
-            threshold=(bad[-1] + 1) if bad else 1,
-            checked_to=k_top,
-            mismatches=bad,
-        )
-    lc.alignment = result
-    return result
+    return AlignmentResult(
+        m0=0,
+        threshold=(bad[-1] + 1) if bad else 1,
+        checked_to=k_top,
+        mismatches=bad,
+    )
 
 
-def d_seq(lc: LevelCounts, r_terms: Sequence[int]) -> SeqSlice:
+def d_seq(lc: LevelCounts, r_terms: Sequence[int], alignment: AlignmentResult) -> SeqSlice:
     """d_k = f_{k+1} - base*f_k for k from max(0, k_min) to k_max - 1.
 
-    When lc has been aligned, the aligned tail is cross-checked against the
-    jump-digit differences r_{k+1} - r_k; any mismatch raises
-    ConsistencyError, since both sides are exact.  r_terms holds r_1, r_2,
-    ... at r_terms[0], r_terms[1], ..., at least lc.k_max of them.
+    alignment is align_m0's result on lc.  Where it holds, the tail it
+    names is cross-checked against the jump-digit differences
+    r_{k+1} - r_k; any mismatch raises ConsistencyError, since both sides
+    are exact.  r_terms holds r_1, r_2, ... at r_terms[0], r_terms[1],
+    ..., at least lc.k_max of them.
     """
     b = lc.norm.base
     start = max(0, lc.k_min)
     values = tuple(lc.f[k + 1] - b * lc.f[k] for k in range(start, lc.k_max))
     slice_ = SeqSlice(start=start, values=values)
-    if lc.alignment is not None and lc.alignment.ok:
-        t = max(lc.alignment.threshold, start, 1)
-        for k in range(t, lc.k_max):
+    if alignment.ok:
+        t = max(alignment.threshold, start, 1)
+        for k in range(t, min(alignment.checked_to, lc.k_max)):
             want = r_terms[k] - r_terms[k - 1]
             if slice_.at(k) != want:
                 raise ConsistencyError(
@@ -274,12 +269,12 @@ def certify_d(
     """
     span = lc.k_max - 1
     jd = jumps.prefix(span + 2)
-    align_m0(lc, jd)
-    d_slice = d_seq(lc, r_terms)  # runs the aligned-tail cross-check internally
+    alignment = align_m0(lc, jd)
+    d_slice = d_seq(lc, r_terms, alignment)  # runs the aligned-tail cross-check
     d_list = [d_slice.at(k) for k in range(1, span + 1)]
 
-    if lc.alignment.ok:
-        for k in range(lc.alignment.threshold, span + 1):
+    if alignment.ok:
+        for k in range(alignment.threshold, span + 1):
             if cert_r.predict(k + 1) - cert_r.predict(k) != d_list[k - 1]:
                 raise ConsistencyError(
                     f"r certificate fails to predict d_{k} through the "
@@ -291,8 +286,8 @@ def certify_d(
 
 def decide_d_periodicity(
     tables: InstanceTables, k_max: int
-) -> tuple[LevelCounts, PeriodicityVerdict]:
-    """The levels up to k_max, aligned on tables.jumps, and the d verdict.
+) -> tuple[LevelCounts, AlignmentResult, PeriodicityVerdict]:
+    """The levels up to k_max, their alignment on the jump table and the d verdict.
 
     Rational alpha = p/q: d_k is a function of base^k mod p, because both
     the jump-digit differences and the pattern of exact integer crossings
@@ -312,8 +307,7 @@ def decide_d_periodicity(
     else:
         span = tables.span_d
         full = f_counts(norm, span + 1)
-        verdict = certify_d(full, tables.jumps, tables.r_verdict.certificate,
+        verdict = certify_d(full, tables.jumps_to(span + 2), tables.r_verdict.certificate,
                             tables.r_terms(span + 1))
         lc = full.prefix(k_max)
-    align_m0(lc, tables.jumps.prefix(k_max + 1))
-    return lc, verdict
+    return lc, align_m0(lc, tables.jumps_to(k_max + 1)), verdict

@@ -280,13 +280,13 @@ def test_criterion_6_level_counts_and_differences(record_property):
                     k,
                 )
             rs = r_stream(norm, k_top + m0 + 2)
-            diffs = d_seq(lc, rs)
+            diffs = d_seq(lc, rs, alignment)
             for k in range(max(threshold, diffs.start + 1), k_top):
                 assert diffs.at(k) == lc.at(k + 1) - norm.base * lc.at(k)
                 assert diffs.at(k) == rs[k + m0] - rs[k + m0 - 1], (inst.name, k)
 
-        tables = InstanceTables(norm, k_top, k_top, k_top + 1)
-        _, verdict = decide_d_periodicity(tables, k_top)
+        tables = InstanceTables(norm, k_top, k_top)
+        _, _, verdict = decide_d_periodicity(tables, k_top)
         assert verdict.certified, inst.name
         if inst.alpha_is_rational:
             assert verdict.kind == "Periodic", inst.name

@@ -18,7 +18,7 @@ from floorlog.exact import ExactReal
 from floorlog.jumpdigits import InstanceTables, PeriodicityVerdict
 from floorlog.language import decide_regularity
 from floorlog.levelcounts import decide_d_periodicity
-from floorlog.sequences import FloorLogInstance, normalize
+from floorlog.sequences import ConsistencyError, FloorLogInstance, normalize
 
 
 def run(capsys, *argv):
@@ -299,6 +299,74 @@ def test_consistency_failure_exits_two(capsys, monkeypatch):
                        "--beta", "0", "--base", "2")
     assert code == 2
     assert "consistency" in err
+
+
+@pytest.mark.parametrize("rational, link, kind, message", [
+    (False, 0, "Periodic", "r certified periodic with irrational slope"),
+    (True, 0, "AperiodicByTheorem", "r certified aperiodic with rational slope"),
+    (False, 1, "Regular", "language Regular with irrational slope"),
+    (True, 1, "NonRegular", "language NonRegular with rational slope"),
+    (False, 2, "Periodic", "d certified periodic with irrational slope"),
+    (True, 2, "AperiodicByTheorem", "d certified aperiodic with rational slope"),
+])
+def test_check_links_refuses_each_contradiction(rational, link, kind, message):
+    verdicts = [types.SimpleNamespace(kind="Inconclusive") for _ in range(3)]
+    verdicts[link] = types.SimpleNamespace(kind=kind)
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        cli._check_links(rational, *verdicts)
+
+
+def test_regular_language_for_a_surd_exits_two(capsys, monkeypatch):
+    regular = types.SimpleNamespace(kind="Regular")
+    monkeypatch.setattr(cli, "decide_regularity", lambda *args, **kwargs: regular)
+    code, out, err = run(capsys, "analyze", "--alpha", "sqrt(2)", "--base", "2")
+    assert code == 2 and out == ""
+    assert "language Regular with irrational slope" in err
+
+
+# unusable invocations: argv (FILE stands for a file holding the text
+# given, or for a missing file when the text is None) and a fragment of
+# the one-line message, naming the flag or key at fault where there is one
+_UNUSABLE = {
+    "unknown-source": (("decide", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
+                       '{"source": "bogus"}', "'bogus'"),
+    "explicit-without-word": (("decide", "--source", "explicit", "--base", "2"),
+                              None, "--word"),
+    "tm-blocks-without-block-b": (("decide", "--source", "tm-blocks", "--block-a", "10",
+                                   "--base", "2"), None, "--block-b"),
+    "period-negative-digit": (("decide", "--source", "periodic", "--period", "[-1]",
+                               "--base", "2"), None, "nonnegative"),
+    "period-empty": (("decide", "--source", "periodic", "--period", "", "--base", "2"),
+                     None, "period block"),
+    "period-empty-digit": (("decide", "--source", "periodic", "--period", "[1,,2]",
+                            "--base", "2"), None, "--period"),
+    "seq-from-negative": (("seq", "--alpha", "3/2", "--base", "2", "--from", "-1"),
+                          None, "--from"),
+    "kmax-zero": (("fk", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
+                  '{"kmax": 0}', "--kmax"),
+    "kmax-text": (("fk", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
+                  '{"kmax": "abc"}', "--kmax"),
+    "kmax-overflow": (("fk", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
+                      '{"kmax": 1e400}', "--kmax"),
+    "scenario-missing": (("analyze", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
+                         None, "scenario file"),
+    "scenario-not-json": (("analyze", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
+                          "not json", "scenario file"),
+    "batch-entry-not-object": (("analyze", "--alpha", "3/2", "--base", "2", "--batch", "FILE"),
+                               "[1]", "batch entry 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNUSABLE))
+def test_unusable_invocations_exit_one_with_one_line(tmp_path, capsys, case):
+    argv, text, named = _UNUSABLE[case]
+    path = tmp_path / "fields.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *(str(path) if arg == "FILE" else arg for arg in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("floorlog: error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_version_flag(capsys):
@@ -662,21 +730,30 @@ def test_analyze_proves_r_periodicity_once(monkeypatch):
     assert (len(certify), len(orbit)) == (1, 1)
 
 
-# the level counts each subcommand builds besides the r tables
-_LEVEL_TABLES = {"analyze": 1, "fk": 1, "dfa": 0, "decide": 0}
+# (jump tables, level tables, r digit generators, orbit walks) each
+# subcommand builds at CLI defaults; a surd walks no orbit, and analyze
+# counts levels first, so its kernel reads a prefix of that jump table
+_TABLES_BUILT = {
+    ("analyze", "7/5"): (1, 1, 1, 1),
+    ("fk", "7/5"): (1, 1, 1, 1),
+    ("dfa", "7/5"): (1, 0, 1, 1),
+    ("decide", "7/5"): (1, 0, 1, 1),
+    ("analyze", "sqrt(2)"): (1, 1, 1, 0),
+    ("fk", "sqrt(2)"): (1, 1, 1, 0),
+}
 
 
-@pytest.mark.parametrize("command", list(_LEVEL_TABLES))
-def test_each_exact_table_is_built_once(monkeypatch, capsys, command):
+@pytest.mark.parametrize("command, alpha", list(_TABLES_BUILT),
+                         ids=[c if a == "7/5" else f"{c}-{a}" for c, a in _TABLES_BUILT])
+def test_each_exact_table_is_built_once(monkeypatch, capsys, command, alpha):
     jumps = _count_calls(monkeypatch, "jump_positions", sequences)
     levels = _count_calls(monkeypatch, "f_counts", levelcounts)
     digits = _count_calls(monkeypatch, "r_digits")
     orbit = _count_calls(monkeypatch, "residue_orbit")
     extra = ("--source", "rk") if command == "decide" else ()
-    code, _, _ = run(capsys, command, *extra, "--alpha", "7/5", "--base", "10")
+    code, _, _ = run(capsys, command, *extra, "--alpha", alpha, "--base", "10")
     assert code == 0
-    assert (len(jumps), len(levels), len(digits), len(orbit)) == (
-        1, _LEVEL_TABLES[command], 1, 1)
+    assert (len(jumps), len(levels), len(digits), len(orbit)) == _TABLES_BUILT[command, alpha]
 
 
 def test_language_reads_digits_without_walking_the_orbit(monkeypatch, capsys):
@@ -692,11 +769,11 @@ def test_language_reads_digits_without_walking_the_orbit(monkeypatch, capsys):
 
 def test_downstream_stages_reuse_the_r_verdict(monkeypatch):
     norm = normalize(FloorLogInstance(ExactReal.parse("7/5"), ExactReal(0), 10))
-    tables = InstanceTables(norm, 1000, 400, 61)
+    tables = InstanceTables(norm, 1000, 400)
     assert tables.r_verdict.certified
     certify = _count_calls(monkeypatch, "certify_r")
     orbit = _count_calls(monkeypatch, "residue_orbit")
-    _, d_verdict = decide_d_periodicity(tables, 60)
+    _, _, d_verdict = decide_d_periodicity(tables, 60)
     language_verdict = decide_regularity(tables, 10)
     assert d_verdict.certified and language_verdict.kind == "Regular"
     assert certify == [] and orbit == []
@@ -841,6 +918,29 @@ def test_readme_command_block_shows_every_subcommand():
     shown = {line.split()[1] for line in _readme_commands()}
     assert shown == {"seq", "rk", "digits", "language", "decide", "kernel", "fk", "dfa",
                      "analyze"}
+
+
+def _readme_schema_names() -> set[str]:
+    """Every name in the README's report schema block."""
+    section = (REPO / "README.md").read_text().split("### Report schema", 1)[1]
+    return set(re.findall(r"\w+", section.split("```\n", 2)[1]))
+
+
+@pytest.mark.parametrize("kind, scenario", [
+    ("Regular", {"alpha": "3/2", "base": 2}),
+    ("NonRegular", {"alpha": "sqrt(2)", "base": 2}),
+    ("Inconclusive", {"alpha": "1013/1000", "base": 10, "window": 200}),
+])
+def test_readme_report_schema_names_every_key(kind, scenario):
+    report = run_analyze(scenario)
+    verdicts = report["verdicts"]
+    assert verdicts["language_regularity"]["kind"] == kind
+    keys = set(report) | set(report["scenario"]) | set(report["normalization"])
+    keys |= set(verdicts) | set(report["evidence"])
+    for verdict in verdicts.values():
+        keys |= set(verdict)
+    keys |= set(verdicts["language_regularity"].get("evidence", {}))
+    assert keys - _readme_schema_names() == set()
 
 
 @pytest.mark.parametrize("line", _readme_commands(), ids=lambda line: line.split()[1])

@@ -492,6 +492,37 @@ def test_certify_rejects_anchor_inside_preperiod():
     assert "preperiod" in str(err.value)
 
 
+def test_certify_rejects_a_period_off_the_stream_period():
+    # w_0 = 1 renders as V0 V2, but 3/2 in base 2 has stream period 2
+    src = rk_source("3/2", 0, 2)
+    cand = PatternCandidate(2, (1,), (0, 1, 0), (), 3, 0, 0)
+    with pytest.raises(PatternRejection) as err:
+        certify_pattern(src, cand)
+    assert err.value.clause == "ii"
+    assert "not a multiple of the stream period 2" in str(err.value)
+
+
+def test_certify_rejects_a_leading_zero_in_v0():
+    # the stream 0 1 1 1 ... starts at w_0 = 0, which renders as "0"
+    src = PeriodicDigitSource((0,), (1,))
+    cand = PatternCandidate(2, (0,), (1,), (), 1, 0, 0)
+    with pytest.raises(PatternRejection) as err:
+        certify_pattern(src, cand)
+    assert err.value.clause == "iv"
+    assert "V0 has a leading zero" in str(err.value)
+
+
+def test_certify_rejects_a_digit_outside_the_base():
+    # V1 = (0, 2) has the value of the true (1, 0), so (iii) holds
+    src = rk_source("3/2", 0, 2)
+    certify_pattern(src, PatternCandidate(2, (1, 0), (1, 0), (), 2, 1, 1))
+    cand = PatternCandidate(2, (1, 0), (0, 2), (), 2, 1, 1)
+    with pytest.raises(PatternRejection) as err:
+        certify_pattern(src, cand)
+    assert err.value.clause == "iv"
+    assert "V1 uses a digit outside base 2" in str(err.value)
+
+
 def test_certify_rejects_degenerate_shapes():
     src = rk_source("3/2", 0, 2)
     empty_v0 = PatternCandidate(2, (), (1, 0), (1,), 2, 0, 0)

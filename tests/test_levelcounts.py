@@ -35,7 +35,7 @@ def norm_of(alpha, beta, base):
 
 def d_verdict(norm, window):
     """The d verdict on tables certifying r and d on window terms."""
-    return decide_d_periodicity(InstanceTables(norm, window, window, window + 1), window)[1]
+    return decide_d_periodicity(InstanceTables(norm, window, window), window)[2]
 
 
 N_SQRT2 = norm_of("sqrt(2)", 0, 2)
@@ -91,7 +91,6 @@ def test_align_sqrt2():
     res = align_m0(lc, jump_positions(N_SQRT2, 35))
     assert res.ok and res.m0 == 0
     assert res.threshold == 1 and res.mismatches == ()
-    assert lc.alignment is res
 
 
 def test_align_alpha_one_every_level_hits():
@@ -110,7 +109,7 @@ def test_align_single_hit_shifts_threshold():
     assert res.m0 == 0
     assert res.mismatches == (1,)
     assert res.threshold == 2
-    d_seq(lc, r_stream(n, 30))  # cross-check starts past the threshold, so this must pass
+    d_seq(lc, r_stream(n, 30), res)  # cross-check starts past the threshold, so this must pass
 
 
 def test_align_degenerate_recurring_hits():
@@ -140,8 +139,7 @@ def test_align_hit_on_the_top_level_blocks_alignment():
 
 def test_d_frozen_sqrt2():
     lc = f_counts(N_SQRT2, 10)
-    align_m0(lc, jump_positions(N_SQRT2, 15))
-    d = d_seq(lc, r_stream(N_SQRT2, 10))
+    d = d_seq(lc, r_stream(N_SQRT2, 10), align_m0(lc, jump_positions(N_SQRT2, 15)))
     assert d.start == 0
     assert [d.at(k) for k in (1, 2, 3)] == [1, 0, -1]
 
@@ -149,7 +147,22 @@ def test_d_frozen_sqrt2():
 def test_d_alpha_one_vanishes():
     n = norm_of(1, 0, 2)
     lc = f_counts(n, 10)
-    assert set(d_seq(lc, r_stream(n, 10)).values) == {0}
+    alignment = align_m0(lc, jump_positions(n, 11))
+    assert alignment.ok
+    assert set(d_seq(lc, r_stream(n, 10), alignment).values) == {0}
+
+
+def test_d_seq_checks_a_prefix_view_on_its_own_alignment():
+    # a prefix view carries nothing of the counts it was cut from: d_seq
+    # cross-checks the tail named by the alignment it is handed
+    view = f_counts(N_SQRT2, 30).prefix(20)
+    alignment = align_m0(view, jump_positions(N_SQRT2, 21))
+    assert alignment.ok and (alignment.threshold, alignment.checked_to) == (1, 20)
+    rs = r_stream(N_SQRT2, 20)
+    d_seq(view, rs, alignment)
+    rs[15] += 1  # r_16, read by d_15 and d_16
+    with pytest.raises(ConsistencyError, match="jump digits predict"):
+        d_seq(view, rs, alignment)
 
 
 def test_decide_d_three_halves():
@@ -173,7 +186,7 @@ def test_decide_d_alpha_one():
 
 def test_decide_d_checks_the_handed_r_certificate():
     n = norm_of("3/2", 0, 2)
-    tables = InstanceTables(n, 12, 12, 13)
+    tables = InstanceTables(n, 12, 12)
     rv = tables.r_verdict
     cert = rv.certificate
     bent = replace(cert, cycle=(cert.cycle[0], cert.cycle[1] + 1))
@@ -186,13 +199,13 @@ def test_decide_d_reports_the_levels_it_certified_on():
     # fk's shape: the reported levels are a prefix of the certified ones,
     # aligned on the shared jump table, and equal to counts of their own
     n = norm_of("7/5", "1/3", 10)
-    tables = InstanceTables(n, 60, 60, 21)
-    lc, v = decide_d_periodicity(tables, 20)
+    tables = InstanceTables(n, 60, 60)
+    lc, alignment, v = decide_d_periodicity(tables, 20)
     assert v.kind == "Periodic" and v.certificate.modulus == 7
     own = f_counts(n, 20)
     assert (lc.k_min, lc.k_max, lc.f, lc.enum_verified_to) == (
         own.k_min, own.k_max, own.f, own.enum_verified_to)
-    assert lc.alignment == align_m0(own, jump_positions(n, 21))
+    assert alignment == align_m0(own, jump_positions(n, 21))
     assert v == d_verdict(n, 60)
 
 
@@ -210,8 +223,7 @@ def test_decide_d_survives_degenerate_alignment():
 
 def test_partial_sums_rebuild_r_on_aligned_tail():
     lc = f_counts(N_SQRT2, 25)
-    align_m0(lc, jump_positions(N_SQRT2, 30))
-    d = d_seq(lc, r_stream(N_SQRT2, 25))
+    d = d_seq(lc, r_stream(N_SQRT2, 25), align_m0(lc, jump_positions(N_SQRT2, 30)))
     acc = oracle_r(N_SQRT2.alpha, N_SQRT2.beta, 2, 1)
     for k in range(1, 24):
         acc += d.at(k)
@@ -334,7 +346,7 @@ def test_aligned_tail_matches_digit_differences(alpha, beta, base):
     n = normalize(FloorLogInstance(alpha, beta, base))
     lc = f_counts(n, 24)
     res = align_m0(lc, jump_positions(n, 30))
-    d = d_seq(lc, r_stream(n, 24))  # raises on its own if the aligned tail disagrees
+    d = d_seq(lc, r_stream(n, 24), res)  # raises on its own if the aligned tail disagrees
     if res.ok:
         m0, t = res.m0, res.threshold
         for k in range(max(t, 1), 12):
