@@ -213,14 +213,18 @@ def _normalized(fields: dict) -> NormalizedInstance:
         raise UsageError(str(exc))
 
 
-def _digit_word(fields: dict, key: str, default=None) -> tuple[int, ...]:
+def _digit_word(fields: dict, key: str, default=None, *, allow_empty=False) -> tuple[int, ...]:
+    """The digit word under key, checked here so that a message names its flag."""
     text = str(_field(fields, key, default))
-    if text == "":
-        return ()
     try:
-        return parse_word(text)
+        word = parse_word(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse {_flag(key)}: {exc}")
+    if not word and not allow_empty:
+        raise UsageError(f"{_flag(key)} must hold at least one digit")
+    if any(d < 0 for d in word):
+        raise UsageError(f"{_flag(key)} digits must be nonnegative")
+    return word
 
 
 def _digit_source(fields: dict, window: int) -> tuple[DigitSource, int]:
@@ -233,7 +237,7 @@ def _digit_source(fields: dict, window: int) -> tuple[DigitSource, int]:
         if kind == "periodic":
             if fields.get("period") is None:
                 raise UsageError("--period is required for --source periodic")
-            pre = _digit_word(fields, "preperiod", "")
+            pre = _digit_word(fields, "preperiod", "", allow_empty=True)
             return PeriodicDigitSource(pre, _digit_word(fields, "period")), base
         if kind == "explicit":
             if fields.get("word") is None:
@@ -336,8 +340,8 @@ def _kernel_scope(base: int, depth: int, prefix_len: int, flags: str) -> int:
 
 
 def _kernel_report(norm: NormalizedInstance, depth: int, prefix_len: int, scope: int, jumps):
-    bitmap = v_indicator(norm, scope - 1, jumps)
-    return kernel_explore(lambda n: bitmap[n], norm.base, depth, prefix_len)
+    steps = v_indicator(norm, scope - 1, jumps)
+    return kernel_explore(steps.__getitem__, norm.base, depth, prefix_len)
 
 
 # ---------------------------------------------------------------------------

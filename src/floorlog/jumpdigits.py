@@ -90,21 +90,33 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     fraction of a second, but 2000 terms in base 4096 take about 20 s.
     Where B is zero or changes sign (at most once, since B moves
     monotonically away from its fixed point) one call of the exact floor
-    kernel floor_quadratic restarts the spigot.  A rational stream is the
-    same loop with B = 0.
+    kernel floor_quadratic restarts the spigot.
+
+    A rational stream (d == 1, so B = t = 0 throughout) takes its own
+    loop: num = base*A + const, r = num // C, A' = num - r*C.  A stays
+    below C, so a term costs a few operations on numbers of the size of
+    the slope's denominators, with no floor_quadratic call and no spigot.
 
     jump_positions takes two fixed-point roots once per call and brackets
     each c_k from base^k times the first, calling floor_quadratic on
-    (A_k, B_k) where the bracket straddles; it carries no remainder and
-    never looks at this spigot.  The two routes share only the exact floor
-    kernel, never a root value or a stepping rule, so comparing them is a
-    real cross-check, not one computation with itself.
+    (A_k, B_k) where the bracket straddles; on a rational slope it divides
+    the whole numerator base^k*p - e afresh at every k.  It carries no
+    remainder and never looks at this spigot.  The two routes share only
+    the exact floor kernel, never a root value, a remainder or a stepping
+    rule, so comparing them is a real cross-check, not one computation
+    with itself.
     """
     b = norm.base
     tail = (norm.beta / norm.alpha).frac()
     g = ((b - norm.beta) / norm.alpha).frac()
     den, d, ((a, rad), (ta, tb)) = over_common_denominator(g, tail)
     shift, t = (b - 1) * ta, (b - 1) * tb
+    if d == 1:
+        while True:
+            num = b * a + shift
+            r = num // den
+            yield r
+            a = num - r * den
     # per sign of B, with tau = sign*t: tau*d, u = floor(tau*sqrt(d)), tau^2 d - u^2
     spigot = {}
     for sign in (1, -1):
@@ -253,6 +265,11 @@ class ModCycleCertificate:
             return self.head[k - 1]
         return self.cycle[(k - self.preperiod - 1) % self.period]
 
+    def replay(self, count: int) -> list[int]:
+        """predict(1), ..., predict(count): the head, then the cycle repeated."""
+        repeats = max(0, -(-(count - self.preperiod) // self.period))
+        return list(self.head + self.cycle * repeats)[:count]
+
 
 @dataclass(frozen=True)
 class PeriodicityVerdict:
@@ -297,21 +314,23 @@ def minimize_cycle(values, cover_preperiod: int, cover_period: int) -> tuple[int
     period must divide the cover period and the true preperiod can only be
     shorter, checking divisors over one covered period and peeling the
     preperiod back yields the certified minimum, not just an empirical one.
+    Each check compares one covered period with its shift as two slices;
+    only a failed cover is walked index by index, to name where it breaks.
     """
     if len(values) < cover_preperiod + 2 * cover_period:
         raise ValueError("window too short to verify the promised cover")
-    window = range(cover_preperiod, cover_preperiod + cover_period)
-    for i in window:
-        if values[i] != values[i + cover_period]:
-            raise ConsistencyError(
-                f"promised period {cover_period} after {cover_preperiod} "
-                f"breaks at index {i}"
-            )
-    period = cover_period
-    for cand in _divisors(cover_period):
-        if all(values[i] == values[i + cand] for i in window):
-            period = cand
-            break
+    lo, hi = cover_preperiod, cover_preperiod + cover_period
+    window = values[lo:hi]
+    if window != values[lo + cover_period : hi + cover_period]:
+        i = next(i for i in range(lo, hi) if values[i] != values[i + cover_period])
+        raise ConsistencyError(
+            f"promised period {cover_period} after {cover_preperiod} "
+            f"breaks at index {i}"
+        )
+    period = next(
+        cand for cand in _divisors(cover_period)
+        if window == values[lo + cand : hi + cand]
+    )
     preperiod = cover_preperiod
     while preperiod > 0 and values[preperiod - 1] == values[preperiod - 1 + period]:
         preperiod -= 1
@@ -322,10 +341,11 @@ class DigitSource:
     """A (finite or infinite) stream of digits with optional periodicity proof.
 
     The constructor takes the digit iterator, which a finite stream simply
-    ends; one buffer pulls from it only as far as digit(i) and prefix(count)
-    ask.  Subclasses answer periodicity questions about themselves.  The
-    iterator must not hold the source: a generator method would make every
-    source a reference cycle, freed only by the cycle collector.
+    ends; one buffer pulls from it only as far as digit(i), prefix(count)
+    and prefix_value(count, base) ask.  Subclasses answer periodicity
+    questions about themselves.  The iterator must not hold the source: a
+    generator method would make every source a reference cycle, freed
+    only by the cycle collector.
     periodicity is a fact about the whole stream, so each subclass gives
     it as a cached_property, read once.  The honesty contract: it may
     hold a certified verdict only when the subclass can actually prove
@@ -335,6 +355,7 @@ class DigitSource:
     def __init__(self, digits: Iterator[int]):
         self._buffer: list[int] = []
         self._pending = digits
+        self._horner = (0, 0, 0)  # (base, count, value of the first count digits)
 
     def _fill(self, count: int) -> None:
         missing = count - len(self._buffer)
@@ -353,6 +374,28 @@ class DigitSource:
         """The first count digits, or all of them if the stream is shorter."""
         self._fill(count)
         return tuple(self._buffer[:count])
+
+    def prefix_value(self, count: int, base: int) -> int:
+        """numeration.from_word(prefix(count), base), or IndexError past a finite end.
+
+        One running Horner value is kept and extended only as far as asked;
+        a shorter count or another base restarts it from the first digit.
+        As in from_word, a negative digit raises ValueError.
+        """
+        if count < 1:
+            raise ValueError("empty digit word has no value")
+        self._fill(count)
+        if count > len(self._buffer):
+            raise IndexError(f"index {len(self._buffer)} past the end of the stream")
+        last, done, value = self._horner
+        if last != base or done > count:
+            done = value = 0
+        for d in self._buffer[done:count]:
+            if d < 0:
+                raise ValueError("digits must be nonnegative")
+            value = value * base + d
+        self._horner = (base, count, value)
+        return value
 
     @property
     def periodicity(self) -> PeriodicityVerdict:
@@ -411,16 +454,18 @@ def certify_cycle(
 
     orbit is the (preperiod, period) of base^k mod modulus.  The cover is
     minimized against values, and every value is replayed against the
-    resulting certificate; a mismatch raises ConsistencyError.
+    resulting certificate in one list comparison; a mismatch raises
+    ConsistencyError naming its first index.
     """
     preperiod, period = minimize_cycle(values, *orbit)
     cert = ModCycleCertificate(
         modulus, *orbit, preperiod, period, tuple(values[:preperiod]),
         tuple(values[preperiod : preperiod + period]), tuple(hits),
     )
-    for k, value in enumerate(values, 1):
-        if cert.predict(k) != value:
-            raise ConsistencyError(f"certificate replay fails at k={k}")
+    replayed = cert.replay(len(values))
+    if replayed != list(values):
+        k = next(k for k, (a, b) in enumerate(zip(replayed, values), 1) if a != b)
+        raise ConsistencyError(f"certificate replay fails at k={k}")
     return PeriodicityVerdict.periodic(preperiod, period, cert)
 
 

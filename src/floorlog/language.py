@@ -460,9 +460,10 @@ def certify_pattern(src: DigitSource, candidate: PatternCandidate) -> CertifiedP
     Four clauses, checked in order:
 
       (i)   base case: rendering of w_anchor equals V0 V2, where the
-            value is recomputed from the source digits alone and
-            rendered by to_word, independently of the carry rendering
-            in words() that the candidate was found on;
+            value is folded from the source digits alone (the source's
+            running prefix_value) and rendered by to_word, independently
+            of the carry rendering in words() that the candidate was
+            found on;
       (ii)  structural recurrence: the source is certified ultimately
             periodic, its period divides the pattern period, and the
             anchor's digit block sits entirely past the preperiod;
@@ -479,7 +480,7 @@ def certify_pattern(src: DigitSource, candidate: PatternCandidate) -> CertifiedP
     p = candidate.period
     n0 = candidate.anchor
 
-    value = from_word(_read(src, 0, n0 + 1), b)
+    value = src.prefix_value(n0 + 1, b)
     if to_word(value, b) != candidate.v0 + candidate.v2:
         raise PatternRejection(
             "i",

@@ -47,6 +47,14 @@ def _level_starts(norm: NormalizedInstance, k_lo: int, k_hi: int) -> list[int]:
         A = num*p - bden*e,  B = num*q - bden*f,  C = bden*den.
 
     The ceiling of that quotient is -floor_quadratic(-A, -B, d, C).
+
+    A rational instance (d == 1) has B == 0, and from level 0 up it steps
+    A_(k+1) = base*A_k + (base - 1)*e and takes each ceiling as
+    -(-A_k // C): one division of the whole numerator per level, with no
+    floor_quadratic call.  Negative levels (bden > 1) keep the general
+    path.  Nothing here is read off jump_positions' table or r_digits'
+    remainders, so comparing f with the jump gaps, and d with the
+    differences of r, stays a check.
     """
     b = norm.base
     den, d, ((p, q), (e, f)) = over_common_denominator(
@@ -55,7 +63,8 @@ def _level_starts(norm: NormalizedInstance, k_lo: int, k_hi: int) -> list[int]:
     num, bden = (b**k_lo, 1) if k_lo >= 0 else (1, b**-k_lo)
     n_min = norm.n_min
     starts = []
-    for _ in range(k_lo, k_hi + 1):
+    k = k_lo
+    while k <= k_hi and (d > 1 or bden > 1):
         a = num * p - bden * e
         rad = num * q - bden * f
         starts.append(max(-floor_quadratic(-a, -rad, d, bden * den), n_min))
@@ -63,6 +72,12 @@ def _level_starts(norm: NormalizedInstance, k_lo: int, k_hi: int) -> list[int]:
             bden //= b
         else:
             num *= b
+        k += 1
+    if k <= k_hi:
+        a, step = num * p - e, (b - 1) * e
+        for _ in range(k, k_hi + 1):
+            starts.append(max(-(-a // den), n_min))
+            a = a * b + step
     return starts
 
 
@@ -248,13 +263,14 @@ def d_seq(lc: LevelCounts, r_terms: Sequence[int], alignment: AlignmentResult) -
     values = tuple(lc.f[k + 1] - b * lc.f[k] for k in range(start, lc.k_max))
     slice_ = SeqSlice(start=start, values=values)
     if alignment.ok:
-        t = max(alignment.threshold, start, 1)
-        for k in range(t, min(alignment.checked_to, lc.k_max)):
-            want = r_terms[k] - r_terms[k - 1]
-            if slice_.at(k) != want:
-                raise ConsistencyError(
-                    f"d_{k} = {slice_.at(k)} but jump digits predict {want}"
-                )
+        t, top = max(alignment.threshold, start, 1), min(alignment.checked_to, lc.k_max)
+        got = values[t - start : top - start]
+        want = [r_terms[k] - r_terms[k - 1] for k in range(t, top)]
+        if list(got) != want:
+            i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            raise ConsistencyError(
+                f"d_{t + i} = {got[i]} but jump digits predict {want[i]}"
+            )
     return slice_
 
 
@@ -271,15 +287,18 @@ def certify_d(
     jd = jumps.prefix(span + 2)
     alignment = align_m0(lc, jd)
     d_slice = d_seq(lc, r_terms, alignment)  # runs the aligned-tail cross-check
-    d_list = [d_slice.at(k) for k in range(1, span + 1)]
+    d_list = list(d_slice.values[1 - d_slice.start :])  # d_1..d_span
 
     if alignment.ok:
-        for k in range(alignment.threshold, span + 1):
-            if cert_r.predict(k + 1) - cert_r.predict(k) != d_list[k - 1]:
-                raise ConsistencyError(
-                    f"r certificate fails to predict d_{k} through the "
-                    f"difference map"
-                )
+        t = alignment.threshold
+        rs = cert_r.replay(span + 1)
+        mapped = [hi - lo for lo, hi in zip(rs[t - 1 : span], rs[t:])]
+        if mapped != d_list[t - 1 :]:
+            k = next(k for k, (m, v) in enumerate(zip(mapped, d_list[t - 1 :]), t) if m != v)
+            raise ConsistencyError(
+                f"r certificate fails to predict d_{k} through the "
+                f"difference map"
+            )
     orbit = (cert_r.orbit_preperiod, cert_r.orbit_period)
     return certify_cycle(d_list, cert_r.modulus, orbit, jd.integrality_hits)
 

@@ -219,8 +219,14 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
 
     and c_k = floor_quadratic(A_k, B_k, d, C).  The quotient is an
     integer exactly when B_k == 0 and C divides A_k; that case is one
-    divmod.  A rational instance (d == 1) has B_k == 0 at every k and
-    takes no root at all.
+    divmod.
+
+    A rational instance (d == 1) has B_k == 0 at every k and takes its
+    own loop: A_(k+1) = base*A_k + (base - 1)*e, and c_k with its
+    integrality flag is one divmod of A_k by C.  It carries no power of
+    the base, no scaled root and no B_k.  Each c_k comes from the whole
+    numerator, never from c_(k-1) and a remainder as r_digits steps, so
+    the table stays an independent route to r.
 
     For d > 1 the roots are fixed-point numbers taken once per call:
     Q = floor(q*sqrt(d)*2^M) and F = floor(f*sqrt(d)*2^M), with M the bit
@@ -252,12 +258,19 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     )
     cs = []
     hits = []
+    if d == 1:
+        num, step = p - e, (b - 1) * e
+        for k in range(1, k_max + 1):
+            num = num * b + step
+            c, rest = divmod(num, den)
+            if not rest:
+                hits.append(k)
+            cs.append(c)
+        return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
     power = 1
-    shift = scaled = root_f = 0
-    if d > 1:
-        shift = (b**k_max).bit_length() + _ROOT_GUARD_BITS
-        scaled = floor_quadratic(0, q << shift, d, 1)
-        root_f = floor_quadratic(0, f << shift, d, 1)
+    shift = (b**k_max).bit_length() + _ROOT_GUARD_BITS
+    scaled = floor_quadratic(0, q << shift, d, 1)
+    root_f = floor_quadratic(0, f << shift, d, 1)
     for k in range(1, k_max + 1):
         power *= b
         scaled *= b
@@ -285,25 +298,43 @@ def jump_levels_past(base: int, size: int) -> int:
     return len(to_word(size + 1, base)) + 1
 
 
+class StepIndicator:
+    """Read-only v_n = u_{n+1} - u_n for 0 <= n <= size, held as its steps.
+
+    Indexing returns 1 at a step position and 0 elsewhere, and raises
+    IndexError outside 0..size, negative indices included, so a reader
+    that walks past its range fails as it would on a list.
+    """
+
+    __slots__ = ("size", "steps")
+
+    def __init__(self, size: int, steps: frozenset[int]):
+        self.size = size
+        self.steps = steps
+
+    def __getitem__(self, n: int) -> int:
+        if not 0 <= n <= self.size:
+            raise IndexError(f"index {n} outside 0..{self.size}")
+        return 1 if n in self.steps else 0
+
+
 def v_indicator(
     norm: NormalizedInstance, size: int, jumps: JumpData | None = None
-) -> bytearray:
+) -> StepIndicator:
     """The unit-step indicator v_n = u_{n+1} - u_n for 0 <= n <= size.
 
     Read directly off the jump positions: the step to level k sits at
     index c_k, except when the level boundary is hit exactly, where it
-    moves one slot earlier.  Cheap even for large size because only
-    log-many jumps land inside the range: jump_levels_past(base, size)
-    levels, computed here or read as the prefix of a given jump table.
+    moves one slot earlier.  Only log-many jumps land inside the range,
+    jump_levels_past(base, size) levels, computed here or read as the
+    prefix of a given jump table, so the view keeps that set of step
+    positions rather than size + 1 entries: its memory does not grow
+    with size.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
     k_max = jump_levels_past(norm.base, size)
     jumps = jump_positions(norm, k_max) if jumps is None else jumps.prefix(k_max)
-    bm = bytearray(size + 1)
-    for k in range(1, jumps.k_max + 1):
-        c = jumps.at(k)
-        pos = c - 1 if k in jumps.integrality_hits else c
-        if 0 <= pos <= size:
-            bm[pos] = 1
-    return bm
+    hits = set(jumps.integrality_hits)
+    positions = (c - 1 if k in hits else c for k, c in enumerate(jumps.c, 1))
+    return StepIndicator(size, frozenset(pos for pos in positions if 0 <= pos <= size))

@@ -9,14 +9,18 @@ non-boundary inputs and always terminate.
 Deliberately shares no arithmetic with floorlog.exact: different data
 structure, different floor algorithm, different comparison logic.
 
+The rational oracles (the jump table and the level starts of a
+rational instance) take one Fraction floor or ceiling per level.
+
 The word-level oracles (rendering, the unpruned pattern scan, the
 ungrouped pattern automaton) work on plain digit tuples; the last shares
 only the Dfa table and its minimization with floorlog.automata.
 
 The reference forms that follow are the direct versions of library
 routines, kept to compare against: normalization one power of the base
-at a time, a jump table with a fresh isqrt per index, and the jump-digit
-classification swept on ExactReal values.  They use floorlog.exact and
+at a time, a jump table with a fresh isqrt per index, the step indicator
+v as one byte per index, and the jump-digit classification swept on
+ExactReal values.  They use floorlog.exact and
 the library's record types.
 
 The audits at the end check identities the library's results must
@@ -33,7 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 from typing import Iterable
 
 from floorlog.automata import Dfa
@@ -52,6 +56,7 @@ from floorlog.sequences import (
     JumpData,
     NormalizedInstance,
     SeqSlice,
+    jump_positions,
     u_seq,
     u_term,
 )
@@ -262,6 +267,24 @@ def oracle_f(alpha, beta, base: int, k: int, n_min: int) -> int:
     return count
 
 
+def rational_jumps(alpha: Fraction, beta: Fraction, base: int, k_max: int) -> JumpData:
+    """The jump table of a rational instance: one Fraction floor per k."""
+    cs, hits = [], []
+    for k in range(1, k_max + 1):
+        x = (_bpow(base, k) - beta) / alpha
+        cs.append(floor(x))
+        if x.denominator == 1:
+            hits.append(k)
+    return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
+
+
+def rational_level_starts(
+    alpha: Fraction, beta: Fraction, base: int, k_lo: int, k_hi: int, n_min: int
+) -> list[int]:
+    """max(ceil((base^k - beta)/alpha), n_min) for k_lo..k_hi, on Fractions."""
+    return [max(ceil((_bpow(base, k) - beta) / alpha), n_min) for k in range(k_lo, k_hi + 1)]
+
+
 def enumerate_words(values: Iterable[int], base: int) -> list[tuple[int, ...]]:
     out = []
     for v in values:
@@ -465,6 +488,27 @@ def jump_positions_fresh_roots(norm, k_max: int) -> JumpData:
                 hits.append(k)
         cs.append(c)
     return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
+
+
+def dense_v_indicator(norm, size: int) -> bytearray:
+    """v_n for n <= size as a bytearray, read off the jump levels.
+
+    The dense form: one byte per index.  The table grows four levels at
+    a time until its last jump lies past size, independently of
+    sequences.jump_levels_past.
+    """
+    k_max = 4
+    jumps = jump_positions(norm, k_max)
+    while jumps.at(jumps.k_max) <= size:
+        k_max += 4
+        jumps = jump_positions(norm, k_max)
+    bm = bytearray(size + 1)
+    for k in range(1, jumps.k_max + 1):
+        c = jumps.at(k)
+        pos = c - 1 if k in jumps.integrality_hits else c
+        if 0 <= pos <= size:
+            bm[pos] = 1
+    return bm
 
 
 def classify_range_exact(norm, k_max: int) -> list[RkRecord]:

@@ -18,8 +18,8 @@ from floorlog.automata import (
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import InstanceTables
 from floorlog.language import decide_regularity
-from floorlog.sequences import FloorLogInstance, jump_positions, normalize
-from oracles import from_patterns_ungrouped
+from floorlog.sequences import FloorLogInstance, normalize
+from oracles import dense_v_indicator, from_patterns_ungrouped
 
 
 def all_words(base, max_len):
@@ -229,22 +229,6 @@ def test_dfa_validation():
         pattern_dfa_10star().walk("13")  # digit outside alphabet
 
 
-def v_bitmap(norm, size):
-    """v_n for n <= size as a bytearray, read off the jump levels."""
-    k_max = 4
-    jumps = jump_positions(norm, k_max)
-    while jumps.at(jumps.k_max) <= size:
-        k_max += 4
-        jumps = jump_positions(norm, k_max)
-    bm = bytearray(size + 1)
-    for k in range(1, jumps.k_max + 1):
-        c = jumps.at(k)
-        pos = c - 1 if k in jumps.integrality_hits else c
-        if 0 <= pos <= size:
-            bm[pos] = 1
-    return bm
-
-
 def test_kernel_constant_sequence():
     rep = kernel_explore(lambda n: 0, 2, 6, 32)
     assert rep.distinct == 1 and rep.closure
@@ -253,7 +237,7 @@ def test_kernel_constant_sequence():
 
 def test_kernel_power_jump_sequence_closes():
     n = normalize(FloorLogInstance(ExactReal(1), ExactReal(0), 2))
-    bm = v_bitmap(n, 1 << 17)
+    bm = dense_v_indicator(n, 1 << 17)
     rep = kernel_explore(lambda i: bm[i], 2, 8, 256)
     assert rep.closure
     assert rep.distinct == 4
@@ -268,7 +252,7 @@ def test_kernel_sqrt2_jump_sequence_saturates_the_window():
     # walk stalls once residue collisions run out and then reports closure.
     # That is the under-approximation doing exactly what its warning says.
     n = normalize(FloorLogInstance(ExactReal.sqrt(2), ExactReal(0), 2))
-    bm = v_bitmap(n, 1 << 17)
+    bm = dense_v_indicator(n, 1 << 17)
     rep = kernel_explore(lambda i: bm[i], 2, 8, 256)
     assert rep.distinct_by_depth == (1, 3, 7, 13, 16, 19, 19, 19, 19)
     assert rep.closure

@@ -242,6 +242,38 @@ _RK_STDOUT_SHA256 = {
 }
 
 
+# the first 40 rational-orbit inputs of perfbench seed 401 (alpha, beta,
+# base), and the sha256 of their run_analyze reports at window 200,
+# timings dropped, each canonical report followed by a newline; computed
+# while every certificate replay ran one predict call per index
+_ORBIT_401 = (
+    ("47/43", "1/2", 10), ("157/39", "1/3", 10), ("41/11", "0", 10),
+    ("1439/572", "0", 10), ("47/40", "0", 2), ("653/466", "1/2", 3),
+    ("31/23", "0", 3), ("607/601", "0", 2), ("2161/827", "1/2", 10),
+    ("1427/559", "1/3", 10), ("241/234", "1/3", 2), ("2473/1643", "0", 3),
+    ("59/31", "0", 3), ("701/411", "1/2", 10), ("73/28", "1/3", 10),
+    ("2969/2058", "1/3", 2), ("47/8", "1/3", 10), ("1559/290", "1/2", 10),
+    ("2161/491", "1/2", 10), ("151/78", "1/3", 10), ("41/20", "0", 10),
+    ("1831/1352", "0", 2), ("89/67", "1/3", 10), ("1511/1050", "0", 10),
+    ("29/17", "1/2", 3), ("1427/827", "0", 10), ("337/197", "1/3", 2),
+    ("677/280", "1/2", 3), ("281/150", "1/3", 10), ("151/51", "1/2", 10),
+    ("127/71", "1/3", 10), ("3221/3119", "1/2", 3), ("29/12", "0", 3),
+    ("1453/1103", "0", 10), ("7/3", "1/3", 10), ("163/122", "1/3", 10),
+    ("601/351", "1/2", 2), ("1201/871", "1/2", 2), ("2791/1160", "1/2", 10),
+    ("1439/1091", "1/3", 10),
+)
+_ORBIT_401_SHA256 = "56c2d465d0d110c45756ee4417e127e7aeb2fcc0d7815605d0310a295b93481c"
+
+
+def test_rational_orbit_reports_are_pinned():
+    digest = hashlib.sha256()
+    for alpha, beta, base in _ORBIT_401:
+        report = run_analyze({"alpha": alpha, "beta": beta, "base": base, "window": 200})
+        del report["timings"]
+        digest.update(cli._canonical(report).encode() + b"\n")
+    assert digest.hexdigest() == _ORBIT_401_SHA256
+
+
 @pytest.mark.parametrize("instance", sorted(_RK_STDOUT_SHA256))
 def test_rk_output_is_pinned(capsys, instance):
     code, out, _ = run(capsys, "rk", *_RK_FLAGS[instance], "--kmax", "1000")
@@ -335,9 +367,16 @@ _UNUSABLE = {
     "tm-blocks-without-block-b": (("decide", "--source", "tm-blocks", "--block-a", "10",
                                    "--base", "2"), None, "--block-b"),
     "period-negative-digit": (("decide", "--source", "periodic", "--period", "[-1]",
-                               "--base", "2"), None, "nonnegative"),
+                               "--base", "2"), None, "--period digits must be nonnegative"),
+    "preperiod-negative-digit": (("decide", "--source", "periodic", "--preperiod", "[1,-1]",
+                                  "--period", "1", "--base", "2"), None,
+                                 "--preperiod digits must be nonnegative"),
     "period-empty": (("decide", "--source", "periodic", "--period", "", "--base", "2"),
-                     None, "period block"),
+                     None, "--period must hold at least one digit"),
+    "period-empty-list": (("decide", "--source", "periodic", "--period", "[]",
+                           "--base", "2"), None, "--period must hold at least one digit"),
+    "word-empty": (("decide", "--source", "explicit", "--word", "", "--base", "2"),
+                   None, "--word must hold at least one digit"),
     "period-empty-digit": (("decide", "--source", "periodic", "--period", "[1,,2]",
                             "--base", "2"), None, "--period"),
     "seq-from-negative": (("seq", "--alpha", "3/2", "--base", "2", "--from", "-1"),

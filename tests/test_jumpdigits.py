@@ -14,6 +14,7 @@ from floorlog.jumpdigits import (
     classify_range,
     detect_period,
     inverse_slope_digits,
+    minimize_cycle,
     r_direct,
     r_from_jumps,
     r_recur,
@@ -219,6 +220,16 @@ def test_certify_cycle_replays_every_value():
     # only the replay can catch it
     with pytest.raises(ConsistencyError, match="replay fails at k=9"):
         certify_cycle(values[:-1] + [7], 7, (1, 2))
+
+
+@pytest.mark.parametrize("bad", [(3,), (6,), (4, 8), (2, 6, 7), (7,), (3, 4, 5)])
+def test_minimize_cycle_names_the_first_break_inside_the_cover(bad):
+    values = [9, 8] + [1, 2, 3] * 3
+    for i in bad:
+        values[i] += 10
+    first = next(i for i in range(2, 5) if values[i] != values[i + 3])
+    with pytest.raises(ConsistencyError, match=f"period 3 after 2 breaks at index {first}$"):
+        minimize_cycle(values, 2, 3)
 
 
 st_alpha = st.one_of(

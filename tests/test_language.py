@@ -729,11 +729,35 @@ def test_decide_certifies_one_candidate_per_residue(monkeypatch, pre, per):
     assert minimized == [(len(pre), len(per))]
 
 
+@pytest.mark.parametrize("counts", [(1, 5, 9, 40), (40, 9, 12, 1), (7, 7, 3, 30)])
+def test_prefix_value_is_from_word_of_the_prefix(counts):
+    src = InstanceTables(norm_of("47/43", "1/2", 10), 50)
+    for base in (10, 3):
+        for count in counts:
+            assert src.prefix_value(count, base) == from_word(src.prefix(count), base)
+
+
+def test_prefix_value_keeps_from_word_rules():
+    finite = ExplicitDigitSource("120")
+    assert finite.prefix_value(3, 3) == 15
+    with pytest.raises(IndexError, match="index 3 past the end"):
+        finite.prefix_value(4, 3)
+    with pytest.raises(ValueError, match="empty digit word"):
+        finite.prefix_value(0, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        jumpdigits.DigitSource(iter([1, 2, -1])).prefix_value(3, 10)
+    longer = ExplicitDigitSource("1201")
+    assert longer.prefix_value(2, 10) == 12
+    assert longer.prefix_value(4, 3) == from_word((1, 2, 0, 1), 3)  # another base restarts
+
+
 def test_decide_surfaces_a_pattern_rejection_as_consistency_error(monkeypatch):
-    # clause (i) recomputes w_anchor with from_word; an off-by-one there
-    # rejects every candidate, which is a bug, not an Inconclusive verdict
-    real = language.from_word
-    monkeypatch.setattr(language, "from_word", lambda word, base: real(word, base) + 1)
+    # clause (i) recomputes w_anchor with the source's prefix_value; an
+    # off-by-one there rejects every candidate, which is a bug, not an
+    # Inconclusive verdict
+    real = jumpdigits.DigitSource.prefix_value
+    monkeypatch.setattr(jumpdigits.DigitSource, "prefix_value",
+                        lambda self, count, base: real(self, count, base) + 1)
     with pytest.raises(ConsistencyError) as err:
         decide_regularity(PeriodicDigitSource("21", "102"), 3)
     assert isinstance(err.value, PatternRejection) and err.value.clause == "i"

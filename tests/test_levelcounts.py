@@ -24,7 +24,7 @@ from floorlog.sequences import (
     normalize,
     u_term,
 )
-from oracles import oracle_f, oracle_r, oracle_u
+from oracles import oracle_f, oracle_r, oracle_u, rational_level_starts
 
 
 def norm_of(alpha, beta, base):
@@ -456,3 +456,23 @@ def test_surd_differences_refused(rational, coeff, d, base):
     n = normalize(FloorLogInstance(alpha, ExactReal(0), base))
     v = d_verdict(n, 8)
     assert v.kind == "AperiodicByTheorem"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=400),
+    q=st.integers(min_value=1, max_value=400),
+    beta=st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(7, 5))),
+    base=st.integers(min_value=2, max_value=10),
+    k_lo=st.integers(min_value=-4, max_value=3),
+)
+@example(p=5, q=4, beta=Fraction(0), base=10, k_lo=0)
+@example(p=5, q=4, beta=Fraction(1, 2), base=10, k_lo=-3)
+def test_rational_level_starts_match_fraction_oracle(p, q, beta, base, k_lo):
+    # negative k_lo takes the general path below level 0, then the
+    # rational step from level 0 on
+    n = normalize(FloorLogInstance(ExactReal(Fraction(p, q)), ExactReal(beta), base))
+    want = rational_level_starts(
+        n.alpha.as_fraction(), n.beta.as_fraction(), base, k_lo, 30, n.n_min
+    )
+    assert levelcounts._level_starts(n, k_lo, 30) == want

@@ -50,6 +50,8 @@ def test_rational_probes_print_one_line_per_slope():
     verdicts = [word for line in lines for word in line.split() if word.startswith("language=")]
     assert verdicts == ["language=Regular", "language=Regular", "language=Inconclusive"]
     assert "dfa_states=254" in lines[1].split()
+    peaks = [float(line.split("peak_rss ")[1].removesuffix(" MB")) for line in lines]
+    assert 0 < peaks[0] <= peaks[1] <= peaks[2]
 
 
 def test_surd_probes_time_three_tables_per_depth():

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorlog import cli
+from floorlog.battery import BATTERY, by_name
 from floorlog.exact import ExactReal
 from floorlog.sequences import (
     ConsistencyError,
@@ -16,8 +17,17 @@ from floorlog.sequences import (
     normalize,
     u_seq,
     u_term,
+    v_indicator,
 )
-from oracles import normalize_stepwise, oracle_c, oracle_u, v_seq, verify_jumps_against_v
+from oracles import (
+    dense_v_indicator,
+    normalize_stepwise,
+    oracle_c,
+    oracle_u,
+    rational_jumps,
+    v_seq,
+    verify_jumps_against_v,
+)
 
 SQRT2 = ExactReal.sqrt(2)
 
@@ -298,3 +308,52 @@ def test_level_of_a_4000_digit_denominator_is_a_few_operations(monkeypatch, caps
     monkeypatch.undo()
     assert cli.main(["seq", "--alpha", f"1/{nines}", "--base", "2", "--to", "3"]) == 0
     assert capsys.readouterr().out.strip() == "-13288,-13287,-13287"
+
+
+RATIONAL_OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(7, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=400),
+    q=st.integers(min_value=1, max_value=400),
+    beta=st.sampled_from(RATIONAL_OFFSETS),
+    base=st.integers(min_value=2, max_value=10),
+)
+@example(p=5, q=4, beta=Fraction(0), base=10)
+def test_rational_jump_table_matches_fraction_oracle(p, q, beta, base):
+    n = normalize(FloorLogInstance(ExactReal(Fraction(p, q)), ExactReal(beta), base))
+    want = rational_jumps(n.alpha.as_fraction(), n.beta.as_fraction(), base, 40)
+    assert jump_positions(n, 40) == want
+
+
+def test_five_quarters_hits_an_integer_at_every_level():
+    n = norm_of("5/4", 0, 10)
+    jd = jump_positions(n, 30)
+    assert jd.integrality_hits == tuple(range(1, 31))
+    assert jd == rational_jumps(Fraction(5, 4), Fraction(0), 10, 30)
+
+
+@pytest.mark.parametrize("inst", BATTERY, ids=lambda i: i.name)
+def test_step_view_reads_like_the_dense_indicator(inst):
+    n = inst.normalized()
+    view, dense = v_indicator(n, 3000), dense_v_indicator(n, 3000)
+    assert list(view) == list(dense)  # iteration ends at the IndexError past size
+
+
+@pytest.mark.parametrize("name", ["i14", "i03"])
+def test_step_view_matches_the_dense_indicator_at_kernel_scale(name):
+    # the size criterion 3 walks its kernels on
+    n, size = by_name(name).normalized(), 2**9 * 4096 - 1
+    view, dense = v_indicator(n, size), dense_v_indicator(n, size)
+    assert view.size == len(dense) - 1 == size
+    ones, i = set(), dense.find(1)
+    while i >= 0:
+        ones.add(i)
+        i = dense.find(1, i + 1)
+    assert view.steps == ones
+    for i in sorted({0, size} | {j + s for j in ones for s in (-1, 0, 1)} - {-1, size + 1}):
+        assert view[i] == dense[i]
+    for outside in (-1, size + 1, size + 2**20):
+        with pytest.raises(IndexError):
+            view[outside]
