@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/, each in its own interpreter."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -52,6 +53,21 @@ def test_rational_probes_print_one_line_per_slope():
     assert "dfa_states=254" in lines[1].split()
     peaks = [float(line.split("peak_rss ")[1].removesuffix(" MB")) for line in lines]
     assert 0 < peaks[0] <= peaks[1] <= peaks[2]
+
+
+# SHA-256 of the census slice below, taken before the rational
+# certificates moved onto residues: the byte-identity corpus for the
+# rational tables, next to the battery and rational-orbit report pins
+_CENSUS_SLICE_SHA256 = "3979343cb91e4b4d9d392fd15b062bdd347b2fef10290a1dd056cbc44513c1b2"
+
+
+def test_rational_census_slice_is_regular_and_pinned():
+    lines = run_script("rational_census.py", "--qmax", "8", "--pmax", "20",
+                       "--bases", "2,3", "--betas", "0,1/2").splitlines()
+    records = [json.loads(line) for line in lines[:-1]]
+    assert len(records) == 420
+    assert all(record["kinds"][1] == "Regular" for record in records)
+    assert lines[-1] == f"sha256 {_CENSUS_SLICE_SHA256}"
 
 
 def test_surd_probes_time_three_tables_per_depth():
