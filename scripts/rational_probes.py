@@ -2,13 +2,13 @@
 """Time the full pipeline on rational slopes with longer and longer orbits.
 
 Runs run_analyze at CLI defaults (window 1000, kmax 200, beta 0, base 10)
-on 7/5, 1009/1000 and 10007/10000, whose orbits of 10 mod the numerator
-have periods 6, 252 and 10006, and prints one line per slope: the wall
-time of the call, each stage's timings, the language verdict, the
-number of DFA states (None unless Regular) and the peak resident set
-size of the process so far, ru_maxrss from resource.getrusage (Linux
-counts it in KiB), so the last line shows the memory the largest cover
-needed.
+on 7/5, 1009/1000, 10007/10000 and 100003/100000, whose orbits of 10 mod
+the numerator have periods 6, 252, 10006 and 50001, and prints one line
+per slope: the wall time of the call, each stage's timings, the language
+verdict, the number of DFA states (None unless Regular) and the peak
+resident set size of the process so far, ru_maxrss from
+resource.getrusage (Linux counts it in KiB), so the last line shows the
+memory the largest cover needed.
 """
 
 import pathlib
@@ -20,7 +20,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from floorlog.cli import run_analyze
 
-PROBES = ("7/5", "1009/1000", "10007/10000")
+PROBES = ("7/5", "1009/1000", "10007/10000", "100003/100000")
 
 
 def main() -> int:

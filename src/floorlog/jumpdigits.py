@@ -16,7 +16,7 @@ a = digit k+1 of frac(1/alpha):
     C     (F, T)           base + a
     D     (F, F)           base + a - 1
 
-The module evaluates r_k two independent ways, classifies every index,
+The module evaluates r_k by independent routes, classifies every index,
 and decides ultimate periodicity: a replayable modular certificate when
 alpha is rational, a theorem-backed refusal when alpha is an irrational
 surd.  DigitSource is the interface every digit stream is read through;
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import compress, islice
 
 from .exact import _sign_quadratic, floor_quadratic, over_common_denominator
 from .numeration import digit_stream
@@ -156,6 +156,60 @@ def r_stream(norm: NormalizedInstance, k_max: int) -> list[int]:
 def r_from_jumps(jumps: JumpData, base: int) -> list[int]:
     """r_1..r_{k_max-1} read off a precomputed jump table."""
     return [jumps.c[i + 1] - base * jumps.c[i] for i in range(jumps.k_max - 1)]
+
+
+def residue_digits(norm: NormalizedInstance) -> Iterator[tuple[int, int]]:
+    """The pairs (r_k, h_k), k = 1, 2, ..., of a rational slope, off t_k = base^k mod p.
+
+    h_k is 1 when (base^k - beta)/alpha is an integer and 0 otherwise.
+    With alpha = p/q in lowest terms, put sigma_k = q*t_k mod p, which is
+    q*base^k mod p; q is invertible mod p, so sigma_k and t_k determine
+    each other, and the loop steps sigma_k in place of t_k.  Writing
+    q*base^k = p*m_k + sigma_k with m_k an integer,
+
+        (base^k - beta)/alpha = (q*base^k - q*beta)/p = m_k + (sigma_k - q*beta)/p.
+
+    The instance is normalized, so 0 <= q*beta < p, and 0 <= sigma_k < p;
+    the last term therefore lies strictly between -1 and 1.  It is
+    nonnegative exactly when sigma_k >= q*beta, that is (sigma_k being an
+    integer) when sigma_k >= theta = ceil(q*beta), and it is an integer
+    exactly when it is 0.  So
+
+        c_k = m_k - 1 + P_k,  P_k = [sigma_k >= theta],
+        h_k = [q*beta is an integer and sigma_k == q*beta].
+
+    When beta = s/u has a denominator of its own, q*beta = q*s/u is an
+    integer only when u divides q (s and u coprime); otherwise no k is
+    ever hit.  A surd beta is never hit, and theta is one exact ceiling
+    taken before the loop, so each step's test against the fixed surd
+    beta*q/p is a comparison of two integers.
+
+    For r: q*base^(k+1) = base*p*m_k + base*sigma_k, so sigma_(k+1) =
+    base*sigma_k mod p and m_(k+1) - base*m_k = a_k = floor(base*sigma_k/p),
+    which is digit k+1 of frac(q/p) = frac(1/alpha).  Hence
+
+        r_k = c_(k+1) - base*c_k = a_k + base*(1 - P_k) - (1 - P_(k+1)),
+
+    the four shapes of the module docstring, P_k being the threshold test
+    there.  r_k and h_k are thus functions of sigma_k, hence of t_k, and a
+    step is one divmod of base*sigma_k by p: numbers below base*p at every
+    k.  No state is shared with r_digits, which carries the remainder of
+    (base^k - beta)/alpha over the common denominator of its fractions,
+    nor with jump_positions, which divides the whole numerator.
+    """
+    slope = norm.alpha.as_fraction()
+    p, q, b = slope.numerator, slope.denominator, norm.base
+    scaled = norm.beta * q
+    theta = scaled.ceil()
+    exact = scaled.is_rational and scaled.as_fraction().denominator == 1
+    hit = theta if exact else -1  # sigma is never negative
+    sigma = q * b % p
+    pk = sigma >= theta
+    while True:
+        a, following = divmod(b * sigma, p)
+        pk1 = following >= theta
+        yield a + (0 if pk else b) - (0 if pk1 else 1), 1 if sigma == hit else 0
+        sigma, pk = following, pk1
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +395,9 @@ class DigitSource:
     """A (finite or infinite) stream of digits with optional periodicity proof.
 
     The constructor takes the digit iterator, which a finite stream simply
-    ends; one buffer pulls from it only as far as digit(i), prefix(count)
-    and prefix_value(count, base) ask.  Subclasses answer periodicity
-    questions about themselves.  The iterator must not hold the source: a
+    ends; one buffer pulls from it only as far as digit(i), prefix(count),
+    block(start, count) and prefix_value(count, base) ask.  Subclasses
+    answer periodicity questions about themselves.  The iterator must not hold the source: a
     generator method would make every source a reference cycle, freed
     only by the cycle collector.
     periodicity is a fact about the whole stream, so each subclass gives
@@ -374,6 +428,16 @@ class DigitSource:
         """The first count digits, or all of them if the stream is shorter."""
         self._fill(count)
         return tuple(self._buffer[:count])
+
+    def block(self, start: int, count: int) -> tuple[int, ...]:
+        """Digits start..start+count-1 as one slice of the buffer.
+
+        Raises IndexError past the end of a finite stream.
+        """
+        self._fill(start + count)
+        if start + count > len(self._buffer):
+            raise IndexError(f"index {len(self._buffer)} past the end of the stream")
+        return tuple(self._buffer[start : start + count])
 
     def prefix_value(self, count: int, base: int) -> int:
         """numeration.from_word(prefix(count), base), or IndexError past a finite end.
@@ -410,37 +474,55 @@ class DigitSource:
         raise NotImplementedError
 
 
-# a rational analysis keeps tables of about cover = preperiod + 2*period
-# integers of up to cover base digits, so its memory grows as
-# cover^2 * log2(base); at this budget analyze near the cap peaks at
-# 0.70 GB in base 10 and 0.85 GB in bases 2 and 4096, in 2.6-4.2 s on a
-# 2-CPU x86 box (CPython 3.11), and 10007/10000 in base 10 (cover 20012)
-# still runs
-_ORBIT_BUDGET = 1 << 32
+# a rational analysis keeps lists of about cover = preperiod + 2*period
+# small integers (the r digits, the residue values of r, h and d, their
+# replays) and big-integer tables only to the audit prefix, so its time
+# and memory grow linearly in the cover: near this cap analyze takes
+# 1.0-1.4 s and peaks at 105-110 MB in bases 2 and 10 and at 187 MB in
+# base 4096 (whose digits are not cached small ints) on a 2-CPU x86 box
+# (CPython 3.11), and 1000003/1000000 in base 10 (cover 333334) runs in
+# 0.5 s
+_ORBIT_BUDGET = 1 << 20
 
 
 class OrbitCapError(ValueError):
-    """The orbit of base^k mod the numerator of alpha outgrows _ORBIT_BUDGET."""
+    """The cover of base^k mod the numerator of alpha outgrows _ORBIT_BUDGET."""
 
 
 def residue_orbit(base: int, modulus: int) -> tuple[int, int]:
     """(preperiod, period) of base^k mod modulus, k counted from 1.
 
-    Raises OrbitCapError when cover = preperiod + 2*period would pass
-    the largest cover with cover^2 * ceil(log2(base)) <= _ORBIT_BUDGET.
-    The walk stops there: the cover exceeds the count of distinct
-    residues, so the dict never holds more than that many.
+    Brent's cycle finding (R. P. Brent, BIT 20, 1980) in constant memory:
+    the tortoise waits at position 2^j - 1 while the hare walks up to 2^j
+    steps past it, so the first round with 2^j - 1 >= preperiod and 2^j
+    >= period meets, after at most 2^j - 1 + period hare steps, which is
+    below 2*max(preperiod + 1, period) + period.  The period is the
+    meeting distance, and a second walk with the hare one period ahead
+    finds the preperiod.  Raises OrbitCapError when cover = preperiod +
+    2*period would pass limit = _ORBIT_BUDGET.  A cover within it has
+    period <= limit/2 and meets in a round with 2^j <= 2*(limit + 1), so
+    the walk stops past that round, and no round walks the hare more
+    than limit/2 steps.
     """
-    limit = floor_quadratic(0, 1, _ORBIT_BUDGET // (base - 1).bit_length(), 1)
-    seen: dict[int, int] = {}
-    residue = base % modulus
-    k = 1
-    while residue not in seen and k <= limit:
-        seen[residue] = k
-        residue = residue * base % modulus
-        k += 1
-    if residue in seen and seen[residue] - 1 + 2 * (k - seen[residue]) <= limit:
-        return seen[residue] - 1, k - seen[residue]
+    limit = _ORBIT_BUDGET
+    start = hare = base % modulus
+    power, period = 1, 0
+    while not period and power <= 2 * (limit + 1):
+        tortoise = hare
+        for steps in range(1, min(power, limit // 2) + 1):
+            hare = base * hare % modulus
+            if hare == tortoise:
+                period = steps
+                break
+        power *= 2
+    if period:
+        tortoise = hare = start
+        for _ in range(period):
+            hare = base * hare % modulus
+        for preperiod in range(limit - 2 * period + 1):
+            if tortoise == hare:
+                return preperiod, period
+            tortoise, hare = base * tortoise % modulus, base * hare % modulus
     raise OrbitCapError(
         f"the orbit of {base}^k mod {modulus} needs more than {limit} terms "
         f"(preperiod + 2*period), past the orbit cap for base {base}"
@@ -462,27 +544,70 @@ def certify_cycle(
         modulus, *orbit, preperiod, period, tuple(values[:preperiod]),
         tuple(values[preperiod : preperiod + period]), tuple(hits),
     )
-    replayed = cert.replay(len(values))
-    if replayed != list(values):
-        k = next(k for k, (a, b) in enumerate(zip(replayed, values), 1) if a != b)
-        raise ConsistencyError(f"certificate replay fails at k={k}")
+    check_agree(cert.replay(len(values)), list(values), "certificate replay fails")
     return PeriodicityVerdict.periodic(preperiod, period, cert)
 
 
+def check_agree(values, reference, what: str) -> None:
+    """Raise ConsistencyError naming the first k where values and reference differ.
+
+    Index k sits at position k - 1 of both; when one is a proper prefix
+    of the other, k is the first index past it.
+    """
+    if values != reference:
+        k = next(
+            (k for k, (a, b) in enumerate(zip(values, reference), 1) if a != b),
+            min(len(values), len(reference)) + 1,
+        )
+        raise ConsistencyError(f"{what} at k={k}")
+
+
+def hit_levels(h, count: int) -> tuple[int, ...]:
+    """The k <= count with h_k = 1, h_k at h[k-1]: the integrality hits."""
+    return tuple(compress(range(1, count + 1), h[:count]))
+
+
+def check_hits(jumps: JumpData, hits: tuple[int, ...]) -> None:
+    """The jump table's integrality hits must be those of hits up to its k_max."""
+    if jumps.integrality_hits != tuple(k for k in hits if k <= jumps.k_max):
+        raise ConsistencyError("residue and jump-table routes disagree on integrality hits")
+
+
 def certify_r(
-    stream: list[int], jumps: JumpData, modulus: int, orbit: tuple[int, int], base: int
+    stream: list[int], residues: tuple[list[int], list[int]], jumps: JumpData,
+    modulus: int, orbit: tuple[int, int], base: int
 ) -> PeriodicityVerdict:
     """The rational r certificate of InstanceTables, on its tables.
 
-    stream holds r_1..r_span and jumps reaches at least c_{span+1}; only
-    that prefix of the jump table is read.  The stream is cross-checked
-    against the jump-table route over all span terms, then certified under
-    the proven cover orbit of base^k mod modulus.
+    stream holds r_1..r_span off r_digits, and residues the lists r and
+    h off residue_digits, at least span and span + 1 terms long.  The
+    residue r is compared with the stream over all span terms; the two
+    routes share no state.  jumps, the big-integer audit, holds
+    c_1..c_(audit+1) for some audit <= span: its r_1..r_audit must match
+    the stream and its integrality hits must match h on that prefix.  The
+    residue r is then certified under the proven cover orbit of base^k
+    mod modulus, with the hits of h_1..h_(span+1) on the certificate.
     """
-    jumps = jumps.prefix(len(stream) + 1)
-    if r_from_jumps(jumps, base) != stream:
-        raise ConsistencyError("stream and jump-table routes disagree on r")
-    return certify_cycle(stream, modulus, orbit, jumps.integrality_hits)
+    span = len(stream)
+    values, h = residues[0][:span], residues[1]
+    check_agree(values, stream, "residue and stream routes disagree on r")
+    audit = jumps.k_max - 1
+    check_agree(r_from_jumps(jumps, base), stream[:audit],
+                "stream and jump-table routes disagree on r")
+    hits = hit_levels(h, span + 1)
+    check_hits(jumps, hits)
+    return certify_cycle(values, modulus, orbit, hits)
+
+
+# On a rational slope the residue kernel gives every certified value, and
+# the big-integer routes (jump_positions, the level starts with their
+# enumeration audit, r_from_jumps and align_m0) check it independently on
+# r_k for k <= _AUDIT_PREFIX and d_k for k <= max(d_window, _AUDIT_PREFIX)
+# only: their numbers have about k*log2(base) bits, so over a whole cover
+# their cost would grow quadratically in it.  400 levels hold the cover of
+# every battery instance, and the residue r is still compared with
+# r_digits over the whole span.
+_AUDIT_PREFIX = 400
 
 
 def _jump_count_digits(norm: NormalizedInstance) -> Iterator[int]:
@@ -507,12 +632,14 @@ class InstanceTables(DigitSource):
     it, so every stage that reads the same tables computes each r digit
     once.  For alpha = p/q, orbit is the (preperiod, period) of base^k
     mod p; with cover = preperiod + 2*period, r is certified on span_r =
-    max(cover, r_window) terms and d on span_d = max(cover, d_window).
-    Each reader asks jumps_to for the jump prefix it reads, so every check
-    covers the range tables of its own would.  A surd needs no span:
-    orbit is None and r_verdict holds by theorem.  orbit, the jump table,
-    r_verdict and periodicity wait for their first reader, so reading
-    digits alone walks no orbit.
+    max(cover, r_window) terms and d on span_d = max(cover, d_window),
+    both off the residues that residue_digits yields.  The big-integer
+    tables audit those certificates on the prefixes audit_r and audit_d
+    only (see _AUDIT_PREFIX).  Each reader asks jumps_to for the jump
+    prefix it reads.  A surd needs no span: orbit is None and r_verdict
+    holds by theorem.  orbit, the residues, the jump table, r_verdict and
+    periodicity wait for their first reader, so reading digits alone
+    walks no orbit.
     """
 
     def __init__(self, norm: NormalizedInstance, r_window: int, d_window: int = 1):
@@ -543,18 +670,41 @@ class InstanceTables(DigitSource):
     def span_d(self) -> int:
         return max(self.orbit[0] + 2 * self.orbit[1], self._d_window)
 
+    @property
+    def audit_r(self) -> int:
+        """The r_k, k <= audit_r, that the jump table audits."""
+        return min(self.span_r, _AUDIT_PREFIX)
+
+    @property
+    def audit_d(self) -> int:
+        """The d_k, k <= audit_d, that the level counts audit; at least d_window."""
+        return min(self.span_d, max(self._d_window, _AUDIT_PREFIX))
+
+    @cached_property
+    def residues(self) -> tuple[list[int], list[int]]:
+        """r_1..r_n and h_1..h_n off residue_digits, n = max(span_r + 1, span_d + 2).
+
+        That is as far as certify_r and certify_d read them.
+        """
+        r, h = [], []
+        count = max(self.span_r + 1, self.span_d + 2)
+        for r_k, h_k in islice(residue_digits(self.norm), count):
+            r.append(r_k)
+            h.append(h_k)
+        return r, h
+
     def jumps_to(self, top: int) -> JumpData:
         """c_1..c_top, off one jump table built at the first read.
 
-        On a rational slope the first build also reaches c_(span_r + 1)
-        and c_(span_d + 2), so the certificates and every later read
-        share it; a read past the table rebuilds it to top.
+        On a rational slope the first build also reaches c_(audit_r + 1)
+        and c_(audit_d + 2), so the certificates' audits and every later
+        read share it; a read past the table rebuilds it to top.
         """
         jumps = self._jumps
         if jumps is None or top > jumps.k_max:
             size = top
             if jumps is None and self.orbit is not None:
-                size = max(top, self.span_r + 1, self.span_d + 2)
+                size = max(top, self.audit_r + 1, self.audit_d + 2)
             jumps = self._jumps = jump_positions(self.norm, size)
         return jumps.prefix(top)
 
@@ -570,9 +720,9 @@ class InstanceTables(DigitSource):
                 "alpha is an irrational quadratic surd; the jump-digit sequence "
                 "has an ultimately periodic tail exactly when alpha is rational"
             )
-        p, span = self.norm.alpha.as_fraction().numerator, self.span_r
-        return certify_r(self.r_terms(span), self.jumps_to(span + 1), p, self.orbit,
-                         self.norm.base)
+        p = self.norm.alpha.as_fraction().numerator
+        return certify_r(self.r_terms(self.span_r), self.residues,
+                         self.jumps_to(self.audit_r + 1), p, self.orbit, self.norm.base)
 
     @cached_property
     def periodicity(self) -> PeriodicityVerdict:

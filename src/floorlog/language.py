@@ -446,14 +446,6 @@ class CertifiedPattern:
         )
 
 
-def _read(src: DigitSource, start: int, count: int) -> Word:
-    """Digits start .. start+count-1, or IndexError past a finite end."""
-    digits = src.prefix(start + count)
-    if len(digits) < start + count:
-        raise IndexError(f"index {len(digits)} past the end of the stream")
-    return digits[start:]
-
-
 def certify_pattern(src: DigitSource, candidate: PatternCandidate) -> CertifiedPattern:
     """Prove a candidate split or raise PatternRejection with the clause.
 
@@ -505,11 +497,11 @@ def certify_pattern(src: DigitSource, candidate: PatternCandidate) -> CertifiedP
             f"anchor {n0} starts its digit block inside the preperiod "
             f"(needs index >= {verdict.preperiod})",
         )
-    constant = from_word(_read(src, n0 + 1, p), b)
+    constant = from_word(src.block(n0 + 1, p), b)
 
-    split_constant = _value(candidate.v1 + candidate.v2, b) - b**p * _value(
-        candidate.v2, b
-    )
+    # [V1 V2]_b - b^p [V2]_b, with [V1 V2]_b = [V1]_b b^|V2| + [V2]_b
+    tail = _value(candidate.v2, b)
+    split_constant = _value(candidate.v1, b) * b ** len(candidate.v2) + tail - b**p * tail
     if constant != split_constant:
         raise PatternRejection(
             "iii",

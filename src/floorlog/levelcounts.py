@@ -19,7 +19,9 @@ comes from somewhere else.  The derived sequence d_k = f_{k+1} - base*f_k
 mirrors the jump-digit differences r_{k+1} - r_k on an aligned tail, and
 its ultimate periodicity is decided with the same modular-orbit machinery,
 extended to cover instances where crossings land on integers forever; the
-cover and the tail check come from the r certificate.
+cover and the tail check come from the r certificate.  On a rational
+slope the certified d comes from the residue kernel (certify_d), and the
+routes here audit it on a fixed prefix of levels.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .jumpdigits import (
     ModCycleCertificate,
     PeriodicityVerdict,
     certify_cycle,
+    check_agree,
+    check_hits,
+    hit_levels,
 )
 from .sequences import ConsistencyError, JumpData, NormalizedInstance, SeqSlice, u_term
 
@@ -275,32 +280,58 @@ def d_seq(lc: LevelCounts, r_terms: Sequence[int], alignment: AlignmentResult) -
 
 
 def certify_d(
-    lc: LevelCounts, jumps: JumpData, cert_r: ModCycleCertificate, r_terms: Sequence[int]
+    lc: LevelCounts, jumps: JumpData, cert_r: ModCycleCertificate,
+    r_terms: Sequence[int], residues: tuple[list[int], list[int]],
 ) -> PeriodicityVerdict:
     """The rational body of decide_d_periodicity, on the instance's tables.
 
-    lc counts the levels up to span + 1, jumps reaches at least c_{span+2}
-    (only that prefix is read) and r_terms, as in d_seq, holds at least
-    r_1..r_{span+1}.  d_1..d_span is certified under the orbit on cert_r.
+    r_terms holds r_1..r_(span+1) off the digit buffer (r_digits), and
+    residues the lists r and h off residue_digits, at least span + 1 and
+    span + 2 terms long.  d_1..d_span comes from the residues alone: by
+    align_m0's identity f_k = c_(k+1) - c_k + h_k - h_(k+1) for k >= 1,
+
+        d_k = f_(k+1) - base*f_k
+            = r_(k+1) - r_k + (h_(k+1) - h_(k+2)) - base*(h_k - h_(k+1)).
+
+    The residue r it reads is compared with r_terms over all span + 1
+    terms.  lc counts the levels to audit + 1 and jumps reaches
+    c_(audit+2), for some audit <= span: on that prefix the big-integer
+    tables audit the residue values.  The jump table's integrality hits
+    must match h, align_m0 and d_seq run as before, d from the level
+    counts must match the residue d, and on the aligned tail the r
+    certificate must predict d through the difference map.  d_1..d_span
+    is then certified under the orbit on cert_r, with the hits of
+    h_1..h_(span+2) on the certificate.
     """
-    span = lc.k_max - 1
-    jd = jumps.prefix(span + 2)
+    b = lc.norm.base
+    span = len(r_terms) - 1
+    r, h = residues[0][: span + 1], residues[1][: span + 2]
+    check_agree(r, list(r_terms), "residue and stream routes disagree on r")
+    d_list = [
+        r1 - r0 + h1 - h2 - b * (h0 - h1)
+        for r0, r1, h0, h1, h2 in zip(r, r[1:], h, h[1:], h[2:])
+    ]
+    hits = hit_levels(h, span + 2)
+
+    audit = lc.k_max - 1
+    jd = jumps.prefix(audit + 2)
+    check_hits(jd, hits)
     alignment = align_m0(lc, jd)
     d_slice = d_seq(lc, r_terms, alignment)  # runs the aligned-tail cross-check
-    d_list = list(d_slice.values[1 - d_slice.start :])  # d_1..d_span
-
+    d_counted = list(d_slice.values[1 - d_slice.start :])  # d_1..d_audit
+    check_agree(d_list[:audit], d_counted, "residue and level-count routes disagree on d")
     if alignment.ok:
         t = alignment.threshold
-        rs = cert_r.replay(span + 1)
-        mapped = [hi - lo for lo, hi in zip(rs[t - 1 : span], rs[t:])]
-        if mapped != d_list[t - 1 :]:
-            k = next(k for k, (m, v) in enumerate(zip(mapped, d_list[t - 1 :]), t) if m != v)
+        rs = cert_r.replay(audit + 1)
+        mapped = [hi - lo for lo, hi in zip(rs[t - 1 : audit], rs[t:])]
+        if mapped != d_counted[t - 1 :]:
+            k = next(k for k, (m, v) in enumerate(zip(mapped, d_counted[t - 1 :]), t) if m != v)
             raise ConsistencyError(
                 f"r certificate fails to predict d_{k} through the "
                 f"difference map"
             )
     orbit = (cert_r.orbit_preperiod, cert_r.orbit_period)
-    return certify_cycle(d_list, cert_r.modulus, orbit, jd.integrality_hits)
+    return certify_cycle(d_list, cert_r.modulus, orbit, hits)
 
 
 def decide_d_periodicity(
@@ -311,10 +342,11 @@ def decide_d_periodicity(
     Rational alpha = p/q: d_k is a function of base^k mod p, because both
     the jump-digit differences and the pattern of exact integer crossings
     are, so the orbit on tables.r_verdict's certificate is the proven
-    cover; certify_d certifies d on span_d terms the same way as r, and
-    the levels counted for it to span_d + 1 >= k_max are also the ones
-    reported.  Irrational alpha: aperiodic, no search needed, since d
-    ultimately periodic would force r, and then alpha, to be rational.
+    cover; certify_d certifies d on span_d terms off the residue kernel,
+    audited on the levels to audit_d + 1, which are counted once and also
+    give the k_max <= audit_d + 1 levels reported.  Irrational alpha:
+    aperiodic, no search needed, since d ultimately periodic would force
+    r, and then alpha, to be rational.
     """
     norm = tables.norm
     if tables.orbit is None:
@@ -324,9 +356,9 @@ def decide_d_periodicity(
             "sequence is ultimately periodic exactly when alpha is rational"
         )
     else:
-        span = tables.span_d
-        full = f_counts(norm, span + 1)
-        verdict = certify_d(full, tables.jumps_to(span + 2), tables.r_verdict.certificate,
-                            tables.r_terms(span + 1))
+        audit = tables.audit_d
+        full = f_counts(norm, audit + 1)
+        verdict = certify_d(full, tables.jumps_to(audit + 2), tables.r_verdict.certificate,
+                            tables.r_terms(tables.span_d + 1), tables.residues)
         lc = full.prefix(k_max)
     return lc, align_m0(lc, tables.jumps_to(k_max + 1)), verdict

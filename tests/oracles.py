@@ -285,6 +285,28 @@ def rational_level_starts(
     return [max(ceil((_bpow(base, k) - beta) / alpha), n_min) for k in range(k_lo, k_hi + 1)]
 
 
+def rational_slope_terms(alpha, beta, base: int, count: int):
+    """(r_1..r_count, h_1..h_(count+2), d_1..d_count) of a normalized instance.
+
+    For x_k = (base^k - beta)/alpha on the shadow representation (plain
+    Fractions when beta is rational): c_k = floor(x_k), h_k = 1 when x_k
+    is an integer, and d_k = f_(k+1) - base*f_k with f_k = ceil(x_(k+1)) -
+    ceil(x_k), the population of level k >= 1 counted from its start, so
+    d does not go through r or h.
+    """
+    xs = [
+        sh_div(sh_sub(sh_make(_bpow(base, k)), shadow(beta)), shadow(alpha))
+        for k in range(1, count + 3)
+    ]
+    c = [sh_floor(x) for x in xs]
+    h = [1 if x[1] == 0 and x[0].denominator == 1 else 0 for x in xs]
+    starts = [-sh_floor(sh_sub(sh_make(0), x)) for x in xs]
+    f = [hi - lo for lo, hi in zip(starts, starts[1:])]
+    r = [c[k + 1] - base * c[k] for k in range(count)]
+    d = [f[k + 1] - base * f[k] for k in range(count)]
+    return r, h, d
+
+
 def enumerate_words(values: Iterable[int], base: int) -> list[tuple[int, ...]]:
     out = []
     for v in values:

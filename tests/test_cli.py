@@ -574,8 +574,8 @@ def test_work_budgets_refuse_oversized_values(capsys, case):
     ("decide", "--source", "rk"),
 ])
 def test_orbit_cap_refuses_long_orbits(capsys, command):
-    # the order of 16 mod 123456789 is 3,427,503; tables that long would
-    # exhaust memory
+    # the order of 16 mod 123456789 is 3,427,503, a cover of about 6.9
+    # million terms, past the cap; the orbit walk stops at the cap
     t0 = time.perf_counter()
     code, out, err = run(capsys, *command, "--alpha", "123456789/7",
                          "--beta", "-5", "--base", "16")
@@ -769,16 +769,17 @@ def test_analyze_proves_r_periodicity_once(monkeypatch):
     assert (len(certify), len(orbit)) == (1, 1)
 
 
-# (jump tables, level tables, r digit generators, orbit walks) each
-# subcommand builds at CLI defaults; a surd walks no orbit, and analyze
-# counts levels first, so its kernel reads a prefix of that jump table
+# (jump tables, level tables, r digit generators, residue generators,
+# orbit walks) each subcommand builds at CLI defaults; a surd walks no
+# orbit and steps no residues, and analyze counts levels first, so its
+# kernel reads a prefix of that jump table
 _TABLES_BUILT = {
-    ("analyze", "7/5"): (1, 1, 1, 1),
-    ("fk", "7/5"): (1, 1, 1, 1),
-    ("dfa", "7/5"): (1, 0, 1, 1),
-    ("decide", "7/5"): (1, 0, 1, 1),
-    ("analyze", "sqrt(2)"): (1, 1, 1, 0),
-    ("fk", "sqrt(2)"): (1, 1, 1, 0),
+    ("analyze", "7/5"): (1, 1, 1, 1, 1),
+    ("fk", "7/5"): (1, 1, 1, 1, 1),
+    ("dfa", "7/5"): (1, 0, 1, 1, 1),
+    ("decide", "7/5"): (1, 0, 1, 1, 1),
+    ("analyze", "sqrt(2)"): (1, 1, 1, 0, 0),
+    ("fk", "sqrt(2)"): (1, 1, 1, 0, 0),
 }
 
 
@@ -788,11 +789,26 @@ def test_each_exact_table_is_built_once(monkeypatch, capsys, command, alpha):
     jumps = _count_calls(monkeypatch, "jump_positions", sequences)
     levels = _count_calls(monkeypatch, "f_counts", levelcounts)
     digits = _count_calls(monkeypatch, "r_digits")
+    residues = _count_calls(monkeypatch, "residue_digits")
     orbit = _count_calls(monkeypatch, "residue_orbit")
     extra = ("--source", "rk") if command == "decide" else ()
     code, _, _ = run(capsys, command, *extra, "--alpha", alpha, "--base", "10")
     assert code == 0
-    assert (len(jumps), len(levels), len(digits), len(orbit)) == _TABLES_BUILT[command, alpha]
+    built = (len(jumps), len(levels), len(digits), len(residues), len(orbit))
+    assert built == _TABLES_BUILT[command, alpha]
+
+
+def test_long_orbits_audit_on_a_fixed_prefix(monkeypatch):
+    # 10 has order 742 mod the prime 743, so r and d are certified on a
+    # cover of 1484 terms; the big-integer tables audit r_k and d_k for
+    # k <= 400 only, which reads c_k to k = 402 and f_k to k = 401
+    jumps = _count_calls(monkeypatch, "jump_positions", sequences)
+    levels = _count_calls(monkeypatch, "f_counts", levelcounts)
+    report = run_analyze({"alpha": "743/742", "base": 10, "window": 200})
+    d_cert = report["verdicts"]["d_periodicity"]["mod_cycle"]
+    assert (d_cert["modulus"], d_cert["period"]) == (743, 742)
+    assert [args[1] for args in jumps] == [jumpdigits._AUDIT_PREFIX + 2]
+    assert [args[1] for args in levels] == [jumpdigits._AUDIT_PREFIX + 1]
 
 
 def test_language_reads_digits_without_walking_the_orbit(monkeypatch, capsys):

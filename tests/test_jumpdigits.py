@@ -1,6 +1,7 @@
 """Jump-digit sequence: dual routes, case analysis, expansion audit, periods."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from floorlog.exact import ExactReal
 from floorlog.jumpdigits import (
+    InstanceTables,
     OrbitCapError,
     RkRecord,
     certify_cycle,
+    certify_r,
     classify_range,
     detect_period,
     inverse_slope_digits,
@@ -19,8 +22,10 @@ from floorlog.jumpdigits import (
     r_from_jumps,
     r_recur,
     r_stream,
+    residue_digits,
     residue_orbit,
 )
+from floorlog.levelcounts import decide_d_periodicity
 from floorlog.sequences import (
     ConsistencyError,
     FloorLogInstance,
@@ -34,6 +39,7 @@ from oracles import (
     expansion_forms,
     oracle_digits,
     oracle_r,
+    rational_slope_terms,
 )
 
 
@@ -318,14 +324,15 @@ def test_rational_period_divides_residue_orbit(alpha, beta, base):
 
 
 def test_residue_orbit_cap_sits_on_the_cover():
-    # in base 2 the cap is a cover (preperiod + 2*period) of 65536; the
-    # order of 2 is 32748 mod 32749 (cover 65496) and 32770 mod 32771
-    assert residue_orbit(2, 32749) == (0, 32748)
+    # the cap is a cover (preperiod + 2*period) of 2^20 = 1048576 in every
+    # base; the order of 2 is 524268 mod 524269 (cover 1048536) and
+    # 524308 mod 524309 (cover 1048616)
+    assert residue_orbit(2, 524269) == (0, 524268)
     with pytest.raises(OrbitCapError, match="orbit cap for base 2"):
-        residue_orbit(2, 32771)
+        residue_orbit(2, 524309)
     # a walk that passes the cap stops there: the order of 16 mod
     # 123456789 is 3,427,503
-    with pytest.raises(OrbitCapError, match="more than 32768 terms"):
+    with pytest.raises(OrbitCapError, match="more than 1048576 terms"):
         residue_orbit(16, 123456789)
 
 
@@ -345,3 +352,88 @@ def test_period_holds_for_surd_offsets_too(alpha, coeff, base):
     assert v.kind == "Periodic" and v.certified
     for k in range(1, 12):
         assert v.certificate.predict(k) == oracle_r(n.alpha, n.beta, base, k)
+
+
+def _naive_orbit(base, modulus):
+    seen, residue, k = {}, base % modulus, 1
+    while residue not in seen:
+        seen[residue] = k
+        residue = residue * base % modulus
+        k += 1
+    return seen[residue] - 1, k - seen[residue]
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.integers(2, 60), modulus=st.integers(1, 5000))
+def test_residue_orbit_matches_a_remembering_walk(base, modulus):
+    assert residue_orbit(base, modulus) == _naive_orbit(base, modulus)
+
+
+@st.composite
+def st_rational_slope(draw):
+    """A normalized rational slope in bases 2-10, with a rational or surd offset."""
+    base = draw(st.integers(2, 10))
+    alpha = ExactReal(draw(st.fractions(min_value=Fraction(1, 8), max_value=40,
+                                        max_denominator=60)))
+    if draw(st.booleans()):
+        beta = ExactReal(draw(st.fractions(min_value=-6, max_value=6, max_denominator=12)))
+    else:
+        rational = draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
+        coeff = draw(st.fractions(min_value=Fraction(-2), max_value=2, max_denominator=6)
+                     .filter(bool))
+        beta = ExactReal(rational) + ExactReal(coeff) * ExactReal.sqrt(
+            draw(st.sampled_from([2, 3, 5])))
+    return normalize(FloorLogInstance(alpha, beta, base))
+
+
+@settings(max_examples=80, deadline=None)
+@given(norm=st_rational_slope())
+def test_residue_certificates_match_fraction_oracle(norm):
+    want_r, want_h, want_d = rational_slope_terms(norm.alpha, norm.beta, norm.base, 40)
+    pairs = list(islice(residue_digits(norm), 42))
+    assert [r for r, _ in pairs[:40]] == want_r
+    assert [h for _, h in pairs] == want_h
+    tables = InstanceTables(norm, 40, 40)
+    d_cert = decide_d_periodicity(tables, 40)[2].certificate
+    assert tables.r_verdict.certificate.replay(40) == want_r
+    assert d_cert.replay(40) == want_d
+    # each certificate lists the hits to the end of its span, which the
+    # orbit may take past 42
+    for cert, top in ((tables.r_verdict.certificate, 41), (d_cert, 42)):
+        hits = tuple(k for k in cert.integrality_hits if k <= top)
+        assert hits == tuple(k for k in range(1, top + 1) if want_h[k - 1])
+
+
+def test_five_quarters_residues_hit_at_every_level():
+    # 4*10^k is a multiple of 5 at every k, so every quotient is an integer
+    norm = norm_of("5/4", 0, 10)
+    assert list(islice(residue_digits(norm), 50)) == [(r, 1) for r in r_stream(norm, 50)]
+    tables = InstanceTables(norm, 30, 30)
+    assert tables.r_verdict.certificate.integrality_hits == tuple(range(1, 32))
+    d_cert = decide_d_periodicity(tables, 30)[2].certificate
+    assert d_cert.integrality_hits == tuple(range(1, 33))
+    assert d_cert.replay(30) == rational_slope_terms(norm.alpha, norm.beta, 10, 30)[2]
+
+
+# 743 is prime and 10 has order 742 mod it: cover 1484, past the audit
+N_743 = norm_of("743/742", 0, 10)
+
+
+def test_certify_r_compares_the_stream_past_the_audit_prefix():
+    tables = InstanceTables(N_743, 200)
+    span, p = tables.span_r, 743
+    assert (tables.audit_r, span) == (400, 1484)
+    args = (tables.residues, tables.jumps_to(tables.audit_r + 1), p, tables.orbit, 10)
+    assert certify_r(tables.r_terms(span), *args).certified
+    stream = tables.r_terms(span)
+    stream[999] += 1
+    with pytest.raises(ConsistencyError, match="stream routes disagree on r at k=1000"):
+        certify_r(stream, *args)
+
+
+def test_certify_r_compares_integrality_hits_on_the_audit_prefix():
+    tables = InstanceTables(norm_of("5/4", 0, 10), 30)
+    r, h = tables.residues
+    bent = (r, [0] + h[1:])
+    with pytest.raises(ConsistencyError, match="integrality hits"):
+        certify_r(tables.r_terms(30), bent, tables.jumps_to(31), 5, tables.orbit, 10)

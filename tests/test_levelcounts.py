@@ -13,6 +13,7 @@ from floorlog.exact import ExactReal
 from floorlog.jumpdigits import InstanceTables, detect_period, r_stream
 from floorlog.levelcounts import (
     align_m0,
+    certify_d,
     d_seq,
     decide_d_periodicity,
     f_counts,
@@ -207,6 +208,43 @@ def test_decide_d_reports_the_levels_it_certified_on():
         own.k_min, own.k_max, own.f, own.enum_verified_to)
     assert alignment == align_m0(own, jump_positions(n, 21))
     assert v == d_verdict(n, 60)
+
+
+def test_certify_d_compares_the_stream_past_the_audit_prefix():
+    # 10 has order 742 mod the prime 743: d is certified on 1484 terms off
+    # the residues, and the level counts audit the first 400
+    tables = InstanceTables(norm_of("743/742", 0, 10), 200, 200)
+    audit, span = tables.audit_d, tables.span_d
+    assert (audit, span) == (400, 1484)
+    args = (f_counts(tables.norm, audit + 1), tables.jumps_to(audit + 2),
+            tables.r_verdict.certificate)
+    r_terms = tables.r_terms(span + 1)
+    assert certify_d(*args, r_terms, tables.residues).certified
+    r_terms[1200] += 1
+    with pytest.raises(ConsistencyError, match="disagree on r at k=1201"):
+        certify_d(*args, r_terms, tables.residues)
+
+
+def test_certify_d_compares_integrality_hits_on_the_audit_prefix():
+    tables = InstanceTables(norm_of("5/3", "1/3", 2), 16, 16)
+    args = (f_counts(tables.norm, 17), tables.jumps_to(18), tables.r_verdict.certificate,
+            tables.r_terms(17))
+    r, h = tables.residues
+    with pytest.raises(ConsistencyError, match="integrality hits"):
+        certify_d(*args, (r, h[:-1] + [1 - h[-1]]))
+
+
+def test_certify_d_audits_the_residue_d_on_the_level_counts():
+    # integer crossings recur here, so no offset aligns and neither d_seq
+    # nor the difference map checks anything: a count off by one is left
+    # to the comparison with the residue d
+    tables = InstanceTables(norm_of("5/3", "1/3", 2), 16, 16)
+    lc = f_counts(tables.norm, 17)
+    assert not align_m0(lc, tables.jumps_to(18)).ok
+    bent = replace(lc, f={**lc.f, 10: lc.f[10] + 1})
+    with pytest.raises(ConsistencyError, match="level-count routes disagree on d at k=9"):
+        certify_d(bent, tables.jumps_to(18), tables.r_verdict.certificate,
+                  tables.r_terms(17), tables.residues)
 
 
 def test_decide_d_survives_degenerate_alignment():

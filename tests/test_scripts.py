@@ -47,12 +47,14 @@ def test_run_battery_sums_stage_timings_on_stderr():
 
 def test_rational_probes_print_one_line_per_slope():
     lines = run_script("rational_probes.py").splitlines()
-    assert [line.split()[0] for line in lines] == ["7/5", "1009/1000", "10007/10000"]
+    assert [line.split()[0] for line in lines] == [
+        "7/5", "1009/1000", "10007/10000", "100003/100000"]
     verdicts = [word for line in lines for word in line.split() if word.startswith("language=")]
-    assert verdicts == ["language=Regular", "language=Regular", "language=Inconclusive"]
+    assert verdicts == ["language=Regular", "language=Regular", "language=Inconclusive",
+                        "language=Inconclusive"]
     assert "dfa_states=254" in lines[1].split()
     peaks = [float(line.split("peak_rss ")[1].removesuffix(" MB")) for line in lines]
-    assert 0 < peaks[0] <= peaks[1] <= peaks[2]
+    assert 0 < peaks[0] <= peaks[1] <= peaks[2] <= peaks[3]
 
 
 # SHA-256 of the census slice below, taken before the rational
