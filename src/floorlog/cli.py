@@ -4,17 +4,11 @@ Subcommands: seq, rk, digits, language, decide, kernel, fk, dfa, analyze.
 stdout carries data; stderr carries diagnostics.  Exit codes separate
 operational trouble from mathematical outcomes: 0 means the run
 completed (whatever the verdict says), 1 means the invocation was
-unusable (bad flags, bad scenario file, unparseable numbers, oversized
-scopes), 2 means an internal consistency check tripped, which is a bug
-and should be reported.
-
-Scenario files (--scenario file.json) provide the same fields as flags;
-an explicitly passed flag wins over the file, and a JSON null counts as
-unset.  `analyze --batch list.json` runs a JSON array of scenarios back
-to back; each entry takes the scenario file's place, so the file fills
-what an entry leaves unset and flags still win.  All JSON output is
-canonical (sorted keys, two-space indent), so identical inputs produce
-byte-identical reports apart from the timings block.
+unusable (bad flags, unreadable argument files, unparseable numbers,
+oversized scopes), 2 means an internal consistency check tripped, which
+is a bug and should be reported.  All JSON output is canonical (sorted
+keys, two-space indent), so identical inputs produce byte-identical
+reports apart from the timings block.
 """
 
 from __future__ import annotations
@@ -99,6 +93,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # argparse expands @file tokens inside a file too, so a file naming
+    # itself would recurse until RecursionError; one level is enough
+    def convert_arg_line_to_args(self, arg_line):
+        if arg_line.startswith("@"):
+            self.error(f"an argument file may not name another file: {arg_line}")
+        return [arg_line]
+
 
 def _canonical(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -109,35 +110,8 @@ def _print(payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scenario fields: main merges the layers once, handlers read them here
+# fields: one dict of flag values per run, None meaning unset
 # ---------------------------------------------------------------------------
-
-
-def _load_json(path: str, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {what}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} is not valid JSON: {exc}")
-
-
-def _check_keys(layer: dict, known: set[str], what: str) -> None:
-    unknown = sorted(set(layer) - known)
-    if unknown:
-        raise UsageError(f"{what} key {unknown[0]!r} names no flag of any subcommand")
-    files = sorted({"batch", "scenario"} & set(layer))
-    if files:
-        raise UsageError(f"{what} key {files[0]!r} names a file; pass it as --{files[0]}")
-
-
-def _merge(*layers: dict) -> dict:
-    """One field dict from layers of rising priority; null means unset."""
-    fields = {}
-    for layer in layers:
-        fields.update((k, v) for k, v in layer.items() if v is not None)
-    return fields
 
 
 def _flag(key: str) -> str:
@@ -149,22 +123,17 @@ def _field(fields: dict, key: str, default=None):
     if value is None:
         value = default
     if value is None:
-        raise UsageError(f"{_flag(key)} is required (flag or scenario file)")
+        raise UsageError(f"{_flag(key)} is required")
     return value
 
 
 def _integer(fields: dict, key: str, default=None) -> int:
     value = _field(fields, key, default)
-    # JSON may give a bool (an int subclass) or 2.9, which int() truncates;
-    # a decimal string such as "2" is read as written
+    # run_analyze callers may pass a decimal string such as "2"
     try:
-        out = int(value)
-        exact = not isinstance(value, bool) and (isinstance(value, str) or out == value)
+        return int(value)
     except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
         raise UsageError(f"{_flag(key)} must be an integer, got {value!r}")
-    return out
 
 
 def _positive_int(fields: dict, key: str, default=None, cap=None) -> int:
@@ -243,20 +212,17 @@ def _digit_source(fields: dict, window: int) -> tuple[DigitSource, int]:
             if fields.get("word") is None:
                 raise UsageError("--word is required for --source explicit")
             return ExplicitDigitSource(_digit_word(fields, "word")), base
-        if kind == "tm-blocks":
-            if fields.get("block_a") is None or fields.get("block_b") is None:
-                raise UsageError(
-                    "--block-a and --block-b are required for --source tm-blocks"
-                )
-            return (
-                ThueMorseBlockSource(
-                    _digit_word(fields, "block_a"), _digit_word(fields, "block_b")
-                ),
-                base,
-            )
+        # --source takes choices=, so the kind left is tm-blocks
+        if fields.get("block_a") is None or fields.get("block_b") is None:
+            raise UsageError("--block-a and --block-b are required for --source tm-blocks")
+        return (
+            ThueMorseBlockSource(
+                _digit_word(fields, "block_a"), _digit_word(fields, "block_b")
+            ),
+            base,
+        )
     except ValueError as exc:
         raise UsageError(str(exc))
-    raise UsageError(f"unknown source kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +446,7 @@ def _cmd_dfa(fields) -> int:
     norm = _normalized(fields)
     window = _window(fields)
     verdict = decide_regularity(InstanceTables(norm, window), norm.base, window=window)
-    if fields.get("dot"):
+    if fields["dot"]:
         if verdict.kind != "Regular" or verdict.dfa is None:
             print(
                 f"no DFA: verdict is {verdict.kind}; emitting verdict JSON",
@@ -529,7 +495,7 @@ def run_analyze(scenario: dict) -> dict:
     Every link (digit periodicity, language regularity, level-count
     difference periodicity, the headline regular-iff-rational verdict)
     is recorded separately so a failure localizes to its link.  The
-    scenario holds the same fields as the flags; null means unset.
+    scenario holds the same fields as the flags; None means unset.
     """
     kmax = _positive_int(scenario, "kmax", DEFAULT_KMAX, _KMAX_CAP)
     window = _window(scenario)
@@ -621,19 +587,6 @@ def _cmd_analyze(fields) -> int:
     return 0
 
 
-def _cmd_batch(path: str, scenario: dict, flags: dict, known: set[str]) -> int:
-    batch = _load_json(path, "batch file")
-    if not isinstance(batch, list):
-        raise UsageError("batch file must hold a JSON array of scenarios")
-    for i, entry in enumerate(batch):
-        if not isinstance(entry, dict):
-            raise UsageError(f"batch entry {i} is not a JSON object")
-        _check_keys(entry, known, f"batch entry {i}")
-    # each entry takes the scenario file's place; flags still win
-    _print([run_analyze(_merge(scenario, entry, flags)) for entry in batch])
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
@@ -643,9 +596,6 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", help="slope, e.g. 3/2 or sqrt(2) or 1+sqrt(2)")
     sub.add_argument("--beta", help="offset, default 0")
     sub.add_argument("--base", type=int, help="numeration base, >= 2")
-    sub.add_argument(
-        "--scenario", help="JSON file with default field values; flags win"
-    )
 
 
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:
@@ -665,6 +615,8 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="floorlog",
         description="Exact regularity analysis of floor-log sequences.",
+        # flags may come from a file, one token per line: floorlog analyze @args
+        fromfile_prefix_chars="@",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -717,9 +669,7 @@ def build_parser() -> _Parser:
     dfa = subs.add_parser("dfa", help="DFA of the word language, JSON or DOT")
     _add_instance_flags(dfa)
     dfa.add_argument("--window", type=int, help=f"word window, default {DEFAULT_WINDOW}")
-    # default None, not False: a None flag leaves a scenario file's "dot" in force
-    dfa.add_argument("--dot", action="store_true", default=None,
-                     help="emit DOT instead of JSON")
+    dfa.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     dfa.set_defaults(handler=_cmd_dfa)
 
     analyze = subs.add_parser("analyze", help="full pipeline report as JSON")
@@ -728,7 +678,6 @@ def build_parser() -> _Parser:
     analyze.add_argument("--window", type=int, help=f"default {DEFAULT_WINDOW}")
     analyze.add_argument("--kernel-depth", dest="kernel_depth", type=int)
     analyze.add_argument("--kernel-prefix", dest="kernel_prefix", type=int)
-    analyze.add_argument("--batch", help="JSON array of scenarios to run")
     analyze.set_defaults(handler=_cmd_analyze)
 
     return parser
@@ -748,29 +697,15 @@ def main(argv=None) -> int:
         return 1
 
 
-def _scenario_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """What a scenario file or batch entry may set: any subcommand's flag."""
-    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for sub in subs.choices.values() for a in sub._actions} - {"help"}
-
-
 def _main(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    known = _scenario_keys(parser)
     try:
-        scenario = _load_json(args.scenario, "scenario file") if args.scenario else {}
-        if not isinstance(scenario, dict):
-            raise UsageError("scenario file must hold a JSON object")
-        _check_keys(scenario, known, "scenario file")
-        flags = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in ("command", "handler", "scenario", "batch")
-        }
-        if getattr(args, "batch", None):
-            return _cmd_batch(args.batch, scenario, flags, known)
-        return args.handler(_merge(scenario, flags))
+        args = parser.parse_args(argv)
+    except UnicodeDecodeError as exc:
+        # argparse reports an argument file it cannot open, not one it cannot decode
+        parser.error(f"cannot read an argument file: {exc}")
+    try:
+        return args.handler(vars(args))
     except (UsageError, OrbitCapError) as exc:
         print(f"floorlog: error: {exc}", file=sys.stderr)
         return 1

@@ -301,11 +301,35 @@ def test_unknown_subcommand_exits_one(capsys):
     assert exc.value.code == 1
 
 
-def test_bad_flag_value_exits_one(capsys):
+@pytest.mark.parametrize("argv, named", [
+    (("rk", "--alpha", "1", "--base", "2", "--kmax", "ten"), "--kmax"),
+    (("fk", "--alpha", "3/2", "--base", "2", "--kmax", "abc"), "--kmax"),
+    (("fk", "--alpha", "3/2", "--base", "2", "--kmax", "1e400"), "--kmax"),
+    (("decide", "--alpha", "3/2", "--base", "2", "--source", "bogus"), "--source"),
+], ids=["kmax-ten", "kmax-text", "kmax-overflow", "unknown-source"])
+def test_bad_flag_value_exits_one(capsys, argv, named):
     # argparse's own failures must come back as 1, not its default 2
     with pytest.raises(SystemExit) as exc:
-        main(["rk", "--alpha", "1", "--base", "2", "--kmax", "ten"])
-    assert exc.value.code == 1
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "names-itself", "not-utf8"])
+def test_unreadable_argument_file_exits_one(tmp_path, capsys, case):
+    path = tmp_path / "args"
+    if case == "directory":
+        path.mkdir()
+    elif case == "names-itself":
+        path.write_text(f"@{path}\n")
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff\xfe--alpha\n3/2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", f"@{path}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.count("floorlog: error:") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["decide", "dfa", "analyze"])
@@ -356,53 +380,34 @@ def test_regular_language_for_a_surd_exits_two(capsys, monkeypatch):
     assert "language Regular with irrational slope" in err
 
 
-# unusable invocations: argv (FILE stands for a file holding the text
-# given, or for a missing file when the text is None) and a fragment of
-# the one-line message, naming the flag or key at fault where there is one
+# unusable invocations: argv and a fragment of the one-line message,
+# naming the flag at fault
 _UNUSABLE = {
-    "unknown-source": (("decide", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
-                       '{"source": "bogus"}', "'bogus'"),
-    "explicit-without-word": (("decide", "--source", "explicit", "--base", "2"),
-                              None, "--word"),
+    "explicit-without-word": (("decide", "--source", "explicit", "--base", "2"), "--word"),
     "tm-blocks-without-block-b": (("decide", "--source", "tm-blocks", "--block-a", "10",
-                                   "--base", "2"), None, "--block-b"),
+                                   "--base", "2"), "--block-b"),
     "period-negative-digit": (("decide", "--source", "periodic", "--period", "[-1]",
-                               "--base", "2"), None, "--period digits must be nonnegative"),
+                               "--base", "2"), "--period digits must be nonnegative"),
     "preperiod-negative-digit": (("decide", "--source", "periodic", "--preperiod", "[1,-1]",
-                                  "--period", "1", "--base", "2"), None,
+                                  "--period", "1", "--base", "2"),
                                  "--preperiod digits must be nonnegative"),
     "period-empty": (("decide", "--source", "periodic", "--period", "", "--base", "2"),
-                     None, "--period must hold at least one digit"),
+                     "--period must hold at least one digit"),
     "period-empty-list": (("decide", "--source", "periodic", "--period", "[]",
-                           "--base", "2"), None, "--period must hold at least one digit"),
+                           "--base", "2"), "--period must hold at least one digit"),
     "word-empty": (("decide", "--source", "explicit", "--word", "", "--base", "2"),
-                   None, "--word must hold at least one digit"),
+                   "--word must hold at least one digit"),
     "period-empty-digit": (("decide", "--source", "periodic", "--period", "[1,,2]",
-                            "--base", "2"), None, "--period"),
-    "seq-from-negative": (("seq", "--alpha", "3/2", "--base", "2", "--from", "-1"),
-                          None, "--from"),
-    "kmax-zero": (("fk", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
-                  '{"kmax": 0}', "--kmax"),
-    "kmax-text": (("fk", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
-                  '{"kmax": "abc"}', "--kmax"),
-    "kmax-overflow": (("fk", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
-                      '{"kmax": 1e400}', "--kmax"),
-    "scenario-missing": (("analyze", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
-                         None, "scenario file"),
-    "scenario-not-json": (("analyze", "--alpha", "3/2", "--base", "2", "--scenario", "FILE"),
-                          "not json", "scenario file"),
-    "batch-entry-not-object": (("analyze", "--alpha", "3/2", "--base", "2", "--batch", "FILE"),
-                               "[1]", "batch entry 0"),
+                            "--base", "2"), "--period"),
+    "seq-from-negative": (("seq", "--alpha", "3/2", "--base", "2", "--from", "-1"), "--from"),
+    "kmax-zero": (("fk", "--alpha", "3/2", "--base", "2", "--kmax", "0"), "--kmax"),
 }
 
 
 @pytest.mark.parametrize("case", list(_UNUSABLE))
-def test_unusable_invocations_exit_one_with_one_line(tmp_path, capsys, case):
-    argv, text, named = _UNUSABLE[case]
-    path = tmp_path / "fields.json"
-    if text is not None:
-        path.write_text(text)
-    code, out, err = run(capsys, *(str(path) if arg == "FILE" else arg for arg in argv))
+def test_unusable_invocations_exit_one_with_one_line(capsys, case):
+    argv, named = _UNUSABLE[case]
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("floorlog: error: ") and err.count("\n") == 1
     assert named in err
@@ -615,7 +620,7 @@ def test_fk_subcommand(capsys):
 
 
 # ---------------------------------------------------------------------------
-# analyze: reports, determinism, scenario files
+# analyze: reports and determinism
 # ---------------------------------------------------------------------------
 
 
@@ -847,116 +852,9 @@ def test_analyze_missing_alpha_is_usage_error(capsys):
     assert "alpha" in err
 
 
-def test_scenario_file_supplies_fields(tmp_path, capsys):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({"alpha": "3/2", "beta": "0", "base": 2}))
-    code, out, _ = run(capsys, "analyze", "--scenario", str(path))
-    assert code == 0
-    assert json.loads(out)["scenario"]["alpha"] == "3/2"
-
-
-def test_flags_beat_scenario_file(tmp_path, capsys):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({"alpha": "3/2", "beta": "0", "base": 2}))
-    code, out, _ = run(capsys, "analyze", "--scenario", str(path),
-                       "--alpha", "sqrt(2)")
-    assert code == 0
-    report = json.loads(out)
-    assert report["scenario"]["alpha"] == "sqrt(2)"
-    assert report["verdicts"]["sequence_regularity"]["b_regular"] is False
-
-
-def test_scenario_file_works_for_subcommands_too(tmp_path, capsys):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({"alpha": "1", "beta": "0", "base": 2}))
-    code, out, _ = run(capsys, "seq", "--scenario", str(path),
-                       "--from", "1", "--to", "4")
-    assert code == 0
-    assert out.strip() == "0,1,1,2"
-
-
-@pytest.mark.parametrize("command, key, value", [
-    ("fk", "kmax", 2.9),
-    ("rk", "kmax", True),
-    ("decide", "window", True),
-    ("analyze", "kernel_depth", 1.5),
-])
-def test_scenario_integer_fields_refuse_bools_and_fractions(tmp_path, capsys,
-                                                            command, key, value):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({key: value}))
-    code, out, err = run(capsys, command, "--alpha", "3/2", "--base", "2",
-                         "--scenario", str(path))
-    assert code == 1 and out == ""
-    assert f"{cli._flag(key)} must be an integer, got {value!r}" in err
-
-
 def test_integral_numbers_and_decimal_strings_still_read():
     assert cli._positive_int({"n": 3.0}, "n") == 3
     assert cli._positive_int({"n": "3"}, "n") == 3
-
-
-def test_unknown_scenario_and_batch_keys_are_refused(tmp_path, capsys):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({"alpha": "3/2", "base": 2, "kmaxx": 5}))
-    code, out, err = run(capsys, "fk", "--scenario", str(path))
-    assert code == 1 and out == ""
-    assert "scenario file key 'kmaxx' names no flag" in err
-    path.write_text(json.dumps([{"alpha": "3/2", "base": 2},
-                                {"alpha": "3/2", "base": 2, "kmaxx": 5}]))
-    code, out, err = run(capsys, "analyze", "--batch", str(path))
-    assert code == 1 and out == ""
-    assert "batch entry 1 key 'kmaxx' names no flag" in err
-
-
-def test_scenario_file_may_ask_for_dot(tmp_path, capsys):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({"alpha": "3/2", "base": 2, "dot": True}))
-    code, from_file, _ = run(capsys, "dfa", "--scenario", str(path))
-    assert code == 0
-    code, from_flag, _ = run(capsys, "dfa", "--alpha", "3/2", "--base", "2", "--dot")
-    assert from_file == from_flag and from_file.startswith("digraph")
-
-
-@pytest.mark.parametrize("key", ["batch", "scenario"])
-def test_file_keys_in_a_scenario_file_are_refused(tmp_path, capsys, key):
-    named = tmp_path / "named.json"
-    named.write_text(json.dumps([{"alpha": "3/2", "base": 2}]))
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({"alpha": "3/2", "base": 2, key: str(named)}))
-    code, out, err = run(capsys, "analyze", "--scenario", str(path))
-    assert code == 1 and out == ""
-    assert f"scenario file key {key!r} names a file" in err
-
-
-def test_scenario_file_must_be_an_object(tmp_path, capsys):
-    path = tmp_path / "s.json"
-    path.write_text("[1, 2]")
-    code, _, err = run(capsys, "analyze", "--scenario", str(path))
-    assert code == 1
-    assert "object" in err
-
-
-def test_batch_runs_all_scenarios(tmp_path, capsys):
-    path = tmp_path / "batch.json"
-    path.write_text(json.dumps([
-        {"alpha": "3/2", "beta": "0", "base": 2},
-        {"alpha": "sqrt(2)", "beta": "0", "base": 2},
-    ]))
-    code, out, _ = run(capsys, "analyze", "--batch", str(path))
-    assert code == 0
-    reports = json.loads(out)
-    assert len(reports) == 2
-    assert reports[0]["verdicts"]["sequence_regularity"]["b_regular"] is True
-    assert reports[1]["verdicts"]["sequence_regularity"]["b_regular"] is False
-
-
-def test_batch_file_must_be_a_list(tmp_path, capsys):
-    path = tmp_path / "batch.json"
-    path.write_text(json.dumps({"alpha": "3/2"}))
-    code, _, err = run(capsys, "analyze", "--batch", str(path))
-    assert code == 1
-    assert "array" in err
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -1012,29 +910,25 @@ def test_readme_command_examples_run(monkeypatch, capsys, line):
 
 
 # ---------------------------------------------------------------------------
-# one scenario path: flags, scenario files and batch entries resolve alike
+# argument files: @file tokens, one per line, read as if typed in place
 # ---------------------------------------------------------------------------
 
 
-EXAMPLE_SCENARIO = (
-    pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json"
-)
-_EXAMPLE = json.loads(EXAMPLE_SCENARIO.read_text())
+EXAMPLE_ARGS = REPO / "scripts" / "example_analyze.args"
 
-# per subcommand, fields that are all flags of that subcommand; fk and
-# analyze read theirs from the example file the README points to
+# per subcommand, fields that are all flags of that subcommand; beta -1/3
+# puts a negative value on the line after its flag
 _FIELDS = {
-    "seq": {"alpha": "1", "beta": "0", "base": 2, "start": 2, "stop": 9},
-    "rk": {"alpha": "3/2", "base": 2, "kmax": 10},
+    "seq": {"alpha": "3/2", "beta": "-1/3", "base": 2, "start": 2, "stop": 9},
+    "rk": {"alpha": "3/2", "beta": "-1/3", "base": 2, "kmax": 10},
     "digits": {"alpha": "1+sqrt(2)", "base": 10, "count": 12},
     "language": {"source": "periodic", "preperiod": "21", "period": "102",
                  "base": 3, "nmax": 8},
     "decide": {"source": "tm-blocks", "block_a": "10", "block_b": "02",
                "base": 3, "window": 200},
     "kernel": {"alpha": "1", "base": 2, "depth": 5, "prefix_len": 32},
-    "fk": {key: _EXAMPLE[key] for key in ("alpha", "beta", "base", "kmax")},
+    "fk": {"alpha": "3/2", "beta": "-1/3", "base": 2, "kmax": 30},
     "dfa": {"alpha": "7/5", "base": 10, "window": 500},
-    "analyze": _EXAMPLE,
 }
 
 
@@ -1052,66 +946,44 @@ def frozen_clock(monkeypatch):
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
 
 
-@pytest.mark.parametrize("command", sorted(_FIELDS))
-def test_flags_and_scenario_file_print_the_same_bytes(tmp_path, capsys,
+@pytest.mark.parametrize("command", sorted([*_FIELDS, "analyze"]))
+def test_flags_and_argument_file_print_the_same_bytes(tmp_path, capsys,
                                                       frozen_clock, command):
-    fields = _FIELDS[command]
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps(fields))
-    if command in ("fk", "analyze"):
-        path = EXAMPLE_SCENARIO
-    by_flags = run(capsys, command, *_as_flags(fields))
-    by_file = run(capsys, command, "--scenario", str(path))
+    # analyze reads the example file the README points to
+    path = EXAMPLE_ARGS
+    if command in _FIELDS:
+        path = tmp_path / "args"
+        path.write_text("\n".join(_as_flags(_FIELDS[command])) + "\n")
+    by_flags = run(capsys, command, *path.read_text().splitlines())
+    by_file = run(capsys, command, f"@{path}")
     assert by_flags[0] == 0 and by_flags[1]
     assert by_flags == by_file
 
 
-def test_flags_win_over_batch_entries(tmp_path, capsys):
-    path = tmp_path / "batch.json"
-    path.write_text(json.dumps([
-        {"alpha": "3/2", "base": 2, "window": 300},
-        {"alpha": "sqrt(2)", "base": 2, "kmax": 40},
-    ]))
-    code, out, _ = run(capsys, "analyze", "--batch", str(path),
-                       "--window", "50", "--kmax", "7", "--alpha", "5/3")
+def test_a_later_flag_wins_over_an_argument_file(tmp_path, capsys):
+    path = tmp_path / "args"
+    path.write_text("--alpha\n3/2\n--base\n2\n")
+    code, out, _ = run(capsys, "analyze", f"@{path}", "--alpha", "sqrt(2)")
     assert code == 0
-    echoes = [report["scenario"] for report in json.loads(out)]
-    assert [(e["alpha"], e["window"], e["kmax"]) for e in echoes] == [
-        ("5/3", 50, 7), ("5/3", 50, 7)
-    ]
+    report = json.loads(out)
+    assert report["scenario"]["alpha"] == "sqrt(2)"
+    assert report["verdicts"]["sequence_regularity"]["b_regular"] is False
+    code, out, _ = run(capsys, "analyze", "--alpha", "sqrt(2)", f"@{path}")
+    assert code == 0 and json.loads(out)["scenario"]["alpha"] == "3/2"
 
 
-def test_batch_entries_take_the_scenario_file_place(tmp_path, capsys):
-    scenario = tmp_path / "s.json"
-    scenario.write_text(json.dumps({"beta": "1/3", "base": 3, "kmax": 30}))
-    batch = tmp_path / "batch.json"
-    batch.write_text(json.dumps([
-        {"alpha": "3/2"},
-        {"alpha": "5/3", "beta": "0", "base": None},
-    ]))
-    code, out, _ = run(capsys, "analyze", "--scenario", str(scenario),
-                       "--batch", str(batch), "--kmax", "20")
-    assert code == 0
-    echoes = [report["scenario"] for report in json.loads(out)]
-    assert [(e["alpha"], e["beta"], e["base"], e["kmax"]) for e in echoes] == [
-        ("3/2", "1/3", 3, 20), ("5/3", "0", 3, 20)
-    ]
-
-
-def test_null_beta_counts_as_unset(tmp_path, capsys, frozen_clock):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({"alpha": "3/2", "base": 2, "beta": None}))
-    with_null = run(capsys, "analyze", "--scenario", str(path))
-    assert with_null[0] == 0
-    assert json.loads(with_null[1])["scenario"]["beta"] == "0"
-    assert with_null == run(capsys, "analyze", "--alpha", "3/2", "--base", "2")
+def test_null_beta_counts_as_unset(capsys, frozen_clock):
+    # an omitted flag reaches its handler as None, as run_analyze's null does
+    omitted = run(capsys, "analyze", "--alpha", "3/2", "--base", "2")
+    assert omitted[0] == 0
+    assert json.loads(omitted[1])["scenario"]["beta"] == "0"
+    assert omitted == run(capsys, "analyze", "--alpha", "3/2", "--beta", "0", "--base", "2")
+    assert run_analyze({"alpha": "3/2", "beta": None, "base": 2})["scenario"]["beta"] == "0"
 
 
 @pytest.mark.parametrize("command", ["decide", "dfa", "analyze"])
-def test_null_window_takes_the_default(tmp_path, capsys, frozen_clock, command):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({"alpha": "3/2", "base": 2, "window": None}))
-    with_null = run(capsys, command, "--scenario", str(path))
-    assert with_null[0] == 0
-    assert with_null == run(capsys, command, "--alpha", "3/2", "--base", "2",
-                            "--window", str(cli.DEFAULT_WINDOW))
+def test_null_window_takes_the_default(capsys, frozen_clock, command):
+    omitted = run(capsys, command, "--alpha", "3/2", "--base", "2")
+    assert omitted[0] == 0
+    assert omitted == run(capsys, command, "--alpha", "3/2", "--base", "2",
+                          "--window", str(cli.DEFAULT_WINDOW))
