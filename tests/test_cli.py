@@ -960,6 +960,22 @@ def test_flags_and_argument_file_print_the_same_bytes(tmp_path, capsys,
     assert by_flags == by_file
 
 
+def test_argument_file_supplies_fields(tmp_path, capsys):
+    path = tmp_path / "args"
+    path.write_text("--alpha\n3/2\n--beta\n0\n--base\n2\n")
+    code, out, _ = run(capsys, "analyze", f"@{path}")
+    assert code == 0
+    assert json.loads(out)["scenario"]["alpha"] == "3/2"
+
+
+def test_argument_file_works_for_subcommands_too(tmp_path, capsys):
+    path = tmp_path / "args"
+    path.write_text("--alpha\n1\n--beta\n0\n--base\n2\n")
+    code, out, _ = run(capsys, "seq", f"@{path}", "--from", "1", "--to", "4")
+    assert code == 0
+    assert out.strip() == "0,1,1,2"
+
+
 def test_a_later_flag_wins_over_an_argument_file(tmp_path, capsys):
     path = tmp_path / "args"
     path.write_text("--alpha\n3/2\n--base\n2\n")
