@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the three exact surd tables along the surd-depth axis.
 
-For sqrt(2) in base 2, 1+sqrt(3) in base 3 and the golden ratio
-1/2+1/2*sqrt(5) in base 10 with offset 2/7*sqrt(5), and for each depth
+For sqrt(2) in base 2, 1+sqrt(3) in base 3, the golden ratio
+1/2+1/2*sqrt(5) in base 10 with offset 2/7*sqrt(5), and sqrt(2) in
+base 4096, the largest base the CLI accepts, and for each depth
 k (default 1000 and 10000; pass others as arguments), prints one line
 with the wall time of r_stream(norm, k), jump_positions(norm, k + 1) and
 classify_range(norm, k).  The first two give the same r_1..r_k by
@@ -25,6 +26,7 @@ PROBES = (
     ("sqrt(2)", "0", 2),
     ("1+sqrt(3)", "0", 3),
     ("1/2+1/2*sqrt(5)", "2/7*sqrt(5)", 10),
+    ("sqrt(2)", "0", 4096),
 )
 
 

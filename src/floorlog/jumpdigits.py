@@ -72,6 +72,12 @@ def r_recur(norm: NormalizedInstance, k: int) -> int:
     return c(k + 1) - norm.base * c(k)
 
 
+# the least base whose spigot step estimates delta by one division; below
+# it delta <= 4 and the unit steps alone measured as fast (bases 3 and 4)
+# or 20 % faster (base 2) on a 2-CPU x86 box, CPython 3.11
+_SPIGOT_DIVISION_BASE = 5
+
+
 def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     """The terms r_1, r_2, ... of r, generated by the fractional-remainder machine.
 
@@ -82,15 +88,30 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     A' = base*A + const - r*C.  Next to B it carries a square-root spigot:
     s = floor(|B|*sqrt(d)) and the remainder R = B^2 d - s^2.  While B keeps
     its sign, |B'| = base*|B| + tau with tau = +-t, so
-    s' = base*s + floor(tau*sqrt(d)) + delta with 0 <= delta <= base, and R'
-    follows from R with small multipliers; delta is found by stepping s' up
-    while R' >= 2s' + 1.  A step therefore costs a bounded number of linear-time
-    operations on numbers of about k*log2(base) bits, plus up to base unit
-    steps of that search: 10^4 terms of a surd in base 2, 3 or 10 take a
-    fraction of a second, but 2000 terms in base 4096 take about 20 s.
-    Where B is zero or changes sign (at most once, since B moves
-    monotonically away from its fixed point) one call of the exact floor
-    kernel floor_quadratic restarts the spigot.
+    s' = s0 + delta with s0 = base*s + floor(tau*sqrt(d)) and
+    0 <= delta <= base (the fractional parts of |B|*sqrt(d) and
+    tau*sqrt(d) add base*[0, 1) + [0, 1) to s0), and R0 = B'^2 d - s0^2
+    follows from R with small multipliers.  delta is the largest integer
+    with delta*(2*s0 + delta) <= R0.
+
+    From base _SPIGOT_DIVISION_BASE on, and when s0 >= 0, one division
+    estimates it: e = floor(R0/(2*s0 + base + 1)), after which s0 + e
+    and R0 - e*(2*s0 + e) replace s0 and R0.  The estimate never
+    overshoots: R0 < (delta + 1)*(2*s0 + delta + 1) <= (delta + 1)*(2*s0 +
+    base + 1), as delta <= base, so e < delta + 1.  And it falls short by
+    less than 1 + x, x = (base + 1)^2/(4*(2*s0 + base + 1)):
+    R0 >= delta*(2*s0 + delta) gives R0/(2*s0 + base + 1) >= delta -
+    delta*(base + 1 - delta)/(2*s0 + base + 1) >= delta - x, and
+    e > R0/(2*s0 + base + 1) - 1.  The unit steps that finish the search,
+    s0 up by one while R0 >= 2*s0 + 1, therefore number at most
+    ceil(x) + 1 <= base + 1, and at most one as soon as
+    2*s0 + base + 1 > (base + 1)^2/4, a size s passes within a few digits
+    since it grows as base^k.  Below that base, or when s0 < 0, the unit
+    steps alone find delta, at most base + 1 of them.  A step thus costs
+    a bounded number of linear-time operations on numbers of about
+    k*log2(base) bits, whatever the base.  Where B is zero or changes sign
+    (at most once, since B moves monotonically away from its fixed point)
+    one call of the exact floor kernel floor_quadratic restarts the spigot.
 
     A rational stream (d == 1, so B = t = 0 throughout) takes its own
     loop: num = base*A + const, r = num // C, A' = num - r*C.  A stays
@@ -117,24 +138,32 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
             r = num // den
             yield r
             a = num - r * den
-    # per sign of B, with tau = sign*t: tau*d, u = floor(tau*sqrt(d)), tau^2 d - u^2
+    # R0 = base^2 R + 2*base*(|B|*tau*d - s*u) + tau^2 d - u^2, and
+    # |B|*tau = B*t; per sign of B, with tau = sign*t and
+    # u = floor(tau*sqrt(d)): 2*base*u, u and tau^2 d - u^2
     spigot = {}
-    for sign in (1, -1):
-        tau = sign * t
+    for positive, tau in ((True, t), (False, -t)):
         u = floor_quadratic(0, tau, d, 1)
-        spigot[sign] = (tau * d, u, tau * tau * d - u * u)
+        spigot[positive] = (2 * b * u, u, tau * tau * d - u * u)
+    lift, square, divisible = 2 * b * t * d, b * b, b >= _SPIGOT_DIVISION_BASE
     s = floor_quadratic(0, abs(rad), d, 1)
     rem = rad * rad * d - s * s
     while True:
         num = b * a + shift
         rad_next = b * rad + t
         if rad and rad_next and (rad > 0) == (rad_next > 0):
-            tau_d, u, e = spigot[1 if rad > 0 else -1]
-            rem = b * b * rem + 2 * b * (abs(rad) * tau_d - s * u) + e
+            lift_u, u, e = spigot[rad > 0]
+            rem = square * rem + lift * rad - lift_u * s + e
             s = b * s + u
-            while s < 0 or rem >= 2 * s + 1:
-                rem -= 2 * s + 1
+            if divisible and s >= 0:
+                twice = 2 * s
+                delta = rem // (twice + b + 1)
+                rem -= delta * (twice + delta)
+                s += delta
+            while s < 0 or rem > 2 * s:
+                rem -= s
                 s += 1
+                rem -= s
         else:
             s = floor_quadratic(0, abs(rad_next), d, 1)
             rem = rad_next * rad_next * d - s * s
@@ -253,38 +282,107 @@ class RkRecord:
             raise ConsistencyError(f"k={self.k}: r={self.r} outside 0..{2*self.base-2}")
 
 
-def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
-    """Classify k = 1..k_max in one integer sweep.
+# digits of frac(1/alpha) that classify_range reads past digit k_max + 1,
+# so that even P_(k_max+1) compares this many digits before a tie falls
+# back to the exact sign test
+_TAIL_GUARD_DIGITS = 64
 
-    The state carried between steps is x_k = frac(base^k/alpha), held as
-    (A + B*sqrt(d))/C over one denominator shared with
-    frac(beta/alpha) = (A' + B'*sqrt(d))/C.  A step scales A and B by
-    base and takes the digit floor(base*x_k) = floor_quadratic(A, B, d, C)
-    afresh, the kernel ExactReal.floor uses; A minus digit*C leaves the
-    next state, and P_(k+1) is the exact sign test
-    (A - A') + (B - B')*sqrt(d) >= 0.  B is base^k times its start, so
-    the sweep shares no root value or stepping rule with jump_positions
-    or r_digits.  No value is normalized on the way.
+
+def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
+    """Classify k = 1..k_max, off one exact floor of base^(k_max+1+g)/alpha for a surd.
+
+    Write X = 1/alpha and Y = beta/alpha, so (base^k - beta)/alpha =
+    base^k X - Y.  Splitting both terms into floor and fractional part,
+
+        c_k = floor(base^k X) - floor(Y) - [frac(base^k X) < frac(Y)],
+
+    because base^k X - Y is the integer floor(base^k X) - floor(Y) plus
+    frac(base^k X) - frac(Y), which lies in (-1, 1) and so has floor 0
+    when it is nonnegative and -1 otherwise.  The bracket is 1 - P_k.
+    Normalization puts Y in [0, 1), and floor(base^(k+1) X) -
+    base*floor(base^k X) = floor(base*frac(base^k X)) is digit k+1 of
+    frac(X), so r_k = c_(k+1) - base*c_k takes the four shapes of the
+    module docstring.
+
+    For an irrational alpha both parts come off greedy digit expansions.
+    With x_0 x_1 ... the digits of frac(X) (inverse_slope_digits), digit
+    k+1 is x_k, and frac(base^k X) = 0.x_k x_(k+1) ..., the digit tail
+    past place k.  One exact floor gives x_0 .. x_(k_max+g), g =
+    _TAIL_GUARD_DIGITS.  P_k compares that tail with the digits y_0 y_1
+    ... of frac(Y) from digit_stream, read to g digits and extended on
+    a tie.  The first place j with x_(k+j) != y_j decides P_k strictly:
+    if x_(k+j) > y_j, then frac(base^k X) >= (common prefix) +
+    (y_j + 1)*base^-(j+1), while the digits of frac(Y) past place j sum
+    to strictly less than base^-(j+1), since a greedy expansion never
+    ends in an unbroken tail of base - 1 digits; so frac(base^k X) >
+    frac(Y), and the case x_(k+j) < y_j mirrors it.  Tails that agree
+    through every digit read, at least g of them, are settled by the
+    exact sign test of _threshold_exact; for an irrational alpha an
+    endless agreement means base^k X - Y is an integer, an integrality
+    hit, which happens at one k at most.  Past the one floor a step costs
+    a few digit comparisons, and the route shares with jump_positions and
+    r_digits only the exact floor kernel, never a root value, a remainder
+    or a stepping rule.
+
+    A rational alpha keeps the integer sweep: the state x_k =
+    frac(base^k/alpha) is (A + 0*sqrt(d))/C over the denominator of
+    frac(Y) = (A' + B'*sqrt(d))/C, a step is digit, A = divmod(base*A, C),
+    and P_(k+1) is the exact sign test (A - A') - B'*sqrt(d) >= 0, all
+    on numbers below base*C.
     """
     b = norm.base
-    den, d, ((a, rad), (ta, tb)) = over_common_denominator(
-        (b / norm.alpha).frac(), (norm.beta / norm.alpha).frac()
-    )
-    pk = _sign_quadratic(a - ta, rad - tb, d) >= 0
-    records = []
-    for k in range(1, k_max + 1):
-        a *= b
-        rad *= b
-        digit = floor_quadratic(a, rad, d, den)
-        a -= digit * den
-        pk1 = _sign_quadratic(a - ta, rad - tb, d) >= 0
-        r = digit + (0 if pk else b) - (0 if pk1 else 1)
-        records.append(
-            RkRecord(k=k, r=r, case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1,
-                     digit=digit, base=b)
-        )
-        pk = pk1
-    return records
+    offset = (norm.beta / norm.alpha).frac()
+    if norm.alpha.is_rational:
+        digits, tests = _threshold_sweep(norm, offset, k_max)
+    else:
+        digits, tests = _threshold_tails(norm, offset, k_max)
+    return [
+        RkRecord(k=k, r=digit + (0 if pk else b) - (0 if pk1 else 1),
+                 case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1, digit=digit, base=b)
+        for k, digit, pk, pk1 in zip(range(1, k_max + 1), digits, tests, tests[1:])
+    ]
+
+
+def _threshold_sweep(norm: NormalizedInstance, offset, k_max: int):
+    """Digits 2..k_max+1 of frac(1/alpha) and P_1..P_(k_max+1), alpha rational."""
+    b = norm.base
+    den, d, ((a, _), (ta, tb)) = over_common_denominator((b / norm.alpha).frac(), offset)
+    digits = []
+    tests = [_sign_quadratic(a - ta, -tb, d) >= 0]
+    for _ in range(k_max):
+        digit, a = divmod(b * a, den)
+        digits.append(digit)
+        tests.append(_sign_quadratic(a - ta, -tb, d) >= 0)
+    return digits, tests
+
+
+def _threshold_tails(norm: NormalizedInstance, offset, k_max: int):
+    """Digits 2..k_max+1 of frac(1/alpha) and P_1..P_(k_max+1), by digit tails."""
+    b = norm.base
+    count = k_max + 1 + _TAIL_GUARD_DIGITS
+    xs = inverse_slope_digits(norm, count)
+    ys = digit_stream(offset, b, _TAIL_GUARD_DIGITS)
+    tests = []
+    for k in range(1, k_max + 2):
+        j = 0
+        while xs[k + j] == ys[j]:
+            j += 1
+            if k + j == count:
+                tests.append(_threshold_exact(norm, offset, k))
+                break
+            if j == len(ys):
+                ys = digit_stream(offset, b, min(2 * j, count))
+        else:
+            tests.append(xs[k + j] > ys[j])
+    return xs[1 : k_max + 1], tests
+
+
+def _threshold_exact(norm: NormalizedInstance, offset, k: int) -> bool:
+    """P_k as the exact sign test of frac(base^k/alpha) - frac(beta/alpha)."""
+    den, d, ((p, q), (e, f)) = over_common_denominator(1 / norm.alpha, offset)
+    power = norm.base**k
+    whole = floor_quadratic(power * p, power * q, d, den)
+    return _sign_quadratic(power * p - whole * den - e, power * q - f, d) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -230,27 +230,33 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
 
     For d > 1 the roots are fixed-point numbers taken once per call:
     Q = floor(q*sqrt(d)*2^M) and F = floor(f*sqrt(d)*2^M), with M the bit
-    length of base^k_max plus _ROOT_GUARD_BITS.  Then, with power = base^k
-    and V = power*Q, both stepped by one small multiplication per k,
+    length of base^k_max plus _ROOT_GUARD_BITS.  Then, with power = base^k,
 
-        V - F - 1  <  B_k*sqrt(d)*2^M  <  V + power - F.
+        power*Q - F - 1  <  B_k*sqrt(d)*2^M  <  power*Q + power - F.
 
     Proof: Q <= q*sqrt(d)*2^M < Q + 1 and F <= f*sqrt(d)*2^M < F + 1 by
     the definition of a floor.  Multiply the first by power and subtract
     the second: the upper end is strict because power*(Q + 1) is never
     reached, and the lower end because F + 1 is never reached.  Neither
     step needs the middle terms to be irrational, so q = 0 (a rational
-    slope with a surd offset: Q = V = 0, the first term exactly 0) and
+    slope with a surd offset: Q = 0, the first term exactly 0) and
     f = 0 (F = 0, the second term exactly 0) are covered.  Since
-    floor(t/2^M) is monotone, floor(B_k*sqrt(d)) lies in
-    [(V - F - 1) >> M, (V + power - F) >> M], so c_k lies between
-    lo = (A_k + ((V - F - 1) >> M)) // C and
-    hi = (A_k + ((V + power - F) >> M)) // C, and equals lo when lo == hi.
-    The bracket is power + 1 <= 2^(M - 64) units of 2^-M wide, at most
-    2^-64, so it rarely straddles an integer; when it does, c_k is taken
-    the direct way, floor_quadratic(A_k, B_k, d, C).  A step thus costs a
-    few linear-time operations on numbers of about 2*k_max*log2(base) bits
-    instead of one integer square root of that size.
+    floor(t/2^M) is monotone, with W_k = power*Q - F - 1 the value
+    floor(B_k*sqrt(d)) lies in [W_k >> M, (W_k + power + 1) >> M], so c_k
+    lies between lo = (A_k + (W_k >> M)) // C and
+    hi = (A_k + ((W_k + power + 1) >> M)) // C, and equals lo when lo == hi;
+    hi is only formed when the two shifts differ.  The bracket is
+    power + 1 <= 2^(M - 64) units of 2^-M wide, at most 2^-64, so it
+    rarely straddles an integer; when it does, c_k is taken the direct
+    way, floor_quadratic(A_k, B_k, d, C).  A step carries W_k and A_k by
+    one multiply-add each, W_(k+1) = base*W_k + (base - 1)*(F + 1) and
+    A_(k+1) = base*A_k + (base - 1)*e, multiplies power by base, and
+    divides the whole numerator A_k + (W_k >> M) afresh: a few
+    linear-time operations on numbers of about 2*k_max*log2(base) bits
+    instead of one integer square root of that size.  B_k is zero at one
+    k at most, when q != 0 (base^k*q = f), or never, when q = 0 (then
+    f != 0); that k is found before the loop, and there c_k with its
+    integrality flag is one divmod of A_k by C, as on a rational slope.
     """
     b = norm.base
     den, d, ((p, q), (e, f)) = over_common_denominator(
@@ -267,25 +273,39 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
                 hits.append(k)
             cs.append(c)
         return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
-    power = 1
     shift = (b**k_max).bit_length() + _ROOT_GUARD_BITS
-    scaled = floor_quadratic(0, q << shift, d, 1)
+    root_q = floor_quadratic(0, q << shift, d, 1)
     root_f = floor_quadratic(0, f << shift, d, 1)
+    rational_k = _power_index(b, q, f)
+    power, num, low = 1, p - e, root_q - root_f - 1
+    num_step, low_step = (b - 1) * e, (b - 1) * (root_f + 1)
     for k in range(1, k_max + 1):
         power *= b
-        scaled *= b
-        num = power * p - e
-        rad = power * q - f
-        if rad == 0:
+        num = num * b + num_step
+        low = low * b + low_step
+        if k == rational_k:
             c, rest = divmod(num, den)
             if rest == 0:
                 hits.append(k)
         else:
-            c = (num + ((scaled - root_f - 1) >> shift)) // den
-            if c != (num + ((scaled + power - root_f) >> shift)) // den:
-                c = floor_quadratic(num, rad, d, den)
+            below = low >> shift
+            c = (num + below) // den
+            above = (low + (power + 1)) >> shift
+            if above != below and c != (num + above) // den:
+                c = floor_quadratic(num, power * q - f, d, den)
         cs.append(c)
     return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
+
+
+def _power_index(base: int, q: int, f: int) -> int:
+    """The k >= 1 with base^k*q == f, or 0 when there is none."""
+    if q == 0 or f % q:
+        return 0
+    ratio, k = f // q, 0
+    while ratio > 1 and ratio % base == 0:
+        ratio //= base
+        k += 1
+    return k if ratio == 1 else 0
 
 
 def jump_levels_past(base: int, size: int) -> int:

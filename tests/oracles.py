@@ -20,8 +20,8 @@ The reference forms that follow are the direct versions of library
 routines, kept to compare against: normalization one power of the base
 at a time, a jump table with a fresh isqrt per index, the step indicator
 v as one byte per index, and the jump-digit classification swept on
-ExactReal values.  They use floorlog.exact and
-the library's record types.
+integers with one exact floor per digit and on ExactReal values.  They
+use floorlog.exact and the library's record types.
 
 The audits at the end check identities the library's results must
 satisfy: the per-index classification against the threshold tests, the
@@ -41,7 +41,7 @@ from math import ceil, floor, isqrt
 from typing import Iterable
 
 from floorlog.automata import Dfa
-from floorlog.exact import over_common_denominator
+from floorlog.exact import _sign_quadratic, floor_quadratic, over_common_denominator
 from floorlog.jumpdigits import (
     _TAG_BY_TESTS,
     RkRecord,
@@ -531,6 +531,39 @@ def dense_v_indicator(norm, size: int) -> bytearray:
         if 0 <= pos <= size:
             bm[pos] = 1
     return bm
+
+
+def classify_range_sweep(norm, k_max: int) -> list[RkRecord]:
+    """jumpdigits.classify_range swept on integers, one exact floor per digit.
+
+    The state carried between steps is x_k = frac(base^k/alpha), held as
+    (A + B*sqrt(d))/C over one denominator shared with
+    frac(beta/alpha) = (A' + B'*sqrt(d))/C.  A step scales A and B by
+    base and takes the digit floor(base*x_k) = floor_quadratic(A, B, d, C)
+    afresh; A minus digit*C leaves the next state, and P_(k+1) is the
+    exact sign test (A - A') + (B - B')*sqrt(d) >= 0.  B is base^k times
+    its start, so a surd slope costs one isqrt of a base^(2k)-sized
+    operand per digit.
+    """
+    b = norm.base
+    den, d, ((a, rad), (ta, tb)) = over_common_denominator(
+        (b / norm.alpha).frac(), (norm.beta / norm.alpha).frac()
+    )
+    pk = _sign_quadratic(a - ta, rad - tb, d) >= 0
+    records = []
+    for k in range(1, k_max + 1):
+        a *= b
+        rad *= b
+        digit = floor_quadratic(a, rad, d, den)
+        a -= digit * den
+        pk1 = _sign_quadratic(a - ta, rad - tb, d) >= 0
+        r = digit + (0 if pk else b) - (0 if pk1 else 1)
+        records.append(
+            RkRecord(k=k, r=r, case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1,
+                     digit=digit, base=b)
+        )
+        pk = pk1
+    return records
 
 
 def classify_range_exact(norm, k_max: int) -> list[RkRecord]:

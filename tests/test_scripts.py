@@ -74,10 +74,11 @@ def test_rational_census_slice_is_regular_and_pinned():
 
 def test_surd_probes_time_three_tables_per_depth():
     lines = run_script("surd_probes.py", "20", "100").splitlines()
-    assert len(lines) == 6
-    assert [line.split()[0] for line in lines[::2]] == ["sqrt(2)", "1+sqrt(3)", "1/2+1/2*sqrt(5)"]
+    assert len(lines) == 8
+    assert [line.split()[:2] for line in lines[::2]] == [
+        ["sqrt(2)", "b2"], ["1+sqrt(3)", "b3"], ["1/2+1/2*sqrt(5)", "b10"], ["sqrt(2)", "b4096"]]
     for line in lines:
         assert "r_stream" in line and "jump_positions" in line and "classify_range" in line
         assert line.endswith("routes agree")
     depths = [next(word for word in line.split() if word.startswith("k=")) for line in lines]
-    assert depths == ["k=20", "k=100"] * 3
+    assert depths == ["k=20", "k=100"] * 4

@@ -1,21 +1,25 @@
-"""The linear-step surd tables against their direct forms in oracles.py.
+"""The surd tables against their direct forms in oracles.py and each other.
 
 sequences.jump_positions brackets each c_k with two fixed-point roots
-taken once per call, and jumpdigits.classify_range sweeps integers;
-both must give exactly what a fresh root per index and an ExactReal
-sweep give, integrality hits and record tags included.
+taken once per call, and jumpdigits.classify_range reads its threshold
+tests off the digit tails of one exact floor; both must give exactly
+what a fresh root per index, a per-digit integer sweep and an ExactReal
+sweep give, integrality hits and record tags included.  r_stream must
+give what the jump table gives in every base, on both sides of the base
+where its spigot starts estimating by division.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from floorlog import sequences
+from floorlog import jumpdigits, sequences
 from floorlog.exact import ExactReal, floor_quadratic
-from floorlog.jumpdigits import classify_range
+from floorlog.jumpdigits import classify_range, r_direct, r_from_jumps, r_stream
 from floorlog.sequences import FloorLogInstance, jump_positions, normalize
-from oracles import classify_range_exact, jump_positions_fresh_roots
+from oracles import classify_range_exact, classify_range_sweep, jump_positions_fresh_roots
 
 st_ratio = st.fractions(min_value=Fraction(1, 6), max_value=2, max_denominator=6)
 
@@ -75,11 +79,88 @@ def st_table_instance(draw):
 @example(case=(ExactReal.parse("5/3"), ExactReal.parse("1/3*sqrt(2)"), 2, 40))
 @example(case=(ExactReal.parse("5/4"), ExactReal(0), 10, 30))
 @example(case=(ExactReal(1), ExactReal(0), 3, 1))
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("32-22*sqrt(2)"), 2, 40))
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("2-sqrt(2)"), 2, 40))
 def test_tables_equal_their_direct_forms(case):
     alpha, beta, base, k_max = case
     norm = normalize(FloorLogInstance(alpha, beta, base))
     assert jump_positions(norm, k_max) == jump_positions_fresh_roots(norm, k_max)
-    assert classify_range(norm, k_max) == classify_range_exact(norm, k_max)
+    records = classify_range(norm, k_max)
+    assert records == classify_range_exact(norm, k_max)
+    assert records == classify_range_sweep(norm, k_max)
+
+
+def _count_exact_tests(monkeypatch) -> list[int]:
+    """The indices k at which classify_range falls back to the exact sign test."""
+    seen = []
+    real = jumpdigits._threshold_exact
+
+    def counted(norm, offset, k):
+        seen.append(k)
+        return real(norm, offset, k)
+
+    monkeypatch.setattr(jumpdigits, "_threshold_exact", counted)
+    return seen
+
+
+@pytest.mark.parametrize("beta, hit", [("32-22*sqrt(2)", 5), ("2-sqrt(2)", 1)])
+def test_a_surd_integrality_hit_takes_the_exact_test(monkeypatch, beta, hit):
+    """(2^hit - beta)/sqrt(2) is an integer, so frac(2^hit/alpha) equals
+    frac(beta/alpha): the digit tails agree forever and only the exact
+    sign test settles P_hit, which then holds."""
+    norm = normalize(FloorLogInstance(ExactReal.parse("sqrt(2)"), ExactReal.parse(beta), 2))
+    assert jump_positions(norm, 40).integrality_hits == (hit,)
+    fallbacks = _count_exact_tests(monkeypatch)
+    records = classify_range(norm, 40)
+    assert fallbacks == [hit]
+    assert records[hit - 1].pk
+    assert records == classify_range_sweep(norm, 40)
+
+
+@st.composite
+def st_tail_tie(draw):
+    """A surd alpha in [1, base) with frac(beta/alpha) within base^-(j+g) of
+    frac(base^j/alpha), g the guard digits, so the two digit tails agree on
+    their first j + g digits.
+
+    frac(beta/alpha) = (floor(base^(j+g) u) + s)/base^(j+g) for
+    u = frac(base^j/alpha) and s in [0, 1): a rational s, a surd s, or
+    s = frac(base^(j+g) u), which makes j an integrality hit.  With
+    2j >= k_max + 1 the agreement covers every digit classify_range reads
+    past place j, so P_j must come from the exact sign test.
+    """
+    base = draw(st.integers(min_value=2, max_value=10))
+    d = draw(st.sampled_from([2, 3, 5, 7, 10]))
+    alpha = normalize(FloorLogInstance(draw(st_surd_slope(d)), ExactReal(0), base)).alpha
+    k_max = draw(st.integers(min_value=1, max_value=60))
+    j = draw(st.integers(min_value=(k_max + 2) // 2, max_value=k_max + 1))
+    scale = base ** (j + jumpdigits._TAIL_GUARD_DIGITS)
+    u = (base**j / alpha).frac()
+    shape = draw(st.sampled_from(["rational", "surd", "hit"]))
+    if shape == "rational":
+        s = ExactReal(draw(st.fractions(min_value=0, max_value=1, max_denominator=9)))
+        assume(s < 1)
+    elif shape == "surd":
+        s = (ExactReal(draw(st_ratio)) * ExactReal.sqrt(d)).frac()
+    else:
+        s = (scale * u).frac()
+    offset = ((scale * u).floor() + s) / scale
+    return alpha, alpha * offset, base, k_max, j
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st_tail_tie())
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("32-22*sqrt(2)"), 2, 9, 5))
+def test_long_tail_agreements_fall_back_to_the_exact_test(case):
+    alpha, beta, base, k_max, j = case
+    norm = normalize(FloorLogInstance(alpha, beta, base))
+    assert (norm.alpha, norm.beta) == (alpha, beta)
+    with pytest.MonkeyPatch.context() as patch:
+        fallbacks = _count_exact_tests(patch)
+        records = classify_range(norm, k_max)
+    assert j in fallbacks
+    assert records == classify_range_sweep(norm, k_max)
+    assert records == classify_range_exact(norm, k_max)
 
 
 # slopes and offsets covering q > 0, q < 0, q = 0 with f != 0, f < 0 and
@@ -117,3 +198,34 @@ def test_straddled_brackets_fall_back_to_a_fresh_root(monkeypatch):
             assert jump_positions(norm, k_max) == jump_positions_fresh_roots(norm, k_max)
             fallbacks += len(roots) - 2  # two fixed-point roots per call
     assert fallbacks > 100
+
+
+# spigot slopes (alpha, beta, restarts): t = 0 (beta 0); t != 0 with B
+# positive or negative throughout; and sqrt(2) with beta
+# 5000-3535*sqrt(2), where B_k is (base^k - 5000)/2 up to a positive
+# factor, so B changes sign once in every base here and the spigot
+# restarts there
+_SPIGOT_SLOPES = (
+    ("sqrt(2)", "0", 0), ("1/2+1/2*sqrt(5)", "2/7*sqrt(5)", 0), ("3-sqrt(2)", "1/3", 0),
+    ("sqrt(2)", "5000-3535*sqrt(2)", 1),
+)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 10, 255, 256, 4095, 4096])
+def test_spigot_equals_the_jump_table_in_every_base(monkeypatch, base):
+    roots = []
+
+    def counting_floor(a, b, d, c):
+        roots.append(b)
+        return floor_quadratic(a, b, d, c)
+
+    monkeypatch.setattr(jumpdigits, "floor_quadratic", counting_floor)
+    k_max = 200
+    for alpha, beta, restarts in _SPIGOT_SLOPES:
+        norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
+        roots.clear()
+        stream = r_stream(norm, k_max)
+        assert len(roots) == 3 + restarts  # three roots start the spigot
+        assert stream == r_from_jumps(jump_positions(norm, k_max + 1), base)
+        for k in (1, 2, 3, k_max // 2, k_max):
+            assert r_direct(norm, k) == stream[k - 1]
