@@ -226,6 +226,17 @@ def residue_digits(norm: NormalizedInstance) -> Iterator[tuple[int, int]]:
     (base^k - beta)/alpha over the common denominator of its fractions,
     nor with jump_positions, which divides the whole numerator.
     """
+    b = norm.base
+    for a, pk, pk1, h in _residue_steps(norm):
+        yield a + (0 if pk else b) - (0 if pk1 else 1), h
+
+
+def _residue_steps(norm: NormalizedInstance) -> Iterator[tuple[int, bool, bool, int]]:
+    """(a_k, P_k, P_(k+1), h_k), k = 1, 2, ..., of a rational slope, off sigma_k.
+
+    a_k is digit k+1 of frac(1/alpha); the steps, the threshold theta and
+    the hit test are those of residue_digits' docstring.
+    """
     slope = norm.alpha.as_fraction()
     p, q, b = slope.numerator, slope.denominator, norm.base
     scaled = norm.beta * q
@@ -237,7 +248,7 @@ def residue_digits(norm: NormalizedInstance) -> Iterator[tuple[int, int]]:
     while True:
         a, following = divmod(b * sigma, p)
         pk1 = following >= theta
-        yield a + (0 if pk else b) - (0 if pk1 else 1), 1 if sigma == hit else 0
+        yield a, pk, pk1, 1 if sigma == hit else 0
         sigma, pk = following, pk1
 
 
@@ -324,36 +335,23 @@ def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
     r_digits only the exact floor kernel, never a root value, a remainder
     or a stepping rule.
 
-    A rational alpha keeps the integer sweep: the state x_k =
-    frac(base^k/alpha) is (A + 0*sqrt(d))/C over the denominator of
-    frac(Y) = (A' + B'*sqrt(d))/C, a step is digit, A = divmod(base*A, C),
-    and P_(k+1) is the exact sign test (A - A') - B'*sqrt(d) >= 0, all
-    on numbers below base*C.
+    A rational alpha = p/q reads the residue kernel of residue_digits:
+    there frac(base^k X) = sigma_k/p with sigma_k = q*base^k mod p, and
+    frac(Y) = q*beta/p, so digit k+1 is floor(base*sigma_k/p) and P_k is
+    sigma_k >= ceil(q*beta), each step one divmod on numbers below
+    base*p.
     """
     b = norm.base
-    offset = (norm.beta / norm.alpha).frac()
     if norm.alpha.is_rational:
-        digits, tests = _threshold_sweep(norm, offset, k_max)
+        rows = (step[:3] for step in islice(_residue_steps(norm), k_max))
     else:
-        digits, tests = _threshold_tails(norm, offset, k_max)
+        digits, tests = _threshold_tails(norm, (norm.beta / norm.alpha).frac(), k_max)
+        rows = zip(digits, tests, tests[1:])
     return [
         RkRecord(k=k, r=digit + (0 if pk else b) - (0 if pk1 else 1),
                  case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1, digit=digit, base=b)
-        for k, digit, pk, pk1 in zip(range(1, k_max + 1), digits, tests, tests[1:])
+        for k, (digit, pk, pk1) in enumerate(rows, 1)
     ]
-
-
-def _threshold_sweep(norm: NormalizedInstance, offset, k_max: int):
-    """Digits 2..k_max+1 of frac(1/alpha) and P_1..P_(k_max+1), alpha rational."""
-    b = norm.base
-    den, d, ((a, _), (ta, tb)) = over_common_denominator((b / norm.alpha).frac(), offset)
-    digits = []
-    tests = [_sign_quadratic(a - ta, -tb, d) >= 0]
-    for _ in range(k_max):
-        digit, a = divmod(b * a, den)
-        digits.append(digit)
-        tests.append(_sign_quadratic(a - ta, -tb, d) >= 0)
-    return digits, tests
 
 
 def _threshold_tails(norm: NormalizedInstance, offset, k_max: int):
@@ -699,7 +697,7 @@ def certify_r(
 
 # On a rational slope the residue kernel gives every certified value, and
 # the big-integer routes (jump_positions, the level starts with their
-# enumeration audit, r_from_jumps and align_m0) check it independently on
+# boundary audit, r_from_jumps and align_m0) check it independently on
 # r_k for k <= _AUDIT_PREFIX and d_k for k <= max(d_window, _AUDIT_PREFIX)
 # only: their numbers have about k*log2(base) bits, so over a whole cover
 # their cost would grow quadratically in it.  400 levels hold the cover of

@@ -3,15 +3,16 @@
 f_k counts how many indices n sit at level k, i.e. have u_n = k.  Each
 level occupies the half-open index interval [(base^k - beta)/alpha,
 (base^(k+1) - beta)/alpha), so the count is a difference of exact ceilings
-and never needs enumeration.  Both routes that produce f run on integers
+and never needs enumeration.  The count and its audit run on integers
 alone, from one common-denominator form each:
 
   * the primary route writes (base^k - beta)/alpha as (A + B*sqrt(d))/C
     and takes every level start's ceiling with the exact floor kernel
     floor_quadratic;
-  * the audit enumerates a prefix of indices and walks the level up as
-    alpha*n + beta passes each power of the base, so it evaluates u_n
-    from its definition, in a different form from the primary route.
+  * the audit checks every level start against the definition of u_n,
+    two exact sign tests of alpha*n + beta - base^k per level, written
+    over the common denominator of alpha and beta rather than of
+    1/alpha and beta/alpha.
 
 f is deliberately not read off jump_positions: align_m0 compares f_k with
 the jump gaps c_{k+1} - c_k, and that comparison is only a check while f
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .exact import floor_quadratic, over_common_denominator
+from .exact import _sign_quadratic, floor_quadratic, over_common_denominator
 from .jumpdigits import (
     InstanceTables,
     ModCycleCertificate,
@@ -91,15 +92,14 @@ class LevelCounts:
     """Exact level populations for one instance.
 
     f maps level k to its count for k_min <= k <= k_max; negative levels
-    (argument still below 1) are included.  enum_verified_to is the highest
-    level whose count was independently confirmed by brute enumeration.
+    (argument still below 1) are included.  f_counts has checked every
+    level start behind these counts against the definition of u_n.
     """
 
     norm: NormalizedInstance
     k_min: int
     k_max: int
     f: dict[int, int]
-    enum_verified_to: int | None = None
 
     def at(self, k: int) -> int:
         if not self.k_min <= k <= self.k_max:
@@ -107,40 +107,36 @@ class LevelCounts:
         return self.f[k]
 
     def prefix(self, k_max: int) -> "LevelCounts":
-        """What f_counts(norm, k_max) returns, read off these counts.
-
-        A level fully inside this audit's range that is at most k_max is
-        also fully inside the shorter audit's range, so the prefix keeps
-        min(enum_verified_to, k_max).
-        """
+        """What f_counts(norm, k_max) returns, read off these counts."""
         if not 1 <= k_max <= self.k_max:
             raise IndexError(f"prefix {k_max} outside 1..{self.k_max}")
-        verified = self.enum_verified_to
-        return LevelCounts(
-            norm=self.norm, k_min=self.k_min, k_max=k_max,
-            f={k: n for k, n in self.f.items() if k <= k_max},
-            enum_verified_to=None if verified is None else min(verified, k_max),
-        )
+        return LevelCounts(norm=self.norm, k_min=self.k_min, k_max=k_max,
+                           f={k: n for k, n in self.f.items() if k <= k_max})
 
 
-def f_counts(norm: NormalizedInstance, k_max: int, enum_cap: int = 2000) -> LevelCounts:
-    """Count every level up to k_max two ways and reconcile them.
+def f_counts(norm: NormalizedInstance, k_max: int) -> LevelCounts:
+    """Count every level up to k_max and check each level start it used.
 
     The primary route takes the level starts L_k from _level_starts once,
     for k_min..k_max+1, and sets f_k = L_{k+1} - L_k; it is exact at any
-    depth.  The audit enumerates n from n_min up to enum_cap (or the end
-    of level k_max, if sooner) and tallies u_n, which it walks upward from
-    u_{n_min}.  With alpha*n + beta = (a1*n + a2 + (b1*n + b2)*sqrt(d))/C
-    and the next threshold base^(level+1) = num/den, u_n has passed that
-    threshold exactly when
+    depth.  The audit proves each L_k from the definition of u_n.  alpha
+    is positive, so t(n) = alpha*n + beta rises strictly with n, and u_n
+    >= k holds exactly when t(n) >= base^k; L_k is therefore the first
+    index of level k exactly when
 
-        x + y*sqrt(d) >= 0,   x = den*(a1*n + a2) - num*C,  y = den*(b1*n + b2),
+        t(L_k) >= base^k,  and  L_k = n_min or t(L_k - 1) < base^k.
 
-    so x and y step by den*a1 and den*b1 per index, and are rebuilt from n
-    only when the level rises and num/den moves.  Tallies are compared on
-    every level lying fully inside the enumerated range; disagreement
-    raises ConsistencyError.  The two routes share only
-    over_common_denominator.
+    With alpha = (a1 + b1*sqrt(d))/C, beta = (a2 + b2*sqrt(d))/C and
+    base^k = num/den (den > 1 only for negative k), t(n) - base^k has the
+    sign of
+
+        x + y*sqrt(d),   x = den*(a1*n + a2) - num*C,  y = den*(b1*n + b2),
+
+    and the point n - 1 is (x - den*a1, y - den*b1); _sign_quadratic
+    decides both signs exactly, and a rational instance (d = 1, y = 0)
+    reads them off x.  A start below n_min, or one that fails either
+    test, raises ConsistencyError.  The audit and _level_starts share
+    only over_common_denominator.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -149,49 +145,24 @@ def f_counts(norm: NormalizedInstance, k_max: int, enum_cap: int = 2000) -> Leve
     starts = _level_starts(norm, k_min, k_max + 1)
     f = {k: starts[i + 1] - starts[i] for i, k in enumerate(range(k_min, k_max + 1))}
 
-    # brute audit over the enumerable prefix
-    top = min(enum_cap, starts[-1] - 1)
     c, d, ((a1, b1), (a2, b2)) = over_common_denominator(norm.alpha, norm.beta)
-    lvl = k_min
-    num, den = (b ** (lvl + 1), 1) if lvl + 1 >= 0 else (1, b ** -(lvl + 1))
-    tally = [0] * (k_max - k_min + 1)
-    n = norm.n_min
-    x, y = den * (a1 * n + a2) - num * c, den * (b1 * n + b2)
-    dx, dy = den * a1, den * b1
-    while n <= top:
-        if y == 0:
-            passed = x >= 0
-        elif (x >= 0) == (y > 0):
-            passed = y > 0
+    num, den = (b**k_min, 1) if k_min >= 0 else (1, b**-k_min)
+    n_min = norm.n_min
+    for k, n in enumerate(starts, k_min):
+        dx, dy = den * a1, den * b1
+        x, y = dx * n + den * a2 - num * c, dy * n + den * b2
+        if d == 1:  # y = 0, so both signs are those of x
+            ok = 0 <= x and (n == n_min or x < dx)
         else:
-            # opposite signs: compare squares, never equal since d is not a square
-            passed = (x * x > y * y * d) == (x >= 0)
-        if passed:
-            lvl += 1
-            if lvl > k_max:
-                raise ConsistencyError(f"enumeration reaches level {lvl} at n={n}")
-            if den > 1:
-                den //= b
-            else:
-                num *= b
-            x, y = den * (a1 * n + a2) - num * c, den * (b1 * n + b2)
-            dx, dy = den * a1, den * b1
-            continue
-        tally[lvl - k_min] += 1
-        n += 1
-        x += dx
-        y += dy
-    verified = None
-    for i, k in enumerate(range(k_min, k_max + 1)):
-        if starts[i + 1] - 1 > top:
-            break
-        if tally[i] != f[k]:
-            raise ConsistencyError(
-                f"level {k}: formula says {f[k]}, enumeration says {tally[i]}"
-            )
-        verified = k
-    return LevelCounts(norm=norm, k_min=k_min, k_max=k_max, f=f,
-                       enum_verified_to=verified)
+            ok = _sign_quadratic(x, y, d) >= 0 and (
+                n == n_min or _sign_quadratic(x - dx, y - dy, d) < 0)
+        if n < n_min or not ok:
+            raise ConsistencyError(f"level {k} does not start at n={n}")
+        if den > 1:
+            den //= b
+        else:
+            num *= b
+    return LevelCounts(norm=norm, k_min=k_min, k_max=k_max, f=f)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Level-count module: exact counts, jump alignment, difference periodicity."""
 
+import ast
+import inspect
 from dataclasses import replace
 from fractions import Fraction
 
@@ -46,7 +48,6 @@ def test_f_frozen_sqrt2():
     lc = f_counts(N_SQRT2, 4)
     assert lc.k_min == 0
     assert [lc.at(k) for k in range(0, 5)] == [1, 1, 3, 6, 11]
-    assert lc.enum_verified_to == 4
 
 
 def test_f_frozen_alpha_one():
@@ -204,8 +205,7 @@ def test_decide_d_reports_the_levels_it_certified_on():
     lc, alignment, v = decide_d_periodicity(tables, 20)
     assert v.kind == "Periodic" and v.certificate.modulus == 7
     own = f_counts(n, 20)
-    assert (lc.k_min, lc.k_max, lc.f, lc.enum_verified_to) == (
-        own.k_min, own.k_max, own.f, own.enum_verified_to)
+    assert (lc.k_min, lc.k_max, lc.f) == (own.k_min, own.k_max, own.f)
     assert alignment == align_m0(own, jump_positions(n, 21))
     assert v == d_verdict(n, 60)
 
@@ -288,7 +288,7 @@ st_base = st.sampled_from([2, 3, 10])
 
 @st.composite
 def st_level_instance(draw):
-    """(alpha, beta, base, enum_cap) over the shapes both count routes branch on.
+    """(alpha, beta, base) over the shapes the count and its audit branch on.
 
     Slopes: rational, surd, 3 + sqrt(d) (whose reciprocal has a negative
     radical part) and 1 (every crossing lands on an integer).  Offsets:
@@ -315,22 +315,21 @@ def st_level_instance(draw):
             lambda t: ExactReal(Fraction(1, base ** t[0])) * (root if t[1] == 2 else 1)
         ),
     ))
-    cap = draw(st.sampled_from([1, 37, 2000]))
-    return alpha, beta, base, cap
+    return alpha, beta, base
 
 
 @settings(max_examples=50, deadline=None)
 @given(case=st_level_instance())
-@example(case=(ExactReal.parse("3+sqrt(2)"), ExactReal(0), 2, 37))
-@example(case=(ExactReal.parse("sqrt(2)"), ExactReal(Fraction(1, 2**9)), 2, 2000))
-@example(case=(ExactReal(1), ExactReal(Fraction(1, 10**6)), 10, 1))
-@example(case=(ExactReal(1), ExactReal(0), 3, 2000))
-@example(case=(ExactReal.parse("5/3"), ExactReal.parse("1/3*sqrt(2)"), 2, 37))
+@example(case=(ExactReal.parse("3+sqrt(2)"), ExactReal(0), 2))
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal(Fraction(1, 2**9)), 2))
+@example(case=(ExactReal(1), ExactReal(Fraction(1, 10**6)), 10))
+@example(case=(ExactReal(1), ExactReal(0), 3))
+@example(case=(ExactReal.parse("5/3"), ExactReal.parse("1/3*sqrt(2)"), 2))
 def test_counts_match_enumeration_oracle(case):
-    alpha, beta, base, cap = case
+    alpha, beta, base = case
     n = normalize(FloorLogInstance(alpha, beta, base))
     k_top = _ORACLE_KTOP[base]
-    lc = f_counts(n, k_top, enum_cap=cap)
+    lc = f_counts(n, k_top)
     assert lc.k_min == oracle_u(n.alpha, n.beta, base, n.n_min)
     for k in range(lc.k_min, k_top + 1):
         assert lc.at(k) == oracle_f(n.alpha, n.beta, base, k, n.n_min)
@@ -338,44 +337,68 @@ def test_counts_match_enumeration_oracle(case):
 
 @settings(max_examples=40, deadline=None)
 @given(case=st_level_instance(), data=st.data())
-@example(case=(ExactReal(1), ExactReal(0), 3, 2000), data=None)
-@example(case=(ExactReal(1), ExactReal(Fraction(1, 10**6)), 10, 37), data=None)
+@example(case=(ExactReal(1), ExactReal(0), 3), data=None)
+@example(case=(ExactReal(1), ExactReal(Fraction(1, 10**6)), 10), data=None)
 def test_prefix_views_equal_fresh_tables(case, data):
-    alpha, beta, base, cap = case
+    alpha, beta, base = case
     n = normalize(FloorLogInstance(alpha, beta, base))
     top = 30
     jd = jump_positions(n, top)
-    lc = f_counts(n, top, enum_cap=cap)
+    lc = f_counts(n, top)
     ks = [1, top] if data is None else data.draw(
         st.lists(st.integers(1, top), min_size=1, max_size=4), label="k")
     for k in ks:
         assert jd.prefix(k) == jump_positions(n, k)  # integrality hits included
-        view, fresh = lc.prefix(k), f_counts(n, k, enum_cap=cap)
-        assert (view.k_min, view.k_max, view.f, view.enum_verified_to) == (
-            fresh.k_min, fresh.k_max, fresh.f, fresh.enum_verified_to)
+        view, fresh = lc.prefix(k), f_counts(n, k)
+        assert (view.k_min, view.k_max, view.f) == (fresh.k_min, fresh.k_max, fresh.f)
 
 
-@pytest.mark.parametrize("alpha,beta,base", [
-    ("sqrt(2)", 0, 2),               # B != 0, B > 0
-    ("3+sqrt(2)", "1/5", 2),         # B != 0, B < 0
-    ("3/2", "1/3", 2),               # B == 0, rational ceiling
-    ("1", "1/64", 2),                # B == 0 at negative levels
-])
+_SHIFTED_STARTS = [
+    ("sqrt(2)", 0, 2, 3),              # B != 0, B > 0
+    ("3+sqrt(2)", "1/5", 2, 3),        # B != 0, B < 0
+    ("3/2", "1/3", 2, 3),              # B == 0, rational ceiling
+    ("1", "1/64", 2, 3),               # B == 0 at negative levels
+    # the rows below shift a level start past index 2000
+    ("sqrt(2)", 0, 2, 14),             # starts at n = 11586
+    ("3/2", "1/3", 10, 5),             # starts at n = 66667
+    ("3+sqrt(2)", "1/5", 2, 14),       # starts at n = 14847
+]
+
+
+# a row shifting level 3 is named by its instance alone, other rows add the level
+@pytest.mark.parametrize("alpha,beta,base,level", _SHIFTED_STARTS, ids=[
+    "-".join(map(str, row[:3] if row[3] == 3 else row)) for row in _SHIFTED_STARTS])
 @pytest.mark.parametrize("shift", [1, -1])
-def test_audit_catches_level_start_off_by_one(monkeypatch, alpha, beta, base, shift):
+def test_audit_catches_level_start_off_by_one(monkeypatch, alpha, beta, base, level, shift):
     n = norm_of(alpha, beta, base)
-    lc = f_counts(n, 8)
-    assert lc.enum_verified_to == 8
+    k_max = level + 5
+    f_counts(n, k_max)
     real = levelcounts._level_starts
 
     def off_by_one(norm, k_lo, k_hi):
         starts = real(norm, k_lo, k_hi)
-        starts[3 - k_lo] += shift  # level 3 starts one index late or early
+        starts[level - k_lo] += shift  # the level starts one index late or early
         return starts
 
     monkeypatch.setattr(levelcounts, "_level_starts", off_by_one)
     with pytest.raises(ConsistencyError):
-        f_counts(n, 8)
+        f_counts(n, k_max)
+
+
+def test_counts_never_read_the_jump_tables():
+    """f is not read off the jump table or the digit routes, so comparing it
+    with the jump gaps (align_m0) and d with the r differences stays a check:
+    neither f_counts nor _level_starts names any of them."""
+    tables = {"jump_positions", "JumpData", "r_digits", "residue_digits", "InstanceTables"}
+
+    def names(func):
+        nodes = list(ast.walk(ast.parse(inspect.getsource(func))))
+        return {node.id for node in nodes if isinstance(node, ast.Name)} | {
+            node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+    named = {func.__name__: sorted(names(func) & tables)
+             for func in (levelcounts.f_counts, levelcounts._level_starts)}
+    assert named == {"f_counts": [], "_level_starts": []}
 
 
 @settings(max_examples=40, deadline=None)
