@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, islice, takewhile
 
 from .exact import _sign_quadratic, floor_quadratic, over_common_denominator
 from .numeration import digit_stream
@@ -114,7 +114,7 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     one call of the exact floor kernel floor_quadratic restarts the spigot.
 
     A rational stream (d == 1, so B = t = 0 throughout) takes its own
-    loop: num = base*A + const, r = num // C, A' = num - r*C.  A stays
+    loop, one divmod per term: r, A' = divmod(base*A + const, C).  A stays
     below C, so a term costs a few operations on numbers of the size of
     the slope's denominators, with no floor_quadratic call and no spigot.
 
@@ -134,10 +134,8 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     shift, t = (b - 1) * ta, (b - 1) * tb
     if d == 1:
         while True:
-            num = b * a + shift
-            r = num // den
+            r, a = divmod(b * a + shift, den)
             yield r
-            a = num - r * den
     # R0 = base^2 R + 2*base*(|B|*tau*d - s*u) + tau^2 d - u^2, and
     # |B|*tau = B*t; per sign of B, with tau = sign*t and
     # u = floor(tau*sqrt(d)): 2*base*u, u and tau^2 d - u^2
@@ -187,8 +185,8 @@ def r_from_jumps(jumps: JumpData, base: int) -> list[int]:
     return [jumps.c[i + 1] - base * jumps.c[i] for i in range(jumps.k_max - 1)]
 
 
-def residue_digits(norm: NormalizedInstance) -> Iterator[tuple[int, int]]:
-    """The pairs (r_k, h_k), k = 1, 2, ..., of a rational slope, off t_k = base^k mod p.
+def residue_digits(norm: NormalizedInstance, count: int) -> tuple[list[int], list[int]]:
+    """r_1..r_count and h_1..h_count of a rational slope, off t_k = base^k mod p.
 
     h_k is 1 when (base^k - beta)/alpha is an integer and 0 otherwise.
     With alpha = p/q in lowest terms, put sigma_k = q*t_k mod p, which is
@@ -227,15 +225,18 @@ def residue_digits(norm: NormalizedInstance) -> Iterator[tuple[int, int]]:
     nor with jump_positions, which divides the whole numerator.
     """
     b = norm.base
-    for a, pk, pk1, h in _residue_steps(norm):
-        yield a + (0 if pk else b) - (0 if pk1 else 1), h
+    digits, tests, h = _residue_steps(norm, count)
+    r = [a + (0 if pk else b) - (0 if pk1 else 1)
+         for a, pk, pk1 in zip(digits, tests, tests[1:])]
+    return r, h
 
 
-def _residue_steps(norm: NormalizedInstance) -> Iterator[tuple[int, bool, bool, int]]:
-    """(a_k, P_k, P_(k+1), h_k), k = 1, 2, ..., of a rational slope, off sigma_k.
+def _residue_steps(norm: NormalizedInstance, count: int) -> tuple[list[int], list[bool], list[int]]:
+    """a_1..a_count, P_1..P_(count+1) and h_1..h_count of a rational slope.
 
-    a_k is digit k+1 of frac(1/alpha); the steps, the threshold theta and
-    the hit test are those of residue_digits' docstring.
+    a_k is digit k+1 of frac(1/alpha); the steps of sigma_k, the
+    threshold theta and the hit test are those of residue_digits'
+    docstring, one divmod per k in one loop.
     """
     slope = norm.alpha.as_fraction()
     p, q, b = slope.numerator, slope.denominator, norm.base
@@ -244,12 +245,14 @@ def _residue_steps(norm: NormalizedInstance) -> Iterator[tuple[int, bool, bool, 
     exact = scaled.is_rational and scaled.as_fraction().denominator == 1
     hit = theta if exact else -1  # sigma is never negative
     sigma = q * b % p
-    pk = sigma >= theta
-    while True:
+    digits, tests, hits = [], [sigma >= theta], []
+    for _ in range(count):
         a, following = divmod(b * sigma, p)
-        pk1 = following >= theta
-        yield a, pk, pk1, 1 if sigma == hit else 0
-        sigma, pk = following, pk1
+        digits.append(a)
+        tests.append(following >= theta)
+        hits.append(1 if sigma == hit else 0)
+        sigma = following
+    return digits, tests, hits
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +346,13 @@ def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
     """
     b = norm.base
     if norm.alpha.is_rational:
-        rows = (step[:3] for step in islice(_residue_steps(norm), k_max))
+        digits, tests, _ = _residue_steps(norm, k_max)
     else:
         digits, tests = _threshold_tails(norm, (norm.beta / norm.alpha).frac(), k_max)
-        rows = zip(digits, tests, tests[1:])
     return [
         RkRecord(k=k, r=digit + (0 if pk else b) - (0 if pk1 else 1),
                  case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1, digit=digit, base=b)
-        for k, (digit, pk, pk1) in enumerate(rows, 1)
+        for k, (digit, pk, pk1) in enumerate(zip(digits, tests, tests[1:]), 1)
     ]
 
 
@@ -452,7 +454,9 @@ class PeriodicityVerdict:
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n >= 1 in ascending order, each d with d*d <= n paired with n // d."""
+    small = [d for d in takewhile(lambda d: d * d <= n, range(1, n + 1)) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def minimize_cycle(values, cover_preperiod: int, cover_period: int) -> tuple[int, int]:
@@ -729,7 +733,7 @@ class InstanceTables(DigitSource):
     once.  For alpha = p/q, orbit is the (preperiod, period) of base^k
     mod p; with cover = preperiod + 2*period, r is certified on span_r =
     max(cover, r_window) terms and d on span_d = max(cover, d_window),
-    both off the residues that residue_digits yields.  The big-integer
+    both off the lists r and h of residue_digits.  The big-integer
     tables audit those certificates on the prefixes audit_r and audit_d
     only (see _AUDIT_PREFIX).  Each reader asks jumps_to for the jump
     prefix it reads.  A surd needs no span: orbit is None and r_verdict
@@ -782,12 +786,7 @@ class InstanceTables(DigitSource):
 
         That is as far as certify_r and certify_d read them.
         """
-        r, h = [], []
-        count = max(self.span_r + 1, self.span_d + 2)
-        for r_k, h_k in islice(residue_digits(self.norm), count):
-            r.append(r_k)
-            h.append(h_k)
-        return r, h
+        return residue_digits(self.norm, max(self.span_r + 1, self.span_d + 2))
 
     def jumps_to(self, top: int) -> JumpData:
         """c_1..c_top, off one jump table built at the first read.

@@ -140,23 +140,6 @@ class ThueMorseBlockSource(DigitSource):
 # ---------------------------------------------------------------------------
 
 
-def _fold(stream, base: int) -> Iterator[tuple[int, int]]:
-    """(w_n, length of its rendering) for each n, in one left-to-right fold.
-
-    The rendering of w_n has L digits exactly when w_n < b^L and L is
-    least (one digit for 0).  Digits are nonnegative, so values never
-    decrease, and tracking b^L as the values pass it costs one integer
-    comparison per step.
-    """
-    value, length, power = 0, 1, base
-    for u in stream:
-        value = value * base + u
-        while value >= power:
-            power *= base
-            length += 1
-        yield value, length
-
-
 class LanguageWords:
     """The first chunk of the language: values and lengths, words on demand.
 
@@ -172,9 +155,19 @@ class LanguageWords:
         self.base = base
         self.n_top = len(stream) - 1
         self.source_label = source_label
-        values, lengths = zip(*_fold(stream, base))
-        self.values: tuple[int, ...] = values
-        self.lengths: tuple[int, ...] = lengths
+        # w_n renders in L digits for the least L with w_n < b^L; values
+        # never decrease, so tracking b^L costs one comparison per step
+        values, lengths = [], []
+        value, length, power = 0, 1, base
+        for u in stream:
+            value = value * base + u
+            while value >= power:
+                power *= base
+                length += 1
+            values.append(value)
+            lengths.append(length)
+        self.values: tuple[int, ...] = tuple(values)
+        self.lengths: tuple[int, ...] = tuple(lengths)
         self._stream = stream
         self._rendered: list[Word] = []
         self._digits: list[int] = []  # rendering of the last word; [] while 0
@@ -518,7 +511,7 @@ def certify_pattern(src: DigitSource, candidate: PatternCandidate) -> CertifiedP
             "iv", f"V1 has length {len(candidate.v1)}, expected {p}"
         )
     for part, name in ((candidate.v0, "V0"), (candidate.v1, "V1"), (candidate.v2, "V2")):
-        if any(not 0 <= d < b for d in part):
+        if part and not (min(part) >= 0 and max(part) < b):
             raise PatternRejection("iv", f"{name} uses a digit outside base {b}")
 
     return CertifiedPattern(

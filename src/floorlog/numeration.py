@@ -54,16 +54,14 @@ def from_word(digits: Iterable[int], base: int) -> int:
 
 def as_digits(w) -> Word:
     """A digit word as a tuple of ints; a string like "102" is read digit by digit."""
-    if isinstance(w, str):
-        return tuple(int(ch) for ch in w)
-    return tuple(int(d) for d in w)
+    return tuple(map(int, w))
 
 
 def word_str(word: Sequence[int]) -> str:
     """Compact rendering: "1010" when digits fit one glyph, else "[1,12,0]"."""
-    if all(0 <= d <= 9 for d in word):
-        return "".join(str(d) for d in word)
-    return "[" + ",".join(str(d) for d in word) + "]"
+    if not word or (min(word) >= 0 and max(word) <= 9):
+        return "".join(map(str, word))
+    return "[" + ",".join(map(str, word)) + "]"
 
 
 def parse_word(text: str) -> Word:

@@ -1,7 +1,6 @@
 """Jump-digit sequence: dual routes, case analysis, expansion audit, periods."""
 
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +11,7 @@ from floorlog.jumpdigits import (
     InstanceTables,
     OrbitCapError,
     RkRecord,
+    _divisors,
     certify_cycle,
     certify_r,
     classify_range,
@@ -228,6 +228,12 @@ def test_certify_cycle_replays_every_value():
         certify_cycle(values[:-1] + [7], 7, (1, 2))
 
 
+def test_divisors_pair_up_to_the_square_root():
+    # 524256 = 2^5 * 3 * 43 * 127 is the orbit period of 10 mod 524257
+    for n in [*range(1, 2001), 524256]:
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
 @pytest.mark.parametrize("bad", [(3,), (6,), (4, 8), (2, 6, 7), (7,), (3, 4, 5)])
 def test_minimize_cycle_names_the_first_break_inside_the_cover(bad):
     values = [9, 8] + [1, 2, 3] * 3
@@ -390,9 +396,12 @@ def st_rational_slope(draw):
 @given(norm=st_rational_slope())
 def test_residue_certificates_match_fraction_oracle(norm):
     want_r, want_h, want_d = rational_slope_terms(norm.alpha, norm.beta, norm.base, 40)
-    pairs = list(islice(residue_digits(norm), 42))
+    pairs = list(zip(*residue_digits(norm, 42)))
     assert [r for r, _ in pairs[:40]] == want_r
     assert [h for _, h in pairs] == want_h
+    assert [row.r for row in classify_range(norm, 40)] == want_r
+    r, h = residue_digits(norm, 60)
+    assert residue_digits(norm, 42) == (r[:42], h[:42])
     tables = InstanceTables(norm, 40, 40)
     d_cert = decide_d_periodicity(tables, 40)[2].certificate
     assert tables.r_verdict.certificate.replay(40) == want_r
@@ -407,7 +416,7 @@ def test_residue_certificates_match_fraction_oracle(norm):
 def test_five_quarters_residues_hit_at_every_level():
     # 4*10^k is a multiple of 5 at every k, so every quotient is an integer
     norm = norm_of("5/4", 0, 10)
-    assert list(islice(residue_digits(norm), 50)) == [(r, 1) for r in r_stream(norm, 50)]
+    assert list(zip(*residue_digits(norm, 50))) == [(r, 1) for r in r_stream(norm, 50)]
     tables = InstanceTables(norm, 30, 30)
     assert tables.r_verdict.certificate.integrality_hits == tuple(range(1, 32))
     d_cert = decide_d_periodicity(tables, 30)[2].certificate

@@ -77,6 +77,18 @@ def test_words_follow_horner_fold():
     assert all(from_word(w, 3) == v for w, v in zip(lw.words[1:], lw.values[1:]))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), base=st.integers(2, 16))
+def test_fold_matches_horner_on_random_words(data, base):
+    # leading zeros and digits far past the base, up to 3*base
+    word = data.draw(st.lists(st.integers(0, 3 * base), min_size=1, max_size=40))
+    lw = words(ExplicitDigitSource(word), base, len(word), allow_zero_start=True)
+    assert lw.n_top == len(word) - 1
+    for n in range(len(word)):
+        assert lw.values[n] == from_word(word[: n + 1], base)
+        assert lw.lengths[n] == len(to_word(lw.values[n], base))
+
+
 def test_tm_blocks_digits_and_words():
     tm = ThueMorseBlockSource("10", "02")
     assert "".join(str(d) for d in tm.prefix(16)) == "1002021002101002"

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -82,3 +83,27 @@ def test_surd_probes_time_three_tables_per_depth():
         assert line.endswith("routes agree")
     depths = [next(word for word in line.split() if word.startswith("k=")) for line in lines]
     assert depths == ["k=20", "k=100"] * 4
+
+
+def test_bench_pairs_runs_one_pair_of_one_checkout():
+    root = str(SCRIPTS.parent)
+    lines = run_script("bench_pairs.py", root, root, "--workload", "battery",
+                       "--seed", "1", "--pairs", "1", "--seconds", "0.2").splitlines()
+    assert [line.split()[:3] for line in lines[:2]] == [
+        ["pair", "1", "parent"], ["pair", "1", "change"]]
+    assert any(line.startswith("ops_per_s (1/s)  parent ") for line in lines)
+    assert re.fullmatch(r"ops_per_s: the change won [01] of 1 pairs \([01] tied\)", lines[-1])
+
+
+def test_bench_pairs_refuses_differing_benchmarks(tmp_path):
+    for side, text in (("parent", "print(1)\n"), ("change", "print(2)\n")):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(text)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_pairs.py"), str(tmp_path / "parent"),
+         str(tmp_path / "change"), "--workload", "battery", "--seed", "1",
+         "--pairs", "1", "--seconds", "0.2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "perfbench/ trees differ" in proc.stderr
