@@ -10,7 +10,9 @@ byte-identical perfbench/ trees, or the comparison would measure the
 benchmark's own change; the script refuses to run otherwise.  Pair i
 runs the parent first when i is odd and the change first when i is
 even, so a drift of host speed over the session does not favour one
-side.
+side.  Before the first pair both checkouts' src/ trees are byte-compiled
+with the standard library's compileall, so no run's setup_s includes
+compiling floorlog, whatever __pycache__ state each tree starts in.
 
 Prints one line per run with its end-to-end metrics, then per metric
 each side's median and quartiles, and how many pairs the change won on
@@ -18,6 +20,7 @@ ops_per_s (ties count for neither side).
 """
 
 import argparse
+import compileall
 import json
 import pathlib
 import statistics
@@ -35,6 +38,12 @@ def tree_bytes(root: pathlib.Path) -> dict[str, bytes]:
         for path in sorted(bench.rglob("*"))
         if path.is_file() and "__pycache__" not in path.parts
     }
+
+
+def precompile(root: pathlib.Path) -> None:
+    """Byte-compile root/src in place, quietly, for the interpreter the runs use."""
+    if not compileall.compile_dir(root / "src", quiet=1):
+        raise SystemExit(f"bench_pairs: could not byte-compile {root / 'src'}")
 
 
 def run_once(root: pathlib.Path, args) -> dict:
@@ -72,6 +81,8 @@ def main(argv=None) -> int:
         print("bench_pairs: the two perfbench/ trees differ; refusing to compare",
               file=sys.stderr)
         return 2
+    for root in sides.values():
+        precompile(root)
 
     runs = {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):

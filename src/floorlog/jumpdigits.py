@@ -29,6 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, takewhile
+from typing import NamedTuple
 
 from .exact import _sign_quadratic, floor_quadratic, over_common_denominator
 from .numeration import digit_stream
@@ -118,14 +119,17 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     below C, so a term costs a few operations on numbers of the size of
     the slope's denominators, with no floor_quadratic call and no spigot.
 
-    jump_positions takes two fixed-point roots once per call and brackets
-    each c_k from base^k times the first, calling floor_quadratic on
-    (A_k, B_k) where the bracket straddles; on a rational slope it divides
-    the whole numerator base^k*p - e afresh at every k.  It carries no
-    remainder and never looks at this spigot.  The two routes share only
-    the exact floor kernel, never a root value, a remainder or a stepping
-    rule, so comparing them is a real cross-check, not one computation
-    with itself.
+    jump_positions takes two fixed-point roots once per call and carries
+    one whole numerator H_k = A_k*2^M + W_k, where A_k is the rational
+    part of the numerator of (base^k - beta)/alpha over C and W_k a
+    fixed-point lower bound of its radical part; each c_k is H_k shifted
+    and divided by C afresh, and floor_quadratic on (A_k, B_k) settles
+    the rare bracket that straddles an integer.  On a rational slope it
+    divides the whole numerator base^k*p - e afresh at every k.  It
+    carries no remainder and never looks at this spigot.  The two routes
+    share only the exact floor kernel, never a root value, a remainder or
+    a stepping rule, so comparing them is a real cross-check, not one
+    computation with itself.
     """
     b = norm.base
     tail = (norm.beta / norm.alpha).frac()
@@ -264,15 +268,7 @@ def inverse_slope_digits(norm: NormalizedInstance, count: int) -> list[int]:
     return digit_stream((1 / norm.alpha).frac(), norm.base, count)
 
 
-@dataclass(frozen=True)
-class RkRecord:
-    """One classified term of the jump-digit sequence.
-
-    digit is entry k+1 of the expansion of frac(1/alpha); case_tag encodes
-    which of the four shapes (see module docstring) produced r.  The record
-    revalidates itself on construction.
-    """
-
+class _RkFields(NamedTuple):
     k: int
     r: int
     case_tag: str
@@ -281,19 +277,32 @@ class RkRecord:
     digit: int
     base: int
 
-    def __post_init__(self):
-        tag = _TAG_BY_TESTS[(self.pk, self.pk1)]
-        if tag != self.case_tag:
-            raise ConsistencyError(
-                f"k={self.k}: tag {self.case_tag!r} does not follow from tests {tag!r}"
-            )
-        expected = self.digit + (0 if self.pk else self.base) - (0 if self.pk1 else 1)
-        if self.r != expected:
-            raise ConsistencyError(
-                f"k={self.k}: case {self.case_tag} predicts r={expected}, got {self.r}"
-            )
-        if not 0 <= self.r <= 2 * self.base - 2:
-            raise ConsistencyError(f"k={self.k}: r={self.r} outside 0..{2*self.base-2}")
+
+class RkRecord(_RkFields):
+    """One classified term of the jump-digit sequence.
+
+    digit is entry k+1 of the expansion of frac(1/alpha); case_tag encodes
+    which of the four shapes (see module docstring) produced r.  The record
+    is an immutable named tuple that revalidates itself on construction,
+    _make and _replace included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k, r, case_tag, pk, pk1, digit, base):
+        tag = _TAG_BY_TESTS[(pk, pk1)]
+        if tag != case_tag:
+            raise ConsistencyError(f"k={k}: tag {case_tag!r} does not follow from tests {tag!r}")
+        expected = digit + (0 if pk else base) - (0 if pk1 else 1)
+        if r != expected:
+            raise ConsistencyError(f"k={k}: case {case_tag} predicts r={expected}, got {r}")
+        if not 0 <= r <= 2 * base - 2:
+            raise ConsistencyError(f"k={k}: r={r} outside 0..{2*base-2}")
+        return tuple.__new__(cls, (k, r, case_tag, pk, pk1, digit, base))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # digits of frac(1/alpha) that classify_range reads past digit k_max + 1,
@@ -350,8 +359,8 @@ def classify_range(norm: NormalizedInstance, k_max: int) -> list[RkRecord]:
     else:
         digits, tests = _threshold_tails(norm, (norm.beta / norm.alpha).frac(), k_max)
     return [
-        RkRecord(k=k, r=digit + (0 if pk else b) - (0 if pk1 else 1),
-                 case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1, digit=digit, base=b)
+        RkRecord(k, digit + (0 if pk else b) - (0 if pk1 else 1), _TAG_BY_TESTS[(pk, pk1)],
+                 pk, pk1, digit, b)
         for k, (digit, pk, pk1) in enumerate(zip(digits, tests, tests[1:]), 1)
     ]
 

@@ -204,7 +204,8 @@ class JumpData:
         )
 
 
-# guard bits of the fixed-point roots in jump_positions, past base^k_max
+# guard bits of the fixed-point roots in jump_positions, past base^k_max;
+# the width of its straddle filter is derived from it
 _ROOT_GUARD_BITS = 64
 
 
@@ -244,18 +245,42 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     floor(t/2^M) is monotone, with W_k = power*Q - F - 1 the value
     floor(B_k*sqrt(d)) lies in [W_k >> M, (W_k + power + 1) >> M], so c_k
     lies between lo = (A_k + (W_k >> M)) // C and
-    hi = (A_k + ((W_k + power + 1) >> M)) // C, and equals lo when lo == hi;
-    hi is only formed when the two shifts differ.  The bracket is
-    power + 1 <= 2^(M - 64) units of 2^-M wide, at most 2^-64, so it
-    rarely straddles an integer; when it does, c_k is taken the direct
-    way, floor_quadratic(A_k, B_k, d, C).  A step carries W_k and A_k by
-    one multiply-add each, W_(k+1) = base*W_k + (base - 1)*(F + 1) and
-    A_(k+1) = base*A_k + (base - 1)*e, multiplies power by base, and
-    divides the whole numerator A_k + (W_k >> M) afresh: a few
-    linear-time operations on numbers of about 2*k_max*log2(base) bits
-    instead of one integer square root of that size.  B_k is zero at one
-    k at most, when q != 0 (base^k*q = f), or never, when q = 0 (then
-    f != 0); that k is found before the loop, and there c_k with its
+    hi = (A_k + ((W_k + power + 1) >> M)) // C, and equals lo when
+    lo == hi.  When they differ the bracket straddles an integer, and c_k
+    is taken the direct way, floor_quadratic(A_k, B_k, d, C).
+
+    The loop carries one number, H_k = A_k*2^M + W_k.  Both parts step
+    as x' = base*x + constant: A_(k+1) = base*A_k + (base - 1)*e and
+    W_(k+1) = base*W_k + (base - 1)*(F + 1), so
+
+        H_(k+1) = base*H_k + ((base - 1)*e*2^M + (base - 1)*(F + 1)),
+
+    one multiply-add per level.  A_k*2^M is a multiple of 2^M, so for
+    every integer A_k, negative ones included, H_k >> M = A_k + (W_k >> M)
+    and H_k mod 2^M = W_k mod 2^M, and likewise (H_k + power + 1) >> M =
+    A_k + ((W_k + power + 1) >> M).  Hence lo = (H_k >> M) // C and
+    hi = ((H_k + power + 1) >> M) // C, and the two shifts differ exactly
+    when (H_k mod 2^M) + power + 1 >= 2^M.
+
+    The guard-bit filter decides when hi is worth forming.  Put
+    G = max(_ROOT_GUARD_BITS, 0) and top = H_k >> (M - G), one shift;
+    then lo = (top >> G) // C.  When G > 0, M - G is the bit length of
+    base^k_max, so power + 1 <= base^k_max + 1 <= 2^(M - G), and the
+    shifts can differ only when H_k mod 2^M >= 2^M - 2^(M - G), that is,
+    when the top G bits of H_k mod 2^M, which are top mod 2^G, are all
+    ones.  Only then is power = base^k formed and hi compared with lo;
+    otherwise c_k = lo.  At the default G = 64 the filter passes a level
+    only when 64 bits of the fraction are all ones.  When
+    _ROOT_GUARD_BITS <= 0, G = 0, the mask 2^G - 1 is 0 and the filter
+    passes every level, so the exact bracket test runs at each k.  That
+    is safe at any width, since the bracket argument above needs only
+    M >= 0, not the inequality on power + 1, which may then fail.
+
+    A step thus costs one multiply-add and one shift on a number of
+    about 2*k_max*log2(base) bits, instead of one integer square root of
+    that size.  B_k is zero at one k at most, when q != 0 (base^k*q = f),
+    or never, when q = 0 (then f != 0); that k is found before the loop,
+    and there A_k = base^k*p - e is formed on its own and c_k with its
     integrality flag is one divmod of A_k by C, as on a rational slope.
     """
     b = norm.base
@@ -274,25 +299,26 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
             cs.append(c)
         return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
     shift = (b**k_max).bit_length() + _ROOT_GUARD_BITS
+    guard = max(_ROOT_GUARD_BITS, 0)
+    coarse, mask = shift - guard, (1 << guard) - 1
     root_q = floor_quadratic(0, q << shift, d, 1)
     root_f = floor_quadratic(0, f << shift, d, 1)
     rational_k = _power_index(b, q, f)
-    power, num, low = 1, p - e, root_q - root_f - 1
-    num_step, low_step = (b - 1) * e, (b - 1) * (root_f + 1)
+    high = ((p - e) << shift) + root_q - root_f - 1
+    step = ((b - 1) * e << shift) + (b - 1) * (root_f + 1)
     for k in range(1, k_max + 1):
-        power *= b
-        num = num * b + num_step
-        low = low * b + low_step
+        high = high * b + step
         if k == rational_k:
-            c, rest = divmod(num, den)
+            c, rest = divmod(b**k * p - e, den)
             if rest == 0:
                 hits.append(k)
         else:
-            below = low >> shift
-            c = (num + below) // den
-            above = (low + (power + 1)) >> shift
-            if above != below and c != (num + above) // den:
-                c = floor_quadratic(num, power * q - f, d, den)
+            top = high >> coarse
+            c = (top >> guard) // den
+            if top & mask == mask:
+                power = b**k
+                if c != ((high + power + 1) >> shift) // den:
+                    c = floor_quadratic(power * p - e, power * q - f, d, den)
         cs.append(c)
     return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
 

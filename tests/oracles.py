@@ -613,7 +613,7 @@ def classify(norm: NormalizedInstance, k: int) -> RkRecord:
     pk1 = eval_Pk(norm, k + 1)
     digit = inverse_slope_digits(norm, k + 1)[k]
     r = r_direct(norm, k)
-    # RkRecord.__post_init__ raises if r disagrees with the case formula
+    # RkRecord raises on construction if r disagrees with the case formula
     return RkRecord(
         k=k, r=r, case_tag=_TAG_BY_TESTS[(pk, pk1)], pk=pk, pk1=pk1,
         digit=digit, base=norm.base,

@@ -107,3 +107,27 @@ def test_bench_pairs_refuses_differing_benchmarks(tmp_path):
     )
     assert proc.returncode == 2
     assert "perfbench/ trees differ" in proc.stderr
+
+
+_FAKE_RUN = """\
+import importlib.util, json, pathlib, sys
+source = pathlib.Path(__file__).resolve().parent.parent / "src" / "pkg" / "mod.py"
+if not pathlib.Path(importlib.util.cache_from_source(source)).is_file():
+    sys.exit("src/pkg/mod.py has no bytecode")
+print(json.dumps({"failed": 0, "attempted": 1,
+                  "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}}))
+"""
+
+
+def test_bench_pairs_compiles_both_sources_before_the_first_run(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(_FAKE_RUN)
+        (tmp_path / side / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / side / "src" / "pkg" / "mod.py").write_text("VALUE = 1\n")
+    lines = run_script("bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--workload", "battery", "--seed", "1", "--pairs", "1",
+                       "--seconds", "0.2").splitlines()
+    assert [line.split()[:3] for line in lines[:2]] == [
+        ["pair", "1", "parent"], ["pair", "1", "change"]]
+    assert lines[-1] == "ops_per_s: the change won 0 of 1 pairs (1 tied)"

@@ -229,3 +229,74 @@ def test_spigot_equals_the_jump_table_in_every_base(monkeypatch, base):
         assert stream == r_from_jumps(jump_positions(norm, k_max + 1), base)
         for k in (1, 2, 3, k_max // 2, k_max):
             assert r_direct(norm, k) == stream[k - 1]
+
+
+@pytest.mark.parametrize("guard", [1, 2, 3, 4])
+def test_narrow_guards_make_the_filter_fire(monkeypatch, guard):
+    """With a guard of G bits the bracket is up to 2^-G wide and the top
+    G bits of the carried numerator's fraction are all ones about once
+    in 2^G steps, so the exact bracket test runs often and sometimes
+    finds a straddle.  Every c_k must still be the fresh-root one."""
+    roots = []
+
+    def counting_floor(a, b, d, c):
+        roots.append(b)
+        return floor_quadratic(a, b, d, c)
+
+    monkeypatch.setattr(sequences, "_ROOT_GUARD_BITS", guard)
+    monkeypatch.setattr(sequences, "floor_quadratic", counting_floor)
+    fallbacks = 0
+    for alpha, beta, base in _GUARD_CASES:
+        norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
+        for k_max in range(1, 41):
+            roots.clear()
+            assert jump_positions(norm, k_max) == jump_positions_fresh_roots(norm, k_max)
+            fallbacks += len(roots) - 2  # two fixed-point roots per call
+    if guard == 1:
+        assert fallbacks > 0
+
+
+@st.composite
+def st_carried_instance(draw):
+    """(alpha, beta, base, k_max): a surd slope a + c*sqrt(d) with an offset
+    whose rational and radical parts may be negative, in a base from 2 to
+    16 or 4096."""
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 11, 13]))
+    alpha = draw(st_surd_slope(d))
+    rational = draw(st.fractions(min_value=-3, max_value=3, max_denominator=9))
+    if draw(st.booleans()):
+        beta = ExactReal(rational)
+    else:
+        radical = draw(st.fractions(min_value=-2, max_value=2, max_denominator=7))
+        assume(radical != 0)
+        beta = _surd(rational, radical, d)
+    base = draw(st.sampled_from([*range(2, 17), 4096]))
+    return alpha, beta, base, draw(st.integers(min_value=1, max_value=80))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st_carried_instance())
+@example(case=(ExactReal.parse("2-1/2*sqrt(3)"), ExactReal.parse("-1-1/2*sqrt(3)"), 4096, 80))
+def test_carried_numerator_equals_fresh_roots(case):
+    alpha, beta, base, k_max = case
+    norm = normalize(FloorLogInstance(alpha, beta, base))
+    assert jump_positions(norm, k_max) == jump_positions_fresh_roots(norm, k_max)
+
+
+def test_records_are_immutable_and_equal_the_sweep():
+    norm = normalize(FloorLogInstance(ExactReal.parse("1/2+1/2*sqrt(5)"),
+                                      ExactReal.parse("2/7*sqrt(5)"), 10))
+    records = classify_range(norm, 120)
+    sweep = classify_range_sweep(norm, 120)
+    assert len(records) == len(sweep) == 120
+    for record, swept in zip(records, sweep):
+        assert type(record) is type(swept) is jumpdigits.RkRecord
+        assert record == swept
+    with pytest.raises(AttributeError):
+        records[0].r = 0
+    with pytest.raises(AttributeError):
+        records[0].extra = 0
+    first = records[0]
+    with pytest.raises(sequences.ConsistencyError):
+        first._replace(r=first.r + 1)
+    assert first._replace(k=first.k) == first
