@@ -15,8 +15,12 @@ with the standard library's compileall, so no run's setup_s includes
 compiling floorlog, whatever __pycache__ state each tree starts in.
 
 Prints one line per run with its end-to-end metrics, then per metric
-each side's median and quartiles, and how many pairs the change won on
-ops_per_s (ties count for neither side).
+each side's median and quartiles and the ratio of the change's median to
+the parent's, and how many pairs the change won on ops_per_s (ties count
+for neither side).  A metric that BENCHMARK.json (read from the change's
+checkout, else the parent's) lists under end_to_end is flagged when its
+ratio moved past the listed bound in the worse direction: above 1 + bound
+for a metric that is better lower, below 1 - bound for one better higher.
 """
 
 import argparse
@@ -58,6 +62,29 @@ def run_once(root: pathlib.Path, args) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def load_bounds(sides: dict[str, pathlib.Path]) -> dict[str, dict]:
+    """BENCHMARK.json's end_to_end entries by name, from the change's or the parent's checkout."""
+    for side in ("change", "parent"):
+        path = sides[side] / "BENCHMARK.json"
+        if path.is_file():
+            return {entry["name"]: entry for entry in json.loads(path.read_text())["end_to_end"]}
+    return {}
+
+
+def judge(parent: float, change: float, entry: dict | None) -> str:
+    """The ratio change/parent, flagged when it moved past entry's bound the worse way."""
+    if parent == 0:
+        return "ratio n/a"
+    ratio = change / parent
+    text = f"ratio {ratio:.3f}"
+    if entry is not None:
+        bound = entry["bound"]
+        worse = ratio > 1 + bound if entry["better"] == "lower" else ratio < 1 - bound
+        if worse:
+            text += f"  WORSE past its {bound:g} bound"
+    return text
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -95,13 +122,16 @@ def main(argv=None) -> int:
             print(f"pair {pair} {side:<6}  failed {result['failed']}/{result['attempted']}"
                   f"  {metrics}", flush=True)
 
+    bounds = load_bounds(sides)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs: "
-          "median [q1, q3]")
+          "median [q1, q3], change/parent median")
     for name, metric in runs["parent"][0]["metrics"].items():
-        cells = []
+        cells, medians = [], []
         for side in ("parent", "change"):
             q1, q2, q3 = quartiles([run["metrics"][name]["value"] for run in runs[side]])
             cells.append(f"{side} {q2:.6g} [{q1:.6g}, {q3:.6g}]")
+            medians.append(q2)
+        cells.append(judge(*medians, bounds.get(name)))
         print(f"{name} ({metric['unit']})  " + "  ".join(cells))
     pairs = list(zip(runs["parent"], runs["change"]))
     rates = [(p["metrics"]["ops_per_s"]["value"], c["metrics"]["ops_per_s"]["value"])

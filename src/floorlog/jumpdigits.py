@@ -19,8 +19,12 @@ a = digit k+1 of frac(1/alpha):
 The module evaluates r_k by independent routes, classifies every index,
 and decides ultimate periodicity: a replayable modular certificate when
 alpha is rational, a theorem-backed refusal when alpha is an irrational
-surd.  DigitSource is the interface every digit stream is read through;
-InstanceTables serves the stream c_1, r_1, r_2, ... through it.
+surd.  For a surd the remainder machine r_digits steps its exact state
+one digit at a time while the state is short, and once it is long runs
+a block of digits on fixed-point numbers per exact step in base
+base^L, which checks the block's digits.  DigitSource is the interface
+every digit stream is read through; InstanceTables serves the stream
+c_1, r_1, r_2, ... through it.
 """
 
 from __future__ import annotations
@@ -78,22 +82,33 @@ def r_recur(norm: NormalizedInstance, k: int) -> int:
 # or 20 % faster (base 2) on a 2-CPU x86 box, CPython 3.11
 _SPIGOT_DIVISION_BASE = 5
 
+# the block schedule of r_digits' surd branch: L digits on fixed-point
+# numbers of P = bitlen(base^L) + guard + 4 bits, then one exact step in
+# base base^L.  On a 2-CPU x86 box, CPython 3.11, r_stream at the
+# perfbench surd-deep depths (1500-3700 bits) was fastest at L = 64
+# (L = 32 up to 16 % slower, L = 128 up to 9 %, L = 256 up to 56 %); at
+# k = 10^4 L = 128 ran 10-20 % faster than L = 64, which already ran
+# 6-19x faster than the per-digit machine.  The guard makes a straddle
+# suspect about once in 2^guard digits
+_BLOCK_DIGITS = 64
+_BLOCK_GUARD_BITS = 64
+
 
 def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     """The terms r_1, r_2, ... of r, generated by the fractional-remainder machine.
 
     Carries g_k = frac((base^k - beta)/alpha) across steps:
-    z = base*g + (base-1)*frac(beta/alpha), r_k = floor(z), next g = frac(z).
-    The machine runs on integers alone.  g is held as (A + B*sqrt(d))/C over
-    one fixed denominator C, so a step is B' = base*B + t for a fixed t and
-    A' = base*A + const - r*C.  Next to B it carries a square-root spigot:
-    s = floor(|B|*sqrt(d)) and the remainder R = B^2 d - s^2.  While B keeps
-    its sign, |B'| = base*|B| + tau with tau = +-t, so
-    s' = s0 + delta with s0 = base*s + floor(tau*sqrt(d)) and
-    0 <= delta <= base (the fractional parts of |B|*sqrt(d) and
-    tau*sqrt(d) add base*[0, 1) + [0, 1) to s0), and R0 = B'^2 d - s0^2
-    follows from R with small multipliers.  delta is the largest integer
-    with delta*(2*s0 + delta) <= R0.
+    z = base*g + tau, r_k = floor(z), next g = frac(z), where
+    tau = (base-1)*frac(beta/alpha).  The machine runs on integers alone.
+    g is held as (A + B*sqrt(d))/C over one fixed denominator C, so a step
+    is B' = base*B + t for a fixed t and A' = base*A + const - r*C.  Next
+    to B it carries a square-root spigot: s = floor(|B|*sqrt(d)) and the
+    remainder R = B^2 d - s^2.  While B keeps its sign, |B'| = base*|B| +
+    tau' with tau' = +-t, so s' = s0 + delta with s0 = base*s +
+    floor(tau'*sqrt(d)) and 0 <= delta <= base (the fractional parts of
+    |B|*sqrt(d) and tau'*sqrt(d) add base*[0, 1) + [0, 1) to s0), and
+    R0 = B'^2 d - s0^2 follows from R with small multipliers.  delta is
+    the largest integer with delta*(2*s0 + delta) <= R0.
 
     From base _SPIGOT_DIVISION_BASE on, and when s0 >= 0, one division
     estimates it: e = floor(R0/(2*s0 + base + 1)), after which s0 + e
@@ -111,8 +126,74 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     steps alone find delta, at most base + 1 of them.  A step thus costs
     a bounded number of linear-time operations on numbers of about
     k*log2(base) bits, whatever the base.  Where B is zero or changes sign
-    (at most once, since B moves monotonically away from its fixed point)
     one call of the exact floor kernel floor_quadratic restarts the spigot.
+    B passes zero at most once: B' - x* = base*(B - x*) for the fixed
+    point x* = -t/(base - 1), so B_k = x* + base^k*(B_0 - x*) is monotone
+    in k.
+
+    Blocks.  Once s has more than P = bitlen(base^L) + guard + 4 bits
+    (L = _BLOCK_DIGITS, guard = _BLOCK_GUARD_BITS), the machine runs L
+    digits per exact step.  It is the same machine on a different
+    schedule: L digits on fixed-point numbers read off its own state,
+    then one exact step in base base^L that checks them and moves the
+    state L digits on.
+
+    - The start of a block.  Put phi = frac(|B|*sqrt(d)), so that
+      R = (|B|*sqrt(d) - s)*(|B|*sqrt(d) + s) = phi*(2*s + phi) and
+      phi = R/(2*s + phi) lies in (R/(2*s + 1), R/(2*s)].  With
+      F = floor(R*2^P/(2*s + 1)), 2^P*phi > F, and 2^P*phi <=
+      R*2^P/(2*s + 1) * (1 + 1/(2*s)) < F + 1 + 2^P/(2*s) <= F + 3/2
+      once s >= 2^P (as R*2^P/(2*s + 1) < 2^P*phi < 2^P).  So 2^P*phi
+      lies in [F, F + 2).  For B > 0, g = (y + phi)/C with y = A + s;
+      for B < 0, g = (y + 1 - phi)/C with y = A - s - 1, and 2^P*(1 - phi)
+      lies in (2^P - F - 2, 2^P - F].  y is small, since g is in [0, 1).
+      Then G = ((y << P) + F) // C, or ((y << P) + 2^P - F - 2) // C,
+      satisfies G <= 2^P*g < G + 1 + 2/C <= G + 3.  One root per call,
+      floor(t*sqrt(d)*2^P), gives T = (const*2^P + that root) // C with
+      2^P*tau in [T, T + 2) the same way.
+    - Each digit.  z = base*G + T, the next G = z mod 2^P and r = z >> P.
+      If 2^P*g lies in [G, G + e), then 2^P*(base*g + tau) lies in
+      [z, z + base*e + 2), so after i digits the error is below
+      3*base^i + 2*(base^i - 1)/(base - 1) < 5*base^i <= 5*base^L <
+      2^(P - guard).  r is the true floor of base*g + tau unless the
+      error carries z across a multiple of 2^P, which needs
+      z mod 2^P >= 2^P - 2^(P - guard): the top guard bits of the new G
+      all ones.  Such a digit abandons the block, and the per-digit
+      machine redoes it from the block's start, whose state is
+      untouched.  G may start at -1 or -2; a z below zero then leaves a
+      G with its top bits all ones and is caught by the same test.
+    - The end of a block.  Unrolling z = base*g + tau L times gives
+      base^L*g_k + (base^L - 1)*frac(beta/alpha) = R_L + g_(k+L), where
+      R_L is the Horner value of r_k .. r_(k+L-1) in base base; g lies
+      in [0, 1), so R_L is the floor and g_(k+L) the fractional part.
+      That is one step of this machine in base base^L, with
+      (base^L - 1)*frac(beta/alpha) in place of tau: the constants
+      const_L = (base^L - 1)/(base - 1)*const and
+      t_L = (base^L - 1)/(base - 1)*t, and the spigot constants of
+      +-t_L.  The step gives the exact state L digits on and R_L, and
+      R_L must equal the Horner value of the block's digits, or
+      ConsistencyError is raised.
+    - The threshold.  Blocks start only from s >= floor_s =
+      max(2^P, U // base^L + base^L + 1), U the larger of
+      |floor(+-t_L*sqrt(d))|; the first term is almost always the larger.
+      As U >= |t_L|*sqrt(d), base^L*s > U + base^(2L) follows, and with
+      it two facts.  First, the sign: |B|*sqrt(d) >= s > |t_L|*sqrt(d)/
+      base^L, so |B| > (1 - base^-i)*|t|/(base - 1) for 0 <= i <= L, and
+      every B_(k+i) = base^i*B + (base^i - 1)/(base - 1)*t of the block
+      is nonzero with the sign of B; the spigot never restarts inside a
+      block.  A B about to change sign or hit zero is near the fixed
+      point x* = -t/(base - 1), where |B|*sqrt(d) is about U/base^L,
+      below floor_s, so those digits run on the per-digit machine.
+      Second, the unit steps in base base^L: s0 = base^L*s + u > base^(2L), so
+      2*s0 + base^L + 1 > (base^L + 1)^2/4, and the division estimate
+      leaves at most one unit step.  The exact step thus costs a few
+      multiplications by numbers of L*log2(base) bits and one division
+      with a quotient that size, in place of L digit steps.
+    - Cost.  The block constants, two spigot roots of +-t_L and the root
+      of T, are formed on the first entry into block mode, so a short
+      read pays nothing for them.  The per-digit machine is written out
+      inline rather than through the helper the block step uses: a call
+      per digit measured slower on short reads.
 
     A rational stream (d == 1, so B = t = 0 throughout) takes its own
     loop, one divmod per term: r, A' = divmod(base*A + const, C).  A stays
@@ -126,10 +207,13 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     and divided by C afresh, and floor_quadratic on (A_k, B_k) settles
     the rare bracket that straddles an integer.  On a rational slope it
     divides the whole numerator base^k*p - e afresh at every k.  It
-    carries no remainder and never looks at this spigot.  The two routes
-    share only the exact floor kernel, never a root value, a remainder or
-    a stepping rule, so comparing them is a real cross-check, not one
-    computation with itself.
+    carries no remainder and never looks at this spigot.  This machine in
+    turn steps its own remainder, per digit or per block, and never
+    carries a whole numerator; its fixed-point root is one of t, not of
+    the q or f that jump_positions roots.  The two routes share only the
+    exact floor kernel, never a root value, a remainder or a stepping
+    rule, so comparing them is a real cross-check, not one computation
+    with itself.
     """
     b = norm.base
     tail = (norm.beta / norm.alpha).frac()
@@ -140,17 +224,34 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
         while True:
             r, a = divmod(b * a + shift, den)
             yield r
-    # R0 = base^2 R + 2*base*(|B|*tau*d - s*u) + tau^2 d - u^2, and
-    # |B|*tau = B*t; per sign of B, with tau = sign*t and
-    # u = floor(tau*sqrt(d)): 2*base*u, u and tau^2 d - u^2
-    spigot = {}
-    for positive, tau in ((True, t), (False, -t)):
-        u = floor_quadratic(0, tau, d, 1)
-        spigot[positive] = (2 * b * u, u, tau * tau * d - u * u)
+    spigot = _spigot_constants(b, t, d)
     lift, square, divisible = 2 * b * t * d, b * b, b >= _SPIGOT_DIVISION_BASE
     s = floor_quadratic(0, abs(rad), d, 1)
     rem = rad * rad * d - s * s
+    length, guard = _BLOCK_DIGITS, _BLOCK_GUARD_BITS
+    floor_s = 1 << ((b**length).bit_length() + guard + 4)
+    block = None  # the base-b^L constants, formed on the first entry
+    exact = 0  # per-digit steps left before the next block may start
     while True:
+        if exact:
+            exact -= 1
+        elif s >= floor_s:
+            if block is None:
+                block = _block_constants(b, d, den, ta, tb, length, guard)
+                floor_s = block.floor_s
+            digits = _block_digits(block, a, rad, s, rem) if s >= floor_s else None
+            if digits is not None:
+                a, rad, s, rem, value = _block_step(block, a, rad, s, rem)
+                horner = 0
+                for r in digits:
+                    horner = horner * b + r
+                if horner != value:
+                    raise ConsistencyError(
+                        f"r_digits: a block of {length} digits reads {horner}, "
+                        f"its exact step {value}")
+                yield from digits
+                continue
+            exact = length - 1
         num = b * a + shift
         rad_next = b * rad + t
         if rad and rad_next and (rad > 0) == (rad_next > 0):
@@ -177,6 +278,93 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
             r = num // den
         yield r
         a, rad = num - r * den, rad_next
+
+
+def _spigot_constants(base: int, t: int, d: int) -> dict[bool, tuple[int, int, int]]:
+    """Per sign of B, the spigot's (2*base*u, u, tau^2 d - u^2), tau = +-t.
+
+    R0 = base^2 R + 2*base*(|B|*tau*d - s*u) + tau^2 d - u^2 with
+    u = floor(tau*sqrt(d)), and |B|*tau = B*t.
+    """
+    spigot = {}
+    for positive, tau in ((True, t), (False, -t)):
+        u = floor_quadratic(0, tau, d, 1)
+        spigot[positive] = (2 * base * u, u, tau * tau * d - u * u)
+    return spigot
+
+
+class _Block(NamedTuple):
+    """The constants of r_digits' block schedule (see its docstring)."""
+
+    base: int
+    length: int  # L, digits per block
+    bits: int  # P, the fixed-point scale
+    ceiling: int  # 2^P - 2^(P - guard): a fraction at or above it may straddle
+    step: int  # T, with 2^P*tau in [T, T + 2)
+    den: int
+    power: int  # base^L
+    shift: int  # const_L = (base^L - 1)/(base - 1)*const
+    t: int  # t_L = (base^L - 1)/(base - 1)*t
+    square: int  # base^(2L)
+    lift: int  # 2*base^L*t_L*d
+    spigot: dict  # _spigot_constants(base^L, t_L, d)
+    floor_s: int  # the least s a block starts from
+
+
+def _block_constants(b: int, d: int, den: int, ta: int, tb: int,
+                     length: int, guard: int) -> _Block:
+    """The block constants of r_digits for base b: three floor_quadratic calls."""
+    power = b**length
+    bits = power.bit_length() + guard + 4
+    t = (b - 1) * tb
+    step = (((b - 1) * ta << bits) + floor_quadratic(0, t << bits, d, 1)) // den
+    shift_l, t_l = (power - 1) * ta, (power - 1) * tb
+    spigot = _spigot_constants(power, t_l, d)
+    widest = max(abs(u) for _, u, _ in spigot.values())
+    return _Block(
+        base=b, length=length, bits=bits, ceiling=(1 << bits) - (1 << (bits - guard)),
+        step=step, den=den, power=power, shift=shift_l, t=t_l, square=power * power,
+        lift=2 * power * t_l * d, spigot=spigot,
+        floor_s=max(1 << bits, widest // power + power + 1),
+    )
+
+
+def _block_digits(block: _Block, a: int, rad: int, s: int, rem: int) -> list[int] | None:
+    """The block's L digits on P-bit fixed-point numbers, or None if one may straddle."""
+    bits = block.bits
+    frac = (rem << bits) // (2 * s + 1)
+    if rad > 0:
+        g = (((a + s) << bits) + frac) // block.den
+    else:
+        g = (((a - s) << bits) - frac - 2) // block.den
+    b, step, ceiling = block.base, block.step, block.ceiling
+    mask = (1 << bits) - 1
+    digits = []
+    for _ in range(block.length):
+        z = b * g + step
+        g = z & mask
+        if g >= ceiling:
+            return None
+        digits.append(z >> bits)
+    return digits
+
+
+def _block_step(block: _Block, a: int, rad: int, s: int, rem: int):
+    """One exact step in base b^L from (A, B, s, R): the next A, B, s, R and the block value."""
+    power, den = block.power, block.den
+    lift_u, u, e = block.spigot[rad > 0]
+    rem = block.square * rem + block.lift * rad - lift_u * s + e
+    s = power * s + u
+    twice = 2 * s
+    delta = rem // (twice + power + 1)
+    rem -= delta * (twice + delta)
+    s += delta
+    if rem > 2 * s:  # at most one unit step, as s >= floor_s (r_digits' docstring)
+        rem -= 2 * s + 1
+        s += 1
+    num = power * a + block.shift
+    value = (num + s) // den if rad > 0 else (num - s - 1) // den
+    return num - value * den, power * rad + block.t, s, rem, value
 
 
 def r_stream(norm: NormalizedInstance, k_max: int) -> list[int]:

@@ -18,10 +18,12 @@ only the Dfa table and its minimization with floorlog.automata.
 
 The reference forms that follow are the direct versions of library
 routines, kept to compare against: normalization one power of the base
-at a time, a jump table with a fresh isqrt per index, the step indicator
-v as one byte per index, and the jump-digit classification swept on
-integers with one exact floor per digit and on ExactReal values.  They
-use floorlog.exact and the library's record types.
+at a time, a jump table with a fresh isqrt per index, the remainder
+machine of r_digits one exact step per digit, base-b words one divmod
+per digit, the step indicator v as one byte per index, and the
+jump-digit classification swept on integers with one exact floor per
+digit and on ExactReal values.  They use floorlog.exact and the
+library's record types.
 
 The audits at the end check identities the library's results must
 satisfy: the per-index classification against the threshold tests, the
@@ -510,6 +512,71 @@ def jump_positions_fresh_roots(norm, k_max: int) -> JumpData:
                 hits.append(k)
         cs.append(c)
     return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
+
+
+def r_digits_per_digit(norm):
+    """jumpdigits.r_digits on its per-digit schedule: one exact spigot step per term.
+
+    The machine of r_digits' docstring without blocks: g is carried as
+    (A + B*sqrt(d))/C next to s = floor(|B|*sqrt(d)) and R = B^2 d - s^2,
+    a step estimates the spigot correction by one division from base 5
+    on and finishes it with unit steps, and a zero or sign change of B
+    restarts the spigot with one floor_quadratic call.
+    """
+    b = norm.base
+    tail = (norm.beta / norm.alpha).frac()
+    g = ((b - norm.beta) / norm.alpha).frac()
+    den, d, ((a, rad), (ta, tb)) = over_common_denominator(g, tail)
+    shift, t = (b - 1) * ta, (b - 1) * tb
+    if d == 1:
+        while True:
+            r, a = divmod(b * a + shift, den)
+            yield r
+    spigot = {}
+    for positive, tau in ((True, t), (False, -t)):
+        u = floor_quadratic(0, tau, d, 1)
+        spigot[positive] = (2 * b * u, u, tau * tau * d - u * u)
+    lift, square, divisible = 2 * b * t * d, b * b, b >= 5
+    s = floor_quadratic(0, abs(rad), d, 1)
+    rem = rad * rad * d - s * s
+    while True:
+        num = b * a + shift
+        rad_next = b * rad + t
+        if rad and rad_next and (rad > 0) == (rad_next > 0):
+            lift_u, u, e = spigot[rad > 0]
+            rem = square * rem + lift * rad - lift_u * s + e
+            s = b * s + u
+            if divisible and s >= 0:
+                twice = 2 * s
+                delta = rem // (twice + b + 1)
+                rem -= delta * (twice + delta)
+                s += delta
+            while s < 0 or rem > 2 * s:
+                rem -= s
+                s += 1
+                rem -= s
+        else:
+            s = floor_quadratic(0, abs(rad_next), d, 1)
+            rem = rad_next * rad_next * d - s * s
+        if rad_next > 0:
+            r = (num + s) // den
+        elif rad_next < 0:
+            r = (num - s - 1) // den
+        else:
+            r = num // den
+        yield r
+        a, rad = num - r * den, rad_next
+
+
+def to_word_per_digit(n: int, base: int) -> tuple[int, ...]:
+    """numeration.to_word one divmod per digit, at every size."""
+    if n == 0:
+        return (0,)
+    digits = []
+    while n:
+        n, r = divmod(n, base)
+        digits.append(r)
+    return tuple(reversed(digits))
 
 
 def dense_v_indicator(norm, size: int) -> bytearray:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floorlog import numeration
 from floorlog.exact import ExactReal
 from floorlog.numeration import (
     digit_stream,
@@ -14,7 +15,7 @@ from floorlog.numeration import (
     to_word,
     word_str,
 )
-from oracles import oracle_digits
+from oracles import oracle_digits, to_word_per_digit
 
 
 def test_to_word_examples():
@@ -22,6 +23,33 @@ def test_to_word_examples():
     assert to_word(0, 2) == (0,)
     assert to_word(10, 10) == (1, 0)
     assert to_word(181, 2) == (1, 0, 1, 1, 0, 1, 0, 1)
+
+
+_WORD_BASES = st.one_of(st.integers(min_value=2, max_value=16),
+                        st.sampled_from([255, 256, 1000, 4095, 4096]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=_WORD_BASES, bits=st.integers(min_value=0, max_value=6000),
+       shape=st.sampled_from(["random", "power", "power - 1"]), data=st.data())
+def test_split_words_equal_the_digit_loop(base, bits, shape, data):
+    """Past _SPLIT_BITS bits to_word splits by base^(2^i); powers of the
+    base and their predecessors put zeros and base - 1 digits across every
+    split, random values the rest."""
+    if shape == "random":
+        n = data.draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
+    else:
+        m = max(1, bits // base.bit_length())
+        n = base**m - (shape == "power - 1")
+    assert to_word(n, base) == to_word_per_digit(n, base)
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 4096])
+def test_split_words_at_forty_thousand_bits(base):
+    m = 40_000 // base.bit_length()
+    for n in (base**m - 1, base**m, base**m + 12345, (1 << 40_000) - 1):
+        assert numeration._SPLIT_BITS < n.bit_length() <= 40_000
+        assert to_word(n, base) == to_word_per_digit(n, base)
 
 
 def test_from_word_general_digits():

@@ -131,3 +131,45 @@ def test_bench_pairs_compiles_both_sources_before_the_first_run(tmp_path):
     assert [line.split()[:3] for line in lines[:2]] == [
         ["pair", "1", "parent"], ["pair", "1", "change"]]
     assert lines[-1] == "ops_per_s: the change won 0 of 1 pairs (1 tied)"
+
+
+_FAKE_RATES = """\
+import json, pathlib
+root = pathlib.Path(__file__).resolve().parent.parent
+rate, latency, tail, share = json.loads((root / "values.json").read_text())
+print(json.dumps({"failed": 0, "attempted": 1, "metrics": {
+    "ops_per_s": {"value": rate, "unit": "1/s"},
+    "latency_p50_s": {"value": latency, "unit": "s"},
+    "latency_tail_s": {"value": tail, "unit": "s"},
+    "decided_share": {"value": share, "unit": "share"},
+    "unbounded": {"value": 5.0, "unit": "1"}}}))
+"""
+
+
+def test_bench_pairs_flags_metrics_past_their_bounds(tmp_path):
+    """ops_per_s falls 30 % and latency_tail_s rises 30 % (bounds 25 %), and
+    both are flagged; latency_p50_s falls 10 %, which is better;
+    decided_share falls 1 % (bound 2 %); a metric that BENCHMARK.json does
+    not list gets its ratio and no flag."""
+    bench = {"end_to_end": [
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "latency_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "latency_tail_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "decided_share", "unit": "share", "better": "higher", "bound": 0.02}]}
+    for side, values in (("parent", [100.0, 1.0, 1.0, 1.0]),
+                         ("change", [70.0, 0.9, 1.3, 0.99])):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(_FAKE_RATES)
+        (tmp_path / side / "values.json").write_text(json.dumps(values))
+        (tmp_path / side / "src").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+    lines = run_script("bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--workload", "battery", "--seed", "1", "--pairs", "1",
+                       "--seconds", "0.2").splitlines()
+    summary = {line.split()[0]: line for line in lines[3:-1]}
+    assert summary["ops_per_s"].endswith("ratio 0.700  WORSE past its 0.25 bound")
+    assert summary["latency_p50_s"].endswith("ratio 0.900")
+    assert summary["latency_tail_s"].endswith("ratio 1.300  WORSE past its 0.25 bound")
+    assert summary["decided_share"].endswith("ratio 0.990")
+    assert summary["unbounded"].endswith("ratio 1.000")
+    assert lines[-1] == "ops_per_s: the change won 0 of 1 pairs (0 tied)"

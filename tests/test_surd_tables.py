@@ -6,10 +6,14 @@ tests off the digit tails of one exact floor; both must give exactly
 what a fresh root per index, a per-digit integer sweep and an ExactReal
 sweep give, integrality hits and record tags included.  r_stream must
 give what the jump table gives in every base, on both sides of the base
-where its spigot starts estimating by division.
+where its spigot starts estimating by division, and what the per-digit
+machine in oracles.py gives at every block length, including the blocks
+that a narrow guard sends back to that machine.
 """
 
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +23,12 @@ from floorlog import jumpdigits, sequences
 from floorlog.exact import ExactReal, floor_quadratic
 from floorlog.jumpdigits import classify_range, r_direct, r_from_jumps, r_stream
 from floorlog.sequences import FloorLogInstance, jump_positions, normalize
-from oracles import classify_range_exact, classify_range_sweep, jump_positions_fresh_roots
+from oracles import (
+    classify_range_exact,
+    classify_range_sweep,
+    jump_positions_fresh_roots,
+    r_digits_per_digit,
+)
 
 st_ratio = st.fractions(min_value=Fraction(1, 6), max_value=2, max_denominator=6)
 
@@ -211,6 +220,20 @@ _SPIGOT_SLOPES = (
 )
 
 
+def _count_block_steps(monkeypatch) -> list[int]:
+    """The block values of r_digits' exact steps in base base^L, one per block run."""
+    values = []
+    real = jumpdigits._block_step
+
+    def counted(*args):
+        out = real(*args)
+        values.append(out[-1])
+        return out
+
+    monkeypatch.setattr(jumpdigits, "_block_step", counted)
+    return values
+
+
 @pytest.mark.parametrize("base", [2, 3, 4, 5, 10, 255, 256, 4095, 4096])
 def test_spigot_equals_the_jump_table_in_every_base(monkeypatch, base):
     roots = []
@@ -220,12 +243,16 @@ def test_spigot_equals_the_jump_table_in_every_base(monkeypatch, base):
         return floor_quadratic(a, b, d, c)
 
     monkeypatch.setattr(jumpdigits, "floor_quadratic", counting_floor)
+    blocks = _count_block_steps(monkeypatch)
     k_max = 200
     for alpha, beta, restarts in _SPIGOT_SLOPES:
         norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
         roots.clear()
+        blocks.clear()
         stream = r_stream(norm, k_max)
-        assert len(roots) == 3 + restarts  # three roots start the spigot
+        assert blocks  # by k_max = 200 every stream here runs in blocks
+        # three roots start the spigot and three more the blocks
+        assert len(roots) == 3 + restarts + 3
         assert stream == r_from_jumps(jump_positions(norm, k_max + 1), base)
         for k in (1, 2, 3, k_max // 2, k_max):
             assert r_direct(norm, k) == stream[k - 1]
@@ -300,3 +327,87 @@ def test_records_are_immutable_and_equal_the_sweep():
     with pytest.raises(sequences.ConsistencyError):
         first._replace(r=first.r + 1)
     assert first._replace(k=first.k) == first
+
+
+# sqrt(2) with beta = N - floor(N/sqrt(2))*sqrt(2), N = 10^60: B_k is
+# (base^k - N)/2 up to a positive factor, so B starts near 10^60 in size,
+# blocks run from the first digit, and B changes sign near k = 199 in
+# base 2 (k = 60 in base 10)
+_LATE_SIGN_CHANGE = f"{10**60}-{isqrt(10**120 // 2)}*sqrt(2)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st_carried_instance(), length=st.sampled_from([1, 2, 5, 64]),
+       k_max=st.integers(min_value=1, max_value=400))
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("5000-3535*sqrt(2)"), 2, 0),
+         length=5, k_max=300)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse(_LATE_SIGN_CHANGE), 2, 0),
+         length=5, k_max=300)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse(_LATE_SIGN_CHANGE), 10, 0),
+         length=2, k_max=150)
+@example(case=(ExactReal.parse("2-1/2*sqrt(3)"), ExactReal.parse("-1-1/2*sqrt(3)"), 4096, 0),
+         length=64, k_max=400)
+def test_blocks_equal_the_per_digit_machine(case, length, k_max):
+    alpha, beta, base, _ = case
+    norm = normalize(FloorLogInstance(alpha, beta, base))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jumpdigits, "_BLOCK_DIGITS", length)
+        stream = r_stream(norm, k_max)
+    assert stream == list(islice(r_digits_per_digit(norm), k_max))
+    assert stream == r_from_jumps(jump_positions(norm, k_max + 1), base)
+
+
+def test_blocks_run_on_both_sides_of_a_sign_change_of_b(monkeypatch):
+    """With |B| near 10^60 from the first digit, blocks run before B
+    changes sign and after.  Near the change |B|*sqrt(2) falls below the
+    block threshold, and the per-digit machine takes those digits."""
+    blocks = _count_block_steps(monkeypatch)
+    monkeypatch.setattr(jumpdigits, "_BLOCK_DIGITS", 5)
+    norm = normalize(FloorLogInstance(ExactReal.parse("sqrt(2)"),
+                                      ExactReal.parse(_LATE_SIGN_CHANGE), 2))
+    stream = r_stream(norm, 400)
+    assert stream == list(islice(r_digits_per_digit(norm), 400))
+    assert 350 <= 5 * len(blocks) < 400
+
+
+@pytest.mark.parametrize("guard", [1, 2, 3, 4])
+def test_narrow_block_guards_fall_back_to_the_per_digit_machine(monkeypatch, guard):
+    """A guard of G bits flags a digit about once in 2^G, so blocks are
+    abandoned often and redone one exact step per digit; the filter's
+    error bound holds at every guard, so every digit stays exact."""
+    outcomes = []
+    real = jumpdigits._block_digits
+
+    def counted(*args):
+        digits = real(*args)
+        outcomes.append(digits is None)
+        return digits
+
+    monkeypatch.setattr(jumpdigits, "_block_digits", counted)
+    monkeypatch.setattr(jumpdigits, "_BLOCK_GUARD_BITS", guard)
+    k_max = 300
+    for length in (3, 64):
+        monkeypatch.setattr(jumpdigits, "_BLOCK_DIGITS", length)
+        for alpha, beta, _ in _SPIGOT_SLOPES:
+            for base in (2, 3, 10, 4096):
+                norm = normalize(FloorLogInstance(ExactReal.parse(alpha),
+                                                  ExactReal.parse(beta), base))
+                stream = r_stream(norm, k_max)
+                assert stream == list(islice(r_digits_per_digit(norm), k_max))
+    fallbacks = sum(outcomes)
+    assert fallbacks < len(outcomes)
+    if guard == 1:
+        assert fallbacks > 0
+
+
+def test_a_block_value_that_disagrees_with_its_digits_raises(monkeypatch):
+    def corrupted(*args):
+        *state, value = real(*args)
+        return *state, value + 1
+
+    real = jumpdigits._block_step
+    monkeypatch.setattr(jumpdigits, "_block_step", corrupted)
+    norm = normalize(FloorLogInstance(ExactReal.parse("sqrt(2)"), ExactReal(0), 2))
+    assert r_stream(norm, 130) == list(islice(r_digits_per_digit(norm), 130))
+    with pytest.raises(sequences.ConsistencyError, match="block"):
+        r_stream(norm, 300)
