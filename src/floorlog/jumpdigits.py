@@ -19,10 +19,10 @@ a = digit k+1 of frac(1/alpha):
 The module evaluates r_k by independent routes, classifies every index,
 and decides ultimate periodicity: a replayable modular certificate when
 alpha is rational, a theorem-backed refusal when alpha is an irrational
-surd.  For a surd the remainder machine r_digits steps its exact state
-one digit at a time while the state is short, and once it is long runs
-a block of digits on fixed-point numbers per exact step in base
-base^L, which checks the block's digits.  DigitSource is the interface
+surd.  For a surd the remainder machine r_digits takes one exact floor
+per digit while its numbers are short, and once they are long runs a
+block of digits on fixed-point numbers per exact step in base base^L,
+which checks the block's digits.  DigitSource is the interface
 every digit stream is read through; InstanceTables serves the stream
 c_1, r_1, r_2, ... through it.
 """
@@ -77,11 +77,6 @@ def r_recur(norm: NormalizedInstance, k: int) -> int:
     return c(k + 1) - norm.base * c(k)
 
 
-# the least base whose spigot step estimates delta by one division; below
-# it delta <= 4 and the unit steps alone measured as fast (bases 3 and 4)
-# or 20 % faster (base 2) on a 2-CPU x86 box, CPython 3.11
-_SPIGOT_DIVISION_BASE = 5
-
 # the block schedule of r_digits' surd branch: L digits on fixed-point
 # numbers of P = bitlen(base^L) + guard + 4 bits, then one exact step in
 # base base^L.  On a 2-CPU x86 box, CPython 3.11, r_stream at the
@@ -101,46 +96,24 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     z = base*g + tau, r_k = floor(z), next g = frac(z), where
     tau = (base-1)*frac(beta/alpha).  The machine runs on integers alone.
     g is held as (A + B*sqrt(d))/C over one fixed denominator C, so a step
-    is B' = base*B + t for a fixed t and A' = base*A + const - r*C.  Next
-    to B it carries a square-root spigot: s = floor(|B|*sqrt(d)) and the
-    remainder R = B^2 d - s^2.  While B keeps its sign, |B'| = base*|B| +
-    tau' with tau' = +-t, so s' = s0 + delta with s0 = base*s +
-    floor(tau'*sqrt(d)) and 0 <= delta <= base (the fractional parts of
-    |B|*sqrt(d) and tau'*sqrt(d) add base*[0, 1) + [0, 1) to s0), and
-    R0 = B'^2 d - s0^2 follows from R with small multipliers.  delta is
-    the largest integer with delta*(2*s0 + delta) <= R0.
-
-    From base _SPIGOT_DIVISION_BASE on, and when s0 >= 0, one division
-    estimates it: e = floor(R0/(2*s0 + base + 1)), after which s0 + e
-    and R0 - e*(2*s0 + e) replace s0 and R0.  The estimate never
-    overshoots: R0 < (delta + 1)*(2*s0 + delta + 1) <= (delta + 1)*(2*s0 +
-    base + 1), as delta <= base, so e < delta + 1.  And it falls short by
-    less than 1 + x, x = (base + 1)^2/(4*(2*s0 + base + 1)):
-    R0 >= delta*(2*s0 + delta) gives R0/(2*s0 + base + 1) >= delta -
-    delta*(base + 1 - delta)/(2*s0 + base + 1) >= delta - x, and
-    e > R0/(2*s0 + base + 1) - 1.  The unit steps that finish the search,
-    s0 up by one while R0 >= 2*s0 + 1, therefore number at most
-    ceil(x) + 1 <= base + 1, and at most one as soon as
-    2*s0 + base + 1 > (base + 1)^2/4, a size s passes within a few digits
-    since it grows as base^k.  Below that base, or when s0 < 0, the unit
-    steps alone find delta, at most base + 1 of them.  A step thus costs
-    a bounded number of linear-time operations on numbers of about
-    k*log2(base) bits, whatever the base.  Where B is zero or changes sign
-    one call of the exact floor kernel floor_quadratic restarts the spigot.
+    is B' = base*B + t for a fixed t and A' = base*A + const - r*C, with
+    r = floor((base*A + const + B'*sqrt(d))/C), one call of the exact
+    floor kernel floor_quadratic, which takes B' of either sign or zero.
     B passes zero at most once: B' - x* = base*(B - x*) for the fixed
     point x* = -t/(base - 1), so B_k = x* + base^k*(B_0 - x*) is monotone
     in k.
 
-    Blocks.  Once s has more than P = bitlen(base^L) + guard + 4 bits
-    (L = _BLOCK_DIGITS, guard = _BLOCK_GUARD_BITS), the machine runs L
-    digits per exact step.  It is the same machine on a different
-    schedule: L digits on fixed-point numbers read off its own state,
-    then one exact step in base base^L that checks them and moves the
-    state L digits on.
+    Blocks.  Once s = floor(|B|*sqrt(d)) reaches floor_s, the machine
+    runs L = _BLOCK_DIGITS digits per exact step: L digits on
+    fixed-point numbers read off its own state, then one exact step in
+    base base^L that checks them and moves the state L digits on.  Next
+    to A and B it then carries a square-root spigot, s and the remainder
+    R = B^2 d - s^2, taken by one floor_quadratic call on entry.
 
     - The start of a block.  Put phi = frac(|B|*sqrt(d)), so that
       R = (|B|*sqrt(d) - s)*(|B|*sqrt(d) + s) = phi*(2*s + phi) and
       phi = R/(2*s + phi) lies in (R/(2*s + 1), R/(2*s)].  With
+      P = bitlen(base^L) + guard + 4 (guard = _BLOCK_GUARD_BITS) and
       F = floor(R*2^P/(2*s + 1)), 2^P*phi > F, and 2^P*phi <=
       R*2^P/(2*s + 1) * (1 + 1/(2*s)) < F + 1 + 2^P/(2*s) <= F + 3/2
       once s >= 2^P (as R*2^P/(2*s + 1) < 2^P*phi < 2^P).  So 2^P*phi
@@ -159,9 +132,10 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
       error carries z across a multiple of 2^P, which needs
       z mod 2^P >= 2^P - 2^(P - guard): the top guard bits of the new G
       all ones.  Such a digit abandons the block, and the per-digit
-      machine redoes it from the block's start, whose state is
-      untouched.  G may start at -1 or -2; a z below zero then leaves a
-      G with its top bits all ones and is caught by the same test.
+      step redoes it and the next L - 1 digits from the block's start,
+      whose state is untouched.  G may start at -1 or -2; a z below
+      zero then leaves a G with its top bits all ones and is caught by
+      the same test.
     - The end of a block.  Unrolling z = base*g + tau L times gives
       base^L*g_k + (base^L - 1)*frac(beta/alpha) = R_L + g_(k+L), where
       R_L is the Horner value of r_k .. r_(k+L-1) in base base; g lies
@@ -169,31 +143,42 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
       That is one step of this machine in base base^L, with
       (base^L - 1)*frac(beta/alpha) in place of tau: the constants
       const_L = (base^L - 1)/(base - 1)*const and
-      t_L = (base^L - 1)/(base - 1)*t, and the spigot constants of
-      +-t_L.  The step gives the exact state L digits on and R_L, and
-      R_L must equal the Horner value of the block's digits, or
-      ConsistencyError is raised.
+      t_L = (base^L - 1)/(base - 1)*t.  The spigot steps with it: while
+      B keeps its sign, |B'| = base^L*|B| + tau' with tau' = +-t_L, so
+      s' = s0 + delta with s0 = base^L*s + floor(tau'*sqrt(d)) and
+      0 <= delta <= base^L, and R0 = B'^2 d - s0^2 follows from R with
+      the constants of _block_constants.  delta is the largest integer
+      with delta*(2*s0 + delta) <= R0.  Put D = 2*s0 + base^L + 1 and
+      e = floor(R0/D).  e never overshoots: R0 < (delta + 1)*(2*s0 +
+      delta + 1) <= (delta + 1)*D.  And R0 >= delta*(2*s0 + delta) gives
+      R0/D >= delta - (base^L + 1)^2/(4*D), so once D > (base^L + 1)^2/4
+      e is delta or delta - 1, and after s0 + e and R0 - e*(2*s0 + e)
+      one unit step at most is left.  The step gives the exact state L
+      digits on and R_L, which must equal the Horner value of the
+      block's digits, or ConsistencyError is raised.
     - The threshold.  Blocks start only from s >= floor_s =
       max(2^P, U // base^L + base^L + 1), U the larger of
-      |floor(+-t_L*sqrt(d))|; the first term is almost always the larger.
-      As U >= |t_L|*sqrt(d), base^L*s > U + base^(2L) follows, and with
-      it two facts.  First, the sign: |B|*sqrt(d) >= s > |t_L|*sqrt(d)/
-      base^L, so |B| > (1 - base^-i)*|t|/(base - 1) for 0 <= i <= L, and
-      every B_(k+i) = base^i*B + (base^i - 1)/(base - 1)*t of the block
-      is nonzero with the sign of B; the spigot never restarts inside a
-      block.  A B about to change sign or hit zero is near the fixed
-      point x* = -t/(base - 1), where |B|*sqrt(d) is about U/base^L,
-      below floor_s, so those digits run on the per-digit machine.
-      Second, the unit steps in base base^L: s0 = base^L*s + u > base^(2L), so
-      2*s0 + base^L + 1 > (base^L + 1)^2/4, and the division estimate
-      leaves at most one unit step.  The exact step thus costs a few
-      multiplications by numbers of L*log2(base) bits and one division
-      with a quotient that size, in place of L digit steps.
-    - Cost.  The block constants, two spigot roots of +-t_L and the root
-      of T, are formed on the first entry into block mode, so a short
-      read pays nothing for them.  The per-digit machine is written out
-      inline rather than through the helper the block step uses: a call
-      per digit measured slower on short reads.
+      |floor(+-t_L*sqrt(d))|; the first term is almost always the larger,
+      and until the block constants exist floor_s is 2^P.  The test is
+      B^2 d >= floor_s^2, without a root.  As U >= |t_L|*sqrt(d),
+      base^L*s > U + base^(2L) follows, and with it two facts.  First,
+      the sign: |B|*sqrt(d) >= s > |t_L|*sqrt(d)/base^L, so
+      |B| > (1 - base^-i)*|t|/(base - 1) for 0 <= i <= L, and every
+      B_(k+i) = base^i*B + (base^i - 1)/(base - 1)*t of the block is
+      nonzero with the sign of B.  A B about to change sign or hit zero
+      is near the fixed point x* = -t/(base - 1), where |B|*sqrt(d) is
+      about U/base^L, below floor_s, so those digits take the per-digit
+      step.  Second, s0 > base^(2L), so D > (base^L + 1)^2/4.  The exact
+      step thus costs a few multiplications by numbers of L*log2(base)
+      bits and one division with a quotient that size, in place of L
+      digit steps.
+    - Cost.  The block constants (three roots) are formed on the first
+      entry into block mode, so a short read pays nothing for them, and
+      each entry takes one root for s.  A per-digit term is one integer
+      square root of about 2*k*log2(base) bits at depth k.  It runs for
+      the first P/log2(base) or so digits, near a sign change of B, and
+      for the L digits after an abandoned block, which at depth k thus
+      cost L such roots.
 
     A rational stream (d == 1, so B = t = 0 throughout) takes its own
     loop, one divmod per term: r, A' = divmod(base*A + const, C).  A stays
@@ -224,23 +209,26 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
         while True:
             r, a = divmod(b * a + shift, den)
             yield r
-    spigot = _spigot_constants(b, t, d)
-    lift, square, divisible = 2 * b * t * d, b * b, b >= _SPIGOT_DIVISION_BASE
-    s = floor_quadratic(0, abs(rad), d, 1)
-    rem = rad * rad * d - s * s
     length, guard = _BLOCK_DIGITS, _BLOCK_GUARD_BITS
     floor_s = 1 << ((b**length).bit_length() + guard + 4)
+    least = floor_s * floor_s  # B^2 d >= least exactly when s >= floor_s
     block = None  # the base-b^L constants, formed on the first entry
     exact = 0  # per-digit steps left before the next block may start
     while True:
         if exact:
             exact -= 1
-        elif s >= floor_s:
+        elif rad * rad * d >= least:
             if block is None:
                 block = _block_constants(b, d, den, ta, tb, length, guard)
                 floor_s = block.floor_s
-            digits = _block_digits(block, a, rad, s, rem) if s >= floor_s else None
-            if digits is not None:
+                least = floor_s * floor_s
+            s = floor_quadratic(0, abs(rad), d, 1)
+            rem = rad * rad * d - s * s
+            while s >= floor_s:
+                digits = _block_digits(block, a, rad, s, rem)
+                if digits is None:
+                    exact = length - 1
+                    break
                 a, rad, s, rem, value = _block_step(block, a, rad, s, rem)
                 horner = 0
                 for r in digits:
@@ -250,47 +238,10 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
                         f"r_digits: a block of {length} digits reads {horner}, "
                         f"its exact step {value}")
                 yield from digits
-                continue
-            exact = length - 1
-        num = b * a + shift
-        rad_next = b * rad + t
-        if rad and rad_next and (rad > 0) == (rad_next > 0):
-            lift_u, u, e = spigot[rad > 0]
-            rem = square * rem + lift * rad - lift_u * s + e
-            s = b * s + u
-            if divisible and s >= 0:
-                twice = 2 * s
-                delta = rem // (twice + b + 1)
-                rem -= delta * (twice + delta)
-                s += delta
-            while s < 0 or rem > 2 * s:
-                rem -= s
-                s += 1
-                rem -= s
-        else:
-            s = floor_quadratic(0, abs(rad_next), d, 1)
-            rem = rad_next * rad_next * d - s * s
-        if rad_next > 0:
-            r = (num + s) // den
-        elif rad_next < 0:
-            r = (num - s - 1) // den
-        else:
-            r = num // den
+        num, rad = b * a + shift, b * rad + t
+        r = floor_quadratic(num, rad, d, den)
         yield r
-        a, rad = num - r * den, rad_next
-
-
-def _spigot_constants(base: int, t: int, d: int) -> dict[bool, tuple[int, int, int]]:
-    """Per sign of B, the spigot's (2*base*u, u, tau^2 d - u^2), tau = +-t.
-
-    R0 = base^2 R + 2*base*(|B|*tau*d - s*u) + tau^2 d - u^2 with
-    u = floor(tau*sqrt(d)), and |B|*tau = B*t.
-    """
-    spigot = {}
-    for positive, tau in ((True, t), (False, -t)):
-        u = floor_quadratic(0, tau, d, 1)
-        spigot[positive] = (2 * base * u, u, tau * tau * d - u * u)
-    return spigot
+        a = num - r * den
 
 
 class _Block(NamedTuple):
@@ -307,19 +258,27 @@ class _Block(NamedTuple):
     t: int  # t_L = (base^L - 1)/(base - 1)*t
     square: int  # base^(2L)
     lift: int  # 2*base^L*t_L*d
-    spigot: dict  # _spigot_constants(base^L, t_L, d)
+    spigot: dict  # per sign of B: (2*base^L*u, u, tau^2 d - u^2), tau = +-t_L
     floor_s: int  # the least s a block starts from
 
 
 def _block_constants(b: int, d: int, den: int, ta: int, tb: int,
                      length: int, guard: int) -> _Block:
-    """The block constants of r_digits for base b: three floor_quadratic calls."""
+    """The block constants of r_digits for base b: three floor_quadratic calls.
+
+    Per sign of B the spigot holds (2*base^L*u, u, tau^2 d - u^2) with
+    tau = +-t_L and u = floor(tau*sqrt(d)): R0 = base^(2L)*R +
+    2*base^L*(B*t_L*d - s*u) + tau^2 d - u^2, as |B|*tau = B*t_L.
+    """
     power = b**length
     bits = power.bit_length() + guard + 4
     t = (b - 1) * tb
     step = (((b - 1) * ta << bits) + floor_quadratic(0, t << bits, d, 1)) // den
     shift_l, t_l = (power - 1) * ta, (power - 1) * tb
-    spigot = _spigot_constants(power, t_l, d)
+    spigot = {}
+    for positive, tau in ((True, t_l), (False, -t_l)):
+        u = floor_quadratic(0, tau, d, 1)
+        spigot[positive] = (2 * power * u, u, tau * tau * d - u * u)
     widest = max(abs(u) for _, u, _ in spigot.values())
     return _Block(
         base=b, length=length, bits=bits, ceiling=(1 << bits) - (1 << (bits - guard)),

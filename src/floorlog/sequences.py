@@ -219,8 +219,7 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
         A_k = base^k*p - e,  B_k = base^k*q - f,
 
     and c_k = floor_quadratic(A_k, B_k, d, C).  The quotient is an
-    integer exactly when B_k == 0 and C divides A_k; that case is one
-    divmod.
+    integer exactly when B_k == 0 and C divides A_k.
 
     A rational instance (d == 1) has B_k == 0 at every k and takes its
     own loop: A_(k+1) = base*A_k + (base - 1)*e, and c_k with its
@@ -278,10 +277,16 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
 
     A step thus costs one multiply-add and one shift on a number of
     about 2*k_max*log2(base) bits, instead of one integer square root of
-    that size.  B_k is zero at one k at most, when q != 0 (base^k*q = f),
-    or never, when q = 0 (then f != 0); that k is found before the loop,
-    and there A_k = base^k*p - e is formed on its own and c_k with its
-    integrality flag is one divmod of A_k by C, as on a rational slope.
+    that size.
+
+    Every integrality hit reaches the fallback, so the hits are recorded
+    there.  At a k with B_k = 0, F lies in [power*Q, power*Q + power - 1]
+    (as power*q = f), so W_k lies in [-power, -1].  Then W_k >> M <= -1
+    and (W_k + power + 1) >> M >= 0, so lo <= (A_k - 1) // C and
+    hi >= A_k // C, which differ whenever C divides A_k.  And H_k mod 2^M
+    = W_k mod 2^M >= 2^M - power passes the guard filter when G >= 1,
+    while G = 0 passes every level.  A straddle with B_k != 0 has an
+    irrational quotient, so it is never a hit.
     """
     b = norm.base
     den, d, ((p, q), (e, f)) = over_common_denominator(
@@ -303,35 +308,21 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     coarse, mask = shift - guard, (1 << guard) - 1
     root_q = floor_quadratic(0, q << shift, d, 1)
     root_f = floor_quadratic(0, f << shift, d, 1)
-    rational_k = _power_index(b, q, f)
     high = ((p - e) << shift) + root_q - root_f - 1
     step = ((b - 1) * e << shift) + (b - 1) * (root_f + 1)
     for k in range(1, k_max + 1):
         high = high * b + step
-        if k == rational_k:
-            c, rest = divmod(b**k * p - e, den)
-            if rest == 0:
-                hits.append(k)
-        else:
-            top = high >> coarse
-            c = (top >> guard) // den
-            if top & mask == mask:
-                power = b**k
-                if c != ((high + power + 1) >> shift) // den:
-                    c = floor_quadratic(power * p - e, power * q - f, d, den)
+        top = high >> coarse
+        c = (top >> guard) // den
+        if top & mask == mask:
+            power = b**k
+            if c != ((high + power + 1) >> shift) // den:
+                num, rad = power * p - e, power * q - f
+                c = floor_quadratic(num, rad, d, den)
+                if rad == 0 and c * den == num:
+                    hits.append(k)
         cs.append(c)
     return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
-
-
-def _power_index(base: int, q: int, f: int) -> int:
-    """The k >= 1 with base^k*q == f, or 0 when there is none."""
-    if q == 0 or f % q:
-        return 0
-    ratio, k = f // q, 0
-    while ratio > 1 and ratio % base == 0:
-        ratio //= base
-        k += 1
-    return k if ratio == 1 else 0
 
 
 def jump_levels_past(base: int, size: int) -> int:

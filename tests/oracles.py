@@ -515,13 +515,17 @@ def jump_positions_fresh_roots(norm, k_max: int) -> JumpData:
 
 
 def r_digits_per_digit(norm):
-    """jumpdigits.r_digits on its per-digit schedule: one exact spigot step per term.
+    """The terms of jumpdigits.r_digits, one exact spigot step per term.
 
-    The machine of r_digits' docstring without blocks: g is carried as
-    (A + B*sqrt(d))/C next to s = floor(|B|*sqrt(d)) and R = B^2 d - s^2,
-    a step estimates the spigot correction by one division from base 5
-    on and finishes it with unit steps, and a zero or sign change of B
-    restarts the spigot with one floor_quadratic call.
+    The machine of r_digits' docstring without blocks, and with the
+    square-root spigot of its blocks stepped in base base: g is carried
+    as (A + B*sqrt(d))/C next to s = floor(|B|*sqrt(d)) and R = B^2 d -
+    s^2, a step estimates the spigot correction by one division from
+    base 5 on and finishes it with unit steps, and a zero or sign change
+    of B restarts the spigot with one floor_quadratic call.  r_digits
+    takes one floor_quadratic per term instead, so this is the only copy
+    of the per-digit spigot, kept as the reference its per-digit floors
+    and its blocks are compared with.
     """
     b = norm.base
     tail = (norm.beta / norm.alpha).frac()

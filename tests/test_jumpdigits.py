@@ -82,10 +82,10 @@ def test_r_from_jumps_route():
     "alpha, beta, base",
     [
         # rational slope, surd offset: the radical part of g stays at one
-        # negative constant, so the spigot runs with |B'| = |B|
+        # negative constant, so every term takes the per-digit floor
         ("7/5", "1/2*sqrt(3)", 2),
         # offset radical against the slope's: the radical part starts
-        # negative and turns positive after one step, restarting the spigot
+        # negative and turns positive after one step
         ("sqrt(2)", "3-2*sqrt(2)", 2),
         ("sqrt(7)", "1/4", 3),
         # 1/(3+sqrt(2)) = (3-sqrt(2))/7: the radical part grows negative

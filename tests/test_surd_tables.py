@@ -5,12 +5,15 @@ taken once per call, and jumpdigits.classify_range reads its threshold
 tests off the digit tails of one exact floor; both must give exactly
 what a fresh root per index, a per-digit integer sweep and an ExactReal
 sweep give, integrality hits and record tags included.  r_stream must
-give what the jump table gives in every base, on both sides of the base
-where its spigot starts estimating by division, and what the per-digit
-machine in oracles.py gives at every block length, including the blocks
-that a narrow guard sends back to that machine.
+give what the jump table gives in every base, with one exact floor per
+term it does not read off a block, and what the per-digit spigot in
+oracles.py gives at every block length, including the blocks that a
+narrow guard sends back to the per-digit floor.  The remainder machine
+names nothing of the jump table, so the comparison stays a check.
 """
 
+import ast
+import inspect
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 from floorlog import jumpdigits, sequences
 from floorlog.exact import ExactReal, floor_quadratic
-from floorlog.jumpdigits import classify_range, r_direct, r_from_jumps, r_stream
+from floorlog.jumpdigits import classify_range, r_digits, r_direct, r_from_jumps, r_stream
 from floorlog.sequences import FloorLogInstance, jump_positions, normalize
 from oracles import (
     classify_range_exact,
@@ -173,7 +176,8 @@ def test_long_tail_agreements_fall_back_to_the_exact_test(case):
 
 
 # slopes and offsets covering q > 0, q < 0, q = 0 with f != 0, f < 0 and
-# f = 0 after normalization, in every base from 2 to 10
+# f = 0 after normalization, in every base from 2 to 10; the last two
+# hit an integer, at k = 5 in base 2 and at k = 2 in base 10
 _GUARD_CASES = [
     (alpha, beta, base)
     for alpha, beta in [
@@ -181,6 +185,7 @@ _GUARD_CASES = [
         ("2+1/2*sqrt(3)", "1/5"), ("5/2+sqrt(2)", "-1/3*sqrt(2)"),
         ("2-1/2*sqrt(3)", "-1/2*sqrt(3)"), ("1/2+1/2*sqrt(5)", "2/7*sqrt(5)"),
         ("5/3", "1/3*sqrt(2)"), ("7/5", "1-2/3*sqrt(7)"), ("sqrt(10)", "1/2+1/3*sqrt(10)"),
+        ("sqrt(2)", "32-22*sqrt(2)"), ("sqrt(2)", "100-70*sqrt(2)"),
     ]
     for base in range(2, 11)
 ]
@@ -190,7 +195,9 @@ def test_straddled_brackets_fall_back_to_a_fresh_root(monkeypatch):
     """The bracket holds for any M >= 0.  With the guard at -2, the least
     that keeps M >= 0 for every base and k_max (base^1 has at least two
     bits), it straddles an integer often: the fresh-root fallback must
-    then give c_k, and every accepted bracket must still be right."""
+    then give c_k, and every accepted bracket must still be right.  The
+    integrality hits are recorded there, and must be the fresh-root
+    ones too."""
     roots = []
 
     def counting_floor(a, b, d, c):
@@ -199,24 +206,26 @@ def test_straddled_brackets_fall_back_to_a_fresh_root(monkeypatch):
 
     monkeypatch.setattr(sequences, "_ROOT_GUARD_BITS", -2)
     monkeypatch.setattr(sequences, "floor_quadratic", counting_floor)
-    fallbacks = 0
+    fallbacks = hits = 0
     for alpha, beta, base in _GUARD_CASES:
         norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
         for k_max in range(1, 41):
             roots.clear()
-            assert jump_positions(norm, k_max) == jump_positions_fresh_roots(norm, k_max)
+            table = jump_positions(norm, k_max)
+            assert table == jump_positions_fresh_roots(norm, k_max)
             fallbacks += len(roots) - 2  # two fixed-point roots per call
+            hits += len(table.integrality_hits)
     assert fallbacks > 100
+    assert hits > 0
 
 
-# spigot slopes (alpha, beta, restarts): t = 0 (beta 0); t != 0 with B
-# positive or negative throughout; and sqrt(2) with beta
-# 5000-3535*sqrt(2), where B_k is (base^k - 5000)/2 up to a positive
-# factor, so B changes sign once in every base here and the spigot
-# restarts there
+# spigot slopes (alpha, beta): t = 0 (beta 0); t != 0 with B positive or
+# negative throughout; and sqrt(2) with beta 5000-3535*sqrt(2), where
+# B_k is (base^k - 5000)/2 up to a positive factor, so B changes sign
+# once in every base here
 _SPIGOT_SLOPES = (
-    ("sqrt(2)", "0", 0), ("1/2+1/2*sqrt(5)", "2/7*sqrt(5)", 0), ("3-sqrt(2)", "1/3", 0),
-    ("sqrt(2)", "5000-3535*sqrt(2)", 1),
+    ("sqrt(2)", "0"), ("1/2+1/2*sqrt(5)", "2/7*sqrt(5)"), ("3-sqrt(2)", "1/3"),
+    ("sqrt(2)", "5000-3535*sqrt(2)"),
 )
 
 
@@ -236,6 +245,8 @@ def _count_block_steps(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5, 10, 255, 256, 4095, 4096])
 def test_spigot_equals_the_jump_table_in_every_base(monkeypatch, base):
+    """Each term not read off a block takes one root, each entry into
+    block mode one more, and the block constants three."""
     roots = []
 
     def counting_floor(a, b, d, c):
@@ -244,15 +255,31 @@ def test_spigot_equals_the_jump_table_in_every_base(monkeypatch, base):
 
     monkeypatch.setattr(jumpdigits, "floor_quadratic", counting_floor)
     blocks = _count_block_steps(monkeypatch)
-    k_max = 200
-    for alpha, beta, restarts in _SPIGOT_SLOPES:
+    k_max, length = 200, jumpdigits._BLOCK_DIGITS
+    for alpha, beta in _SPIGOT_SLOPES:
         norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
         roots.clear()
         blocks.clear()
-        stream = r_stream(norm, k_max)
+        digits = r_digits(norm)
+        stream, terms, entries = [], 0, 0
+        left, from_block = 0, False  # digits of the last block still to be read
+        for _ in range(k_max):
+            ran = len(blocks)
+            stream.append(next(digits))
+            if len(blocks) > ran:
+                # a block ran and its first digit was read; it starts a
+                # run of blocks unless the previous digit came off one too.
+                # At the default guard no block here is abandoned, so
+                # every entry runs one
+                entries += not from_block
+                left = length
+            from_block = left > 0
+            if from_block:
+                left -= 1
+            else:
+                terms += 1
         assert blocks  # by k_max = 200 every stream here runs in blocks
-        # three roots start the spigot and three more the blocks
-        assert len(roots) == 3 + restarts + 3
+        assert len(roots) == 3 + terms + entries
         assert stream == r_from_jumps(jump_positions(norm, k_max + 1), base)
         for k in (1, 2, 3, k_max // 2, k_max):
             assert r_direct(norm, k) == stream[k - 1]
@@ -263,7 +290,8 @@ def test_narrow_guards_make_the_filter_fire(monkeypatch, guard):
     """With a guard of G bits the bracket is up to 2^-G wide and the top
     G bits of the carried numerator's fraction are all ones about once
     in 2^G steps, so the exact bracket test runs often and sometimes
-    finds a straddle.  Every c_k must still be the fresh-root one."""
+    finds a straddle.  Every c_k must still be the fresh-root one, and
+    every integrality hit, which always straddles, must be found."""
     roots = []
 
     def counting_floor(a, b, d, c):
@@ -272,13 +300,16 @@ def test_narrow_guards_make_the_filter_fire(monkeypatch, guard):
 
     monkeypatch.setattr(sequences, "_ROOT_GUARD_BITS", guard)
     monkeypatch.setattr(sequences, "floor_quadratic", counting_floor)
-    fallbacks = 0
+    fallbacks = hits = 0
     for alpha, beta, base in _GUARD_CASES:
         norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
         for k_max in range(1, 41):
             roots.clear()
-            assert jump_positions(norm, k_max) == jump_positions_fresh_roots(norm, k_max)
+            table = jump_positions(norm, k_max)
+            assert table == jump_positions_fresh_roots(norm, k_max)
             fallbacks += len(roots) - 2  # two fixed-point roots per call
+            hits += len(table.integrality_hits)
+    assert hits > 0
     if guard == 1:
         assert fallbacks > 0
 
@@ -347,6 +378,26 @@ _LATE_SIGN_CHANGE = f"{10**60}-{isqrt(10**120 // 2)}*sqrt(2)"
          length=2, k_max=150)
 @example(case=(ExactReal.parse("2-1/2*sqrt(3)"), ExactReal.parse("-1-1/2*sqrt(3)"), 4096, 0),
          length=64, k_max=400)
+# (base^k - beta)/sqrt(2) is an integer at k = 5, 2 and 3 in the rows
+# below, so B = 0 there and the per-digit floor takes it
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("32-22*sqrt(2)"), 2, 0),
+         length=1, k_max=150)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("32-22*sqrt(2)"), 2, 0),
+         length=5, k_max=150)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("32-22*sqrt(2)"), 2, 0),
+         length=64, k_max=150)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("100-70*sqrt(2)"), 10, 0),
+         length=1, k_max=60)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("100-70*sqrt(2)"), 10, 0),
+         length=5, k_max=60)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("100-70*sqrt(2)"), 10, 0),
+         length=64, k_max=60)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("27-19*sqrt(2)"), 3, 0),
+         length=1, k_max=100)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("27-19*sqrt(2)"), 3, 0),
+         length=5, k_max=100)
+@example(case=(ExactReal.parse("sqrt(2)"), ExactReal.parse("27-19*sqrt(2)"), 3, 0),
+         length=64, k_max=100)
 def test_blocks_equal_the_per_digit_machine(case, length, k_max):
     alpha, beta, base, _ = case
     norm = normalize(FloorLogInstance(alpha, beta, base))
@@ -355,6 +406,25 @@ def test_blocks_equal_the_per_digit_machine(case, length, k_max):
         stream = r_stream(norm, k_max)
     assert stream == list(islice(r_digits_per_digit(norm), k_max))
     assert stream == r_from_jumps(jump_positions(norm, k_max + 1), base)
+
+
+def test_the_remainder_machine_never_names_the_jump_table():
+    """r_digits shares only the exact floor kernel with jump_positions and
+    nothing with the residue kernel, so comparing them stays a check:
+    neither the machine nor its block helpers names those routes or
+    their tables."""
+    tables = {"jump_positions", "JumpData", "_ROOT_GUARD_BITS", "residue_digits",
+              "_residue_steps", "InstanceTables"}
+
+    def names(func):
+        nodes = list(ast.walk(ast.parse(inspect.getsource(func))))
+        return {node.id for node in nodes if isinstance(node, ast.Name)} | {
+            node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+    machine = (jumpdigits.r_digits, jumpdigits._block_constants,
+               jumpdigits._block_digits, jumpdigits._block_step)
+    named = {func.__name__: sorted(names(func) & tables) for func in machine}
+    assert named == {func.__name__: [] for func in machine}
 
 
 def test_blocks_run_on_both_sides_of_a_sign_change_of_b(monkeypatch):
@@ -388,7 +458,7 @@ def test_narrow_block_guards_fall_back_to_the_per_digit_machine(monkeypatch, gua
     k_max = 300
     for length in (3, 64):
         monkeypatch.setattr(jumpdigits, "_BLOCK_DIGITS", length)
-        for alpha, beta, _ in _SPIGOT_SLOPES:
+        for alpha, beta in _SPIGOT_SLOPES:
             for base in (2, 3, 10, 4096):
                 norm = normalize(FloorLogInstance(ExactReal.parse(alpha),
                                                   ExactReal.parse(beta), base))
