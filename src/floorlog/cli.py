@@ -5,10 +5,11 @@ stdout carries data; stderr carries diagnostics.  Exit codes separate
 operational trouble from mathematical outcomes: 0 means the run
 completed (whatever the verdict says), 1 means the invocation was
 unusable (bad flags, unreadable argument files, unparseable numbers,
-oversized scopes), 2 means an internal consistency check tripped, which
-is a bug and should be reported.  All JSON output is canonical (sorted
-keys, two-space indent), so identical inputs produce byte-identical
-reports apart from the timings block.
+oversized scopes, or any value the library refuses with a ValueError),
+2 means an internal consistency check tripped, which is a bug and
+should be reported.  All JSON output is canonical (sorted keys,
+two-space indent), so identical inputs produce byte-identical reports
+apart from the timings block.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .exact import ExactReal, ParseError
 from .jumpdigits import (
     DigitSource,
     InstanceTables,
-    OrbitCapError,
     PeriodicityVerdict,
     classify_range,
     inverse_slope_digits,
@@ -74,7 +74,7 @@ _DEPTH_CAP = 64  # bounds base**depth before the kernel scope cap is tested
 _BASE_CAP = 1 << 12
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Invocation-level problem: wrong flags, bad input text, huge scopes."""
 
 
@@ -168,18 +168,11 @@ def _exact(fields: dict, key: str, default=None) -> ExactReal:
 
 def _instance(fields: dict) -> FloorLogInstance:
     """alpha, beta (default 0) and base, checked and unnormalized."""
-    alpha, beta, base = _exact(fields, "alpha"), _exact(fields, "beta", "0"), _base(fields)
-    try:
-        return FloorLogInstance(alpha, beta, base)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return FloorLogInstance(_exact(fields, "alpha"), _exact(fields, "beta", "0"), _base(fields))
 
 
 def _normalized(fields: dict) -> NormalizedInstance:
-    try:
-        return normalize(_instance(fields))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return normalize(_instance(fields))
 
 
 def _digit_word(fields: dict, key: str, default=None, *, allow_empty=False) -> tuple[int, ...]:
@@ -200,29 +193,18 @@ def _digit_source(fields: dict, window: int) -> tuple[DigitSource, int]:
     """The stream --source names; an rk stream's r verdict is certified on window."""
     base = _base(fields)
     kind = _field(fields, "source", "rk")
-    try:
-        if kind == "rk":
-            return InstanceTables(_normalized(fields), window), base
-        if kind == "periodic":
-            if fields.get("period") is None:
-                raise UsageError("--period is required for --source periodic")
-            pre = _digit_word(fields, "preperiod", "", allow_empty=True)
-            return PeriodicDigitSource(pre, _digit_word(fields, "period")), base
-        if kind == "explicit":
-            if fields.get("word") is None:
-                raise UsageError("--word is required for --source explicit")
-            return ExplicitDigitSource(_digit_word(fields, "word")), base
-        # --source takes choices=, so the kind left is tm-blocks
-        if fields.get("block_a") is None or fields.get("block_b") is None:
-            raise UsageError("--block-a and --block-b are required for --source tm-blocks")
-        return (
-            ThueMorseBlockSource(
-                _digit_word(fields, "block_a"), _digit_word(fields, "block_b")
-            ),
-            base,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if kind == "rk":
+        return InstanceTables(_normalized(fields), window), base
+    if kind == "periodic":
+        pre = _digit_word(fields, "preperiod", "", allow_empty=True)
+        return PeriodicDigitSource(pre, _digit_word(fields, "period")), base
+    if kind == "explicit":
+        return ExplicitDigitSource(_digit_word(fields, "word")), base
+    # --source takes choices=, so the kind left is tm-blocks
+    return (
+        ThueMorseBlockSource(_digit_word(fields, "block_a"), _digit_word(fields, "block_b")),
+        base,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +307,7 @@ def _cmd_seq(fields) -> int:
         raise UsageError(f"--to must be at most {_INDEX_CAP}, got {stop}")
     if stop < start:
         raise UsageError("--to must not be below --from")
-    try:
-        values = [u_term(inst.alpha, inst.beta, inst.base, n) for n in range(start, stop + 1)]
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    values = [u_term(inst.alpha, inst.beta, inst.base, n) for n in range(start, stop + 1)]
     print(",".join(str(v) for v in values))
     return 0
 
@@ -706,7 +685,7 @@ def _main(argv) -> int:
         parser.error(f"cannot read an argument file: {exc}")
     try:
         return args.handler(vars(args))
-    except (UsageError, OrbitCapError) as exc:
+    except ValueError as exc:
         print(f"floorlog: error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:

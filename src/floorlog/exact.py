@@ -141,8 +141,6 @@ class ExactReal:
             raise ValueError("radicand must be positive")
         if b == 0:
             d = 1
-        elif d == 1:
-            a, b = a + b, 0
         if c < 0:
             a, b, c = -a, -b, -c
         g = gcd(a, b, c)

@@ -594,20 +594,6 @@ class PeriodicityVerdict:
         """Every verdict is certified or honestly Inconclusive."""
         return self.kind != "Inconclusive"
 
-    @classmethod
-    def periodic(cls, preperiod: int, period: int,
-                 certificate: ModCycleCertificate | None) -> "PeriodicityVerdict":
-        return cls(kind="Periodic", preperiod=preperiod, period=period,
-                   certificate=certificate)
-
-    @classmethod
-    def aperiodic_by_theorem(cls, reason: str) -> "PeriodicityVerdict":
-        return cls(kind="AperiodicByTheorem", reason=reason)
-
-    @classmethod
-    def inconclusive(cls) -> "PeriodicityVerdict":
-        return cls(kind="Inconclusive")
-
 
 def _divisors(n: int) -> list[int]:
     """The divisors of n >= 1 in ascending order, each d with d*d <= n paired with n // d."""
@@ -724,7 +710,7 @@ class DigitSource:
     def _minimized_cover(self, preperiod, period, certificate=None):
         """Certified verdict for a proven cover, minimized on this stream."""
         lam, q = minimize_cycle(self.prefix(preperiod + 2 * period), preperiod, period)
-        return PeriodicityVerdict.periodic(lam, q, certificate)
+        return PeriodicityVerdict("Periodic", lam, q, certificate)
 
     def label(self) -> str:
         raise NotImplementedError
@@ -801,7 +787,7 @@ def certify_cycle(
         tuple(values[preperiod : preperiod + period]), tuple(hits),
     )
     check_agree(cert.replay(len(values)), list(values), "certificate replay fails")
-    return PeriodicityVerdict.periodic(preperiod, period, cert)
+    return PeriodicityVerdict("Periodic", preperiod, period, cert)
 
 
 def check_agree(values, reference, what: str) -> None:
@@ -967,9 +953,10 @@ class InstanceTables(DigitSource):
         ultimately periodic r would resum to a rational value for alpha.
         """
         if self.orbit is None:
-            return PeriodicityVerdict.aperiodic_by_theorem(
-                "alpha is an irrational quadratic surd; the jump-digit sequence "
-                "has an ultimately periodic tail exactly when alpha is rational"
+            return PeriodicityVerdict(
+                "AperiodicByTheorem",
+                reason="alpha is an irrational quadratic surd; the jump-digit "
+                "sequence has an ultimately periodic tail exactly when alpha is rational",
             )
         p = self.norm.alpha.as_fraction().numerator
         return certify_r(self.r_terms(self.span_r), self.residues,

@@ -81,7 +81,7 @@ class ExplicitDigitSource(DigitSource):
     @cached_property
     def periodicity(self) -> PeriodicityVerdict:
         # a finite prefix proves nothing about the tail either way
-        return PeriodicityVerdict.inconclusive()
+        return PeriodicityVerdict("Inconclusive")
 
     def label(self) -> str:
         return f"explicit word {word_str(self.word)}"
@@ -119,14 +119,15 @@ class ThueMorseBlockSource(DigitSource):
         if self.block_a == self.block_b:
             return self._minimized_cover(0, len(self.block_a))
         if len(self.block_a) == len(self.block_b):
-            return PeriodicityVerdict.aperiodic_by_theorem(
-                "uniform image of the Thue-Morse word under distinct "
+            return PeriodicityVerdict(
+                "AperiodicByTheorem",
+                reason="uniform image of the Thue-Morse word under distinct "
                 "equal-length blocks; a period of the image would decode "
-                "to a period of Thue-Morse"
+                "to a period of Thue-Morse",
             )
         # distinct blocks of unequal length: almost surely aperiodic, but
         # the uniform-decoding argument above does not apply, so no proof
-        return PeriodicityVerdict.inconclusive()
+        return PeriodicityVerdict("Inconclusive")
 
     def label(self) -> str:
         return (
@@ -543,24 +544,6 @@ class RegularityVerdict:
     window: int | None = None
     evidence: dict = field(default_factory=dict)
 
-    @classmethod
-    def regular(cls, dfa, patterns, exceptions, certificate):
-        return cls(
-            "Regular",
-            dfa=dfa,
-            patterns=tuple(patterns),
-            exceptions=tuple(exceptions),
-            certificate=certificate,
-        )
-
-    @classmethod
-    def non_regular(cls, certificate):
-        return cls("NonRegular", certificate=certificate)
-
-    @classmethod
-    def inconclusive(cls, window, evidence):
-        return cls("Inconclusive", window=window, evidence=dict(evidence))
-
 
 def _pattern_scan_evidence(lw: LanguageWords) -> dict:
     """find_pattern's earliest anchor per residue, for periods 1 to 8."""
@@ -608,7 +591,7 @@ def decide_regularity(
         raise ValueError("base must be at least 2")
     verdict = src.periodicity
     if verdict.kind == "AperiodicByTheorem":
-        return RegularityVerdict.non_regular(verdict)
+        return RegularityVerdict("NonRegular", certificate=verdict)
     if verdict.kind == "Periodic" and not any(
         src.prefix(verdict.preperiod + verdict.period)
     ):
@@ -617,7 +600,7 @@ def decide_regularity(
         # of 0: finite, hence regular
         zero_word = to_word(0, base)
         dfa = from_patterns((), [zero_word], base)
-        return RegularityVerdict.regular(dfa, (), (zero_word,), verdict)
+        return RegularityVerdict("Regular", dfa, (), (zero_word,), verdict)
 
     lw = words(src, base, window, allow_zero_start=True)
 
@@ -628,9 +611,10 @@ def decide_regularity(
         for residue in range(q):
             cand = find_pattern(lw, q, residue, min_anchor)
             if cand is None:
-                return RegularityVerdict.inconclusive(
-                    window,
-                    {
+                return RegularityVerdict(
+                    "Inconclusive",
+                    window=window,
+                    evidence={
                         "note": (
                             f"stream certified periodic but residue class "
                             f"{residue} mod {q} admitted no certifiable "
@@ -651,11 +635,12 @@ def decide_regularity(
         dfa = from_patterns(
             [(p.v0, p.v1, p.v2) for p in patterns], exceptions, base
         )
-        return RegularityVerdict.regular(dfa, patterns, exceptions, verdict)
+        return RegularityVerdict("Regular", dfa, tuple(patterns), tuple(exceptions), verdict)
 
-    return RegularityVerdict.inconclusive(
-        window,
-        {
+    return RegularityVerdict(
+        "Inconclusive",
+        window=window,
+        evidence={
             "note": "stream has no certificate either way",
             "length_claim": verify_length_claim(lw.lengths),
             "pattern_scan": _pattern_scan_evidence(lw),

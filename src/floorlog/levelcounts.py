@@ -322,9 +322,10 @@ def decide_d_periodicity(
     norm = tables.norm
     if tables.orbit is None:
         lc = f_counts(norm, k_max)
-        verdict = PeriodicityVerdict.aperiodic_by_theorem(
-            "alpha is an irrational quadratic surd; the count-difference "
-            "sequence is ultimately periodic exactly when alpha is rational"
+        verdict = PeriodicityVerdict(
+            "AperiodicByTheorem",
+            reason="alpha is an irrational quadratic surd; the count-difference "
+            "sequence is ultimately periodic exactly when alpha is rational",
         )
     else:
         audit = tables.audit_d

@@ -1,6 +1,10 @@
 """Command-line behaviour: exit codes, payload shapes, determinism."""
 
+import ast
+import contextlib
 import hashlib
+import inspect
+import io
 import json
 import pathlib
 import re
@@ -10,6 +14,8 @@ import time
 import types
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from floorlog import cli, jumpdigits, levelcounts, sequences
 from floorlog.battery import BATTERY
@@ -349,7 +355,7 @@ def test_nonregular_verdict_still_exits_zero(capsys):
 
 def test_consistency_failure_exits_two(capsys, monkeypatch):
     """A certified-periodic r for an irrational slope is a bug, not a verdict."""
-    poisoned = PeriodicityVerdict.periodic(0, 2, None)
+    poisoned = PeriodicityVerdict("Periodic", 0, 2, None)
     monkeypatch.setattr(InstanceTables, "r_verdict", poisoned)
     code, _, err = run(capsys, "analyze", "--alpha", "sqrt(2)",
                        "--beta", "0", "--base", "2")
@@ -411,6 +417,105 @@ def test_unusable_invocations_exit_one_with_one_line(capsys, case):
     assert code == 1 and out == ""
     assert err.startswith("floorlog: error: ") and err.count("\n") == 1
     assert named in err
+
+
+# per kind of flag, plain values and a hostile pool; size flags draw only
+# small values or values above every cap, so no example does cap-sized work
+_HOSTILE = ["-1", "0", "1/0", "abc", "1e3", "", "9" * 200, "7" * 5000]
+_FUZZ_VALUES = {
+    "number": (["3/2", "7/5", "1/3", "sqrt(2)", "1+sqrt(3)", "-1/2*sqrt(3)", "sqrt(8)"],
+               _HOSTILE + ["1+2*sqrt(4)", "sqrt(1000000000039)", "sqrt(2)+sqrt(3)"]),
+    "base": (["2", "3", "5", "10", "16"], _HOSTILE + ["1", "4097"]),
+    "source": (["rk", "periodic", "explicit", "tm-blocks"], ["bogus"]),
+    "word": (["0", "10", "21", "[3,4096]"], _HOSTILE + ["[1,,2]", "[1,-2]", "[]"]),
+    "size": (["1", "3", "8", "12"], _HOSTILE + [str(1 << 25)]),
+}
+_FLAG_KIND = {"--alpha": "number", "--beta": "number", "--base": "base", "--source": "source",
+              "--preperiod": "word", "--period": "word", "--word": "word",
+              "--block-a": "word", "--block-b": "word"}
+
+
+def _subcommand_flags():
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return {name: [flag for action in sub._actions if action.dest != "help"
+                   for flag in action.option_strings]
+            for name, sub in subs.choices.items()}
+
+
+_SUBCOMMAND_FLAGS = _subcommand_flags()
+
+
+@st.composite
+def st_invocation(draw):
+    """A subcommand and a subset of its flags, at most two of them given
+    hostile values and the rest plain ones, and maybe an @ file."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    flags = _SUBCOMMAND_FLAGS[command]
+    hostile = draw(st.sets(st.sampled_from(flags), max_size=2))
+    argv = [command]
+    for flag in flags:
+        if flag == "--dot":
+            argv += [flag] if draw(st.booleans()) else []
+            continue
+        plain, bad = _FUZZ_VALUES[_FLAG_KIND.get(flag, "size")]
+        value = draw(st.sampled_from(bad if flag in hostile else [None, *plain]))
+        if value is not None:  # None leaves the flag out
+            argv += [flag, value]
+    file = draw(st.sampled_from([None] * 4 + ["nested", "undecodable"]))
+    if file:
+        argv.insert(draw(st.integers(1, len(argv))), file)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def hostile_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argfiles")
+    (root / "nested").write_text(f"--base\n2\n@{root / 'nested'}\n")
+    (root / "undecodable").write_bytes(b"--alpha\n\xff\xfe\n")
+    return {name: f"@{root / name}" for name in ("nested", "undecodable")}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=st_invocation())
+def test_hostile_invocations_exit_0_1_or_2_without_traceback(hostile_files, argv):
+    argv = [hostile_files.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    # a lower orbit cap keeps each refused orbit walk short
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        patch.setattr(jumpdigits, "_ORBIT_BUDGET", 1 << 12)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("value", [[3], {}, "abc", "1e3", float("inf"), float("nan")],
+                         ids=repr)
+def test_run_analyze_refuses_a_field_that_is_not_an_integer(value):
+    with pytest.raises(cli.UsageError, match=r"^--kmax must be an integer, got "):
+        run_analyze({"alpha": "3/2", "base": 2, "kmax": value})
+
+
+def test_only_main_and_the_flag_readers_catch_value_errors():
+    """A library ValueError reaches _main, which maps every one to exit 1,
+    so no other function of cli re-wraps one: only _main and the readers
+    that add a flag name to a library message catch ValueError, a
+    subclass of it or a class above it."""
+    def catches_value_errors(handler):
+        caught = eval(ast.unparse(handler.type), vars(cli)) if handler.type else BaseException
+        return any(issubclass(c, ValueError) or issubclass(ValueError, c)
+                   for c in (caught if isinstance(caught, tuple) else (caught,)))
+
+    catching = {func.name for func in ast.walk(ast.parse(inspect.getsource(cli)))
+                if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func)
+                if isinstance(node, ast.ExceptHandler) and catches_value_errors(node)}
+    assert catching == {"_main", "_integer", "_exact", "_digit_word"}
+    assert issubclass(cli.UsageError, ValueError)
 
 
 def test_version_flag(capsys):

@@ -470,6 +470,42 @@ def test_narrow_block_guards_fall_back_to_the_per_digit_machine(monkeypatch, gua
         assert fallbacks > 0
 
 
+@pytest.mark.parametrize("alpha, beta, base", [
+    ("3/2+1/4*sqrt(7)", "1/5*sqrt(7)", 10),
+    ("3/2+5/6*sqrt(5)", "5/8-1/6*sqrt(5)", 5),
+])
+def test_a_block_step_may_end_with_a_unit_step(monkeypatch, alpha, beta, base):
+    """The division estimate of _block_step may fall one short of the
+    root, as r_digits' docstring allows, and its unit step then makes s
+    and R exact.  With one digit per block and one guard bit these inputs
+    reach it within their first blocks."""
+    norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
+    d = norm.alpha.radicand
+    short = []
+    real = jumpdigits._block_step
+
+    def checked(block, a, rad, s, rem):
+        out = real(block, a, rad, s, rem)
+        _, rad_out, s_out, rem_out, _ = out
+        root = floor_quadratic(0, abs(rad_out), d, 1)
+        assert (s_out, rem_out) == (root, rad_out * rad_out * d - root * root)
+        # the step's estimate, before any unit step
+        lift_u, u, e = block.spigot[rad > 0]
+        rem0 = block.square * rem + block.lift * rad - lift_u * s + e
+        s0 = block.power * s + u
+        estimate = s0 + rem0 // (2 * s0 + block.power + 1)
+        assert s_out - estimate in (0, 1)
+        short.append(s_out - estimate)
+        return out
+
+    monkeypatch.setattr(jumpdigits, "_block_step", checked)
+    monkeypatch.setattr(jumpdigits, "_BLOCK_DIGITS", 1)
+    monkeypatch.setattr(jumpdigits, "_BLOCK_GUARD_BITS", 1)
+    stream = r_stream(norm, 40)
+    assert stream == list(islice(r_digits_per_digit(norm), 40))
+    assert sum(short) >= 1
+
+
 def test_a_block_value_that_disagrees_with_its_digits_raises(monkeypatch):
     def corrupted(*args):
         *state, value = real(*args)
