@@ -21,6 +21,7 @@ import re
 import sys
 import time
 from dataclasses import asdict
+from numbers import Number
 
 from . import __version__
 from .automata import kernel_explore
@@ -62,7 +63,9 @@ _KERNEL_SCOPE_CAP = 1 << 24
 # 3/2 in base 2 or 10 runs in about ten seconds or less
 # the language fold keeps every w_n, so --window memory grows as
 # window^2 * log2(base): at this cap analyze on 3/2 peaks near 0.3 GB in
-# base 10 and 1 GB in base 4096; 10007/10000 needs 20012 to decide by window
+# base 10 and 1 GB in base 4096; analyze on 10007/10000 in base 10 still
+# ends Inconclusive at this cap, after about 130 s at a 1.5 GB peak RSS
+# on a 2-CPU x86 box, CPython 3.11
 _WINDOW_CAP = 25000
 _KMAX_CAP = 4000  # fk in base 10 prints f_k up to 4001 digits; see _fk_fits_text_limit
 _COUNT_CAP = 10**5
@@ -129,11 +132,15 @@ def _field(fields: dict, key: str, default=None):
 
 def _integer(fields: dict, key: str, default=None) -> int:
     value = _field(fields, key, default)
-    # run_analyze callers may pass a decimal string such as "2"
+    # run_analyze callers may pass a decimal string such as "2" or a number
+    # such as 2.0; int() truncates 2.5, so a number it changes is refused
     try:
-        return int(value)
+        out = int(value)
     except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (isinstance(value, Number) and out != value):
         raise UsageError(f"{_flag(key)} must be an integer, got {value!r}")
+    return out
 
 
 def _positive_int(fields: dict, key: str, default=None, cap=None) -> int:

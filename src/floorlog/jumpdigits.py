@@ -185,20 +185,27 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     below C, so a term costs a few operations on numbers of the size of
     the slope's denominators, with no floor_quadratic call and no spigot.
 
-    jump_positions takes two fixed-point roots once per call and carries
-    one whole numerator H_k = A_k*2^M + W_k, where A_k is the rational
-    part of the numerator of (base^k - beta)/alpha over C and W_k a
-    fixed-point lower bound of its radical part; each c_k is H_k shifted
-    and divided by C afresh, and floor_quadratic on (A_k, B_k) settles
-    the rare bracket that straddles an integer.  On a rational slope it
-    divides the whole numerator base^k*p - e afresh at every k.  It
-    carries no remainder and never looks at this spigot.  This machine in
-    turn steps its own remainder, per digit or per block, and never
-    carries a whole numerator; its fixed-point root is one of t, not of
-    the q or f that jump_positions roots.  The two routes share only the
-    exact floor kernel, never a root value, a remainder or a stepping
-    rule, so comparing them is a real cross-check, not one computation
-    with itself.
+    jump_positions and this machine both carry a remainder, but not the
+    same one, and not by the same rule.  jump_positions takes two
+    fixed-point roots once per call, of q*sqrt(d) and f*sqrt(d), the
+    radical parts of 1/alpha and beta/alpha over C.  It steps
+    H_k = A_k*2^M + W_k, the rational part A_k of the numerator of
+    (base^k - beta)/alpha over C above a fixed-point lower bound W_k of
+    its radical part, keeps only H_k mod C*2^M, an integer that holds
+    no root of its own, and reads r_k off the carries out of it with a
+    correction where the bound straddles an integer.  There
+    floor_quadratic on (A_k, B_k) gives c_k, and the closed form of the
+    remainder, formed from base^k, must match the carried one, as it
+    must again at the last level.  On a rational slope it divides the
+    whole numerator base^k*p - e afresh at every k.  This machine
+    carries an exact quadratic remainder: A below C with B, and in block
+    mode the integer root s of B^2 d with its remainder.  It steps them
+    per digit or per block, each digit a floor of the exact remainder,
+    never a carry out of a bound.  Its one fixed-point root is of t, the
+    radical part of (base - 1)*frac(beta/alpha), and it never looks at
+    the jump table.  The two routes share only the exact floor kernel,
+    never a root value, a remainder or a stepping rule, so comparing
+    them is a real cross-check, not one computation with itself.
     """
     b = norm.base
     tail = (norm.beta / norm.alpha).frac()
@@ -332,8 +339,15 @@ def r_stream(norm: NormalizedInstance, k_max: int) -> list[int]:
 
 
 def r_from_jumps(jumps: JumpData, base: int) -> list[int]:
-    """r_1..r_{k_max-1} read off a precomputed jump table."""
-    return [jumps.c[i + 1] - base * jumps.c[i] for i in range(jumps.k_max - 1)]
+    """r_1..r_{k_max-1} of a jump table in base base, as a list.
+
+    The table holds these digits as they came off jump_positions' own
+    loop (see its docstring), so the list is compared with r_stream's
+    as it is.
+    """
+    if jumps.base != base:
+        raise ValueError(f"a jump table in base {jumps.base} read in base {base}")
+    return list(jumps.r)
 
 
 def residue_digits(norm: NormalizedInstance, count: int) -> tuple[list[int], list[int]]:
@@ -811,7 +825,8 @@ def hit_levels(h, count: int) -> tuple[int, ...]:
 
 def check_hits(jumps: JumpData, hits: tuple[int, ...]) -> None:
     """The jump table's integrality hits must be those of hits up to its k_max."""
-    if jumps.integrality_hits != tuple(k for k in hits if k <= jumps.k_max):
+    top = jumps.k_max
+    if jumps.integrality_hits != tuple(k for k in hits if k <= top):
         raise ConsistencyError("residue and jump-table routes disagree on integrality hits")
 
 
@@ -824,9 +839,10 @@ def certify_r(
     stream holds r_1..r_span off r_digits, and residues the lists r and
     h off residue_digits, at least span and span + 1 terms long.  The
     residue r is compared with the stream over all span terms; the two
-    routes share no state.  jumps, the big-integer audit, holds
-    c_1..c_(audit+1) for some audit <= span: its r_1..r_audit must match
-    the stream and its integrality hits must match h on that prefix.  The
+    routes share no state.  jumps, the big-integer audit, reaches
+    c_(audit+1) for some audit <= span.  Its r_1..r_audit, the differences
+    of positions it divided off whole numerators, must match the stream,
+    and its integrality hits must match h on that prefix.  The
     residue r is then certified under the proven cover orbit of base^k
     mod modulus, with the hits of h_1..h_(span+1) on the certificate.
     """

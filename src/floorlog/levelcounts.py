@@ -207,10 +207,9 @@ def align_m0(lc: LevelCounts, jd: JumpData) -> AlignmentResult:
     than assumed.  Negative and zero levels never take part.
     """
     k_top = min(lc.k_max, jd.k_max - 1)
-    # c[k] - c[k - 1] = c_{k+1} - c_k, since jd.c[0] is c_1
-    bad = tuple(
-        k for k in range(1, k_top + 1) if lc.f[k] != jd.c[k] - jd.c[k - 1]
-    )
+    # c[k] - c[k - 1] = c_{k+1} - c_k, since c[0] is c_1
+    c, f = jd.c, lc.f
+    bad = tuple(k for k in range(1, k_top + 1) if f[k] != c[k] - c[k - 1])
     if k_top < 6 or (bad and bad[-1] > k_top // 2):
         return AlignmentResult(
             m0=None, threshold=None, checked_to=max(k_top, 0),

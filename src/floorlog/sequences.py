@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import ExactReal, floor_quadratic, over_common_denominator
 from .numeration import to_word
@@ -174,7 +175,16 @@ def u_seq(inst: FloorLogInstance | NormalizedInstance, n_max: int) -> SeqSlice:
 
 @dataclass(frozen=True)
 class JumpData:
-    """Jump positions c_k = floor((base^k - beta)/alpha), k = 1..k_max.
+    """Jump positions c_k = floor((base^k - beta)/alpha), k = 1..k_max, held as digits.
+
+    The table keeps c_1 and the jump digits r_k = c_(k+1) - base*c_k for
+    k = 1..k_max - 1, which are small, so its memory is linear in k_max.
+    The positions themselves have about k*log2(base) bits each; c folds
+    the digits back into them, c_(k+1) = base*c_k + r_k, on its first
+    read, so only readers that ask for positions pay for them.  A table
+    built from positions it already holds (jump_positions' rational
+    loop) keeps those as c, and a prefix of a table whose c is read
+    slices it, so no fold repeats work already done.
 
     integrality_hits collects the k where (base^k - beta)/alpha landed on an
     integer exactly.  Two distinct hits certify alpha rational on their own
@@ -182,9 +192,25 @@ class JumpData:
     doubles as a rationality witness.
     """
 
-    k_max: int
-    c: tuple[int, ...]
+    base: int
+    c1: int
+    r: tuple[int, ...]
     integrality_hits: tuple[int, ...] = ()
+
+    @property
+    def k_max(self) -> int:
+        return len(self.r) + 1
+
+    @cached_property
+    def c(self) -> tuple[int, ...]:
+        """c_1..c_k_max, folded from c_1 and r."""
+        b, c = self.base, self.c1
+        cs = [c]
+        append = cs.append
+        for r in self.r:
+            c = b * c + r
+            append(c)
+        return tuple(cs)
 
     def at(self, k: int) -> int:
         if not 1 <= k <= self.k_max:
@@ -197,11 +223,23 @@ class JumpData:
             raise IndexError(f"prefix {k_max} outside 1..{self.k_max}")
         if k_max == self.k_max:
             return self
-        return JumpData(
-            k_max=k_max,
-            c=self.c[:k_max],
+        table = JumpData(
+            base=self.base,
+            c1=self.c1,
+            r=self.r[: k_max - 1],
             integrality_hits=tuple(k for k in self.integrality_hits if k <= k_max),
         )
+        if "c" in self.__dict__:
+            table.__dict__["c"] = self.c[:k_max]
+        return table
+
+    @classmethod
+    def _of_positions(cls, base: int, cs: list[int], hits: list[int]) -> "JumpData":
+        """The table of the positions cs = [c_1, c_2, ...], which stand as its c."""
+        r = tuple([c1 - base * c0 for c0, c1 in zip(cs, cs[1:])])
+        table = cls(base, cs[0], r, tuple(hits))
+        table.__dict__["c"] = tuple(cs)
+        return table
 
 
 # guard bits of the fixed-point roots in jump_positions, past base^k_max;
@@ -210,7 +248,7 @@ _ROOT_GUARD_BITS = 64
 
 
 def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
-    """Exact c_k for k = 1..k_max with integrality bookkeeping.
+    """Exact c_1 and r_1..r_(k_max-1), with the integrality hits to k_max.
 
     Closed form over one common denominator: with 1/alpha = (p + q*sqrt(d))/C
     and beta/alpha = (e + f*sqrt(d))/C,
@@ -223,14 +261,17 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
 
     A rational instance (d == 1) has B_k == 0 at every k and takes its
     own loop: A_(k+1) = base*A_k + (base - 1)*e, and c_k with its
-    integrality flag is one divmod of A_k by C.  It carries no power of
-    the base, no scaled root and no B_k.  Each c_k comes from the whole
-    numerator, never from c_(k-1) and a remainder as r_digits steps, so
-    the table stays an independent route to r.
+    integrality flag is one divmod of A_k by C.  The table stores the
+    differences c_k - base*c_(k-1) and keeps the positions as its c; a
+    rational table is read to a few hundred levels, the audit prefix of
+    jumpdigits, so they stay small.  It carries no power of the base, no
+    scaled root and no B_k.  Each c_k comes from the whole numerator,
+    never from c_(k-1) and a remainder as r_digits and residue_digits
+    step, so the table stays an independent route to r.
 
     For d > 1 the roots are fixed-point numbers taken once per call:
     Q = floor(q*sqrt(d)*2^M) and F = floor(f*sqrt(d)*2^M), with M the bit
-    length of base^k_max plus _ROOT_GUARD_BITS.  Then, with power = base^k,
+    length N of base^k_max plus _ROOT_GUARD_BITS.  Then, with power = base^k,
 
         power*Q - F - 1  <  B_k*sqrt(d)*2^M  <  power*Q + power - F.
 
@@ -240,89 +281,140 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     reached, and the lower end because F + 1 is never reached.  Neither
     step needs the middle terms to be irrational, so q = 0 (a rational
     slope with a surd offset: Q = 0, the first term exactly 0) and
-    f = 0 (F = 0, the second term exactly 0) are covered.  Since
-    floor(t/2^M) is monotone, with W_k = power*Q - F - 1 the value
-    floor(B_k*sqrt(d)) lies in [W_k >> M, (W_k + power + 1) >> M], so c_k
-    lies between lo = (A_k + (W_k >> M)) // C and
-    hi = (A_k + ((W_k + power + 1) >> M)) // C, and equals lo when
-    lo == hi.  When they differ the bracket straddles an integer, and c_k
-    is taken the direct way, floor_quadratic(A_k, B_k, d, C).
+    f = 0 (F = 0, the second term exactly 0) are covered.  Put
+    W_k = power*Q - F - 1, H_k = A_k*2^M + W_k and D = C*2^M.  Since
+    floor(t/2^M) is monotone, floor(B_k*sqrt(d)) lies in
+    [W_k >> M, (W_k + power + 1) >> M].  A_k*2^M is a multiple of 2^M,
+    so (H_k + x) >> M = A_k + ((W_k + x) >> M) for every integer x, and
+    floor(floor(y/2^M)/C) = floor(y/D).  Hence c_k lies between
+    lo_k = H_k // D and hi_k = (H_k + power + 1) // D, and equals lo_k
+    when the two agree.  When they differ the bracket straddles an
+    integer, and c_k is taken the direct way, floor_quadratic(A_k, B_k, d, C).
 
-    The loop carries one number, H_k = A_k*2^M + W_k.  Both parts step
-    as x' = base*x + constant: A_(k+1) = base*A_k + (base - 1)*e and
-    W_(k+1) = base*W_k + (base - 1)*(F + 1), so
+    The split.  Write H_k = lo_k*D + R_k with 0 <= R_k < D.  As above,
+    R_k = h_k*2^M + w_k with the low part w_k = W_k mod 2^M and the high
+    part h_k = (A_k + (W_k >> M)) mod C, below C, and lo_k =
+    (A_k + (W_k >> M)) // C.  A_k and W_k both step as x' = base*x +
+    constant, A_(k+1) = base*A_k + (base - 1)*e and W_(k+1) = base*W_k +
+    (base - 1)*(F + 1), so H_(k+1) = base*H_k + S for the constant
+    S = (base - 1)*e*2^M + (base - 1)*(F + 1) = s*2^M + s' with
+    0 <= s' < 2^M.  Then
 
-        H_(k+1) = base*H_k + ((base - 1)*e*2^M + (base - 1)*(F + 1)),
+        H_(k+1) = base*lo_k*D + (base*h_k + s)*2^M + (base*w_k + s'),
 
-    one multiply-add per level.  A_k*2^M is a multiple of 2^M, so for
-    every integer A_k, negative ones included, H_k >> M = A_k + (W_k >> M)
-    and H_k mod 2^M = W_k mod 2^M, and likewise (H_k + power + 1) >> M =
-    A_k + ((W_k + power + 1) >> M).  Hence lo = (H_k >> M) // C and
-    hi = ((H_k + power + 1) >> M) // C, and the two shifts differ exactly
-    when (H_k mod 2^M) + power + 1 >= 2^M.
+    so with z = base*w_k + s', w_(k+1) = z mod 2^M and
+    t_(k+1), h_(k+1) = divmod(base*h_k + s + (z >> M), C), and
+    lo_(k+1) = base*lo_k + t_(k+1).  The loop carries the remainder
+    (h_k, w_k) alone, never lo_k or c_k: a level is one multiply-add,
+    one mask and one shift on the M-bit w_k, and small-number operations
+    on h_k, and its carry out is t_(k+1).
 
-    The guard-bit filter decides when hi is worth forming.  Put
-    G = max(_ROOT_GUARD_BITS, 0) and top = H_k >> (M - G), one shift;
-    then lo = (top >> G) // C.  When G > 0, M - G is the bit length of
-    base^k_max, so power + 1 <= base^k_max + 1 <= 2^(M - G), and the
-    shifts can differ only when H_k mod 2^M >= 2^M - 2^(M - G), that is,
-    when the top G bits of H_k mod 2^M, which are top mod 2^G, are all
-    ones.  Only then is power = base^k formed and hi compared with lo;
-    otherwise c_k = lo.  At the default G = 64 the filter passes a level
-    only when 64 bits of the fraction are all ones.  When
-    _ROOT_GUARD_BITS <= 0, G = 0, the mask 2^G - 1 is 0 and the filter
-    passes every level, so the exact bracket test runs at each k.  That
-    is safe at any width, since the bracket argument above needs only
-    M >= 0, not the inequality on power + 1, which may then fail.
+    The straddle test.  hi_k - lo_k = (R_k + power + 1) // D, as
+    H_k = lo_k*D + R_k, so the bracket straddles exactly when
+    R_k + power + 1 >= D.  With power + 1 <= base^k_max + 1 <= 2^N, a
+    straddle needs R_k >= D - 2^N, hence w_k >= 2^M - 2^N (as
+    h_k <= C - 1) and h_k >= (D - 2^N) >> M (as w_k < 2^M).  Only when
+    both hold is power formed and the exact test made.  At
+    _ROOT_GUARD_BITS = G >= 0, M = N + G, and the two bounds read
+    h_k = C - 1 and w_k >= 2^M - 2^(M - G): the high part at its top and
+    the top G bits of w_k, which are those of W_k mod 2^M, all ones.  At
+    the default G = 64 the filter passes a level only when those 64 bits
+    are all ones.  At G < 0 the bound on w_k is at most 0 and only the
+    high part filters.  That is safe at any width, since the bracket
+    argument above needs only M >= 0.
 
-    A step thus costs one multiply-add and one shift on a number of
-    about 2*k_max*log2(base) bits, instead of one integer square root of
-    that size.
+    The digits.  Put delta_k = c_k - lo_k: 0 where the bracket does not
+    straddle, and in [0, hi_k - lo_k] where it does, which is {0, 1}
+    whenever power + 1 <= D, as at every G >= 0.  Then
 
-    Every integrality hit reaches the fallback, so the hits are recorded
-    there.  At a k with B_k = 0, F lies in [power*Q, power*Q + power - 1]
-    (as power*q = f), so W_k lies in [-power, -1].  Then W_k >> M <= -1
-    and (W_k + power + 1) >> M >= 0, so lo <= (A_k - 1) // C and
-    hi >= A_k // C, which differ whenever C divides A_k.  And H_k mod 2^M
-    = W_k mod 2^M >= 2^M - power passes the guard filter when G >= 1,
-    while G = 0 passes every level.  A straddle with B_k != 0 has an
-    irrational quotient, so it is never a hit.
+        r_k = c_(k+1) - base*c_k
+            = (base*lo_k + t_(k+1) + delta_(k+1)) - base*(lo_k + delta_k)
+            = t_(k+1) + delta_(k+1) - base*delta_k.
+
+    The loop starts from k = 0, power = 1, where H_0 = (p - e)*2^M +
+    Q - F - 1 splits as above.  Taking c_0 = 0 puts delta_0 = -lo_0, and
+    the same formula then gives c_1 - base*c_0 = c_1 as the first digit.
+    At a straddle A_k and W_k are formed from
+    power, which gives lo_k for delta_k and the closed form of R_k.  The
+    carried (h_k, w_k) must equal it there and once more at k_max, or
+    ConsistencyError is raised.
+
+    Every integrality hit straddles, so the hits are recorded at the
+    fallback.  At a k with B_k = 0, F lies in [power*Q, power*Q + power - 1]
+    (as power*q = f), so W_k lies in [-power, -1].  When C divides A_k,
+    H_k = (A_k/C)*D + W_k, so lo_k = A_k/C - 1 and R_k = D + W_k >= D - power,
+    and R_k + power + 1 > D.  A straddle with B_k != 0 has an irrational
+    quotient, so it is never a hit.
+
+    A level thus costs a few linear-time operations on a number of about
+    k_max*log2(base) bits, instead of one integer square root of twice
+    that size, and a surd table keeps no big number.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     b = norm.base
     den, d, ((p, q), (e, f)) = over_common_denominator(
         1 / norm.alpha, norm.beta / norm.alpha
     )
-    cs = []
     hits = []
     if d == 1:
-        num, step = p - e, (b - 1) * e
+        num, step, cs = p - e, (b - 1) * e, []
         for k in range(1, k_max + 1):
             num = num * b + step
             c, rest = divmod(num, den)
             if not rest:
                 hits.append(k)
             cs.append(c)
-        return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
-    shift = (b**k_max).bit_length() + _ROOT_GUARD_BITS
-    guard = max(_ROOT_GUARD_BITS, 0)
-    coarse, mask = shift - guard, (1 << guard) - 1
+        return JumpData._of_positions(b, cs, hits)
+    top = b**k_max
+    width = top.bit_length()
+    shift = width + _ROOT_GUARD_BITS
+    mask = (1 << shift) - 1
     root_q = floor_quadratic(0, q << shift, d, 1)
     root_f = floor_quadratic(0, f << shift, d, 1)
-    high = ((p - e) << shift) + root_q - root_f - 1
+
+    def split(power):
+        """A_k, A_k + (W_k >> M) and w_k = W_k mod 2^M at power = base^k."""
+        num, low = power * p - e, power * root_q - root_f - 1
+        return num, num + (low >> shift), low & mask
+
+    whole = den << shift
+    low_floor = (1 << shift) - (1 << width)
+    high_floor = (whole - (1 << width)) >> shift
     step = ((b - 1) * e << shift) + (b - 1) * (root_f + 1)
+    step_high, step_low = step >> shift, step & mask
+    _, high, w = split(1)
+    lo, h = divmod(high, den)
+    # digits[k - 1] gets t_k, and the nonzero delta_k are patched in after
+    # the loop; taking c_0 = 0 puts delta_0 = -lo_0
+    digits, deltas = [], [(0, -lo)]
+    append = digits.append
     for k in range(1, k_max + 1):
-        high = high * b + step
-        top = high >> coarse
-        c = (top >> guard) // den
-        if top & mask == mask:
+        z = b * w + step_low
+        w = z & mask
+        t, h = divmod(b * h + step_high + (z >> shift), den)
+        append(t)
+        if w >= low_floor and h >= high_floor:
             power = b**k
-            if c != ((high + power + 1) >> shift) // den:
-                num, rad = power * p - e, power * q - f
+            if (h << shift) + w + power + 1 >= whole:
+                num, high, low = split(power)
+                lo, rest = divmod(high, den)
+                if (rest, low) != (h, w):
+                    raise ConsistencyError(f"jump_positions: carried remainder wrong at k={k}")
+                rad = power * q - f
                 c = floor_quadratic(num, rad, d, den)
                 if rad == 0 and c * den == num:
                     hits.append(k)
-        cs.append(c)
-    return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
+                deltas.append((k, c - lo))
+    _, high, low = split(top)
+    if (high % den, low) != (h, w):
+        raise ConsistencyError(f"jump_positions: carried remainder wrong at k={k_max}")
+    for k, delta in deltas:  # the digit of level k is t_k + delta_k - base*delta_(k-1)
+        if k:
+            digits[k - 1] += delta
+        if k < k_max:
+            digits[k] -= b * delta
+    return JumpData(b, digits[0], tuple(digits[1:]), tuple(hits))
 
 
 def jump_levels_past(base: int, size: int) -> int:

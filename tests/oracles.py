@@ -269,6 +269,12 @@ def oracle_f(alpha, beta, base: int, k: int, n_min: int) -> int:
     return count
 
 
+def _table(base: int, cs: list[int], hits: list[int]) -> JumpData:
+    """The JumpData of the positions cs = [c_1, c_2, ...]: c_1 and each c_(k+1) - base*c_k."""
+    r = tuple(c1 - base * c0 for c0, c1 in zip(cs, cs[1:]))
+    return JumpData(base=base, c1=cs[0], r=r, integrality_hits=tuple(hits))
+
+
 def rational_jumps(alpha: Fraction, beta: Fraction, base: int, k_max: int) -> JumpData:
     """The jump table of a rational instance: one Fraction floor per k."""
     cs, hits = [], []
@@ -277,7 +283,7 @@ def rational_jumps(alpha: Fraction, beta: Fraction, base: int, k_max: int) -> Ju
         cs.append(floor(x))
         if x.denominator == 1:
             hits.append(k)
-    return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
+    return _table(base, cs, hits)
 
 
 def rational_level_starts(
@@ -511,7 +517,7 @@ def jump_positions_fresh_roots(norm, k_max: int) -> JumpData:
             if rest == 0:
                 hits.append(k)
         cs.append(c)
-    return JumpData(k_max=k_max, c=tuple(cs), integrality_hits=tuple(hits))
+    return _table(b, cs, hits)
 
 
 def r_digits_per_digit(norm):

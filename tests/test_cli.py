@@ -12,6 +12,7 @@ import shlex
 import sys
 import time
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -493,11 +494,27 @@ def test_hostile_invocations_exit_0_1_or_2_without_traceback(hostile_files, argv
     assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("value", [[3], {}, "abc", "1e3", float("inf"), float("nan")],
-                         ids=repr)
+@pytest.mark.parametrize("value", [[3], {}, "abc", "1e3", float("inf"), float("nan"),
+                                   2.5, Fraction(5, 2)], ids=repr)
 def test_run_analyze_refuses_a_field_that_is_not_an_integer(value):
     with pytest.raises(cli.UsageError, match=r"^--kmax must be an integer, got "):
         run_analyze({"alpha": "3/2", "base": 2, "kmax": value})
+
+
+@pytest.mark.parametrize("fields", [{"window": 8.9}, {"kmax": 2.5, "window": 8.9}], ids=repr)
+def test_run_analyze_refuses_a_number_that_is_not_integral(fields):
+    # int() would truncate these to 2 and 8 and run on them
+    with pytest.raises(cli.UsageError, match=r"^--(kmax|window) must be an integer, got "):
+        run_analyze({"alpha": "3/2", "base": 2, **fields})
+
+
+def test_run_analyze_reads_an_integral_number_as_its_integer():
+    reports = [run_analyze({"alpha": "3/2", "base": 2, "kmax": kmax, "window": 8})
+               for kmax in (2, "2", 2.0)]
+    for report in reports:
+        del report["timings"]
+    assert reports[0]["scenario"]["kmax"] == 2
+    assert reports[1] == reports[0] == reports[2]
 
 
 def test_only_main_and_the_flag_readers_catch_value_errors():

@@ -78,6 +78,11 @@ def test_r_from_jumps_route():
     assert r_from_jumps(jumps, 2) == [0, 1, 1, 0, 1, 0, 1]
 
 
+def test_r_from_jumps_refuses_a_table_of_another_base():
+    with pytest.raises(ValueError, match="a jump table in base 2 read in base 3"):
+        r_from_jumps(jump_positions(N_SQRT2, 8), 3)
+
+
 @pytest.mark.parametrize(
     "alpha, beta, base",
     [

@@ -75,14 +75,16 @@ def test_rational_census_slice_is_regular_and_pinned():
 
 def test_surd_probes_time_three_tables_per_depth():
     lines = run_script("surd_probes.py", "20", "100").splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 10
     assert [line.split()[:2] for line in lines[::2]] == [
-        ["sqrt(2)", "b2"], ["1+sqrt(3)", "b3"], ["1/2+1/2*sqrt(5)", "b10"], ["sqrt(2)", "b4096"]]
+        ["sqrt(2)", "b2"], ["sqrt(2)", "b10"], ["1+sqrt(3)", "b3"], ["1/2+1/2*sqrt(5)", "b10"],
+        ["sqrt(2)", "b4096"]]
     for line in lines:
         assert "r_stream" in line and "jump_positions" in line and "classify_range" in line
+        assert re.search(r"jump_positions \d+\.\d{3} s \d+\.\d MB", line)
         assert line.endswith("routes agree")
     depths = [next(word for word in line.split() if word.startswith("k=")) for line in lines]
-    assert depths == ["k=20", "k=100"] * 4
+    assert depths == ["k=20", "k=100"] * 5
 
 
 def test_bench_pairs_runs_one_pair_of_one_checkout():

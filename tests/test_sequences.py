@@ -12,6 +12,7 @@ from floorlog.exact import ExactReal
 from floorlog.sequences import (
     ConsistencyError,
     FloorLogInstance,
+    JumpData,
     NormalizedInstance,
     jump_positions,
     normalize,
@@ -332,6 +333,26 @@ def test_five_quarters_hits_an_integer_at_every_level():
     jd = jump_positions(n, 30)
     assert jd.integrality_hits == tuple(range(1, 31))
     assert jd == rational_jumps(Fraction(5, 4), Fraction(0), 10, 30)
+
+
+@pytest.mark.parametrize("alpha, beta, base", [
+    ("5/4", "0", 10), ("22/7", "-1/3", 2), ("sqrt(2)", "0", 3), ("1/2+1/2*sqrt(5)", "2/7", 10)])
+def test_held_and_sliced_positions_equal_the_fold(alpha, beta, base):
+    """A rational table holds the positions it divided as c, and a prefix
+    of a table whose c was read slices it: both must be what folding
+    c_1 and r gives."""
+    n = norm_of(alpha, beta, base)
+    jd = jump_positions(n, 30)
+    assert jd.c == JumpData(jd.base, jd.c1, jd.r).c
+    for k in (1, 2, 17, 29):
+        view = jd.prefix(k)
+        assert view == jump_positions(n, k)
+        assert view.c == jd.c[:k] == JumpData(view.base, view.c1, view.r).c
+
+
+def test_a_table_needs_one_level():
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        jump_positions(norm_of("sqrt(2)", 0, 2), 0)
 
 
 @pytest.mark.parametrize("inst", BATTERY, ids=lambda i: i.name)

@@ -14,6 +14,7 @@ names nothing of the jump table, so the comparison stays a check.
 
 import ast
 import inspect
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
@@ -332,13 +333,47 @@ def st_carried_instance(draw):
     return alpha, beta, base, draw(st.integers(min_value=1, max_value=80))
 
 
+def _assert_table_is_fresh_roots(norm, k_max: int) -> None:
+    table, fresh = jump_positions(norm, k_max), jump_positions_fresh_roots(norm, k_max)
+    assert table.c1 == fresh.c1
+    assert table.r == fresh.r
+    assert table.integrality_hits == fresh.integrality_hits
+    assert len(table.c) == table.k_max == k_max
+    assert table.c == fresh.c
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=st_carried_instance())
 @example(case=(ExactReal.parse("2-1/2*sqrt(3)"), ExactReal.parse("-1-1/2*sqrt(3)"), 4096, 80))
 def test_carried_numerator_equals_fresh_roots(case):
+    """c_1, r and the hits off the carried remainder, and c folded from
+    them, are the fresh roots' positions."""
     alpha, beta, base, k_max = case
-    norm = normalize(FloorLogInstance(alpha, beta, base))
-    assert jump_positions(norm, k_max) == jump_positions_fresh_roots(norm, k_max)
+    _assert_table_is_fresh_roots(normalize(FloorLogInstance(alpha, beta, base)), k_max)
+
+
+@pytest.mark.parametrize("alpha, beta, base", [
+    case for case in _GUARD_CASES if case[1] in ("32-22*sqrt(2)", "100-70*sqrt(2)")])
+def test_the_hit_slopes_keep_their_positions(alpha, beta, base):
+    norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
+    _assert_table_is_fresh_roots(norm, 40)
+
+
+def test_the_table_takes_memory_linear_in_its_depth():
+    """At 2*10^4 + 1 levels of sqrt(2) in base 10 a position has about
+    66,000 bits, so a table that kept every c_k would hold some 80 MB;
+    the carried remainder is one such number and the digits are small."""
+    norm = normalize(FloorLogInstance(ExactReal.parse("sqrt(2)"), ExactReal(0), 10))
+    k_max = 2 * 10**4 + 1
+    tracemalloc.start()
+    try:
+        table = jump_positions(norm, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10**6
+    assert table.k_max == k_max
+    assert table.r[-1] == r_direct(norm, k_max - 1)
 
 
 def test_records_are_immutable_and_equal_the_sweep():
