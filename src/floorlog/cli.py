@@ -1,7 +1,9 @@
 """Command-line front end emitting exact analysis results as JSON.
 
 Subcommands: seq, rk, digits, language, decide, kernel, fk, dfa, analyze.
-stdout carries data; stderr carries diagnostics.  Exit codes separate
+stdout carries data; stderr carries diagnostics.  Each handler returns
+what stdout carries, a JSON-ready value or, for seq and dfa --dot, text,
+and only _main writes it, once per run.  Exit codes separate
 operational trouble from mathematical outcomes: 0 means the run
 completed (whatever the verdict says), 1 means the invocation was
 unusable (bad flags, unreadable argument files, unparseable numbers,
@@ -108,10 +110,6 @@ def _canonical(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _print(payload) -> None:
-    print(_canonical(payload))
-
-
 # ---------------------------------------------------------------------------
 # fields: one dict of flag values per run, None meaning unset
 # ---------------------------------------------------------------------------
@@ -130,40 +128,34 @@ def _field(fields: dict, key: str, default=None):
     return value
 
 
-def _integer(fields: dict, key: str, default=None) -> int:
+def _integer(fields: dict, key: str, default=None, least=None, cap=None) -> int:
     value = _field(fields, key, default)
     # run_analyze callers may pass a decimal string such as "2" or a number
-    # such as 2.0; int() truncates 2.5, so a number it changes is refused
+    # such as 2.0; int() truncates 2.5 and reads True as 1, so a number it
+    # changes and a bool are refused
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or (isinstance(value, Number) and out != value):
+    if out is None or isinstance(value, bool) or (isinstance(value, Number) and out != value):
         raise UsageError(f"{_flag(key)} must be an integer, got {value!r}")
-    return out
-
-
-def _positive_int(fields: dict, key: str, default=None, cap=None) -> int:
-    out = _integer(fields, key, default)
-    if out < 1:
-        raise UsageError(f"{_flag(key)} must be positive, got {out}")
+    if least is not None and out < least:
+        raise UsageError(f"{_flag(key)} must be at least {least}, got {out}")
     if cap is not None and out > cap:
         raise UsageError(f"{_flag(key)} must be at most {cap}, got {out}")
     return out
 
 
+def _positive_int(fields: dict, key: str, default=None, cap=None) -> int:
+    return _integer(fields, key, default, least=1, cap=cap)
+
+
 def _base(fields: dict) -> int:
-    base = _positive_int(fields, "base", cap=_BASE_CAP)
-    if base < 2:
-        raise UsageError("--base must be at least 2")
-    return base
+    return _integer(fields, "base", least=2, cap=_BASE_CAP)
 
 
 def _window(fields: dict) -> int:
-    window = _positive_int(fields, "window", DEFAULT_WINDOW, _WINDOW_CAP)
-    if window < MIN_WINDOW:
-        raise UsageError(f"--window must be at least {MIN_WINDOW}")
-    return window
+    return _integer(fields, "window", DEFAULT_WINDOW, least=MIN_WINDOW, cap=_WINDOW_CAP)
 
 
 def _exact(fields: dict, key: str, default=None) -> ExactReal:
@@ -304,56 +296,44 @@ def _kernel_report(norm: NormalizedInstance, depth: int, prefix_len: int, scope:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_seq(fields) -> int:
+def _cmd_seq(fields) -> str:
     inst = _instance(fields)
-    start = _integer(fields, "start", 1)
-    if start < 0:
-        raise UsageError(f"--from must not be negative, got {start}")
-    stop = _integer(fields, "stop", 10)
-    if stop > _INDEX_CAP:
-        raise UsageError(f"--to must be at most {_INDEX_CAP}, got {stop}")
+    start = _integer(fields, "start", 1, least=0)
+    stop = _integer(fields, "stop", 10, cap=_INDEX_CAP)
     if stop < start:
         raise UsageError("--to must not be below --from")
     values = [u_term(inst.alpha, inst.beta, inst.base, n) for n in range(start, stop + 1)]
-    print(",".join(str(v) for v in values))
-    return 0
+    return ",".join(str(v) for v in values)
 
 
-def _cmd_rk(fields) -> int:
+def _cmd_rk(fields) -> list:
     norm = _normalized(fields)
     kmax = _positive_int(fields, "kmax", DEFAULT_KMAX, _KMAX_CAP)
-    records = classify_range(norm, kmax)
-    _print(
-        [
-            {
-                "k": rec.k,
-                "r": rec.r,
-                "case": rec.case_tag,
-                "digit": rec.digit,
-                "pk": rec.pk,
-                "pk1": rec.pk1,
-            }
-            for rec in records
-        ]
-    )
-    return 0
+    return [
+        {
+            "k": rec.k,
+            "r": rec.r,
+            "case": rec.case_tag,
+            "digit": rec.digit,
+            "pk": rec.pk,
+            "pk1": rec.pk1,
+        }
+        for rec in classify_range(norm, kmax)
+    ]
 
 
-def _cmd_digits(fields) -> int:
+def _cmd_digits(fields) -> dict:
     norm = _normalized(fields)
     count = _positive_int(fields, "count", 32, _COUNT_CAP)
-    _print(
-        {
-            "alpha": str(norm.alpha),
-            "base": norm.base,
-            "value": "frac(1/alpha)",
-            "digits": inverse_slope_digits(norm, count),
-        }
-    )
-    return 0
+    return {
+        "alpha": str(norm.alpha),
+        "base": norm.base,
+        "value": "frac(1/alpha)",
+        "digits": inverse_slope_digits(norm, count),
+    }
 
 
-def _cmd_language(fields) -> int:
+def _cmd_language(fields) -> dict:
     # words read digits alone, so no r verdict is computed and 1 is never read
     src, base = _digit_source(fields, 1)
     n_max = _positive_int(fields, "nmax", 30, _NMAX_CAP)
@@ -368,25 +348,26 @@ def _cmd_language(fields) -> int:
         report = verify_length_claim(lw.lengths)
         payload["length_stabilization_N"] = report.stable_from
         payload["length_claim"] = asdict(report)
-    _print(payload)
-    return 0
+    return payload
 
 
-def _cmd_decide(fields) -> int:
+def _regularity(fields):
+    """The regularity verdict of the stream --source names, on --window."""
     window = _window(fields)
     src, base = _digit_source(fields, window)
-    verdict = decide_regularity(src, base, window=window)
-    _print(_verdict_payload(verdict))
-    return 0
+    return decide_regularity(src, base, window=window)
 
 
-def _cmd_kernel(fields) -> int:
+def _cmd_decide(fields) -> dict:
+    return _verdict_payload(_regularity(fields))
+
+
+def _cmd_kernel(fields) -> dict:
     norm = _normalized(fields)
     depth = _positive_int(fields, "depth", 6, _DEPTH_CAP)
     prefix_len = _positive_int(fields, "prefix_len", 64)
     scope = _kernel_scope(norm.base, depth, prefix_len, "--depth or --prefix-len")
-    _print(asdict(_kernel_report(norm, depth, prefix_len, scope, None)))
-    return 0
+    return asdict(_kernel_report(norm, depth, prefix_len, scope, None))
 
 
 def _fk_fits_text_limit(base: int, kmax: int) -> None:
@@ -407,7 +388,7 @@ def _fk_fits_text_limit(base: int, kmax: int) -> None:
         )
 
 
-def _cmd_fk(fields) -> int:
+def _cmd_fk(fields) -> dict:
     norm = _normalized(fields)
     kmax = _positive_int(fields, "kmax", 60, _KMAX_CAP)
     _fk_fits_text_limit(norm.base, kmax)
@@ -424,29 +405,21 @@ def _cmd_fk(fields) -> int:
         slice_ = d_seq(lc, tables.r_terms(lc.k_max), alignment)
         payload["d_start"] = slice_.start
         payload["d"] = list(slice_.values)
-    _print(payload)
-    return 0
+    return payload
 
 
-def _cmd_dfa(fields) -> int:
-    norm = _normalized(fields)
-    window = _window(fields)
-    verdict = decide_regularity(InstanceTables(norm, window), norm.base, window=window)
+def _cmd_dfa(fields) -> dict | str:
+    # dfa has no --source flag, so _regularity reads the rk stream
+    verdict = _regularity(fields)
     if fields["dot"]:
-        if verdict.kind != "Regular" or verdict.dfa is None:
-            print(
-                f"no DFA: verdict is {verdict.kind}; emitting verdict JSON",
-                file=sys.stderr,
-            )
-            _print({"kind": verdict.kind})
-            return 0
-        print(verdict.dfa.to_dot())
-        return 0
+        if verdict.kind != "Regular":
+            print(f"no DFA: verdict is {verdict.kind}; emitting verdict JSON", file=sys.stderr)
+            return {"kind": verdict.kind}
+        return verdict.dfa.to_dot()
     payload = _verdict_payload(verdict)
     if verdict.kind == "Regular":
         payload["table"] = verdict.dfa.to_table()
-    _print(payload)
-    return 0
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +541,6 @@ def run_analyze(scenario: dict) -> dict:
     }
 
 
-def _cmd_analyze(fields) -> int:
-    _print(run_analyze(fields))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
@@ -664,7 +632,7 @@ def build_parser() -> _Parser:
     analyze.add_argument("--window", type=int, help=f"default {DEFAULT_WINDOW}")
     analyze.add_argument("--kernel-depth", dest="kernel_depth", type=int)
     analyze.add_argument("--kernel-prefix", dest="kernel_prefix", type=int)
-    analyze.set_defaults(handler=_cmd_analyze)
+    analyze.set_defaults(handler=run_analyze)
 
     return parser
 
@@ -691,13 +659,17 @@ def _main(argv) -> int:
         # argparse reports an argument file it cannot open, not one it cannot decode
         parser.error(f"cannot read an argument file: {exc}")
     try:
-        return args.handler(vars(args))
+        output = args.handler(vars(args))
+        # rendering may refuse too: an integer past Python's int-to-text limit
+        text = output if isinstance(output, str) else _canonical(output)
     except ValueError as exc:
         print(f"floorlog: error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
         print(f"floorlog: internal consistency failure: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return 0
 
 
 if __name__ == "__main__":

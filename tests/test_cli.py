@@ -6,9 +6,11 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 import time
 import types
@@ -174,6 +176,25 @@ def test_closed_stdout_exits_1_without_traceback(monkeypatch, capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+def test_closed_pipe_exits_1_through_the_module_entry_point():
+    # a real pipe, unlike _ClosedPipe, takes main's dup2 onto devnull and
+    # the __main__ guard; rk prints about 400 kB here, past a 64 kB pipe buffer
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "floorlog.cli", "rk", "--alpha", "sqrt(2)", "--base", "2",
+         "--kmax", "4000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 _SOURCE_FLAGS = {
     "rk": ["--alpha", "3/2", "--beta", "0", "--base", "2"],
     "periodic": ["--preperiod", "21", "--period", "102", "--base", "3"],
@@ -203,12 +224,33 @@ _STREAM_STDOUT_SHA256 = {
 }
 
 
+# sha256 of stdout, computed while every handler printed its own output;
+# analyze runs under frozen_clock, so its timings read 0.0
+_COMMAND_STDOUT_SHA256 = {
+    ("seq", "--alpha", "3/2", "--beta", "1", "--base", "2", "--from", "0", "--to", "500"):
+        "fbab949d73dd638c11f36d960fc0ec23e6154f69cff0bbbcb9a166db0346c034",
+    ("digits", "--alpha", "sqrt(2)", "--base", "10", "--count", "500"):
+        "269d5cbe14a89529e915548430ac78c35108a1d43f56e506936208c7430c9c80",
+    ("kernel", "--alpha", "sqrt(2)", "--base", "2", "--depth", "6", "--prefix-len", "64"):
+        "ad45e3ee1ae6b5cf27dac083f80d877979c0724eb2921d2b950f086521ab1f56",
+    ("analyze", "--alpha", "3/2", "--base", "2"):
+        "a40bbaf075d5025d3ee94acb1ffdc7472dcd995840ed906923b57228584113ab",
+}
+
+
 @pytest.mark.parametrize("command, source", sorted(_STREAM_STDOUT_SHA256))
 def test_stream_command_output_is_pinned(capsys, command, source):
     code, out, _ = run(capsys, command, "--source", source, *_SOURCE_FLAGS[source])
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == _STREAM_STDOUT_SHA256[command, source]
+
+
+@pytest.mark.parametrize("argv", list(_COMMAND_STDOUT_SHA256), ids=lambda argv: argv[0])
+def test_command_output_is_pinned(capsys, frozen_clock, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _COMMAND_STDOUT_SHA256[argv]
 
 
 _DFA_FLAGS = {
@@ -406,8 +448,16 @@ _UNUSABLE = {
                    "--word must hold at least one digit"),
     "period-empty-digit": (("decide", "--source", "periodic", "--period", "[1,,2]",
                             "--base", "2"), "--period"),
-    "seq-from-negative": (("seq", "--alpha", "3/2", "--base", "2", "--from", "-1"), "--from"),
-    "kmax-zero": (("fk", "--alpha", "3/2", "--base", "2", "--kmax", "0"), "--kmax"),
+    "seq-from-negative": (("seq", "--alpha", "3/2", "--base", "2", "--from", "-1"),
+                          "--from must be at least 0, got -1"),
+    "kmax-zero": (("fk", "--alpha", "3/2", "--base", "2", "--kmax", "0"),
+                  "--kmax must be at least 1, got 0"),
+    "base-one": (("seq", "--alpha", "3/2", "--base", "1"), "--base must be at least 2, got 1"),
+    "window-zero": (("decide", "--alpha", "3/2", "--base", "2", "--window", "0"),
+                    "--window must be at least 8, got 0"),
+    # dfa reads --window before --alpha, as decide does
+    "dfa-window-before-alpha": (("dfa", "--alpha", "abc", "--base", "2", "--window", "7"),
+                                "--window must be at least 8, got 7"),
 }
 
 
@@ -495,7 +545,7 @@ def test_hostile_invocations_exit_0_1_or_2_without_traceback(hostile_files, argv
 
 
 @pytest.mark.parametrize("value", [[3], {}, "abc", "1e3", float("inf"), float("nan"),
-                                   2.5, Fraction(5, 2)], ids=repr)
+                                   2.5, Fraction(5, 2), True, False], ids=repr)
 def test_run_analyze_refuses_a_field_that_is_not_an_integer(value):
     with pytest.raises(cli.UsageError, match=r"^--kmax must be an integer, got "):
         run_analyze({"alpha": "3/2", "base": 2, "kmax": value})
@@ -533,6 +583,26 @@ def test_only_main_and_the_flag_readers_catch_value_errors():
                 if isinstance(node, ast.ExceptHandler) and catches_value_errors(node)}
     assert catching == {"_main", "_integer", "_exact", "_digit_word"}
     assert issubclass(cli.UsageError, ValueError)
+
+
+def test_only_main_prints_to_stdout():
+    """Handlers return what stdout carries and _main prints it once, so
+    every other print in cli passes file=sys.stderr and nothing writes
+    to sys.stdout directly."""
+    tree = ast.parse(inspect.getsource(cli))
+
+    def stdout_prints(node):
+        return [call for call in ast.walk(node)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "print"
+                and not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                            for kw in call.keywords)]
+
+    main_ = next(func for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) and func.name == "_main")
+    assert len(stdout_prints(main_)) == 1
+    assert stdout_prints(tree) == stdout_prints(main_)
+    calls = {ast.unparse(call.func) for call in ast.walk(tree) if isinstance(call, ast.Call)}
+    assert "sys.stdout.write" not in calls
 
 
 def test_version_flag(capsys):
