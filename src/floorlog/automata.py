@@ -88,28 +88,28 @@ class Dfa:
         return Dfa(self.base, tuple(tuple(r) for r in rows), 0, acc)
 
     def minimize(self) -> "Dfa":
-        m = self.canonical()
-        n = m.num_states
-        cls = [1 if q in m.accepting else 0 for q in range(n)]
+        # unreachable states refine with the rest; canonical() drops their classes
+        n = self.num_states
+        cls = [1 if q in self.accepting else 0 for q in range(n)]
         while True:
             labels: dict[tuple, int] = {}
             nxt = [0] * n
             for q in range(n):
-                key = (cls[q],) + tuple(cls[m.transitions[q][d]] for d in range(m.base))
+                key = (cls[q],) + tuple(cls[self.transitions[q][d]] for d in range(self.base))
                 nxt[q] = labels.setdefault(key, len(labels))
             if nxt == cls:
                 break
             cls = nxt
         count = max(cls) + 1
-        rows = [[0] * m.base for _ in range(count)]
+        rows = [[0] * self.base for _ in range(count)]
         acc = set()
         for q in range(n):
             c = cls[q]
-            for d in range(m.base):
-                rows[c][d] = cls[m.transitions[q][d]]
-            if q in m.accepting:
+            for d in range(self.base):
+                rows[c][d] = cls[self.transitions[q][d]]
+            if q in self.accepting:
                 acc.add(c)
-        out = Dfa(m.base, tuple(tuple(r) for r in rows), cls[m.start], frozenset(acc))
+        out = Dfa(self.base, tuple(tuple(r) for r in rows), cls[self.start], frozenset(acc))
         return out.canonical()
 
     def to_dot(self) -> str:
@@ -322,7 +322,7 @@ def kernel_explore(
 
     def fingerprint(i: int, j: int) -> tuple[int, ...]:
         step = base**i
-        return tuple(seq_source(step * n + j) for n in range(prefix_len))
+        return tuple(map(seq_source, range(j, j + step * prefix_len, step)))
 
     seen = {fingerprint(0, 0)}
     counts = [1]

@@ -341,9 +341,8 @@ def r_stream(norm: NormalizedInstance, k_max: int) -> list[int]:
 def r_from_jumps(jumps: JumpData, base: int) -> list[int]:
     """r_1..r_{k_max-1} of a jump table in base base, as a list.
 
-    The table holds these digits as they came off jump_positions' own
-    loop (see its docstring), so the list is compared with r_stream's
-    as it is.
+    Both loops of jump_positions (see its docstring) store these digits
+    as they come off, so the list is compared with r_stream's as it is.
     """
     if jumps.base != base:
         raise ValueError(f"a jump table in base {jumps.base} read in base {base}")

@@ -181,10 +181,7 @@ class JumpData:
     k = 1..k_max - 1, which are small, so its memory is linear in k_max.
     The positions themselves have about k*log2(base) bits each; c folds
     the digits back into them, c_(k+1) = base*c_k + r_k, on its first
-    read, so only readers that ask for positions pay for them.  A table
-    built from positions it already holds (jump_positions' rational
-    loop) keeps those as c, and a prefix of a table whose c is read
-    slices it, so no fold repeats work already done.
+    read, so only readers that ask for positions pay for them.
 
     integrality_hits collects the k where (base^k - beta)/alpha landed on an
     integer exactly.  Two distinct hits certify alpha rational on their own
@@ -223,23 +220,12 @@ class JumpData:
             raise IndexError(f"prefix {k_max} outside 1..{self.k_max}")
         if k_max == self.k_max:
             return self
-        table = JumpData(
+        return JumpData(
             base=self.base,
             c1=self.c1,
             r=self.r[: k_max - 1],
             integrality_hits=tuple(k for k in self.integrality_hits if k <= k_max),
         )
-        if "c" in self.__dict__:
-            table.__dict__["c"] = self.c[:k_max]
-        return table
-
-    @classmethod
-    def _of_positions(cls, base: int, cs: list[int], hits: list[int]) -> "JumpData":
-        """The table of the positions cs = [c_1, c_2, ...], which stand as its c."""
-        r = tuple([c1 - base * c0 for c0, c1 in zip(cs, cs[1:])])
-        table = cls(base, cs[0], r, tuple(hits))
-        table.__dict__["c"] = tuple(cs)
-        return table
 
 
 # guard bits of the fixed-point roots in jump_positions, past base^k_max;
@@ -261,13 +247,14 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
 
     A rational instance (d == 1) has B_k == 0 at every k and takes its
     own loop: A_(k+1) = base*A_k + (base - 1)*e, and c_k with its
-    integrality flag is one divmod of A_k by C.  The table stores the
-    differences c_k - base*c_(k-1) and keeps the positions as its c; a
-    rational table is read to a few hundred levels, the audit prefix of
-    jumpdigits, so they stay small.  It carries no power of the base, no
-    scaled root and no B_k.  Each c_k comes from the whole numerator,
-    never from c_(k-1) and a remainder as r_digits and residue_digits
-    step, so the table stays an independent route to r.
+    integrality flag is one divmod of A_k by C.  It carries no power of
+    the base, no scaled root and no B_k, and appends each digit
+    c_k - base*c_(k-1) as it goes (c_0 = 0, so the first is c_1).  Each
+    c_k comes from the whole numerator, never from c_(k-1) and a
+    remainder as r_digits and residue_digits step, so the table stays an
+    independent route to r.  A_k has about k*log2(base) bits, so a level
+    is one divmod of that width; the fk command reads a rational table
+    to kmax + 2 levels (up to 4002), an analysis to a few hundred.
 
     For d > 1 the roots are fixed-point numbers taken once per call:
     Q = floor(q*sqrt(d)*2^M) and F = floor(f*sqrt(d)*2^M), with M the bit
@@ -358,14 +345,14 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     )
     hits = []
     if d == 1:
-        num, step, cs = p - e, (b - 1) * e, []
+        num, step, c, digits = p - e, (b - 1) * e, 0, []
         for k in range(1, k_max + 1):
             num = num * b + step
-            c, rest = divmod(num, den)
+            prev, (c, rest) = c, divmod(num, den)
             if not rest:
                 hits.append(k)
-            cs.append(c)
-        return JumpData._of_positions(b, cs, hits)
+            digits.append(c - b * prev)
+        return JumpData(b, digits[0], tuple(digits[1:]), tuple(hits))
     top = b**k_max
     width = top.bit_length()
     shift = width + _ROOT_GUARD_BITS

@@ -338,9 +338,8 @@ def test_five_quarters_hits_an_integer_at_every_level():
 @pytest.mark.parametrize("alpha, beta, base", [
     ("5/4", "0", 10), ("22/7", "-1/3", 2), ("sqrt(2)", "0", 3), ("1/2+1/2*sqrt(5)", "2/7", 10)])
 def test_held_and_sliced_positions_equal_the_fold(alpha, beta, base):
-    """A rational table holds the positions it divided as c, and a prefix
-    of a table whose c was read slices it: both must be what folding
-    c_1 and r gives."""
+    """A table's c and the c of each of its prefixes, read once a full
+    table's c has been read, are what folding c_1 and r gives."""
     n = norm_of(alpha, beta, base)
     jd = jump_positions(n, 30)
     assert jd.c == JumpData(jd.base, jd.c1, jd.r).c
@@ -348,6 +347,43 @@ def test_held_and_sliced_positions_equal_the_fold(alpha, beta, base):
         view = jd.prefix(k)
         assert view == jump_positions(n, k)
         assert view.c == jd.c[:k] == JumpData(view.base, view.c1, view.r).c
+
+
+# (alpha, beta, base, hits): rational slopes with a hit at every level, with
+# sparse hits and with none, a rational slope with a surd offset, and surds
+BASE_POWER_CASES = [
+    ("5/4", "0", 10, "every"),
+    ("1", "0", 2, "every"),
+    ("5/3", "1/3", 3, "sparse"),
+    ("3/2", "1/3", 2, "none"),
+    ("22/7", "1/3*sqrt(2)", 2, "none"),
+    ("sqrt(2)", "0", 2, "none"),
+    ("1+sqrt(3)", "0", 3, "none"),
+    ("1/2+1/2*sqrt(5)", "2/7*sqrt(5)", 10, "none"),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, base, hits", BASE_POWER_CASES)
+@pytest.mark.parametrize("m", [2, 3])
+def test_jump_table_in_a_power_of_the_base(alpha, beta, base, hits, m):
+    """c^(b^m)_k = c^(b)_(mk), the hits are the k with mk a base-b hit, and
+    r^(b^m)_k = sum_(i<m) b^(m-1-i)*r^(b)_(mk+i); each table is its fields."""
+    levels = 30
+    n = norm_of(alpha, beta, base)
+    fine = jump_positions(n, m * levels)
+    coarse = jump_positions(NormalizedInstance(n.alpha, n.beta, base**m), levels)
+    found = len(fine.integrality_hits)
+    assert {"every": found == m * levels, "sparse": 0 < found < m * levels,
+            "none": found == 0}[hits]
+    assert coarse.c == tuple(fine.at(m * k) for k in range(1, levels + 1))
+    assert coarse.integrality_hits == tuple(
+        k for k in range(1, levels + 1) if m * k in fine.integrality_hits)
+    assert coarse.r == tuple(
+        sum(base ** (m - 1 - i) * fine.r[m * k + i - 1] for i in range(m))
+        for k in range(1, levels))
+    for t in (fine, coarse):
+        rebuilt = JumpData(t.base, t.c1, t.r, t.integrality_hits)
+        assert rebuilt == t and rebuilt.c == t.c
 
 
 def test_a_table_needs_one_level():
