@@ -185,8 +185,9 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     below C, so a term costs a few operations on numbers of the size of
     the slope's denominators, with no floor_quadratic call and no spigot.
 
-    jump_positions and this machine both carry a remainder, but not the
-    same one, and not by the same rule.  jump_positions takes two
+    jump_positions and this machine both carry a remainder, and both
+    run blocks of 64 levels on fixed-point numbers, but not on the same
+    state, and not by the same rule.  jump_positions takes two
     fixed-point roots once per call, of q*sqrt(d) and f*sqrt(d), the
     radical parts of 1/alpha and beta/alpha over C.  It steps
     H_k = A_k*2^M + W_k, the rational part A_k of the numerator of
@@ -196,16 +197,23 @@ def r_digits(norm: NormalizedInstance) -> Iterator[int]:
     correction where the bound straddles an integer.  There
     floor_quadratic on (A_k, B_k) gives c_k, and the closed form of the
     remainder, formed from base^k, must match the carried one, as it
-    must again at the last level.  On a rational slope it divides the
+    must again at the last level.  Its blocks read their fixed-point
+    fraction off the top bits of that remainder and check their carries
+    by one step of the same carry rule in base base^L; they are
+    abandoned wherever the bound might straddle, so every straddle
+    takes the per-level fallback.  On a rational slope it divides the
     whole numerator base^k*p - e afresh at every k.  This machine
     carries an exact quadratic remainder: A below C with B, and in block
     mode the integer root s of B^2 d with its remainder.  It steps them
     per digit or per block, each digit a floor of the exact remainder,
-    never a carry out of a bound.  Its one fixed-point root is of t, the
-    radical part of (base - 1)*frac(beta/alpha), and it never looks at
-    the jump table.  The two routes share only the exact floor kernel,
-    never a root value, a remainder or a stepping rule, so comparing
-    them is a real cross-check, not one computation with itself.
+    never a carry out of a bound, and its blocks read their fraction
+    off s and its remainder and check their digits by a spigot step.
+    Its one fixed-point root is of t, the radical part of
+    (base - 1)*frac(beta/alpha), and it never looks at the jump table.
+    The two routes share only the exact floor kernel, never a root
+    value, a remainder, a block constant or a stepping rule, so
+    comparing them is a real cross-check, not one computation with
+    itself.
     """
     b = norm.base
     tail = (norm.beta / norm.alpha).frac()

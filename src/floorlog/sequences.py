@@ -231,6 +231,12 @@ class JumpData:
 # guard bits of the fixed-point roots in jump_positions, past base^k_max;
 # the width of its straddle filter is derived from it
 _ROOT_GUARD_BITS = 64
+# levels per block of jump_positions' surd branch: L levels on fixed-point
+# numbers of P = bitlen(base^L) + _ROOT_GUARD_BITS + 4 bits, then one exact
+# step in base base^L.  On a 2-CPU x86 box, CPython 3.11, at k = 10^3 to
+# 10^5, L = 16 ran up to 40 % slower than L = 64, and L = 32, 128 and 256
+# came within about 15 % of it either way, the run-to-run noise there
+_BLOCK_LEVELS = 64
 
 
 def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
@@ -333,9 +339,67 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     and R_k + power + 1 > D.  A straddle with B_k != 0 has an irrational
     quotient, so it is never a hit.
 
-    A level thus costs a few linear-time operations on a number of about
-    k_max*log2(base) bits, instead of one integer square root of twice
-    that size, and a surd table keeps no big number.
+    Blocks.  A level is t_(k+1), R_(k+1) = divmod(base*R_k + S, D), so
+    with x_k = R_k/D in [0, 1) and s = S/D its carry is
+    floor(base*x_k + s) and x_(k+1) the fractional part.  From a level
+    with L = _BLOCK_LEVELS levels still to go, the loop first tries L
+    levels on P-bit fixed-point numbers, P = bitlen(base^L) + G + 4.
+
+    - The start.  g = floor(R_k*2^P/D) = floor((R_k >> (M - P))/C) for
+      M >= P, and R_k >> (M - P) = h_k*2^P + (w_k >> (M - P)) as
+      w_k < 2^M, so g is read off the top bits of w_k and h_k, exactly
+      and without an M-bit division (for M < P, g = (R_k << (P - M)) // C).
+      T = floor(S*2^P/D) is taken once per call.  So 2^P*x_k lies in
+      [g, g + 1) and 2^P*s in [T, T + 1).
+    - Each level, in _block_carries.  z = base*g + T, the carry z >> P
+      and the next g = z mod 2^P.  If 2^P*x lies in [g, g + e), then
+      2^P*(base*x + s) lies in [z, z + base*e + 1), so after i levels the
+      error is below e_i = (base^(i+1) - 1)/(base - 1) <= 2*base^i <=
+      2*base^L < 2^(P - G - 3).  The carry is the true one unless the
+      error takes z across a multiple of 2^P, which needs
+      z mod 2^P > 2^P - e_i.
+    - The test.  A level whose new g is at or above 2^P - 2^(P - G + 1)
+      abandons the block.  As e_i < 2^(P - G + 1), that catches every
+      level whose carry may be wrong.  It also catches every level the
+      straddle filter could pass: a straddle needs R_k >= D - 2^N, so
+      x_k >= 1 - 2^N/D >= 1 - 2^-G (D >= 2^M = 2^(N + G)), and then
+      g > 2^P*x_k - e_i > 2^P - 2^(P - G) - 2^(P - G).  So no straddle,
+      fresh-root fallback or integrality hit lies inside a completed
+      block: delta is 0 at each of its levels, and its digits are its
+      carries.  Below G = 2 the bound is at most 0 and every block is
+      abandoned, which is safe at any width.
+    - The end.  Unrolling the level L times gives base^L*R_k +
+      S*(base^L - 1)/(base - 1) = V*D + R_(k+L), with V the Horner value
+      of the carries t_(k+1) .. t_(k+L) in base base.  That is one level
+      in base base^L, with S_L = S*(base^L - 1)/(base - 1) split as S
+      is: one multiply-add, one mask and one shift on w_k, by a
+      multiplier of L*log2(base) bits.  It gives the exact remainder L
+      levels on, and V must equal the Horner value of the block's
+      carries, or ConsistencyError is raised.
+    - Outside blocks.  An abandoned block's L levels and the levels past
+      the last whole block take the per-level step above, with its
+      straddle filter, fallback, remainder check and hit recording, and
+      the check at k_max follows either path.  At the default G = 64 a
+      block is abandoned where the top 63 bits of some level's fraction
+      are all ones, about once in 2^63 levels, or over an integrality
+      hit.  A table of fewer than L levels, such as the 61 levels at most
+      that a battery analysis reads, runs no block.
+
+    The blocks are this table's own.  They start from the carried
+    remainder (h_k, w_k) of H_k over the two fixed-point roots Q and F
+    and hand back the same remainder L levels on; their fixed-point
+    numbers are read off that remainder and the constant S, and their
+    check is a level of the same rule in base base^L.  r_digits' blocks
+    start from its exact quadratic state, a spigot root s of B^2 d with
+    its remainder, and step that.  No value, root or constant passes
+    between the two, and neither calls the other, so the surd-deep
+    comparison of the two routes stays a check.
+
+    A per-level step thus costs a few linear-time operations on a number
+    of about k_max*log2(base) bits, instead of one integer square root of
+    twice that size; a block of L levels costs L steps on P-bit numbers
+    and one multiply of the M-bit w_k by base^L.  A surd table keeps no
+    big number.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -376,23 +440,56 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
     # the loop; taking c_0 = 0 puts delta_0 = -lo_0
     digits, deltas = [], [(0, -lo)]
     append = digits.append
-    for k in range(1, k_max + 1):
-        z = b * w + step_low
-        w = z & mask
-        t, h = divmod(b * h + step_high + (z >> shift), den)
-        append(t)
-        if w >= low_floor and h >= high_floor:
-            power = b**k
-            if (h << shift) + w + power + 1 >= whole:
-                num, high, low = split(power)
-                lo, rest = divmod(high, den)
-                if (rest, low) != (h, w):
-                    raise ConsistencyError(f"jump_positions: carried remainder wrong at k={k}")
-                rad = power * q - f
-                c = floor_quadratic(num, rad, d, den)
-                if rad == 0 and c * den == num:
-                    hits.append(k)
-                deltas.append((k, c - lo))
+    length = _BLOCK_LEVELS
+    if k_max >= length:
+        leap = b**length
+        bits = leap.bit_length() + _ROOT_GUARD_BITS + 4
+        drop = shift - bits
+        ceiling = (1 << bits) - (1 << (bits - _ROOT_GUARD_BITS + 1))
+        fixed_step = (step << bits) // whole
+        leap_step = step * ((leap - 1) // (b - 1))
+        leap_high, leap_low = leap_step >> shift, leap_step & mask
+    k = 0
+    while k < k_max:
+        if k + length <= k_max:
+            # g = floor(R_k*2^P/D), read off the top bits of R_k
+            if drop >= 0:
+                g = ((h << bits) + (w >> drop)) // den
+            else:
+                g = (((h << shift) + w) << -drop) // den
+            carries = _block_carries(g, b, fixed_step, bits, ceiling, length)
+            if carries is not None:
+                z = leap * w + leap_low
+                w = z & mask
+                value, h = divmod(leap * h + leap_high + (z >> shift), den)
+                horner = 0
+                for t in carries:
+                    horner = horner * b + t
+                if horner != value:
+                    raise ConsistencyError(
+                        f"jump_positions: a block of {length} levels from k={k} "
+                        f"reads {horner}, its exact step {value}")
+                digits += carries
+                k += length
+                continue
+        for k in range(k + 1, min(k + length, k_max) + 1):
+            z = b * w + step_low
+            w = z & mask
+            t, h = divmod(b * h + step_high + (z >> shift), den)
+            append(t)
+            if w >= low_floor and h >= high_floor:
+                power = b**k
+                if (h << shift) + w + power + 1 >= whole:
+                    num, high, low = split(power)
+                    lo, rest = divmod(high, den)
+                    if (rest, low) != (h, w):
+                        raise ConsistencyError(
+                            f"jump_positions: carried remainder wrong at k={k}")
+                    rad = power * q - f
+                    c = floor_quadratic(num, rad, d, den)
+                    if rad == 0 and c * den == num:
+                        hits.append(k)
+                    deltas.append((k, c - lo))
     _, high, low = split(top)
     if (high % den, low) != (h, w):
         raise ConsistencyError(f"jump_positions: carried remainder wrong at k={k_max}")
@@ -402,6 +499,22 @@ def jump_positions(norm: NormalizedInstance, k_max: int) -> JumpData:
         if k < k_max:
             digits[k] -= b * delta
     return JumpData(b, digits[0], tuple(digits[1:]), tuple(hits))
+
+
+def _block_carries(g: int, b: int, step: int, bits: int, ceiling: int,
+                   length: int) -> list[int] | None:
+    """The carries of jump_positions' next L levels on P-bit fixed-point
+    numbers, or None if a level may carry wrong or straddle."""
+    mask = (1 << bits) - 1
+    carries = []
+    append = carries.append
+    for _ in range(length):
+        z = b * g + step
+        g = z & mask
+        if g >= ceiling:
+            return None
+        append(z >> bits)
+    return carries
 
 
 def jump_levels_past(base: int, size: int) -> int:

@@ -1,6 +1,7 @@
 """Floor-log sequence tests: normalization, u/v terms, jump positions."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from floorlog import cli
 from floorlog.battery import BATTERY, by_name
 from floorlog.exact import ExactReal
+from floorlog.jumpdigits import InstanceTables
+from floorlog.levelcounts import f_counts
 from floorlog.sequences import (
     ConsistencyError,
     FloorLogInstance,
@@ -384,6 +387,42 @@ def test_jump_table_in_a_power_of_the_base(alpha, beta, base, hits, m):
     for t in (fine, coarse):
         rebuilt = JumpData(t.base, t.c1, t.r, t.integrality_hits)
         assert rebuilt == t and rebuilt.c == t.c
+
+
+# (alpha, beta, base): the cases above without their hit labels, 7/4 b10
+# with an orbit period of 6, and two rational slopes whose orbit of
+# base^k mod p has a preperiod (1 for 10^k mod 396, 2 for 2^k mod 24)
+LEVEL_POWER_CASES = [case[:3] for case in BASE_POWER_CASES] + [
+    ("3/2", "0", 2), ("7/4", "0", 10), ("396/47", "1/3", 10), ("24/23", "0", 2)]
+
+
+@pytest.mark.parametrize("alpha, beta, base", LEVEL_POWER_CASES)
+@pytest.mark.parametrize("m", [2, 3])
+def test_levels_and_orbit_in_a_power_of_the_base(alpha, beta, base, m):
+    """f^(b^m)_k = sum_(i<m) f^(b)_(mk+i) and u^(b^m)_n = floor(u^(b)_n / m),
+    as level k in base b^m is levels mk..mk+m-1 in base b.  For a
+    rational slope the orbit of b^(mk) mod p is every m-th term of the
+    orbit of b^k, so its period is ord/gcd(m, ord) and its preperiod
+    floor(pre/m): b^(mk) is on the cycle exactly when mk > pre."""
+    levels = 10
+    n = norm_of(alpha, beta, base)
+    coarse_norm = NormalizedInstance(n.alpha, n.beta, base**m)
+    fine, coarse = f_counts(n, m * levels + m - 1), f_counts(coarse_norm, levels)
+    assert coarse.k_min == fine.k_min // m
+    assert coarse.f == {
+        k: sum(fine.f.get(m * k + i, 0) for i in range(m))
+        for k in range(coarse.k_min, levels + 1)}
+    jumps = jump_positions(n, m * levels)
+    edges = {c + e for c in jumps.c for e in (-1, 0, 1)}
+    for i in sorted(edges | set(range(300))):
+        if i >= n.n_min:
+            assert u_term(n.alpha, n.beta, base**m, i) == u_term(n.alpha, n.beta, base, i) // m
+    orbit, coarse_orbit = InstanceTables(n, 1).orbit, InstanceTables(coarse_norm, 1).orbit
+    if orbit is None:
+        assert coarse_orbit is None
+    else:
+        pre, period = orbit
+        assert coarse_orbit == (pre // m, period // gcd(m, period))
 
 
 def test_a_table_needs_one_level():

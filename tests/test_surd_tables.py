@@ -443,6 +443,13 @@ def test_blocks_equal_the_per_digit_machine(case, length, k_max):
     assert stream == r_from_jumps(jump_positions(norm, k_max + 1), base)
 
 
+def _names(func) -> set[str]:
+    """Every name and attribute func's source reads."""
+    nodes = list(ast.walk(ast.parse(inspect.getsource(func))))
+    return {node.id for node in nodes if isinstance(node, ast.Name)} | {
+        node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
 def test_the_remainder_machine_never_names_the_jump_table():
     """r_digits shares only the exact floor kernel with jump_positions and
     nothing with the residue kernel, so comparing them stays a check:
@@ -450,15 +457,9 @@ def test_the_remainder_machine_never_names_the_jump_table():
     their tables."""
     tables = {"jump_positions", "JumpData", "_ROOT_GUARD_BITS", "residue_digits",
               "_residue_steps", "InstanceTables"}
-
-    def names(func):
-        nodes = list(ast.walk(ast.parse(inspect.getsource(func))))
-        return {node.id for node in nodes if isinstance(node, ast.Name)} | {
-            node.attr for node in nodes if isinstance(node, ast.Attribute)}
-
     machine = (jumpdigits.r_digits, jumpdigits._block_constants,
                jumpdigits._block_digits, jumpdigits._block_step)
-    named = {func.__name__: sorted(names(func) & tables) for func in machine}
+    named = {func.__name__: sorted(_names(func) & tables) for func in machine}
     assert named == {func.__name__: [] for func in machine}
 
 
@@ -552,3 +553,99 @@ def test_a_block_value_that_disagrees_with_its_digits_raises(monkeypatch):
     assert r_stream(norm, 130) == list(islice(r_digits_per_digit(norm), 130))
     with pytest.raises(sequences.ConsistencyError, match="block"):
         r_stream(norm, 300)
+
+
+def _count_jump_blocks(monkeypatch) -> list[bool]:
+    """One entry per block jump_positions tries: True where it completed."""
+    outcomes = []
+    real = sequences._block_carries
+
+    def counted(*args):
+        carries = real(*args)
+        outcomes.append(carries is not None)
+        return carries
+
+    monkeypatch.setattr(sequences, "_block_carries", counted)
+    return outcomes
+
+
+# the guard cases' slopes and offsets and the late sign change of B, in
+# the bases the block tests run in
+_BLOCK_SLOPES = [*dict.fromkeys(case[:2] for case in _GUARD_CASES), ("sqrt(2)", _LATE_SIGN_CHANGE)]
+_BLOCK_CASES = [(alpha, beta, base) for alpha, beta in _BLOCK_SLOPES for base in (2, 3, 10, 4096)]
+
+
+@pytest.mark.parametrize("length", [1, 3, 5, 64])
+@pytest.mark.parametrize("guard", [-2, 1, 2, 3, 4, 64])
+def test_jump_blocks_equal_fresh_roots(monkeypatch, guard, length):
+    """A block is abandoned when a level's fixed-point fraction has its
+    top guard - 1 bits all ones, so below guard 2 every block is, and
+    at guards 2 to 4 short blocks complete and abandoned ones send their
+    levels, straddles included, back to the per-level step.  At the
+    default guard of 64 only a block over an integrality hit is
+    abandoned.  At k_max = L - 1, L, L + 1 and 2L +- 1 the last levels
+    fall on both sides of a block's end, and every table, hits included,
+    must be the fresh-root one."""
+    outcomes = _count_jump_blocks(monkeypatch)
+    monkeypatch.setattr(sequences, "_ROOT_GUARD_BITS", guard)
+    monkeypatch.setattr(sequences, "_BLOCK_LEVELS", length)
+    depths = [k for k in (length - 1, length, length + 1, 2 * length - 1, 2 * length + 1)
+              if k >= 1]
+    hits = 0
+    for alpha, beta, base in _BLOCK_CASES:
+        norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), base))
+        fresh = jump_positions_fresh_roots(norm, depths[-1])
+        for k_max in depths:
+            table = jump_positions(norm, k_max)
+            assert table == fresh.prefix(k_max)
+            hits += len(table.integrality_hits)
+    assert hits > 0
+    assert outcomes
+    if guard <= 1:
+        assert not any(outcomes)
+    elif guard <= 4:
+        assert not all(outcomes)
+        assert any(outcomes) or length == 64
+    else:
+        assert any(outcomes)
+
+
+def test_the_jump_table_never_names_the_remainder_machine():
+    """jump_positions and its block helper carry the remainder of H_k over
+    their own two fixed-point roots: they name nothing of r_digits, its
+    block schedule or the residue kernel, so comparing the two routes
+    stays a check."""
+    machine = {"r_digits", "_block_constants", "_block_digits", "_block_step",
+               "_BLOCK_DIGITS", "_BLOCK_GUARD_BITS", "residue_digits", "_residue_steps",
+               "InstanceTables"}
+    table = (sequences.jump_positions, sequences._block_carries)
+    named = {func.__name__: sorted(_names(func) & machine) for func in table}
+    assert named == {func.__name__: [] for func in table}
+
+
+@pytest.mark.parametrize("alpha, beta", [("sqrt(2)", "0"), ("1/2+1/2*sqrt(5)", "2/7*sqrt(5)")])
+def test_deep_tables_run_in_blocks(monkeypatch, alpha, beta):
+    """At the default guard a block is abandoned about once in 2^63
+    levels, so at 2*10^4 + 1 levels all but the last partial block of
+    levels come off completed blocks."""
+    outcomes = _count_jump_blocks(monkeypatch)
+    norm = normalize(FloorLogInstance(ExactReal.parse(alpha), ExactReal.parse(beta), 10))
+    k_max = 2 * 10**4 + 1
+    table = jump_positions(norm, k_max)
+    assert sum(outcomes) * sequences._BLOCK_LEVELS >= 0.99 * k_max
+    assert table.r[-1] == r_direct(norm, k_max - 1)
+
+
+def test_a_jump_block_that_disagrees_with_its_exact_step_raises(monkeypatch):
+    def corrupted(*args):
+        carries = real(*args)
+        if carries is not None:
+            carries[-1] += 1
+        return carries
+
+    real = sequences._block_carries
+    monkeypatch.setattr(sequences, "_block_carries", corrupted)
+    norm = normalize(FloorLogInstance(ExactReal.parse("sqrt(2)"), ExactReal(0), 2))
+    assert jump_positions(norm, 63) == jump_positions_fresh_roots(norm, 63)
+    with pytest.raises(sequences.ConsistencyError, match="block"):
+        jump_positions(norm, 300)
