@@ -484,7 +484,7 @@ def run_analyze(scenario: dict) -> dict:
     timings["language"] = clock() - t0
 
     # at defaults the level stage reads further into the jump table than
-    # the kernel, so counting first lets the kernel read a prefix of it
+    # the kernel, so counting first builds the one table the kernel reads
     t0 = clock()
     lc, alignment, d_verdict = decide_d_periodicity(tables, min(kmax, 60))
     timings["level_counts"] = clock() - t0

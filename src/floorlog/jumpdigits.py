@@ -29,6 +29,7 @@ c_1, r_1, r_2, ... through it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -830,11 +831,13 @@ def hit_levels(h, count: int) -> tuple[int, ...]:
     return tuple(compress(range(1, count + 1), h[:count]))
 
 
-def check_hits(jumps: JumpData, hits: tuple[int, ...]) -> None:
-    """The jump table's integrality hits must be those of hits up to its k_max."""
-    top = jumps.k_max
-    if jumps.integrality_hits != tuple(k for k in hits if k <= top):
-        raise ConsistencyError("residue and jump-table routes disagree on integrality hits")
+def check_hits(jumps: JumpData, hits: tuple[int, ...], top: int) -> None:
+    """The table's integrality hits on levels 1..top must be those of hits
+    (both ascend); a mismatch names the first level in only one of them."""
+    held, want = (h[: bisect_right(h, top)] for h in (jumps.integrality_hits, hits))
+    if held != want:
+        k = min(set(held) ^ set(want))
+        raise ConsistencyError(f"residue and jump-table routes disagree on integrality hits at k={k}")
 
 
 def certify_r(
@@ -847,20 +850,20 @@ def certify_r(
     h off residue_digits, at least span and span + 1 terms long.  The
     residue r is compared with the stream over all span terms; the two
     routes share no state.  jumps, the big-integer audit, reaches
-    c_(audit+1) for some audit <= span.  Its r_1..r_audit, the differences
-    of positions it divided off whole numerators, must match the stream,
-    and its integrality hits must match h on that prefix.  The
-    residue r is then certified under the proven cover orbit of base^k
-    mod modulus, with the hits of h_1..h_(span+1) on the certificate.
+    c_(audit+1) for audit = min(jumps.k_max - 1, span).  Its r_1..r_audit,
+    the differences of positions it divided off whole numerators, must
+    match the stream, and its hits must match h on levels 1..audit + 1.
+    The residue r is then certified under the proven cover orbit of
+    base^k mod modulus, with the hits of h_1..h_(span+1) on the certificate.
     """
     span = len(stream)
     values, h = residues[0][:span], residues[1]
     check_agree(values, stream, "residue and stream routes disagree on r")
-    audit = jumps.k_max - 1
-    check_agree(r_from_jumps(jumps, base), stream[:audit],
+    audit = min(jumps.k_max - 1, span)
+    check_agree(r_from_jumps(jumps, base)[:audit], stream[:audit],
                 "stream and jump-table routes disagree on r")
     hits = hit_levels(h, span + 1)
-    check_hits(jumps, hits)
+    check_hits(jumps, hits, audit + 1)
     return certify_cycle(values, modulus, orbit, hits)
 
 
@@ -900,11 +903,12 @@ class InstanceTables(DigitSource):
     max(cover, r_window) terms and d on span_d = max(cover, d_window),
     both off the lists r and h of residue_digits.  The big-integer
     tables audit those certificates on the prefixes audit_r and audit_d
-    only (see _AUDIT_PREFIX).  Each reader asks jumps_to for the jump
-    prefix it reads.  A surd needs no span: orbit is None and r_verdict
-    holds by theorem.  orbit, the residues, the jump table, r_verdict and
-    periodicity wait for their first reader, so reading digits alone
-    walks no orbit.
+    only (see _AUDIT_PREFIX).  One jump table is held: each reader asks
+    jumps_to for the levels it needs, gets that table, which may hold
+    more, and bounds its own read.  A surd needs no span: orbit is None
+    and r_verdict holds by theorem.  orbit, the residues, the jump table,
+    r_verdict and periodicity wait for their first reader, so reading
+    digits alone walks no orbit.
     """
 
     def __init__(self, norm: NormalizedInstance, r_window: int, d_window: int = 1):
@@ -954,19 +958,19 @@ class InstanceTables(DigitSource):
         return residue_digits(self.norm, max(self.span_r + 1, self.span_d + 2))
 
     def jumps_to(self, top: int) -> JumpData:
-        """c_1..c_top, off one jump table built at the first read.
+        """The held jump table, rebuilt only when it stops short of c_top.
 
-        On a rational slope the first build also reaches c_(audit_r + 1)
-        and c_(audit_d + 2), so the certificates' audits and every later
-        read share it; a read past the table rebuilds it to top.
+        On a rational slope every build also reaches c_(audit_r + 1) and
+        c_(audit_d + 2), so the certificates' audits and every later read
+        share it.
         """
         jumps = self._jumps
         if jumps is None or top > jumps.k_max:
             size = top
-            if jumps is None and self.orbit is not None:
+            if self.orbit is not None:
                 size = max(top, self.audit_r + 1, self.audit_d + 2)
             jumps = self._jumps = jump_positions(self.norm, size)
-        return jumps.prefix(top)
+        return jumps
 
     @cached_property
     def r_verdict(self) -> PeriodicityVerdict:

@@ -264,14 +264,14 @@ def certify_d(
             = r_(k+1) - r_k + (h_(k+1) - h_(k+2)) - base*(h_k - h_(k+1)).
 
     The residue r it reads is compared with r_terms over all span + 1
-    terms.  lc counts the levels to audit + 1 and jumps reaches
+    terms.  lc counts the levels to audit + 1 and jumps reaches at least
     c_(audit+2), for some audit <= span: on that prefix the big-integer
     tables audit the residue values.  The jump table's integrality hits
-    must match h, align_m0 and d_seq run as before, d from the level
-    counts must match the residue d, and on the aligned tail the r
-    certificate must predict d through the difference map.  d_1..d_span
-    is then certified under the orbit on cert_r, with the hits of
-    h_1..h_(span+2) on the certificate.
+    must match h on the levels to min(jumps.k_max, span + 2), align_m0
+    and d_seq run as before, d from the level counts must match the
+    residue d, and on the aligned tail the r certificate must predict d
+    through the difference map.  d_1..d_span is then certified under the
+    orbit on cert_r, with the hits of h_1..h_(span+2) on the certificate.
     """
     b = lc.norm.base
     span = len(r_terms) - 1
@@ -284,9 +284,8 @@ def certify_d(
     hits = hit_levels(h, span + 2)
 
     audit = lc.k_max - 1
-    jd = jumps.prefix(audit + 2)
-    check_hits(jd, hits)
-    alignment = align_m0(lc, jd)
+    check_hits(jumps, hits, min(jumps.k_max, span + 2))
+    alignment = align_m0(lc, jumps)
     d_slice = d_seq(lc, r_terms, alignment)  # runs the aligned-tail cross-check
     d_counted = list(d_slice.values[1 - d_slice.start :])  # d_1..d_audit
     check_agree(d_list[:audit], d_counted, "residue and level-count routes disagree on d")

@@ -181,7 +181,9 @@ class JumpData:
     k = 1..k_max - 1, which are small, so its memory is linear in k_max.
     The positions themselves have about k*log2(base) bits each; c folds
     the digits back into them, c_(k+1) = base*c_k + r_k, on its first
-    read, so only readers that ask for positions pay for them.
+    read, so only readers that ask for positions pay for them.  A table
+    holds every shorter one as its first levels, so one table serves
+    every reader, each bounding its own read, and is folded at most once.
 
     integrality_hits collects the k where (base^k - beta)/alpha landed on an
     integer exactly.  Two distinct hits certify alpha rational on their own
@@ -213,19 +215,6 @@ class JumpData:
         if not 1 <= k <= self.k_max:
             raise IndexError(f"jump index {k} outside 1..{self.k_max}")
         return self.c[k - 1]
-
-    def prefix(self, k_max: int) -> "JumpData":
-        """The table jump_positions(norm, k_max) would build, read off this one."""
-        if not 1 <= k_max <= self.k_max:
-            raise IndexError(f"prefix {k_max} outside 1..{self.k_max}")
-        if k_max == self.k_max:
-            return self
-        return JumpData(
-            base=self.base,
-            c1=self.c1,
-            r=self.r[: k_max - 1],
-            integrality_hits=tuple(k for k in self.integrality_hits if k <= k_max),
-        )
 
 
 # guard bits of the fixed-point roots in jump_positions, past base^k_max;
@@ -555,15 +544,17 @@ def v_indicator(
     Read directly off the jump positions: the step to level k sits at
     index c_k, except when the level boundary is hit exactly, where it
     moves one slot earlier.  Only log-many jumps land inside the range,
-    jump_levels_past(base, size) levels, computed here or read as the
-    prefix of a given jump table, so the view keeps that set of step
-    positions rather than size + 1 entries: its memory does not grow
-    with size.
+    jump_levels_past(base, size) levels, computed here or read off the
+    first levels of a given jump table, which must hold that many (else
+    IndexError).  The view keeps that set of step positions rather than
+    size + 1 entries: its memory does not grow with size.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
     k_max = jump_levels_past(norm.base, size)
-    jumps = jump_positions(norm, k_max) if jumps is None else jumps.prefix(k_max)
+    jumps = jumps or jump_positions(norm, k_max)
+    if jumps.k_max < k_max:
+        raise IndexError(f"v_indicator reads {k_max} jump levels, the table holds {jumps.k_max}")
     hits = set(jumps.integrality_hits)
-    positions = (c - 1 if k in hits else c for k, c in enumerate(jumps.c, 1))
+    positions = (c - 1 if k in hits else c for k, c in zip(range(1, k_max + 1), jumps.c))
     return StepIndicator(size, frozenset(pos for pos in positions if 0 <= pos <= size))

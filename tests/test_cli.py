@@ -15,6 +15,7 @@ import sys
 import time
 import types
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +28,7 @@ from floorlog.exact import ExactReal
 from floorlog.jumpdigits import InstanceTables, PeriodicityVerdict
 from floorlog.language import decide_regularity
 from floorlog.levelcounts import decide_d_periodicity
-from floorlog.sequences import ConsistencyError, FloorLogInstance, normalize
+from floorlog.sequences import ConsistencyError, FloorLogInstance, JumpData, normalize
 
 
 def run(capsys, *argv):
@@ -526,6 +527,9 @@ def hostile_files(tmp_path_factory):
     return {name: f"@{root / name}" for name in ("nested", "undecodable")}
 
 
+_FUZZ_BUDGET_S = 5.0
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=st_invocation())
@@ -536,12 +540,16 @@ def test_hostile_invocations_exit_0_1_or_2_without_traceback(hostile_files, argv
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         patch.setattr(jumpdigits, "_ORBIT_BUDGET", 1 << 12)
+        start = time.perf_counter()
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        elapsed = time.perf_counter() - start
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    # a generous wall budget: every example has run in well under a second
+    assert elapsed < _FUZZ_BUDGET_S, f"{argv} took {elapsed:.1f} s"
 
 
 @pytest.mark.parametrize("value", [[3], {}, "abc", "1e3", float("inf"), float("nan"),
@@ -969,7 +977,7 @@ def test_analyze_proves_r_periodicity_once(monkeypatch):
 # (jump tables, level tables, r digit generators, residue generators,
 # orbit walks) each subcommand builds at CLI defaults; a surd walks no
 # orbit and steps no residues, and analyze counts levels first, so its
-# kernel reads a prefix of that jump table
+# kernel reads the first levels of that jump table
 _TABLES_BUILT = {
     ("analyze", "7/5"): (1, 1, 1, 1, 1),
     ("fk", "7/5"): (1, 1, 1, 1, 1),
@@ -993,6 +1001,26 @@ def test_each_exact_table_is_built_once(monkeypatch, capsys, command, alpha):
     assert code == 0
     built = (len(jumps), len(levels), len(digits), len(residues), len(orbit))
     assert built == _TABLES_BUILT[command, alpha]
+
+
+@pytest.mark.parametrize("alpha, base, levels", [("3/2", 2, 401), ("5/4", 10, 401),
+                                                  ("sqrt(2)", 2, 61)])
+def test_analyze_builds_and_folds_one_jump_table(monkeypatch, alpha, base, levels):
+    # every reader is handed the one held table and bounds its own read,
+    # so its positions are folded from c_1 and r once, over the whole table
+    jumps = _count_calls(monkeypatch, "jump_positions", sequences)
+    fold, folds = JumpData.c.func, []
+
+    def counted(table):
+        folds.append(table.k_max)
+        return fold(table)
+
+    counted_c = cached_property(counted)
+    counted_c.__set_name__(JumpData, "c")
+    monkeypatch.setattr(JumpData, "c", counted_c)
+    run_analyze({"alpha": alpha, "base": base})
+    assert [args[1] for args in jumps] == [levels]
+    assert folds == [levels]
 
 
 def test_long_orbits_audit_on_a_fixed_prefix(monkeypatch):

@@ -29,8 +29,10 @@ from floorlog.levelcounts import decide_d_periodicity
 from floorlog.sequences import (
     ConsistencyError,
     FloorLogInstance,
+    jump_levels_past,
     jump_positions,
     normalize,
+    v_indicator,
 )
 from oracles import (
     check_transitions,
@@ -451,3 +453,40 @@ def test_certify_r_compares_integrality_hits_on_the_audit_prefix():
     bent = (r, [0] + h[1:])
     with pytest.raises(ConsistencyError, match="integrality hits"):
         certify_r(tables.r_terms(30), bent, tables.jumps_to(31), 5, tables.orbit, 10)
+    # the message names the first level where the two routes part
+    for k in (1, 20):
+        bent = (r, h[: k - 1] + [0] + h[k:])
+        with pytest.raises(ConsistencyError, match=f"integrality hits at k={k}$"):
+            certify_r(tables.r_terms(30), bent, tables.jumps_to(31), 5, tables.orbit, 10)
+
+
+# a hit at every level; a cover of 1484 past the audit; a rational offset;
+# a surd
+_READ_ORDER_CASES = [("5/4", "0", 10), ("743/742", "0", 10), ("3/2", "1/3", 2),
+                     ("sqrt(2)", "0", 2)]
+
+
+@pytest.mark.parametrize("alpha, beta, base", _READ_ORDER_CASES)
+def test_tables_read_alike_in_any_order(alpha, beta, base):
+    """The held jump table is built for whichever reader comes first and
+    rebuilt only for a longer read; the r verdict, the d stage and a step
+    view read past every audit come out the same in any order."""
+    norm = norm_of(alpha, beta, base)
+    size = base**450  # 452 jump levels, past the r and d audits
+    levels = jump_levels_past(base, size)
+    assert levels == 452
+
+    def read(order):
+        tables, out = InstanceTables(norm, 200, 60), {}
+        for name in order:
+            if name == "r":
+                out[name] = tables.r_verdict
+            elif name == "d":
+                out[name] = decide_d_periodicity(tables, 60)
+            else:
+                out[name] = v_indicator(norm, size, tables.jumps_to(levels)).steps
+        return out
+
+    first = read("rdv")
+    assert read("drv") == first == read("vrd")
+    assert first["v"] == v_indicator(norm, size).steps

@@ -343,12 +343,10 @@ def test_prefix_views_equal_fresh_tables(case, data):
     alpha, beta, base = case
     n = normalize(FloorLogInstance(alpha, beta, base))
     top = 30
-    jd = jump_positions(n, top)
     lc = f_counts(n, top)
     ks = [1, top] if data is None else data.draw(
         st.lists(st.integers(1, top), min_size=1, max_size=4), label="k")
     for k in ks:
-        assert jd.prefix(k) == jump_positions(n, k)  # integrality hits included
         view, fresh = lc.prefix(k), f_counts(n, k)
         assert (view.k_min, view.k_max, view.f) == (fresh.k_min, fresh.k_max, fresh.f)
 

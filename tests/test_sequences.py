@@ -1,6 +1,7 @@
 """Floor-log sequence tests: normalization, u/v terms, jump positions."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from floorlog import cli
 from floorlog.battery import BATTERY, by_name
 from floorlog.exact import ExactReal
-from floorlog.jumpdigits import InstanceTables
-from floorlog.levelcounts import f_counts
+from floorlog.jumpdigits import InstanceTables, check_hits
+from floorlog.levelcounts import align_m0, f_counts
 from floorlog.sequences import (
     ConsistencyError,
     FloorLogInstance,
     JumpData,
     NormalizedInstance,
+    jump_levels_past,
     jump_positions,
     normalize,
     u_seq,
@@ -341,15 +343,30 @@ def test_five_quarters_hits_an_integer_at_every_level():
 @pytest.mark.parametrize("alpha, beta, base", [
     ("5/4", "0", 10), ("22/7", "-1/3", 2), ("sqrt(2)", "0", 3), ("1/2+1/2*sqrt(5)", "2/7", 10)])
 def test_held_and_sliced_positions_equal_the_fold(alpha, beta, base):
-    """A table's c and the c of each of its prefixes, read once a full
-    table's c has been read, are what folding c_1 and r gives."""
+    """A table's c is what folding c_1 and r gives, and every reader that
+    bounds its own read gives on a longer table what it gives on a table
+    of its own size."""
     n = norm_of(alpha, beta, base)
     jd = jump_positions(n, 30)
     assert jd.c == JumpData(jd.base, jd.c1, jd.r).c
+    hits = jd.integrality_hits
     for k in (1, 2, 17, 29):
-        view = jd.prefix(k)
-        assert view == jump_positions(n, k)
-        assert view.c == jd.c[:k] == JumpData(view.base, view.c1, view.r).c
+        lc = f_counts(n, k)
+        assert align_m0(lc, jd) == align_m0(lc, jump_positions(n, k + 1))
+        size = base ** (k - 2) - 1 if k >= 2 else 0
+        levels = jump_levels_past(base, size)
+        assert levels == max(k, 2)
+        own = jump_positions(n, levels)
+        assert v_indicator(n, size, jd).steps == v_indicator(n, size, own).steps
+        with pytest.raises(IndexError, match=f"reads {levels} jump levels"):
+            v_indicator(n, size, jump_positions(n, levels - 1))
+        own = jump_positions(n, k)
+        check_hits(jd, hits, k)
+        check_hits(own, hits, k)
+        bent = tuple(sorted(set(hits) ^ {k}))
+        for table in (jd, own):
+            with pytest.raises(ConsistencyError, match=f"integrality hits at k={k}$"):
+                check_hits(table, bent, k)
 
 
 # (alpha, beta, base, hits): rational slopes with a hit at every level, with
@@ -423,6 +440,52 @@ def test_levels_and_orbit_in_a_power_of_the_base(alpha, beta, base, m):
     else:
         pre, period = orbit
         assert coarse_orbit == (pre // m, period // gcd(m, period))
+
+
+# unnormalized inputs: slopes below 1, above every base and with surd
+# parts; offsets negative, large, and surd ones that share sqrt(2)
+SHIFT_SLOPES = ["1", "9/2", "2/7", "3*sqrt(2)", "1/3*sqrt(5)", "sqrt(2)", "13",
+                "100/3", "1+sqrt(2)", "1/2*sqrt(3)", "7/5"]
+SHIFT_OFFSETS = ["0", "-5/2", "1/2*sqrt(2)", "17/3", "-1/9", "40"]
+
+
+def _u(inst: FloorLogInstance, n: int) -> int | None:
+    """u_n of a raw instance, or None where alpha*n + beta is not positive."""
+    if (inst.alpha * n + inst.beta).sign() <= 0:
+        return None
+    return u_term(inst.alpha, inst.beta, inst.base, n)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 6])
+def test_shift_and_scale_move_only_the_books(base):
+    """(alpha, beta + t*alpha) has u'(n - t) = u(n) and normalizes to the
+    same alpha and beta with index_shift grown by t; (base*alpha,
+    base*beta) has u''(n) = u(n) + 1 and the same normal form with
+    value_offset grown by 1.  Each u is also read back through its books,
+    u(n) = value_offset + u_norm(n + index_shift)."""
+    for alpha, beta in product(map(ExactReal.parse, SHIFT_SLOPES),
+                               map(ExactReal.parse, SHIFT_OFFSETS)):
+        if len({alpha.radicand, beta.radicand} - {1}) > 1:
+            continue
+        raw = FloorLogInstance(alpha, beta, base)
+        norm = normalize(raw)
+        u = [_u(raw, n) for n in range(40)]
+        for n in range(norm.identity_start, 40):
+            assert u[n] == norm.value_offset + u_term(
+                norm.alpha, norm.beta, base, n + norm.index_shift)
+        scaled = FloorLogInstance(alpha * base, beta * base, base)
+        books = normalize(scaled)
+        assert (books.alpha, books.beta) == (norm.alpha, norm.beta)
+        assert (books.index_shift, books.value_offset) == (
+            norm.index_shift, norm.value_offset + 1)
+        assert [_u(scaled, n) for n in range(40)] == [v if v is None else v + 1 for v in u]
+        for t in (-3, -1, 1, 2, 5):
+            shifted = FloorLogInstance(alpha, beta + alpha * t, base)
+            books = normalize(shifted)
+            assert (books.alpha, books.beta) == (norm.alpha, norm.beta)
+            assert (books.index_shift, books.value_offset) == (
+                norm.index_shift + t, norm.value_offset)
+            assert [_u(shifted, n - t) for n in range(40)] == u
 
 
 def test_a_table_needs_one_level():

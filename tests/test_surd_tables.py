@@ -597,7 +597,9 @@ def test_jump_blocks_equal_fresh_roots(monkeypatch, guard, length):
         fresh = jump_positions_fresh_roots(norm, depths[-1])
         for k_max in depths:
             table = jump_positions(norm, k_max)
-            assert table == fresh.prefix(k_max)
+            want_hits = tuple(k for k in fresh.integrality_hits if k <= k_max)
+            assert (table.base, table.c1, table.r, table.integrality_hits) == (
+                fresh.base, fresh.c1, fresh.r[: k_max - 1], want_hits)
             hits += len(table.integrality_hits)
     assert hits > 0
     assert outcomes
